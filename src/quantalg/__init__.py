@@ -20,10 +20,10 @@ from .modelcheck import (CheckEntry, Counterexample, FiniteAlgebra, Report,
                          distribution_model, format_report, parse_algebras,
                          powerset_model, reader_model, writer_model)
 from .semantics import (BOUNDED, EXTENDED, DistVal, ExcLeaf, FuncVal, Guard,
-                        PairVal, SemValue, SetVal, VarLeaf, apply_operation, canon_key,
-                        denote, denote_with_plan, format_value, make_dist,
-                        make_func, make_set, sem_dist, sem_dist_with_plan,
-                        term_dist)
+                        PairVal, SemValue, SetVal, StateLeaf, VarLeaf,
+                        apply_operation, canon_key, denote, denote_with_plan,
+                        format_value, make_dist, make_func, make_set,
+                        map_guards, sem_dist, sem_dist_with_plan, term_dist)
 from .spaces import (FinDist, FinMetricSpace, box, coproduct, discrete,
                      hausdorff, hausdorff_general, kantorovich,
                      kantorovich_general, parse_spaces, power, rescale)

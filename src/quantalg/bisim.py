@@ -1,10 +1,14 @@
-"""Finite coalgebras of four kinds (Markov process, labelled Markov process,
-Mealy machine, Markov decision process), the discounted bisimilarity-metric
+"""Finite coalgebras of composed theories, the discounted bisimilarity-metric
 operator, certified fixed-point solving, and the term/coalgebra bridge.
 
-Transition targets are states, the termination point `bot` (Markov kinds
-only), or `leaf(x)` ground points; the last arise when unfolding terms with
-free variables and carry a fixed ground distance instead of an iterated one.
+A state's behaviour is a one-step value of the theory's layer plan whose
+guards hold the successor states, so the bisimilarity-metric operator is
+the term distance on one-step values with c times the current iterate
+between successor states.  Markov processes, labelled Markov processes,
+Mealy machines and MDPs are the plans of `markov_process_theory`,
+`labelled_mp_theory`, `mealy_theory` and `mdp_theory`; they are also the
+four kinds of the text format, whose transition targets are states, the
+termination point `bot`, or `leaf(x)` ground points.
 """
 
 from __future__ import annotations
@@ -14,14 +18,18 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import DivergentGround, DomainError, UnsupportedShape
-from .extvalue import INF, ONE, ZERO, ExtValue, ext_max
+from .extvalue import INF, ZERO, ExtValue
 from .lexing import TokenStream
-from .semantics import (BOUNDED, EXTENDED, DistVal, ExcLeaf, Guard, SemValue,
-                        VarLeaf, denote_with_plan)
+from .semantics import (BOUNDED, EXTENDED, DistVal, ExcLeaf, FuncVal, Guard,
+                        PairVal, SemValue, SetVal, StateLeaf, VarLeaf,
+                        denote_with_plan, make_dist, map_guards,
+                        sem_dist_with_plan)
 from .spaces import FinDist, FinMetricSpace
-from .terms import App, Term, Var, app, conv, raise_, read, write
-from .theories import (Monoid, RATIONAL_LINE, RationalLineMonoid, TheoryExpr,
-                       layer_plan)
+from .terms import (App, Term, Var, app, conv, empty_op, next_op, raise_,
+                    read, union_op, write)
+from .theories import (LayerPlan, Monoid, RATIONAL_LINE, RationalLineMonoid,
+                       TheoryExpr, labelled_mp_theory, layer_plan,
+                       markov_process_theory, mdp_theory, mealy_theory)
 
 BOT = ("bot",)
 
@@ -34,12 +42,22 @@ def leaf_target(point: str) -> tuple:
     return ("leaf", point)
 
 
-def _target_key(t: tuple):
-    return (t[0],) + tuple(str(x) for x in t[1:])
-
-
 class Coalgebra:
-    """Finite transition system with a discount factor c in (0,1)."""
+    """Finite system over a layer plan with one contractive operator.
+
+    Representation: `plan` is the theory's layer plan and `step` maps each
+    state to its one-step value, a `SemValue` of that plan in which every
+    guard holds a `StateLeaf` naming the successor state.  The text format's
+    `bot` is `ExcLeaf("*")` and its `leaf(x)` is `VarLeaf(x)`.  The discount
+    factor `c` is the contractive operator's.
+
+    The constructor takes the text format's view: a kind (mp, lmp, mealy,
+    mdp) and a table `trans` keyed by state (mp) or by (state, action or
+    input), whose rows are distributions over targets, (target, reward)
+    pairs for mdp, or (target, output) pairs for mealy.  The `trans`
+    property reads the values back in that form.  `of_values` builds a
+    system over any plan with one contractive operator.
+    """
 
     def __init__(self, kind: str, c, states: Sequence[str], trans: dict,
                  actions: Optional[Sequence[str]] = None,
@@ -47,70 +65,49 @@ class Coalgebra:
                  monoid: Optional[Monoid] = None,
                  space: Optional[FinMetricSpace] = None,
                  name: str = "system"):
-        if kind not in ("mp", "lmp", "mealy", "mdp"):
-            raise DomainError(f"unknown coalgebra kind {kind!r}")
-        self.kind = kind
-        self.c = Fraction(c)
-        if not (0 < self.c < 1):
+        c = Fraction(c)
+        if not (0 < c < 1):
             raise DomainError("discount factor must be in (0, 1)")
-        self.states = tuple(states)
-        self.trans = dict(trans)
-        self.actions = tuple(actions) if actions is not None else None
-        self.inputs = tuple(inputs) if inputs is not None else None
-        self.monoid = monoid
-        self.space = space
-        self.name = name
-        self._validate()
+        self._init(layer_plan(_kind_theory(kind, c, actions, inputs, monoid)),
+                   states, space, name)
+        self.step = _values_of_trans(self, dict(trans))
 
-    def _validate(self):
+    @classmethod
+    def of_values(cls, plan: LayerPlan, states: Sequence[str],
+                  step: Dict[str, SemValue],
+                  space: Optional[FinMetricSpace] = None,
+                  name: str = "system") -> "Coalgebra":
+        C = cls.__new__(cls)
+        C._init(plan, states, space, name)
+        if set(step) != set(C.states):
+            raise DomainError("every state needs exactly one one-step value")
+        C.step = dict(step)
+        return C
+
+    def _init(self, plan, states, space, name):
+        if len(plan.guards) != 1:
+            raise UnsupportedShape("a coalgebra needs exactly one contractive operator")
+        self.plan = plan
+        self.c = plan.guards[0].c
+        self.states = tuple(states)
         if len(set(self.states)) != len(self.states) or not self.states:
             raise DomainError("states must be nonempty and distinct")
-        if self.kind == "mp":
-            keys = list(self.states)
-        elif self.kind in ("lmp", "mdp"):
-            if not self.actions:
-                raise DomainError(f"{self.kind} needs a nonempty action set")
-            keys = [(s, a) for s in self.states for a in self.actions]
-        else:
-            if not self.inputs or self.monoid is None:
-                raise DomainError("mealy needs inputs and an output monoid")
-            keys = [(s, i) for s in self.states for i in self.inputs]
-        for k in keys:
-            if k not in self.trans:
-                raise DomainError(f"missing transition row for {k!r}")
-        for k, row in self.trans.items():
-            if k not in keys:
-                raise DomainError(f"transition row for unknown key {k!r}")
-            if self.kind == "mealy":
-                target, alpha = row
-                self._check_target(target)
-                if not self.monoid.contains(alpha):
-                    raise DomainError(f"output {alpha!r} outside the monoid")
-            else:
-                if row.mass != 1:
-                    raise DomainError(f"row {k!r} has mass {row.mass}, expected 1")
-                for key, _ in row.items:
-                    if self.kind == "mdp":
-                        target, reward = key
-                        if not isinstance(reward, Fraction):
-                            raise DomainError("mdp rewards must be exact rationals")
-                    else:
-                        target = key
-                    self._check_target(target)
+        self.space = space
+        self.name = name
+        self.kind = _plan_kind(plan)
 
-    def _check_target(self, target):
-        tag = target[0]
-        if tag == "st":
-            if target[1] not in self.states:
-                raise DomainError(f"transition to unknown state {target[1]!r}")
-        elif tag == "bot":
-            if self.kind in ("mealy", "mdp"):
-                raise DomainError(f"{self.kind} transitions cannot use bot")
-        elif tag == "leaf":
-            if self.space is not None and target[1] not in self.space.points:
-                raise DomainError(f"leaf point {target[1]!r} outside the space")
-        else:
-            raise DomainError(f"unknown target {target!r}")
+    @property
+    def trans(self) -> dict:
+        return _trans_of_values(self)
+
+    @property
+    def inputs(self) -> Optional[Tuple[str, ...]]:
+        """The function layer's inputs (actions or Mealy inputs), if any."""
+        return next((l[1] for l in self.plan.layers if l[0] == "func"), None)
+
+    @property
+    def monoid(self) -> Optional[Monoid]:
+        return next((l[1] for l in self.plan.layers if l[0] == "pair"), None)
 
 
 class PseudoMetric:
@@ -158,9 +155,6 @@ class PseudoMetric:
         return isinstance(other, PseudoMetric) and self.states == other.states \
             and self._t == other._t
 
-    def __hash__(self):
-        raise TypeError("PseudoMetric is not hashable")
-
 
 def zero_metric(states: Sequence[str]) -> PseudoMetric:
     return PseudoMetric(states)
@@ -169,54 +163,15 @@ def zero_metric(states: Sequence[str]) -> PseudoMetric:
 # ---------------------------------------------------------------------------
 # The one-step operator
 
-def _target_dist(C: Coalgebra, d: PseudoMetric, mode: str, t1, t2) -> ExtValue:
-    """Ground distance between transition targets: c-scaled iterate between
-    states, fixed space distance between leaves, coproduct rule across kinds."""
-    cap = (lambda x: x.truncated(ONE)) if mode == BOUNDED else (lambda x: x)
-    if t1[0] == "st" and t2[0] == "st":
-        return d.d(t1[1], t2[1]).scaled(C.c)
-    if t1[0] == "bot" and t2[0] == "bot":
-        return ZERO
-    if t1[0] == "leaf" and t2[0] == "leaf":
-        if t1[1] == t2[1]:
-            return ZERO
-        if C.space is None:
-            raise DomainError("leaf targets need a ground space")
-        return cap(C.space.d(t1[1], t2[1]))
-    return cap(INF)
-
-
 def psi_step(C: Coalgebra, d: PseudoMetric, mode: str = BOUNDED) -> PseudoMetric:
-    """One application of the kind-appropriate bisimilarity-metric operator."""
-    from .spaces import kantorovich_general
-
-    cap = (lambda x: x.truncated(ONE)) if mode == BOUNDED else (lambda x: x)
+    """One application of the bisimilarity-metric operator: the term distance
+    between the states' one-step values, with d between successor states."""
+    memo: dict = {}
     table: Dict[Tuple[str, str], ExtValue] = {}
-
-    def dist_ground(k1, k2) -> ExtValue:
-        if C.kind == "mdp":
-            (t1, r1), (t2, r2) = k1, k2
-            raw = ExtValue(abs(r1 - r2)) + _target_dist(C, d, mode, t1, t2)
-            return cap(raw)
-        return cap(_target_dist(C, d, mode, k1, k2))
-
     for i, u in enumerate(C.states):
         for v in C.states[i + 1:]:
-            if C.kind == "mp":
-                val = kantorovich_general(C.trans[u], C.trans[v], dist_ground)
-            elif C.kind in ("lmp", "mdp"):
-                val = ext_max(*(
-                    kantorovich_general(C.trans[(u, a)], C.trans[(v, a)], dist_ground)
-                    for a in C.actions))
-            else:  # mealy
-                parts = []
-                for inp in C.inputs:
-                    tu, au = C.trans[(u, inp)]
-                    tv, av = C.trans[(v, inp)]
-                    parts.append(C.monoid.dist(au, av)
-                                 + _target_dist(C, d, mode, tu, tv))
-                val = ext_max(*parts)
-            table[(u, v)] = val
+            table[(u, v)] = sem_dist_with_plan(C.step[u], C.step[v], C.plan,
+                                               C.space, mode, memo, d.d)
     return PseudoMetric(C.states, table)
 
 
@@ -234,16 +189,8 @@ class Certificate:
     exact: bool
 
     def as_record(self) -> dict:
-        return {
-            "iterations": self.iterations,
-            "c": str(self.c),
-            "mode": self.mode,
-            "tol": str(self.tol),
-            "initial_gap": str(self.initial_gap),
-            "a_priori_bound": str(self.a_priori_bound),
-            "residual": str(self.residual),
-            "exact": self.exact,
-        }
+        return {k: v if isinstance(v, (bool, int)) else str(v)
+                for k, v in vars(self).items()}
 
 
 def solve_bisim(C: Coalgebra, tol, mode: str = BOUNDED
@@ -251,6 +198,12 @@ def solve_bisim(C: Coalgebra, tol, mode: str = BOUNDED
     """Iterate Psi from the zero metric until the a-priori Banach bound
     c^k/(1-c) * ||Psi(0)|| drops below tol, or the iterate is an exact fixed
     point.  The returned metric d_k satisfies ||d_k - d*|| <= tol.
+
+    In bounded mode ||Psi(0)|| can be infinite (an infinite monoid distance,
+    or a Hausdorff distance to the empty set); while the bound is infinite
+    it is replaced by the a-posteriori bound c/(1-c) * ||d_k - d_{k-1}||.
+    That is finite once the set of infinite pairs has stopped growing, and
+    from then on Psi is a c-contraction on the remaining pairs.
     """
     tol = Fraction(tol)
     if tol <= 0:
@@ -278,8 +231,11 @@ def solve_bisim(C: Coalgebra, tol, mode: str = BOUNDED
             bound = ZERO
             exact = True
             break
+        if bound.is_inf:
+            bound = d_next.sup_diff(d).scaled(shrink)
+        else:
+            bound = bound.scaled(C.c)
         d = d_next
-        bound = bound.scaled(C.c)
     if exact:
         residual = ZERO
     else:
@@ -292,136 +248,46 @@ def solve_bisim(C: Coalgebra, tol, mode: str = BOUNDED
 # ---------------------------------------------------------------------------
 # Terms to coalgebras
 
-def _plan_kind(plan) -> str:
-    shapes = tuple(layer[0] for layer in plan.layers)
-    if len(plan.guards) != 1:
-        raise UnsupportedShape("unfolding needs exactly one contractive operator")
-    exc = plan.exc_space
-    if exc is not None and tuple(exc.points) != ("*",):
-        raise UnsupportedShape("unfolding supports only the one-point exception space")
-    if shapes == ("dist",):
-        return "mp"
-    if shapes == ("func", "dist"):
-        return "lmp"
-    if shapes == ("func", "pair"):
-        if exc is not None:
-            raise UnsupportedShape("mealy unfolding cannot carry exceptions")
-        return "mealy"
-    if shapes == ("func", "dist", "pair"):
-        if exc is not None:
-            raise UnsupportedShape("mdp unfolding cannot carry exceptions")
-        if not isinstance(plan.layers[2][1], RationalLineMonoid):
-            raise UnsupportedShape("mdp unfolding needs rational rewards")
-        return "mdp"
-    raise UnsupportedShape(
-        f"no coalgebra kind for layer shape {'/'.join(shapes) or 'leaf'}")
-
-
 def unfold_term(t: Term, th: TheoryExpr,
                 space: Optional[FinMetricSpace] = None,
                 name: str = "unfolded") -> Tuple[Coalgebra, str]:
     """Guard-closure of the term's denotation as a finite coalgebra.
 
-    Each guard's inner value becomes a state; the result is acyclic by
-    construction.  Returns the coalgebra and the root state.
+    Each guard's inner value becomes a state, numbered in the order the
+    guards are met; the result is acyclic by construction.  Returns the
+    coalgebra and the root state.
     """
     plan = layer_plan(th)
-    kind = _plan_kind(plan)
     root = denote_with_plan(t, plan)
-
-    names: Dict[SemValue, str] = {}
+    names: Dict[SemValue, StateLeaf] = {}
     order: List[SemValue] = []
 
-    def visit(value: SemValue) -> str:
-        if value in names:
-            return names[value]
-        names[value] = f"s{len(order)}"
-        order.append(value)
+    def visit(value: SemValue) -> StateLeaf:
+        if value not in names:
+            names[value] = StateLeaf(f"s{len(order)}")
+            order.append(value)
         return names[value]
 
     visit(root)
-    trans: dict = {}
-    i = 0
-    while i < len(order):
-        value = order[i]
-        state = names[value]
-        i += 1
-        if kind == "mp":
-            trans[state] = _dist_row(value, visit)
-        elif kind == "lmp":
-            for inp, inner in value.items:
-                trans[(state, inp)] = _dist_row(inner, visit)
-        elif kind == "mealy":
-            for inp, pair in value.items:
-                trans[(state, inp)] = (_leaf_or_state(pair.inner, visit), pair.alpha)
-        else:  # mdp
-            for inp, inner in value.items:
-                trans[(state, inp)] = FinDist.from_pairs(
-                    (((_leaf_or_state(p.inner, visit), p.alpha), w)
-                     for p, w in inner.items),
-                    key=lambda k: (_target_key(k[0]), k[1]))
-    states = [names[v] for v in order]
-    kwargs = {}
-    if kind in ("lmp", "mdp"):
-        kwargs["actions"] = next(l[1] for l in plan.layers if l[0] == "func")
-    if kind == "mealy":
-        kwargs["inputs"] = plan.layers[0][1]
-        kwargs["monoid"] = plan.layers[1][1]
-    C = Coalgebra(kind, plan.guards[0].c, states, trans, space=space,
-                  name=name, **kwargs)
-    return C, names[root]
-
-
-def _leaf_or_state(inner: SemValue, visit) -> tuple:
-    if isinstance(inner, Guard):
-        return state_target(visit(inner.inner))
-    if isinstance(inner, VarLeaf):
-        return leaf_target(inner.name)
-    if isinstance(inner, ExcLeaf):
-        return BOT
-    raise DomainError(f"unexpected value under a guard position: {inner!r}")
-
-
-def _dist_row(value: DistVal, visit) -> FinDist:
-    if not isinstance(value, DistVal):
-        raise DomainError("expected a distribution value")
-    return FinDist.from_pairs(
-        ((_leaf_or_state(v, visit), w) for v, w in value.items),
-        key=_target_key)
+    step = {}
+    for value in order:  # grows while it is walked
+        step[names[value].name] = map_guards(value, visit)
+    C = Coalgebra.of_values(plan, [names[v].name for v in order], step, space, name)
+    return C, names[root].name
 
 
 def disjoint_union(A: Coalgebra, B: Coalgebra,
                    tags: Tuple[str, str] = ("a", "b")) -> Coalgebra:
-    """Tag and merge two systems of the same kind and discount factor."""
-    if (A.kind, A.c, A.actions, A.inputs, A.monoid) != \
-       (B.kind, B.c, B.actions, B.inputs, B.monoid):
+    """Tag and merge two systems over the same plan."""
+    if A.plan != B.plan:
         raise DomainError("cannot union systems of different shapes")
-
-    def rename(tag, target):
-        return state_target(f"{tag}.{target[1]}") if target[0] == "st" else target
-
-    def rename_row(tag, kind, row):
-        if kind == "mealy":
-            return (rename(tag, row[0]), row[1])
-        if kind == "mdp":
-            return FinDist.from_pairs(
-                (((rename(tag, t), r), w) for (t, r), w in row.items),
-                key=lambda k: (_target_key(k[0]), k[1]))
-        return FinDist.from_pairs(((rename(tag, t), w) for t, w in row.items),
-                                  key=_target_key)
-
-    states = [f"{tags[0]}.{s}" for s in A.states] + [f"{tags[1]}.{s}" for s in B.states]
-    trans = {}
+    step: Dict[str, SemValue] = {}
     for side, tag in ((A, tags[0]), (B, tags[1])):
-        for k, row in side.trans.items():
-            if side.kind == "mp":
-                trans[f"{tag}.{k}"] = rename_row(tag, side.kind, row)
-            else:
-                trans[(f"{tag}.{k[0]}", k[1])] = rename_row(tag, side.kind, row)
-    space = A.space or B.space
-    return Coalgebra(A.kind, A.c, states, trans, actions=A.actions,
-                     inputs=A.inputs, monoid=A.monoid, space=space,
-                     name=f"{A.name}+{B.name}")
+        for s in side.states:
+            step[f"{tag}.{s}"] = map_guards(
+                side.step[s], lambda st, tag=tag: StateLeaf(f"{tag}.{st.name}"))
+    return Coalgebra.of_values(A.plan, list(step), step, A.space or B.space,
+                               f"{A.name}+{B.name}")
 
 
 # ---------------------------------------------------------------------------
@@ -432,60 +298,35 @@ CUT_VARIABLE = "_cut"
 
 def approx_term(C: Coalgebra, state: str, depth: int) -> Term:
     """Depth-k unfolding of a (possibly cyclic) state into a term; deeper
-    behaviour is cut to raise(*) for the Markov kinds and to a designated
-    cut variable for Mealy machines and MDPs."""
+    behaviour is cut to an exception (raise(*) in the one-point exception
+    space) when the plan has exceptions and to a designated cut variable
+    otherwise."""
     if depth < 0:
         raise DomainError("depth must be nonnegative")
-    if state not in C.states:
+    if state not in C.step:
         raise DomainError(f"unknown state {state!r}")
-    step = _step_op(C)
+    exc = C.plan.exc_space
+    cut = app(raise_(exc.points[0])) if exc is not None else Var(CUT_VARIABLE)
 
-    def cut() -> Term:
-        return app(raise_("*")) if C.kind in ("mp", "lmp") else Var(CUT_VARIABLE)
-
-    def target_term(target, k: int) -> Term:
-        if target[0] == "st":
-            return App(step, (go(target[1], k - 1),))
-        if target[0] == "bot":
-            return app(raise_("*"))
-        return Var(target[1])
-
-    def dist_term(row: FinDist, k: int, wrap=None) -> Term:
-        items = list(row.items)
-        terms = []
-        for key, w in items:
-            if C.kind == "mdp":
-                target, reward = key
-                leaf = App(write(reward), (target_term(target, k),))
-            else:
-                leaf = target_term(key, k)
-            terms.append((leaf, w))
-        return _convex_chain(terms)
+    def term(v: SemValue, k: int) -> Term:
+        if isinstance(v, DistVal):
+            return _convex_chain([(term(x, k), w) for x, w in v.items])
+        if isinstance(v, SetVal):
+            return _union_chain([term(x, k) for x in v.items])
+        if isinstance(v, FuncVal):
+            return App(read(len(v.items)), tuple(term(x, k) for _, x in v.items))
+        if isinstance(v, PairVal):
+            return App(write(v.alpha), (term(v.inner, k),))
+        if isinstance(v, Guard):
+            return App(next_op(v.name, v.c), (go(v.inner.name, k - 1),))
+        if isinstance(v, ExcLeaf):
+            return app(raise_(v.label))
+        return Var(v.name)
 
     def go(s: str, k: int) -> Term:
-        if k == 0:
-            return cut()
-        if C.kind == "mp":
-            return dist_term(C.trans[s], k)
-        if C.kind == "lmp":
-            rows = [dist_term(C.trans[(s, a)], k) for a in C.actions]
-            return App(read(len(C.actions)), tuple(rows))
-        if C.kind == "mealy":
-            rows = []
-            for inp in C.inputs:
-                target, alpha = C.trans[(s, inp)]
-                rows.append(App(write(alpha), (target_term(target, k),)))
-            return App(read(len(C.inputs)), tuple(rows))
-        rows = [dist_term(C.trans[(s, a)], k) for a in C.actions]
-        return App(read(len(C.actions)), tuple(rows))
+        return cut if k == 0 else term(C.step[s], k)
 
     return go(state, depth)
-
-
-def _step_op(C: Coalgebra):
-    from .terms import next_op
-
-    return next_op("next", C.c)
 
 
 def _convex_chain(items: List[Tuple[Term, Fraction]]) -> Term:
@@ -496,8 +337,128 @@ def _convex_chain(items: List[Tuple[Term, Fraction]]) -> Term:
     return App(conv(w0), (t0, _convex_chain(rest)))
 
 
+def _union_chain(terms: List[Term]) -> Term:
+    if not terms:
+        return app(empty_op())
+    out = terms[-1]
+    for t in reversed(terms[:-1]):
+        out = App(union_op(), (t, out))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Text format
+
+def _kind_theory(kind: str, c: Fraction, actions, inputs, monoid) -> TheoryExpr:
+    """The composed theory a text-format kind names."""
+    if kind == "mp":
+        return markov_process_theory(c)
+    if kind in ("lmp", "mdp"):
+        if not actions:
+            raise DomainError(f"{kind} needs a nonempty action set")
+        return (labelled_mp_theory if kind == "lmp" else mdp_theory)(actions, c)
+    if kind == "mealy":
+        if not inputs or monoid is None:
+            raise DomainError("mealy needs inputs and an output monoid")
+        return mealy_theory(inputs, monoid, c)
+    raise DomainError(f"unknown coalgebra kind {kind!r}")
+
+
+def _plan_kind(plan: LayerPlan) -> Optional[str]:
+    """The text-format kind naming the plan, or None if the format has none."""
+    shapes = tuple(layer[0] for layer in plan.layers)
+    exc = plan.exc_space
+    if exc is not None and tuple(exc.points) != ("*",):
+        return None
+    if shapes == ("dist",):
+        return "mp"
+    if shapes == ("func", "dist"):
+        return "lmp"
+    if exc is None and shapes == ("func", "pair"):
+        return "mealy"
+    if exc is None and shapes == ("func", "dist", "pair") \
+            and isinstance(plan.layers[2][1], RationalLineMonoid):
+        return "mdp"
+    return None
+
+
+def _values_of_trans(C: Coalgebra, trans: dict) -> Dict[str, SemValue]:
+    """The text format's transition table as one-step values of C's plan."""
+    layers = C.plan.layers
+    guard = C.plan.guards[0]
+    known = set(C.states)
+    if layers[0][0] == "func":
+        keys = [(s, i) for s in C.states for i in layers[0][1]]
+    else:
+        keys = list(C.states)
+    for k in keys:
+        if k not in trans:
+            raise DomainError(f"missing transition row for {k!r}")
+    if len(trans) != len(keys):
+        bad = next(k for k in trans if k not in set(keys))
+        raise DomainError(f"transition row for unknown key {bad!r}")
+
+    def target(t) -> SemValue:
+        if t[0] == "st":
+            if t[1] not in known:
+                raise DomainError(f"transition to unknown state {t[1]!r}")
+            return Guard(guard.name, guard.c, StateLeaf(t[1]))
+        if t[0] == "bot":
+            if C.plan.exc_space is None:
+                raise DomainError(f"{C.kind} transitions cannot use bot")
+            return ExcLeaf("*")
+        if t[0] == "leaf":
+            if C.space is not None and t[1] not in C.space.points:
+                raise DomainError(f"leaf point {t[1]!r} outside the space")
+            return VarLeaf(t[1])
+        raise DomainError(f"unknown target {t!r}")
+
+    def cell(k, row, layers) -> SemValue:
+        if not layers:
+            return target(row)
+        if layers[0][0] == "dist":
+            if row.mass != 1:
+                raise DomainError(f"row {k!r} has mass {row.mass}, expected 1")
+            return make_dist((cell(k, x, layers[1:]), w) for x, w in row.items)
+        t, alpha = row  # the pair layer
+        if not layers[0][1].contains(alpha):
+            raise DomainError(f"output {alpha!r} outside the monoid")
+        return PairVal(alpha, cell(k, t, layers[1:]))
+
+    if layers[0][0] == "func":
+        return {s: FuncVal(tuple((i, cell((s, i), trans[(s, i)], layers[1:]))
+                                 for i in layers[0][1]))
+                for s in C.states}
+    return {s: cell(s, trans[s], layers) for s in C.states}
+
+
+def _trans_of_values(C: Coalgebra) -> dict:
+    """C's one-step values as a text-format transition table."""
+    if C.kind is None:
+        raise UnsupportedShape("no coalgebra kind for layer shape "
+                               + ("/".join(l[0] for l in C.plan.layers) or "leaf"))
+
+    def row(v: SemValue):
+        if isinstance(v, DistVal):
+            return FinDist.from_pairs((row(x), w) for x, w in v.items)
+        if isinstance(v, PairVal):
+            return (row(v.inner), v.alpha)
+        if isinstance(v, Guard):
+            return state_target(v.inner.name)
+        if isinstance(v, ExcLeaf):
+            return BOT
+        return leaf_target(v.name)
+
+    trans = {}
+    for s in C.states:
+        v = C.step[s]
+        if isinstance(v, FuncVal):
+            for i, inner in v.items:
+                trans[(s, i)] = row(inner)
+        else:
+            trans[s] = row(v)
+    return trans
+
 
 def parse_coalgebras(text: str, monoids: Optional[Dict[str, Monoid]] = None,
                      space: Optional[FinMetricSpace] = None,
@@ -511,65 +472,45 @@ def parse_coalgebras(text: str, monoids: Optional[Dict[str, Monoid]] = None,
         if kind not in ("mp", "lmp", "mealy", "mdp"):
             raise ts.error(f"expected mp/lmp/mealy/mdp, found {kind!r}", kind_tok)
         name = ts.expect_ident().text
-        ts.expect("{")
-        ts.expect("c")
-        ts.expect("=")
+        for tok in ("{", "c", "="):
+            ts.expect(tok)
         c = ts.expect_rational()
         ts.expect(";")
-        actions = inputs = None
-        monoid = None
-        if kind in ("lmp", "mdp"):
-            ts.expect("actions")
+        labels, monoid = None, RATIONAL_LINE
+        if kind != "mp":
+            ts.expect("inputs" if kind == "mealy" else "actions")
             ts.expect(":")
-            actions = [ts.expect_ident().text]
+            labels = [ts.expect_ident().text]
             while ts.accept(","):
-                actions.append(ts.expect_ident().text)
+                labels.append(ts.expect_ident().text)
             ts.expect(";")
-        if kind == "mealy":
-            ts.expect("inputs")
+        if kind == "mealy" and ts.accept("monoid"):
             ts.expect(":")
-            inputs = [ts.expect_ident().text]
-            while ts.accept(","):
-                inputs.append(ts.expect_ident().text)
+            ref = ts.expect_ident().text
+            if not monoids or ref not in monoids:
+                raise ts.error(f"unknown monoid {ref!r}")
+            monoid = monoids[ref]
             ts.expect(";")
-            if ts.accept("monoid"):
-                ts.expect(":")
-                ref = ts.expect_ident().text
-                if not monoids or ref not in monoids:
-                    raise ts.error(f"unknown monoid {ref!r}")
-                monoid = monoids[ref]
-                ts.expect(";")
-            else:
-                monoid = RATIONAL_LINE
         states: List[str] = []
         trans: dict = {}
         while not ts.accept("}"):
             ts.expect("state")
-            s = ts.expect_ident().text
+            s = key = ts.expect_ident().text
             if s not in states:
                 states.append(s)
-            if kind == "mp":
-                ts.expect(":")
-                trans[s] = _parse_dist_row(ts, kind)
-            elif kind in ("lmp", "mdp"):
+            if kind != "mp":
                 ts.expect("on")
-                a = ts.expect_ident().text
-                ts.expect(":")
-                trans[(s, a)] = _parse_dist_row(ts, kind)
-            else:
-                ts.expect("on")
-                inp = ts.expect_ident().text
+                key = (s, ts.expect_ident().text)
+            if kind == "mealy":
                 ts.expect("->")
-                ts.expect("(")
-                target = _parse_target(ts)
-                ts.expect(",")
-                alpha = _parse_output(ts, monoid)
-                ts.expect(")")
-                ts.expect(";")
-                trans[(s, inp)] = (target, alpha)
+                trans[key] = _parse_pair(ts, _parse_output)
+            else:
+                ts.expect(":")
+                trans[key] = _parse_dist_row(ts, kind)
+            ts.expect(";")
         try:
-            out[name] = Coalgebra(kind, c, states, trans, actions=actions,
-                                  inputs=inputs, monoid=monoid, space=space,
+            out[name] = Coalgebra(kind, c, states, trans, actions=labels,
+                                  inputs=labels, monoid=monoid, space=space,
                                   name=name)
         except DomainError as exc:
             raise DomainError(f"{source}: system {name}: {exc}") from None
@@ -592,7 +533,7 @@ def _parse_target(ts: TokenStream) -> tuple:
     return state_target(tok.text)
 
 
-def _parse_output(ts: TokenStream, monoid):
+def _parse_output(ts: TokenStream):
     tok = ts.next()
     if tok.kind == "num":
         return Fraction(tok.text)
@@ -601,26 +542,26 @@ def _parse_output(ts: TokenStream, monoid):
     raise ts.error(f"expected a monoid element, found {tok.text!r}", tok)
 
 
+def _parse_pair(ts: TokenStream, second) -> tuple:
+    """`(target, x)` with x read by `second`: a reward or an output."""
+    ts.expect("(")
+    target = _parse_target(ts)
+    ts.expect(",")
+    x = second(ts)
+    ts.expect(")")
+    return (target, x)
+
+
 def _parse_dist_row(ts: TokenStream, kind: str) -> FinDist:
     pairs = []
-    while True:
+    while not pairs or ts.accept(","):
         w = ts.expect_rational()
         ts.expect("->")
         if kind == "mdp":
-            ts.expect("(")
-            target = _parse_target(ts)
-            ts.expect(",")
-            reward = ts.expect_rational()
-            ts.expect(")")
-            pairs.append(((target, reward), w))
+            pairs.append((_parse_pair(ts, TokenStream.expect_rational), w))
         else:
             pairs.append((_parse_target(ts), w))
-        if not ts.accept(","):
-            break
-    ts.expect(";")
-    if kind == "mdp":
-        return FinDist.from_pairs(pairs, key=lambda k: (_target_key(k[0]), k[1]))
-    return FinDist.from_pairs(pairs, key=_target_key)
+    return FinDist.from_pairs(pairs)
 
 
 def format_coalgebra(C: Coalgebra, monoid_name: Optional[str] = None) -> str:
@@ -628,42 +569,32 @@ def format_coalgebra(C: Coalgebra, monoid_name: Optional[str] = None) -> str:
 
     Mealy systems over a table monoid need `monoid_name`, the name the
     reader will resolve through its monoid file."""
-    lines = [f"{C.kind} {C.name} {{", f"  c = {C.c};"]
-    if C.kind in ("lmp", "mdp"):
-        lines.append("  actions: " + ", ".join(C.actions) + ";")
-    if C.kind == "mealy":
-        lines.append("  inputs: " + ", ".join(C.inputs) + ";")
-        if not isinstance(C.monoid, RationalLineMonoid):
-            if monoid_name is None:
-                raise DomainError(
-                    "a table-monoid mealy system needs a monoid name to serialize")
-            lines.append(f"  monoid: {monoid_name};")
+    trans = C.trans
+    kind = C.kind
+    lines = [f"{kind} {C.name} {{", f"  c = {C.c};"]
+    if kind != "mp":
+        label = "inputs" if kind == "mealy" else "actions"
+        lines.append(f"  {label}: " + ", ".join(C.inputs) + ";")
+    if kind == "mealy" and not isinstance(C.monoid, RationalLineMonoid):
+        if monoid_name is None:
+            raise DomainError(
+                "a table-monoid mealy system needs a monoid name to serialize")
+        lines.append(f"  monoid: {monoid_name};")
 
-    def target_text(t):
-        if t[0] == "st":
-            return t[1]
-        if t[0] == "bot":
+    def text(x) -> str:  # a target, or a (target, reward or output) pair
+        if isinstance(x[0], tuple):
+            return f"({text(x[0])}, {x[1]})"
+        if x[0] == "st":
+            return x[1]
+        if x[0] == "bot":
             return "bot"
-        return f"leaf({t[1]})"
+        return f"leaf({x[1]})"
 
-    for s in C.states:
-        if C.kind == "mp":
-            row = C.trans[s]
-            cells = ", ".join(f"{w} -> {target_text(t)}" for t, w in row.items)
-            lines.append(f"  state {s}: {cells};")
-        elif C.kind in ("lmp", "mdp"):
-            for a in C.actions:
-                row = C.trans[(s, a)]
-                if C.kind == "mdp":
-                    cells = ", ".join(
-                        f"{w} -> ({target_text(t)}, {r})" for (t, r), w in row.items)
-                else:
-                    cells = ", ".join(
-                        f"{w} -> {target_text(t)}" for t, w in row.items)
-                lines.append(f"  state {s} on {a}: {cells};")
+    for key, row in trans.items():
+        head = f"  state {key}" if kind == "mp" else f"  state {key[0]} on {key[1]}"
+        if kind == "mealy":
+            lines.append(f"{head} -> {text(row)};")
         else:
-            for inp in C.inputs:
-                target, alpha = C.trans[(s, inp)]
-                lines.append(f"  state {s} on {inp} -> ({target_text(target)}, {alpha});")
+            lines.append(f"{head}: " + ", ".join(f"{w} -> {text(x)}" for x, w in row.items) + ";")
     lines.append("}")
     return "\n".join(lines) + "\n"

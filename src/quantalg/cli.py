@@ -184,8 +184,8 @@ def _cmd_unfold(args) -> int:
         raise DomainError(f"term is not well formed: {why}")
     C, root = unfold_term(t, theory, space)
     monoid_name = next((name for name, m in monoids.items() if m == C.monoid), None)
-    sys.stdout.write(f"# root = {root}\n")
-    sys.stdout.write(format_coalgebra(C, monoid_name))
+    text = format_coalgebra(C, monoid_name)
+    sys.stdout.write(f"# root = {root}\n{text}")
     return 0
 
 

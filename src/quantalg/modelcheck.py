@@ -23,7 +23,8 @@ from .lexing import TokenStream
 from .spaces import FinDist, FinMetricSpace, box, hausdorff, kantorovich, power, tuple_id
 from .terms import OpSym, Term, Var, conv, empty_op, raise_, read, union_op, write
 from .theories import (AxiomInstance, ParamPool, Sum, TableMonoid, Tensor,
-                       TheoryExpr, instantiate_generators)
+                       TheoryExpr, _atom_axioms, _commutation,
+                       instantiate_generators)
 
 Table = Dict[Tuple[str, ...], str]
 
@@ -197,15 +198,11 @@ def _equation_violation(alg, ax, assignment, got, realized) -> Optional[str]:
     return None
 
 
-def required_operations(th: TheoryExpr, params: ParamPool) -> List[OpSym]:
-    return instantiate_generators(th, params)
-
-
 def check_theory(alg: FiniteAlgebra, th: TheoryExpr, params: ParamPool) -> Report:
     """Aggregate table, non-expansiveness, and axiom checks for the theory."""
     report = Report()
     alg.validate_closure()
-    for op in required_operations(th, params):
+    for op in instantiate_generators(th, params):
         if op not in alg.interp:
             report.entries.append(CheckEntry(
                 "table", f"table for {op}", "", False,
@@ -226,16 +223,12 @@ def _check_structure(alg, th, params, report, origin):
         _check_structure(alg, th.right, params, report, origin + "R")
         for f in instantiate_generators(th.left, params):
             for g in instantiate_generators(th.right, params):
-                from .theories import _commutation
-
                 inst = _commutation(f, g)
                 if inst is not None:
                     report.entries.append(
                         check_equation(alg, inst, origin + ".com"))
         return
     # atom
-    from .theories import _atom_axioms
-
     for op in instantiate_generators(th, params):
         if op in alg.interp:
             report.entries.append(check_nonexpansive(alg, op, origin=origin))

@@ -3,18 +3,20 @@ layer plan, canonical normal forms, and the induced distance on terms.
 
 A value is a nested structure of distribution / set / function / pair
 layers over three leaf kinds: variables, exception points, and guard nodes
-(one recursive step of a contractive operator).  Distances are computed
-layer by layer: Kantorovich for distributions, Hausdorff for sets, supremum
-over inputs for functions, monoid distance plus inner distance for pairs,
-c times the inner distance for guards, and the coproduct rule across leaf
-kinds (infinite in extended mode, truncated to 1 in bounded mode).
+(one recursive step of a contractive operator).  In a coalgebra's one-step
+values each guard holds a state leaf instead, whose distances the caller
+supplies.  Distances are computed layer by layer: Kantorovich for
+distributions, Hausdorff for sets, supremum over inputs for functions,
+monoid distance plus inner distance for pairs, c times the inner distance
+for guards, and the coproduct rule across leaf kinds (infinite in extended
+mode, truncated to 1 in bounded mode).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from .errors import DomainError
 from .extvalue import INF, ONE, ZERO, ExtValue, ext_max
@@ -27,42 +29,70 @@ BOUNDED = "bounded"
 
 
 class SemValue:
+    """Immutable value of a layer plan.  Each value stores its hash when it
+    is built, from its fields' (stored) hashes, so hashing a value never
+    walks its subtree."""
+
     __slots__ = ()
 
+    def __post_init__(self):
+        # vars() holds exactly the dataclass fields, in declaration order
+        object.__setattr__(self, "_hash",
+                           hash((type(self).__name__,) + tuple(vars(self).values())))
 
-@dataclass(frozen=True)
+    def __hash__(self):
+        return self._hash
+
+
+def _value(cls):
+    """A frozen dataclass value that keeps SemValue's stored hash (left
+    alone, dataclass would install a hash over all fields, recomputed on
+    every call)."""
+    cls.__hash__ = SemValue.__hash__
+    return dataclass(frozen=True)(cls)
+
+
+@_value
 class VarLeaf(SemValue):
     name: str
 
 
-@dataclass(frozen=True)
+@_value
 class ExcLeaf(SemValue):
     label: str
 
 
-@dataclass(frozen=True)
+@_value
+class StateLeaf(SemValue):
+    """A named state of a coalgebra, standing under a guard of a one-step
+    value; its distances come from the caller's state metric."""
+
+    name: str
+
+
+@_value
 class Guard(SemValue):
     name: str
     c: Fraction
     inner: SemValue
 
 
-@dataclass(frozen=True)
+@_value
 class DistVal(SemValue):
     items: Tuple[Tuple[SemValue, Fraction], ...]  # canonical order, weights > 0
 
 
-@dataclass(frozen=True)
+@_value
 class SetVal(SemValue):
     items: Tuple[SemValue, ...]  # canonical order, duplicate-free
 
 
-@dataclass(frozen=True)
+@_value
 class FuncVal(SemValue):
     items: Tuple[Tuple[str, SemValue], ...]  # total on the input set, in order
 
 
-@dataclass(frozen=True)
+@_value
 class PairVal(SemValue):
     alpha: object
     inner: SemValue
@@ -84,6 +114,8 @@ def canon_key(v: SemValue):
         return (5, tuple((i, canon_key(x)) for i, x in v.items))
     if isinstance(v, PairVal):
         return (6, _alpha_key(v.alpha), canon_key(v.inner))
+    if isinstance(v, StateLeaf):
+        return (7, v.name)
     raise TypeError(f"not a SemValue: {v!r}")
 
 
@@ -118,6 +150,22 @@ def make_set(values) -> SetVal:
 
 def make_func(inputs, mapping: Dict[str, SemValue]) -> FuncVal:
     return FuncVal(tuple((i, mapping[i]) for i in inputs))
+
+
+def map_guards(v: SemValue, f: Callable[[SemValue], SemValue]) -> SemValue:
+    """v with each guard's inner value w replaced by f(w), rebuilt
+    canonically; f meets the guards in v's item order."""
+    if isinstance(v, DistVal):
+        return make_dist((map_guards(x, f), w) for x, w in v.items)
+    if isinstance(v, SetVal):
+        return make_set(map_guards(x, f) for x in v.items)
+    if isinstance(v, FuncVal):
+        return FuncVal(tuple((i, map_guards(x, f)) for i, x in v.items))
+    if isinstance(v, PairVal):
+        return PairVal(v.alpha, map_guards(v.inner, f))
+    if isinstance(v, Guard):
+        return Guard(v.name, v.c, f(v.inner))
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -237,11 +285,13 @@ def _apply_here(layer, op, args, inner_layers) -> SemValue:
 
 def sem_dist(v: SemValue, w: SemValue, space: Optional[FinMetricSpace] = None,
              mode: str = EXTENDED, exc_space: Optional[FinMetricSpace] = None,
-             pair_monoid=None, _memo: Optional[dict] = None) -> ExtValue:
+             pair_monoid=None, _memo: Optional[dict] = None,
+             state_dist: Optional[Callable[[str, str], ExtValue]] = None) -> ExtValue:
     """Distance between two values of the same layer plan.
 
     Free variables are interpreted in `space`; exception labels in
-    `exc_space`; pair components over a table monoid need `pair_monoid`.
+    `exc_space`; pair components over a table monoid need `pair_monoid`;
+    state leaves (one-step values of a coalgebra) in `state_dist`, uncapped.
     Bounded mode truncates ground distances at 1 (leaves and the ground fed
     to each distribution/set layer), matching the supremum over nonexpansive
     1-bounded dual functions.
@@ -249,68 +299,82 @@ def sem_dist(v: SemValue, w: SemValue, space: Optional[FinMetricSpace] = None,
     if mode not in (EXTENDED, BOUNDED):
         raise DomainError(f"unknown mode {mode!r}")
     memo = _memo if _memo is not None else {}
+    return _Kernel(space, mode == BOUNDED, exc_space, pair_monoid, state_dist,
+                   memo).rec(v, w)
 
-    def leaf_cap(d: ExtValue) -> ExtValue:
-        return d.truncated(ONE) if mode == BOUNDED else d
 
-    def mismatch() -> ExtValue:
-        return ONE if mode == BOUNDED else INF
+class _Kernel:
+    """The ground data and memo of one sem_dist call.  An object rather than
+    mutually recursive closures, so that no reference cycle keeps the memo
+    alive after the call returns."""
 
-    def rec(a: SemValue, b: SemValue) -> ExtValue:
+    def __init__(self, space, bounded, exc_space, pair_monoid, state_dist, memo):
+        self.space = space
+        self.bounded = bounded
+        self.exc_space = exc_space
+        self.pair_monoid = pair_monoid
+        self.state_dist = state_dist
+        self.memo = memo
+        # leaves of different kinds are `top` apart (the coproduct rule), and
+        # bounded mode truncates ground distances at it
+        self.top = ONE if bounded else INF
+
+    def rec(self, a: SemValue, b: SemValue) -> ExtValue:
         if a == b:
             return ZERO
+        memo = self.memo
         hit = memo.get((a, b))
-        if hit is not None:
-            return hit
-        out = _dist(a, b)
-        memo[(a, b)] = out
-        memo[(b, a)] = out
-        return out
+        if hit is None:
+            hit = self._dist(a, b)
+            memo[(a, b)] = hit
+            memo[(b, a)] = hit
+        return hit
 
-    def _dist(a: SemValue, b: SemValue) -> ExtValue:
-        leafish = (VarLeaf, ExcLeaf, Guard)
-        if isinstance(a, leafish) and isinstance(b, leafish):
-            if isinstance(a, VarLeaf) and isinstance(b, VarLeaf):
-                if space is None:
-                    raise DomainError(
-                        f"variables {a.name}, {b.name} need a ground space")
-                return leaf_cap(space.d(a.name, b.name))
-            if isinstance(a, ExcLeaf) and isinstance(b, ExcLeaf):
-                if exc_space is None:
-                    return mismatch()  # distinct labels, no metric given
-                return leaf_cap(exc_space.d(a.label, b.label))
-            if isinstance(a, Guard) and isinstance(b, Guard) and a.name == b.name:
-                return rec(a.inner, b.inner).scaled(a.c)
-            return mismatch()
-        if isinstance(a, DistVal) and isinstance(b, DistVal):
-            ground = rec
-            if mode == BOUNDED:
-                ground = lambda x, y: rec(x, y).truncated(ONE)
-            return kantorovich_general(
-                FinDist(a.items), FinDist(b.items), ground)
-        if isinstance(a, SetVal) and isinstance(b, SetVal):
-            ground = rec
-            if mode == BOUNDED:
-                ground = lambda x, y: rec(x, y).truncated(ONE)
-            return hausdorff_general(a.items, b.items, ground)
-        if isinstance(a, FuncVal) and isinstance(b, FuncVal):
-            da, db = dict(a.items), dict(b.items)
-            if set(da) != set(db):
+    def capped(self, a: SemValue, b: SemValue) -> ExtValue:
+        return self.rec(a, b).truncated(ONE)
+
+    def _dist(self, a: SemValue, b: SemValue) -> ExtValue:
+        kind = type(a)
+        if kind is not type(b):
+            leaves = (VarLeaf, ExcLeaf, Guard, StateLeaf)
+            if isinstance(a, leaves) and isinstance(b, leaves):
+                return self.top
+            raise DomainError(
+                f"shape mismatch: {type(a).__name__} vs {type(b).__name__}")
+        if kind is Guard:
+            if a.name != b.name:
+                return self.top
+            return self.rec(a.inner, b.inner).scaled(a.c)
+        if kind is StateLeaf:
+            if self.state_dist is None:
+                raise DomainError(f"states {a.name}, {b.name} need a state metric")
+            return self.state_dist(a.name, b.name)
+        if kind is DistVal:
+            return kantorovich_general(FinDist(a.items), FinDist(b.items),
+                                       self.capped if self.bounded else self.rec)
+        if kind is SetVal:
+            return hausdorff_general(a.items, b.items,
+                                     self.capped if self.bounded else self.rec)
+        if kind is FuncVal:
+            if [i for i, _ in a.items] != [i for i, _ in b.items]:
                 raise DomainError("function values over different input sets")
-            return ext_max(*(rec(da[i], db[i]) for i in da))
-        if isinstance(a, PairVal) and isinstance(b, PairVal):
-            return _alpha_dist(a.alpha, b.alpha) + rec(a.inner, b.inner)
-        raise DomainError(
-            f"shape mismatch: {type(a).__name__} vs {type(b).__name__}")
+            return ext_max(*(self.rec(x, y) for (_, x), (_, y) in zip(a.items, b.items)))
+        if kind is PairVal:
+            return self._alpha_dist(a.alpha, b.alpha) + self.rec(a.inner, b.inner)
+        if kind is VarLeaf:
+            if self.space is None:
+                raise DomainError(f"variables {a.name}, {b.name} need a ground space")
+            return self.space.d(a.name, b.name).truncated(self.top)
+        if self.exc_space is None:
+            return self.top  # distinct exception labels, no metric given
+        return self.exc_space.d(a.label, b.label).truncated(self.top)
 
-    def _alpha_dist(x, y) -> ExtValue:
+    def _alpha_dist(self, x, y) -> ExtValue:
         if isinstance(x, Fraction) and isinstance(y, Fraction):
             return ExtValue(abs(x - y))
-        if pair_monoid is None:
+        if self.pair_monoid is None:
             raise DomainError("table-monoid pair values need the plan's monoid")
-        return pair_monoid.dist(x, y)
-
-    return rec(v, w)
+        return self.pair_monoid.dist(x, y)
 
 
 def term_dist(t: Term, s: Term, th: TheoryExpr,
@@ -326,13 +390,15 @@ def term_dist(t: Term, s: Term, th: TheoryExpr,
 def sem_dist_with_plan(v: SemValue, w: SemValue, plan: LayerPlan,
                        space: Optional[FinMetricSpace] = None,
                        mode: str = EXTENDED,
-                       memo: Optional[dict] = None) -> ExtValue:
+                       memo: Optional[dict] = None,
+                       state_dist: Optional[Callable[[str, str], ExtValue]] = None
+                       ) -> ExtValue:
     mon = None
     for layer in plan.layers:
         if layer[0] == "pair":
             mon = layer[1]
     return sem_dist(v, w, space, mode, plan.exc_space,
-                    pair_monoid=mon, _memo=memo)
+                    pair_monoid=mon, _memo=memo, state_dist=state_dist)
 
 
 # ---------------------------------------------------------------------------

@@ -321,14 +321,6 @@ class ParamPool:
         )
 
 
-def _x(i: int) -> Var:
-    return Var(f"x{i}")
-
-
-def _y(i: int) -> Var:
-    return Var(f"y{i}")
-
-
 def axioms(th: TheoryExpr, params: ParamPool) -> List[AxiomInstance]:
     """Every axiom of every atom instantiated over the pools, plus one
     commutation instance per pair of cross-side generators of each Tensor.

@@ -7,9 +7,9 @@ from quantalg import (BOT, BOUNDED, Coalgebra, EXTENDED, FinDist,
                       FinMetricSpace, PseudoMetric, RATIONAL_LINE, approx_term,
                       disjoint_union, ext, format_coalgebra,
                       labelled_mp_theory, markov_process_theory, mealy_theory,
-                      parse_coalgebras, parse_term, psi_step, solve_bisim,
-                      state_target, leaf_target, term_dist, unfold_term,
-                      zero_metric)
+                      parse_coalgebras, parse_term, parse_theory, psi_step,
+                      solve_bisim, state_target, leaf_target, term_dist,
+                      unfold_term, zero_metric)
 from quantalg.errors import DivergentGround, DomainError
 from quantalg.extvalue import ZERO
 
@@ -212,20 +212,23 @@ def test_solver_output_is_pseudometric_within_slack():
 
 
 def test_correspondence_on_closed_terms_smoke():
-    rng = random.Random(41)
+    # Markov processes, and nondeterministic systems with a Hausdorff lifting
+    HAUS = parse_theory("sum(sum(semi, exc{1}), contr{next, 1/2})")
     checked = 0
-    for _ in range(15):
-        t = random_term(rng, MP, [], 3)
-        s = random_term(rng, MP, [], 3)
-        Ct, rt = unfold_term(t, MP)
-        Cs, rs = unfold_term(s, MP)
-        U = disjoint_union(Ct, Cs)
-        d, cert = solve_bisim(U, Fraction(1, 10**12), BOUNDED)
-        want = term_dist(t, s, MP, None, BOUNDED)
-        assert cert.exact
-        assert d.d(f"a.{rt}", f"b.{rs}") == want
-        checked += 1
-    assert checked == 15
+    for th in (MP, HAUS):
+        rng = random.Random(41)
+        for _ in range(15):
+            t = random_term(rng, th, [], 3)
+            s = random_term(rng, th, [], 3)
+            Ct, rt = unfold_term(t, th)
+            Cs, rs = unfold_term(s, th)
+            U = disjoint_union(Ct, Cs)
+            d, cert = solve_bisim(U, Fraction(1, 10**12), BOUNDED)
+            want = term_dist(t, s, th, None, BOUNDED)
+            assert cert.exact
+            assert d.d(f"a.{rt}", f"b.{rs}") == want
+            checked += 1
+    assert checked == 30
 
 
 def test_correspondence_mealy_with_leaves():

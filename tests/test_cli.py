@@ -191,3 +191,36 @@ def test_mdp_unfold_and_bisim_end_to_end(tmp_path, capsys):
                  str(coalg)])
     assert code == 0
     assert "certificate" in capsys.readouterr().out
+
+
+def test_bisim_with_infinite_output_distance_terminates(tmp_path):
+    # `a` is absorbing and infinitely far from `e` and `b`, so ||Psi(0)|| is
+    # infinite in bounded mode and the a-priori bound never falls below tol.
+    import os
+    import subprocess
+    import sys
+    from fractions import Fraction
+    from pathlib import Path
+
+    import quantalg
+
+    (tmp_path / "M.monoid").write_text(
+        "monoid M { elements: e, a, b; unit = e;\n"
+        "  mult(e,e) = e; mult(e,a) = a; mult(e,b) = b;\n"
+        "  mult(a,e) = a; mult(a,a) = a; mult(a,b) = a;\n"
+        "  mult(b,e) = b; mult(b,a) = a; mult(b,b) = b; d(e,b) = 1; }\n")
+    (tmp_path / "h.coalg").write_text(
+        "mealy H { c = 1/2; inputs: i; monoid: M;\n"
+        "  state p on i -> (p, e); state q on i -> (q, a);\n"
+        "  state r on i -> (s, e); state s on i -> (r, b); }\n")
+    env = dict(os.environ)
+    src = str(Path(quantalg.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-m", "quantalg.cli", "bisim", "--tol", "1/1000",
+         "--monoid", str(tmp_path / "M.monoid"), str(tmp_path / "h.coalg")],
+        capture_output=True, text=True, env=env, timeout=20)
+    assert out.returncode == 0, out.stderr
+    assert "d(p,q) = inf" in out.stdout
+    rs = next(line for line in out.stdout.splitlines() if "d(r,s)" in line)
+    assert abs(Fraction(rs.split("= ")[1]) - 2) <= Fraction(1, 1000)

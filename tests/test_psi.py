@@ -1,0 +1,73 @@
+"""Psi as the term distance on one-step values, against the per-kind
+operator of tests/oracles.py."""
+
+import random
+from fractions import Fraction
+
+from quantalg import (BOT, BOUNDED, EXTENDED, Coalgebra, FinDist,
+                      FinMetricSpace, RATIONAL_LINE, TableMonoid, ext,
+                      leaf_target, psi_step, state_target, zero_metric)
+
+from helpers import random_space
+from oracles import psi_reference
+
+INF_MONOID = TableMonoid(
+    FinMetricSpace(["e", "a", "b"], {("e", "b"): ext(1)}), "e",
+    {("e", "e"): "e", ("e", "a"): "a", ("e", "b"): "b",
+     ("a", "e"): "a", ("a", "a"): "a", ("a", "b"): "a",
+     ("b", "e"): "b", ("b", "a"): "a", ("b", "b"): "b"})
+
+
+def _row(rng, targets):
+    support = rng.sample(targets, rng.randint(1, min(3, len(targets))))
+    den = rng.randint(len(support), 6)
+    cuts = sorted(rng.sample(range(1, den), len(support) - 1))
+    weights = [Fraction(b - a, den) for a, b in zip([0] + cuts, cuts + [den])]
+    return FinDist.from_pairs(zip(support, weights))
+
+
+def random_system(rng, kind, space, monoid=RATIONAL_LINE, n=3):
+    """A random system of the kind whose targets include bot (mp, lmp) and
+    leaf(x) points of the space."""
+    states = [f"s{k}" for k in range(n)]
+    targets = [state_target(s) for s in states] + [leaf_target(x) for x in space.points]
+    if kind in ("mp", "lmp"):
+        targets.append(BOT)
+    labels = ("a", "b")
+    if kind == "mp":
+        return Coalgebra("mp", Fraction(1, 2), states,
+                         {s: _row(rng, targets) for s in states}, space=space)
+    if kind == "lmp":
+        return Coalgebra("lmp", Fraction(1, 3), states,
+                         {(s, a): _row(rng, targets) for s in states for a in labels},
+                         actions=labels, space=space)
+    if kind == "mdp":
+        def mdp_row():
+            base = _row(rng, targets)
+            return FinDist.from_pairs(((t, Fraction(rng.randint(0, 4), 2)), w)
+                                      for t, w in base.items)
+        return Coalgebra("mdp", Fraction(2, 3), states,
+                         {(s, a): mdp_row() for s in states for a in labels},
+                         actions=labels, space=space)
+    outputs = list(monoid.elements) if monoid is not RATIONAL_LINE \
+        else [Fraction(k, 2) for k in range(5)]
+    return Coalgebra("mealy", Fraction(1, 2), states,
+                     {(s, i): (rng.choice(targets), rng.choice(outputs))
+                      for s in states for i in labels},
+                     inputs=labels, monoid=monoid, space=space)
+
+
+def test_psi_matches_per_kind_reference_on_kleene_iterates():
+    rng = random.Random(71)
+    cases = [(kind, RATIONAL_LINE) for kind in ("mp", "lmp", "mdp", "mealy")]
+    cases.append(("mealy", INF_MONOID))
+    for kind, monoid in cases:
+        for mode in (BOUNDED, EXTENDED):
+            for _ in range(6):
+                space = random_space(rng, ["x", "y"], max_den=4, inf_prob=0.3)
+                C = random_system(rng, kind, space, monoid)
+                d = zero_metric(C.states)
+                for _ in range(4):
+                    got = psi_step(C, d, mode)
+                    assert got == psi_reference(C, d, mode), (kind, mode)
+                    d = got
