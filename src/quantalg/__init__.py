@@ -22,8 +22,8 @@ from .modelcheck import (CheckEntry, Counterexample, FiniteAlgebra, Report,
 from .semantics import (BOUNDED, EXTENDED, DistVal, ExcLeaf, FuncVal, Guard,
                         PairVal, SemValue, SetVal, StateLeaf, VarLeaf,
                         apply_operation, canon_key, denote, denote_with_plan,
-                        format_value, make_dist, make_func, make_set,
-                        map_guards, sem_dist, sem_dist_with_plan, term_dist)
+                        format_value, make_dist, make_set, map_guards,
+                        sem_dist, sem_dist_with_plan, term_dist)
 from .spaces import (FinDist, FinMetricSpace, box, coproduct, discrete,
                      hausdorff, hausdorff_general, kantorovich,
                      kantorovich_general, parse_spaces, power, rescale)
@@ -33,10 +33,11 @@ from .terms import (App, OpSym, Term, Var, app, bind, conv, empty_op,
 from .theories import (AxiomInstance, Bary, Contract, Exc, GuardLeaf,
                        LayerPlan, Monoid, ONE_POINT, OpFamily, ParamPool,
                        RATIONAL_LINE, Reader, Semi, Signature, Sum,
-                       TableMonoid, Tensor, TheoryExpr, Writer, atoms, axioms,
-                       instantiate_generators, labelled_mp_theory, layer_plan,
-                       markov_process_theory, mdp_theory, mealy_theory,
-                       parse_monoids, parse_theory, signature_of)
+                       TableMonoid, Tensor, TheoryExpr, Writer, atoms,
+                       axiom_groups, axioms, instantiate_generators,
+                       labelled_mp_theory, layer_plan, markov_process_theory,
+                       mdp_theory, mealy_theory, parse_monoids, parse_theory,
+                       signature_of)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -51,7 +51,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--monoid", help="monoid file for writer theories")
         sp.add_argument("--mode", choices=[EXTENDED, BOUNDED], default=mode_default)
         sp.add_argument("--format", choices=["text", "record"], default="text")
-        sp.add_argument("--decimal", type=int, metavar="DIGITS",
+        sp.add_argument("--decimal", type=_digits, metavar="DIGITS",
                         help="also render rationals rounded to DIGITS places")
 
     sp = sub.add_parser("dist", help="distance between two terms")
@@ -69,7 +69,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("bisim", help="bisimilarity metric of a coalgebra file")
     common(sp, theory=False, mode_default=BOUNDED)
     sp.add_argument("file")
-    sp.add_argument("--tol", default="1/1000", help="guaranteed sup-norm tolerance")
+    sp.add_argument("--tol", type=_positive_rational, default=Fraction(1, 1000),
+                    help="guaranteed sup-norm tolerance")
     sp.set_defaults(handler=_cmd_bisim)
 
     sp = sub.add_parser("unfold", help="convert a term to a coalgebra file")
@@ -87,6 +88,22 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--verbose", action="store_true")
     sp.set_defaults(handler=_cmd_check_model)
     return p
+
+
+def _digits(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"not a digit count: {text!r}")
+    return int(text)
+
+
+def _positive_rational(text: str) -> Fraction:
+    try:
+        q = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        q = None
+    if q is None or q <= 0:
+        raise argparse.ArgumentTypeError(f"not a positive rational: {text!r}")
+    return q
 
 
 def _load_context(args, need_theory=True):
@@ -153,11 +170,10 @@ def _cmd_normalize(args) -> int:
 def _cmd_bisim(args) -> int:
     _, space, _, monoids = _load_context(args, need_theory=False)
     systems = parse_coalgebras(Path(args.file).read_text(), monoids, space, args.file)
-    tol = Fraction(args.tol)
     out_records = []
     for name in sorted(systems):
         C = systems[name]
-        metric, cert = solve_bisim(C, tol, args.mode)
+        metric, cert = solve_bisim(C, args.tol, args.mode)
         if args.format == "record":
             out_records.append({
                 "system": name,
@@ -193,10 +209,9 @@ def _cmd_check_model(args) -> int:
     theory, space, spaces, _ = _load_context(args)
     algebras = parse_algebras(Path(args.file).read_text(), spaces, args.file)
     pool = ParamPool.make(
-        weights=[Fraction(w) for w in args.weights.split(",") if w],
-        epsilons=[Fraction(e) for e in args.epsilons.split(",") if e],
-        monoid_elems=[Fraction(a) if a.replace("/", "").isdigit() else a
-                      for a in args.elems.split(",") if a],
+        weights=[w for w in args.weights.split(",") if w],
+        epsilons=[e for e in args.epsilons.split(",") if e],
+        monoid_elems=[a for a in args.elems.split(",") if a],
     )
     ok = True
     for name in sorted(algebras):

@@ -5,9 +5,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional
+from typing import List, Optional, Union
 
 from .errors import ParseError
+from .extvalue import INF, ExtValue
 
 _TOKEN_RE = re.compile(
     r"""
@@ -19,6 +20,7 @@ _TOKEN_RE = re.compile(
     """,
     re.VERBOSE,
 )
+_ZERO_DENOMINATOR = re.compile(r"\d+/0+")
 
 
 @dataclass
@@ -39,6 +41,8 @@ class TokenStream:
             if m is None:
                 raise ParseError(f"unexpected character {text[pos]!r}", source, line)
             line += text.count("\n", pos, m.end())
+            if m.lastgroup == "num" and _ZERO_DENOMINATOR.fullmatch(m.group()):
+                raise ParseError(f"zero denominator in {m.group()!r}", source, line)
             if m.lastgroup != "ws":
                 self.tokens.append(Token(m.lastgroup, m.group(), line))
             pos = m.end()
@@ -84,6 +88,31 @@ class TokenStream:
         if tok.kind != "num":
             raise self.error(f"expected rational, found {tok.text or 'end of input'!r}", tok)
         return Fraction(tok.text)
+
+    def expect_ext(self) -> ExtValue:
+        """A rational or `inf`."""
+        tok = self.next()
+        if tok.text == "inf":
+            return INF
+        if tok.kind != "num":
+            raise self.error(f"expected rational or inf, found {tok.text or 'end of input'!r}", tok)
+        return ExtValue(Fraction(tok.text))
+
+    def expect_label(self, what: str) -> str:
+        """A point, exception label or carrier element: identifier, numeral or `*`."""
+        tok = self.next()
+        if tok.kind not in ("ident", "num") and tok.text != "*":
+            raise self.error(f"expected {what}, found {tok.text or 'end of input'!r}", tok)
+        return tok.text
+
+    def expect_element(self) -> Union[Fraction, str]:
+        """A monoid element: a rational of the rational line, or a table element name."""
+        tok = self.next()
+        if tok.kind == "num":
+            return Fraction(tok.text)
+        if tok.kind != "ident":
+            raise self.error(f"expected monoid element, found {tok.text or 'end of input'!r}", tok)
+        return tok.text
 
     def expect_eof(self):
         tok = self.peek()

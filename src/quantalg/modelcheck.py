@@ -20,11 +20,12 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from .errors import DomainError
 from .extvalue import ZERO, ext_max
 from .lexing import TokenStream
-from .spaces import FinDist, FinMetricSpace, box, hausdorff, kantorovich, power, tuple_id
-from .terms import OpSym, Term, Var, conv, empty_op, raise_, read, union_op, write
-from .theories import (AxiomInstance, ParamPool, Sum, TableMonoid, Tensor,
-                       TheoryExpr, _atom_axioms, _commutation,
-                       instantiate_generators)
+from .spaces import (FinDist, FinMetricSpace, box, hausdorff, kantorovich, pair_id,
+                     power, tuple_id)
+from .terms import (OpSym, Term, Var, conv, empty_op, next_op, raise_, read,
+                    union_op, write)
+from .theories import (AxiomInstance, ParamPool, TableMonoid, TheoryExpr,
+                       axiom_groups, conv_weight_closure, instantiate_generators)
 
 Table = Dict[Tuple[str, ...], str]
 
@@ -207,33 +208,16 @@ def check_theory(alg: FiniteAlgebra, th: TheoryExpr, params: ParamPool) -> Repor
             report.entries.append(CheckEntry(
                 "table", f"table for {op}", "", False,
                 Counterexample({}, "no interpretation table")))
-    _check_structure(alg, th, params, report, "")
+    for origin, atom, instances in axiom_groups(th, params):
+        if atom is not None:
+            for op in instantiate_generators(atom, params):
+                if op in alg.interp:
+                    report.entries.append(check_nonexpansive(alg, op, origin=origin))
+        for ax in instances:
+            report.entries.append(check_equation(alg, ax, origin))
     report.notes.append(
         "continuity rule not checked: distances on a finite carrier are attained")
     return report
-
-
-def _check_structure(alg, th, params, report, origin):
-    if isinstance(th, Sum):
-        _check_structure(alg, th.left, params, report, origin + "L")
-        _check_structure(alg, th.right, params, report, origin + "R")
-        return
-    if isinstance(th, Tensor):
-        _check_structure(alg, th.left, params, report, origin + "L")
-        _check_structure(alg, th.right, params, report, origin + "R")
-        for f in instantiate_generators(th.left, params):
-            for g in instantiate_generators(th.right, params):
-                inst = _commutation(f, g)
-                if inst is not None:
-                    report.entries.append(
-                        check_equation(alg, inst, origin + ".com"))
-        return
-    # atom
-    for op in instantiate_generators(th, params):
-        if op in alg.interp:
-            report.entries.append(check_nonexpansive(alg, op, origin=origin))
-    for ax in _atom_axioms(th, params):
-        report.entries.append(check_equation(alg, ax, origin))
 
 
 def format_report(report: Report, verbose: bool = False) -> str:
@@ -307,8 +291,6 @@ def distribution_model(X: FinMetricSpace, denominator: int,
     """Distributions over X with weights in (1/denominator)Z, Kantorovich
     metric, and convex combination tables defined where the exact result
     stays on the grid."""
-    from .theories import conv_weight_closure
-
     dists = _grid_distributions(X.points, denominator)
     ids = {d: dist_id(d) for d in dists}
     table = {}
@@ -346,8 +328,6 @@ def reader_model(X: FinMetricSpace, inputs: Sequence[str]) -> FiniteAlgebra:
 
 def writer_model(monoid: TableMonoid, X: FinMetricSpace) -> FiniteAlgebra:
     """The product monoid-carrier x X with sum metric; writes multiply."""
-    from .spaces import pair_id
-
     carrier = box(monoid.space, X)
     interp: Dict[OpSym, Table] = {}
     for alpha in monoid.elements:
@@ -392,13 +372,13 @@ def parse_algebras(text: str, spaces: Dict[str, FinMetricSpace],
             if ts.accept("("):
                 names = []
                 if not ts.at(")"):
-                    names.append(_carrier_point(ts))
+                    names.append(ts.expect_label("carrier point"))
                     while ts.accept(","):
-                        names.append(_carrier_point(ts))
+                        names.append(ts.expect_label("carrier point"))
                 ts.expect(")")
                 args = tuple(names)
             ts.expect("->")
-            outp = _carrier_point(ts)
+            outp = ts.expect_label("carrier point")
             ts.expect(";")
             if len(args) != current.arity:
                 raise ts.error(f"{current} entry has arity {len(args)}")
@@ -412,48 +392,36 @@ def parse_algebras(text: str, spaces: Dict[str, FinMetricSpace],
     return out
 
 
-def _carrier_point(ts: TokenStream) -> str:
-    tok = ts.next()
-    if tok.kind not in ("ident", "num") and tok.text != "*":
-        raise ts.error(f"expected carrier point, found {tok.text!r}", tok)
-    return tok.text
-
-
 def _parse_opspec(ts: TokenStream) -> OpSym:
     tok = ts.expect_ident()
     name = tok.text
-    if name == "conv":
-        ts.expect("(")
-        e = ts.expect_rational()
-        ts.expect(")")
-        return conv(e)
-    if name == "raise":
-        ts.expect("(")
-        lbl = ts.next().text
-        ts.expect(")")
-        return raise_(lbl)
     if name == "union":
         return union_op()
     if name == "empty":
         return empty_op()
-    if name == "rd":
-        ts.expect("(")
+    if name not in ("conv", "raise", "rd", "wr", "next"):
+        raise ts.error(f"unknown operation {name!r}", tok)
+    ts.expect("(")
+    if name == "conv":
+        e = ts.expect_rational()
+        if not 0 <= e <= 1:
+            raise ts.error(f"conv weight {e} outside [0,1]", tok)
+        op = conv(e)
+    elif name == "raise":
+        op = raise_(ts.expect_label("exception label"))
+    elif name == "rd":
         n = ts.expect_rational()
-        ts.expect(")")
-        return read(int(n))
-    if name == "wr":
-        ts.expect("(")
-        t = ts.next()
-        alpha = Fraction(t.text) if t.kind == "num" else t.text
-        ts.expect(")")
-        return write(alpha)
-    if name == "next":
-        ts.expect("(")
+        if n.denominator != 1 or n < 1:
+            raise ts.error(f"rd arity {n} is not a positive integer", tok)
+        op = read(int(n))
+    elif name == "wr":
+        op = write(ts.expect_element())
+    else:
         opname = ts.expect_ident().text
         ts.expect(",")
         c = ts.expect_rational()
-        ts.expect(")")
-        from .terms import next_op
-
-        return next_op(opname, c)
-    raise ts.error(f"unknown operation {name!r}", tok)
+        if not 0 < c < 1:
+            raise ts.error(f"contraction factor {c} outside (0,1)", tok)
+        op = next_op(opname, c)
+    ts.expect(")")
+    return op

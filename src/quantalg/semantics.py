@@ -148,10 +148,6 @@ def make_set(values) -> SetVal:
     return SetVal(tuple(sorted(seen, key=canon_key)))
 
 
-def make_func(inputs, mapping: Dict[str, SemValue]) -> FuncVal:
-    return FuncVal(tuple((i, mapping[i]) for i in inputs))
-
-
 def map_guards(v: SemValue, f: Callable[[SemValue], SemValue]) -> SemValue:
     """v with each guard's inner value w replaced by f(w), rebuilt
     canonically; f meets the guards in v's item order."""

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .errors import DomainError, ParseError
+from .errors import DomainError
 from .extvalue import INF, ZERO, ExtValue, ext_max
 from .lexing import TokenStream
 from .transport import min_cost_transport
@@ -261,20 +261,20 @@ def parse_spaces(text: str, source: str = "<space>") -> Dict[str, FinMetricSpace
         ts.expect("{")
         ts.expect("points")
         ts.expect(":")
-        points = [_point_name(ts)]
+        points = [ts.expect_label("point id")]
         while ts.accept(","):
-            points.append(_point_name(ts))
+            points.append(ts.expect_label("point id"))
         ts.expect(";")
         dist = {}
         while not ts.accept("}"):
             ts.expect("d")
             ts.expect("(")
-            p = _point_name(ts)
+            p = ts.expect_label("point id")
             ts.expect(",")
-            q = _point_name(ts)
+            q = ts.expect_label("point id")
             ts.expect(")")
             ts.expect("=")
-            dist[(p, q)] = _ext_value(ts)
+            dist[(p, q)] = ts.expect_ext()
             ts.expect(";")
         try:
             spaces[name] = FinMetricSpace(points, dist)
@@ -282,19 +282,3 @@ def parse_spaces(text: str, source: str = "<space>") -> Dict[str, FinMetricSpace
             # malformed metrics are domain errors, not parse errors
             raise DomainError(f"{source}: space {name}: {exc}") from None
     return spaces
-
-
-def _point_name(ts: TokenStream) -> str:
-    tok = ts.next()
-    if tok.kind not in ("ident", "num") and tok.text != "*":
-        raise ts.error(f"expected point id, found {tok.text!r}", tok)
-    return tok.text
-
-
-def _ext_value(ts: TokenStream) -> ExtValue:
-    tok = ts.next()
-    if tok.text == "inf":
-        return INF
-    if tok.kind != "num":
-        raise ts.error(f"expected rational or inf, found {tok.text!r}", tok)
-    return ExtValue(Fraction(tok.text))

@@ -205,11 +205,9 @@ def _parse_term(ts: TokenStream, theory) -> Term:
         return App(empty_op(), ())
     if tok.text == "raise":
         ts.expect("(")
-        lbl = ts.next()
-        if lbl.kind not in ("ident", "num") and lbl.text != "*":
-            raise ts.error(f"expected exception label, found {lbl.text!r}", lbl)
+        lbl = ts.expect_label("exception label")
         ts.expect(")")
-        return App(raise_(lbl.text), ())
+        return App(raise_(lbl), ())
     if tok.text == "conv":
         ts.expect("(")
         e = ts.expect_rational()
@@ -241,13 +239,7 @@ def _parse_term(ts: TokenStream, theory) -> Term:
         return App(read(len(args)), tuple(args))
     if tok.text == "wr":
         ts.expect("(")
-        alpha_tok = ts.next()
-        if alpha_tok.kind == "num":
-            alpha: MonoidElement = Fraction(alpha_tok.text)
-        elif alpha_tok.kind == "ident":
-            alpha = alpha_tok.text
-        else:
-            raise ts.error(f"expected monoid element, found {alpha_tok.text!r}", alpha_tok)
+        alpha = ts.expect_element()
         ts.expect(",")
         a = _parse_term(ts, theory)
         ts.expect(")")

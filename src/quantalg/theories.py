@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .errors import DomainError, UnsupportedShape
-from .extvalue import INF, ZERO, ExtValue
+from .extvalue import ZERO, ExtValue
 from .lexing import TokenStream
 from .spaces import FinMetricSpace, discrete
 from .terms import (App, MonoidElement, OpSym, Term, Var, app, conv, empty_op,
@@ -306,19 +306,30 @@ class ParamPool:
 
     @staticmethod
     def make(weights=(), epsilons=(), monoid_elems=()) -> "ParamPool":
-        def elem(a):
-            if isinstance(a, str):
-                try:
-                    return Fraction(a)
-                except ValueError:
-                    return a  # a table-monoid element name
-            return Fraction(a)
+        """Pools from rationals or their text; weights lie in [0,1] and
+        thresholds are nonnegative, or DomainError.  A monoid element that is
+        not a rational is a table-monoid element name."""
+        def rational(a, what):
+            try:
+                return Fraction(a)
+            except (ValueError, ZeroDivisionError):
+                raise DomainError(f"{what} {a!r} is not a rational") from None
 
-        return ParamPool(
-            tuple(Fraction(w) for w in weights),
-            tuple(Fraction(e) for e in epsilons),
-            tuple(elem(a) for a in monoid_elems),
-        )
+        def elem(a):
+            try:
+                return Fraction(a)
+            except (ValueError, ZeroDivisionError):
+                return a  # checked against the monoid by the writer axioms
+
+        weights = tuple(rational(w, "weight") for w in weights)
+        epsilons = tuple(rational(e, "threshold") for e in epsilons)
+        for w in weights:
+            if not 0 <= w <= 1:
+                raise DomainError(f"weight {w} outside [0,1]")
+        for e in epsilons:
+            if e < 0:
+                raise DomainError(f"threshold {e} is negative")
+        return ParamPool(weights, epsilons, tuple(elem(a) for a in monoid_elems))
 
 
 def axioms(th: TheoryExpr, params: ParamPool) -> List[AxiomInstance]:
@@ -327,26 +338,25 @@ def axioms(th: TheoryExpr, params: ParamPool) -> List[AxiomInstance]:
 
     Side-condition schemata are emitted at their tight bound.
     """
-    out: List[AxiomInstance] = []
-    _collect(th, params, out)
-    return out
+    return [ax for _, _, group in axiom_groups(th, params) for ax in group]
 
 
-def _collect(th: TheoryExpr, params: ParamPool, out: List[AxiomInstance]):
-    if isinstance(th, Sum):
-        _collect(th.left, params, out)
-        _collect(th.right, params, out)
+def axiom_groups(th: TheoryExpr, params: ParamPool, origin: str = ""
+                 ) -> Iterator[Tuple[str, Optional[TheoryExpr], List[AxiomInstance]]]:
+    """The axioms of th in groups (origin, atom, instances), left to right:
+    each atom's own axioms with the atom, and after both sides of each
+    Tensor its commutation instances with atom None and origin + ".com".
+    Origins spell the path to the node, one L or R per Sum/Tensor step."""
+    if isinstance(th, (Sum, Tensor)):
+        yield from axiom_groups(th.left, params, origin + "L")
+        yield from axiom_groups(th.right, params, origin + "R")
+        if isinstance(th, Tensor):
+            yield origin + ".com", None, [
+                _commutation(f, g)
+                for f in instantiate_generators(th.left, params)
+                for g in instantiate_generators(th.right, params)]
         return
-    if isinstance(th, Tensor):
-        _collect(th.left, params, out)
-        _collect(th.right, params, out)
-        for f in instantiate_generators(th.left, params):
-            for g in instantiate_generators(th.right, params):
-                inst = _commutation(f, g)
-                if inst is not None:
-                    out.append(inst)
-        return
-    out.extend(_atom_axioms(th, params))
+    yield origin, th, _atom_axioms(th, params)
 
 
 def _atom_axioms(atom: TheoryExpr, params: ParamPool) -> List[AxiomInstance]:
@@ -421,13 +431,10 @@ def _atom_axioms(atom: TheoryExpr, params: ParamPool) -> List[AxiomInstance]:
 
     if isinstance(atom, Writer):
         mon = atom.monoid
-        if mon.elements is None:
-            alphas: Tuple[MonoidElement, ...] = params.monoid_elems
-            if not alphas:
-                raise DomainError(
-                    "writer axioms over the rational line need a monoid element pool")
-        else:
-            alphas = tuple(params.monoid_elems) or tuple(mon.elements)
+        alphas = _writer_pool(mon, params)
+        if not alphas:
+            raise DomainError(
+                "writer axioms over the rational line need a monoid element pool")
         out.append(AxiomInstance("Zero", (), x, app(write(mon.unit), x), ZERO))
         for a in alphas:
             for b in alphas:
@@ -511,8 +518,7 @@ def instantiate_generators(th: TheoryExpr, params: ParamPool) -> List[OpSym]:
             ops.append(read(len(atom.inputs)))
         elif isinstance(atom, Writer):
             mon = atom.monoid
-            base = list(params.monoid_elems) if mon.elements is None \
-                else list(params.monoid_elems or mon.elements)
+            base = _writer_pool(mon, params)
             closed = list(base)
             for a in base:
                 for b in base:
@@ -525,6 +531,15 @@ def instantiate_generators(th: TheoryExpr, params: ParamPool) -> List[OpSym]:
         elif isinstance(atom, Contract):
             ops.append(next_op(atom.name, atom.c))
     return ops
+
+
+def _writer_pool(mon: Monoid, params: ParamPool) -> Tuple[MonoidElement, ...]:
+    """The pool's monoid elements, by default a table monoid's carrier."""
+    alphas = tuple(params.monoid_elems or (mon.elements or ()))
+    for a in alphas:
+        if not mon.contains(a):
+            raise DomainError(f"monoid element {a!r} outside the writer monoid")
+    return alphas
 
 
 def conv_weight_closure(weights: Sequence[Fraction]) -> List[Fraction]:
@@ -548,7 +563,7 @@ def conv_weight_closure(weights: Sequence[Fraction]) -> List[Fraction]:
     return out
 
 
-def _commutation(f: OpSym, g: OpSym) -> Optional[AxiomInstance]:
+def _commutation(f: OpSym, g: OpSym) -> AxiomInstance:
     """f(g(x11..x1m), ..., g(xn1..xnm)) =_0 g(f(x11..xn1), ..., f(x1m..xnm))."""
     n, m = f.arity, g.arity
     if n == 0 and m == 0:
@@ -584,6 +599,9 @@ class LayerPlan:
     recursive guard per contractive operator).
 
     Layers: ('func', inputs) | ('dist',) | ('set',) | ('pair', monoid).
+    Each effect transformer changes one part: exceptions set `exc_space`, a
+    contractive operator appends a guard, a reader prepends a 'func' layer
+    and a writer appends a 'pair' layer.
     """
 
     layers: Tuple[Tuple, ...]
@@ -598,74 +616,63 @@ class LayerPlan:
 
 
 def layer_plan(th: TheoryExpr) -> LayerPlan:
-    """Normalization recipe for the supported layered grammar.
+    """Normalization recipe: a fold of the four effect transformers.
 
-    th := core | Sum(th, Contract); core := base | Tensor(core, Reader)
-    | Tensor(core, Writer); base := Bary | Semi | Exc | Reader | Writer
-    | Sum(Bary|Semi, Exc).  Raises UnsupportedShape outside the grammar.
+    A Sum is flattened into its parts, whose transformers are Exc (T(X+E))
+    and Contract (the resumption); a Tensor likewise, with Reader ((T X)^I)
+    and Writer (T(M x X)).  At most one part is anything else: the fold
+    starts from its plan, or the empty plan, and each transformer acts on it
+    in turn (see LayerPlan).  Raises UnsupportedShape when a tensor would
+    pass a guard or a writer would pass exceptions, whose commutation axioms
+    have no layered normal form, and for contractive operators alone.
     """
     signature_of(th)  # checks disjointness and the single-Bary/Semi rule
-    parts = _flatten_sum(th)
-    guards = tuple(GuardLeaf(p.name, p.c) for p in parts if isinstance(p, Contract))
-    rest = [p for p in parts if not isinstance(p, Contract)]
-    if not rest:
+    plan = _plan(th)
+    if not plan.layers and plan.exc_space is None:
         raise UnsupportedShape("a theory of contractive operators alone has no leaves to guard")
-    core = _recombine_core(rest)
-    layers, exc_space = _core_plan(core)
-    return LayerPlan(tuple(layers), guards, exc_space)
+    return plan
 
 
-def _flatten_sum(th: TheoryExpr) -> List[TheoryExpr]:
-    if isinstance(th, Sum):
-        return _flatten_sum(th.left) + _flatten_sum(th.right)
-    return [th]
-
-
-def _recombine_core(parts: List[TheoryExpr]) -> TheoryExpr:
-    if len(parts) == 1:
-        return parts[0]
-    if len(parts) == 2:
-        base = [p for p in parts if isinstance(p, (Bary, Semi))]
-        excs = [p for p in parts if isinstance(p, Exc)]
-        if len(base) == 1 and len(excs) == 1:
-            return Sum(base[0], excs[0])
-    raise UnsupportedShape(
-        "sums are supported only as base + exceptions plus contractive atoms; got "
-        + " + ".join(type(p).__name__ for p in parts))
-
-
-def _core_plan(core: TheoryExpr):
-    if isinstance(core, Tensor):
-        left, right = core.left, core.right
-        if isinstance(left, (Reader, Writer)) and not isinstance(right, (Reader, Writer)):
-            left, right = right, left  # tensor is commutative
-        if isinstance(right, Reader):
-            layers, exc = _core_plan(left)
-            return [("func", right.inputs)] + layers, exc
-        if isinstance(right, Writer):
-            layers, exc = _core_plan(left)
-            return layers + [("pair", right.monoid)], exc
+def _plan(th: TheoryExpr) -> LayerPlan:
+    if isinstance(th, Bary):
+        return LayerPlan((("dist",),), (), None)
+    if isinstance(th, Semi):
+        return LayerPlan((("set",),), (), None)
+    node, steps = ((Tensor, (Reader, Writer)) if isinstance(th, (Tensor, Reader, Writer))
+                   else (Sum, (Exc, Contract)))
+    parts = _flatten(th, node)
+    others = [p for p in parts if not isinstance(p, steps)]
+    if len(others) > 1:
         raise UnsupportedShape(
-            "tensor is supported only against reader or writer atoms")
-    if isinstance(core, Sum):
-        parts = _flatten_sum(core)
-        core = _recombine_core(parts)
-        if not isinstance(core, Sum):
-            return _core_plan(core)
-        base, exc = core.left, core.right
-        layers, _ = _core_plan(base)
-        return layers, exc.space
-    if isinstance(core, Bary):
-        return [("dist",)], None
-    if isinstance(core, Semi):
-        return [("set",)], None
-    if isinstance(core, Exc):
-        return [], core.space
-    if isinstance(core, Reader):
-        return [("func", core.inputs)], None
-    if isinstance(core, Writer):
-        return [("pair", core.monoid)], None
-    raise UnsupportedShape(f"unsupported theory shape {type(core).__name__}")
+            f"a {node.__name__} has more than one part besides its transformers: "
+            + ", ".join(type(p).__name__ for p in others))
+    plan = _plan(others[0]) if others else LayerPlan((), (), None)
+    for p in parts:
+        if isinstance(p, steps):
+            plan = _transform(plan, p)
+    return plan
+
+
+def _transform(plan: LayerPlan, atom: TheoryExpr) -> LayerPlan:
+    """One effect transformer applied to the plan of the theory it extends."""
+    layers, guards, exc = plan.layers, plan.guards, plan.exc_space
+    if isinstance(atom, Exc):
+        return LayerPlan(layers, guards, atom.space)
+    if isinstance(atom, Contract):
+        return LayerPlan(layers, guards + (GuardLeaf(atom.name, atom.c),), exc)
+    if guards:
+        raise UnsupportedShape("a tensor cannot pass a contractive operator")
+    if isinstance(atom, Reader):
+        return LayerPlan((("func", atom.inputs),) + layers, guards, exc)
+    if exc is not None:
+        raise UnsupportedShape("a writer cannot pass exceptions")
+    return LayerPlan(layers + (("pair", atom.monoid),), guards, exc)
+
+
+def _flatten(th: TheoryExpr, node: type) -> List[TheoryExpr]:
+    if isinstance(th, node):
+        return _flatten(th.left, node) + _flatten(th.right, node)
+    return [th]
 
 
 # ---------------------------------------------------------------------------
@@ -721,10 +728,7 @@ def _parse_theory(ts: TokenStream, spaces, monoids) -> TheoryExpr:
         ts.expect("{")
         labels = []
         while not ts.at("}"):
-            t = ts.next()
-            if t.kind not in ("ident", "num") and t.text != "*":
-                raise ts.error(f"expected exception label, found {t.text!r}", t)
-            labels.append(t.text)
+            labels.append(ts.expect_label("exception label"))
             if not ts.at("}"):
                 ts.expect(",")
         ts.expect("}")
@@ -799,8 +803,7 @@ def parse_monoids(text: str, source: str = "<monoid>") -> Dict[str, Monoid]:
             if what == "mult":
                 table[(a, b)] = ts.expect_ident().text
             elif what == "d":
-                t = ts.next()
-                dist[(a, b)] = INF if t.text == "inf" else ExtValue(Fraction(t.text))
+                dist[(a, b)] = ts.expect_ext()
             else:
                 raise ts.error(f"expected mult or d, found {what!r}")
             ts.expect(";")

@@ -212,10 +212,13 @@ def test_solver_output_is_pseudometric_within_slack():
 
 
 def test_correspondence_on_closed_terms_smoke():
-    # Markov processes, and nondeterministic systems with a Hausdorff lifting
+    # Markov processes, nondeterministic systems with a Hausdorff lifting, and
+    # MDPs with termination (exceptions summed outside the writer)
     HAUS = parse_theory("sum(sum(semi, exc{1}), contr{next, 1/2})")
+    MDPT = parse_theory("sum(sum(tensor(tensor(bary, writer{q}), reader{a, b}), exc{1}),"
+                        " contr{next, 1/2})")
     checked = 0
-    for th in (MP, HAUS):
+    for th in (MP, HAUS, MDPT):
         rng = random.Random(41)
         for _ in range(15):
             t = random_term(rng, th, [], 3)
@@ -228,7 +231,7 @@ def test_correspondence_on_closed_terms_smoke():
             assert cert.exact
             assert d.d(f"a.{rt}", f"b.{rs}") == want
             checked += 1
-    assert checked == 30
+    assert checked == 45
 
 
 def test_correspondence_mealy_with_leaves():

@@ -112,6 +112,65 @@ def test_domain_error_exit_code(tmp_path, capsys):
     assert "mass" in capsys.readouterr().err
 
 
+_MONOID = ("monoid M { elements: z, a; unit = z;\n"
+           "  mult(z,z) = z; mult(z,a) = a; mult(a,z) = a; mult(a,a) = a;\n"
+           "  d(z,a) = %s; }\n")
+_ALGEBRA = "algebra A { carrier: S; op %s; }\n"
+
+
+# (argv with {d} for the directory of the written files, file texts, exit code)
+_HOSTILE = {
+    "coalgebra 1/0": (["bisim", "{d}/C.coalg"],
+                      {"C.coalg": "mp P { c = 1/0; state u: 1 -> u; }"}, 2),
+    "term 1/0": (["dist", "--theory", "bary", "--inline", "conv(1/0, x, y)", "x"], {}, 2),
+    "theory 1/0": (["dist", "--theory", "contr{next, 1/0}", "--inline", "x", "x"], {}, 2),
+    "space 1/0": (["dist", "--theory", "bary", "--space", "{d}/B.space", "--inline", "p", "q"],
+                  {"B.space": "space B { points: p, q; d(p,q) = 1/0; }"}, 2),
+    "monoid 1/0": (["normalize", "--theory", "writer{M}", "--monoid", "{d}/M.monoid",
+                    "--inline", "x"], {"M.monoid": _MONOID % "1/0"}, 2),
+    "monoid zz": (["normalize", "--theory", "writer{M}", "--monoid", "{d}/M.monoid",
+                   "--inline", "x"], {"M.monoid": _MONOID % "zz"}, 2),
+    "--tol abc": (["bisim", "--tol", "abc", "{d}/C.coalg"],
+                  {"C.coalg": "mp P { c = 1/2; state u: 1 -> u; }"}, 2),
+    "--tol 1/0": (["bisim", "--tol", "1/0", "{d}/C.coalg"],
+                  {"C.coalg": "mp P { c = 1/2; state u: 1 -> u; }"}, 2),
+    "--decimal -3": (["dist", "--theory", "bary", "--decimal", "-3", "--inline", "x", "x"],
+                     {}, 2),
+    "--weights 2": (["check-model", "--theory", "bary", "--space", "{d}/S.space",
+                     "--weights", "2", "{d}/A.alg"],
+                    {"A.alg": _ALGEBRA % "conv(1/2): (p, p) -> p"}, 1),
+    "--weights 1/0": (["check-model", "--theory", "bary", "--space", "{d}/S.space",
+                       "--weights", "1/0", "{d}/A.alg"],
+                      {"A.alg": _ALGEBRA % "conv(1/2): (p, p) -> p"}, 1),
+    "--epsilons -1": (["check-model", "--theory", "bary", "--space", "{d}/S.space",
+                       "--weights", "1/2", "--epsilons", "-1", "{d}/A.alg"],
+                      {"A.alg": _ALGEBRA % "conv(1/2): (p, p) -> p"}, 1),
+    "--elems abc": (["check-model", "--theory", "writer{q}", "--space", "{d}/S.space",
+                     "--elems", "abc", "--epsilons", "1", "{d}/A.alg"],
+                    {"A.alg": _ALGEBRA % "wr(1): (p) -> p"}, 1),
+    **{f"op {header}": (["check-model", "--theory", "bary", "--space", "{d}/S.space",
+                         "--weights", "1/2", "{d}/A.alg"],
+                        {"A.alg": _ALGEBRA % f"{header}: {entry}"}, 2)
+       for header, entry in [("rd(1/2)", "(p) -> p"), ("rd(0)", "-> p"),
+                             ("conv(3)", "(p, p) -> p"), ("raise(,)", "-> p"),
+                             ("wr(()", "(p) -> p"), ("next(n, 2)", "(p) -> p")]},
+}
+
+
+@pytest.mark.parametrize("case", sorted(_HOSTILE))
+def test_hostile_input_exits_cleanly(case, tmp_path):
+    argv, files, code = _HOSTILE[case]
+    files = {"S.space": "space S { points: p, q; d(p,q) = 1; }\n", **files}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [a.replace("{d}", str(tmp_path)) for a in argv]
+    try:
+        got = main(argv)
+    except SystemExit as exc:  # argparse rejects the option value
+        got = exc.code
+    assert got == code
+
+
 def test_ill_formed_term_rejected(capsys):
     code = main(["dist", "--theory", "bary", "--inline",
                  "union(x, y)", "x"])

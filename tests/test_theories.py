@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,10 +8,12 @@ from quantalg import (Bary, Contract, Exc, FinMetricSpace, ONE_POINT,
                       Tensor, Writer, axioms, discrete, instantiate_generators,
                       labelled_mp_theory, layer_plan, markov_process_theory,
                       mdp_theory, mealy_theory, parse_monoids, parse_theory,
-                      parse_term, signature_of)
+                      parse_term, signature_of, bind, term_dist)
 from quantalg.errors import DomainError, UnsupportedShape
 from quantalg.extvalue import ZERO, ext
 from quantalg.terms import conv, raise_, read, write
+
+from helpers import random_space, random_term
 
 C12 = Fraction(1, 2)
 POOL = ParamPool.make(weights=[C12, Fraction(1, 3)], epsilons=[1, 2],
@@ -140,6 +143,43 @@ def test_layer_plan_rejects_unsupported_shapes():
         layer_plan(Contract("next", C12))
     with pytest.raises(UnsupportedShape):
         layer_plan(Tensor(Bary(), Contract("next", C12)))
+    with pytest.raises(UnsupportedShape):  # a writer over exceptions
+        layer_plan(Tensor(Sum(Bary(), Exc(ONE_POINT)), Writer(RATIONAL_LINE)))
+    with pytest.raises(UnsupportedShape):
+        layer_plan(Tensor(Exc(ONE_POINT), Writer(RATIONAL_LINE)))
+
+
+_ATOMS = (Bary(), Semi(), Exc(ONE_POINT), Reader(("a", "b")), Writer(RATIONAL_LINE),
+          Contract("next", C12))
+
+
+def test_layer_plan_accepts_only_sound_shapes():
+    # every theory with at most two sum/tensor steps over the six atoms: each
+    # shape layer_plan accepts satisfies its zero-bound axioms exactly
+    shapes = level = list(_ATOMS)
+    for _ in range(2):
+        level = list(dict.fromkeys(
+            node(*pair) for th in level for atom in _ATOMS for node in (Sum, Tensor)
+            for pair in ((th, atom), (atom, th))))
+        shapes = shapes + level
+    rng = random.Random(23)
+    X = random_space(rng, ["x", "y"])
+    pool = ParamPool.make(weights=[C12], epsilons=[1], monoid_elems=[0, 2])
+    accepted = 0
+    for th in shapes:
+        try:
+            layer_plan(th)
+        except DomainError:
+            continue
+        accepted += 1
+        for ax in axioms(th, pool):
+            if ax.premises or ax.bound != ZERO:
+                continue
+            for _ in range(3):
+                sigma = {v: random_term(rng, th, ["x", "y"], 2) for v in ax.variables()}
+                assert term_dist(bind(ax.lhs, sigma), bind(ax.rhs, sigma), th, X) == ZERO, \
+                    (th, ax.label)
+    assert accepted == 163
 
 
 def test_generator_instantiation_closes_derived_weights():
