@@ -8,10 +8,9 @@ processes, Mealy machines, and MDPs with certified Banach iteration; and
 checks finite models against theory axioms.
 """
 
-from .bisim import (BOT, Certificate, Coalgebra, PseudoMetric, approx_term,
-                    disjoint_union, format_coalgebra, leaf_target,
-                    parse_coalgebras, psi_step, solve_bisim, state_target,
-                    unfold_term, zero_metric)
+from .bisim import (Certificate, Coalgebra, PseudoMetric, approx_term,
+                    disjoint_union, format_coalgebra, parse_coalgebras,
+                    psi_step, solve_bisim, unfold_term, zero_metric)
 from .errors import (DivergentGround, DomainError, ParseError, QuantAlgError,
                      UnsupportedShape)
 from .extvalue import INF, ONE, ZERO, ExtValue, ext

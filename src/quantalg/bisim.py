@@ -7,8 +7,10 @@ the term distance on one-step values with c times the current iterate
 between successor states.  Markov processes, labelled Markov processes,
 Mealy machines and MDPs are the plans of `markov_process_theory`,
 `labelled_mp_theory`, `mealy_theory` and `mdp_theory`; they are also the
-four kinds of the text format, whose transition targets are states, the
-termination point `bot`, or `leaf(x)` ground points.
+four kinds of the text format, which reads each row straight into a
+one-step value and writes it back from one.  A target there is a state, the
+termination point `bot` (`ExcLeaf("*")`) or a ground point `leaf(x)`
+(`VarLeaf(x)`).
 """
 
 from __future__ import annotations
@@ -24,22 +26,12 @@ from .semantics import (BOUNDED, EXTENDED, DistVal, ExcLeaf, FuncVal, Guard,
                         PairVal, SemValue, SetVal, StateLeaf, VarLeaf,
                         denote_with_plan, make_dist, map_guards,
                         sem_dist_with_plan)
-from .spaces import FinDist, FinMetricSpace
+from .spaces import FinMetricSpace
 from .terms import (App, Term, Var, app, conv, empty_op, next_op, raise_,
                     read, union_op, write)
 from .theories import (LayerPlan, Monoid, RATIONAL_LINE, RationalLineMonoid,
                        TheoryExpr, labelled_mp_theory, layer_plan,
                        markov_process_theory, mdp_theory, mealy_theory)
-
-BOT = ("bot",)
-
-
-def state_target(name: str) -> tuple:
-    return ("st", name)
-
-
-def leaf_target(point: str) -> tuple:
-    return ("leaf", point)
 
 
 class Coalgebra:
@@ -47,44 +39,16 @@ class Coalgebra:
 
     Representation: `plan` is the theory's layer plan and `step` maps each
     state to its one-step value, a `SemValue` of that plan in which every
-    guard holds a `StateLeaf` naming the successor state.  The text format's
-    `bot` is `ExcLeaf("*")` and its `leaf(x)` is `VarLeaf(x)`.  The discount
-    factor `c` is the contractive operator's.
-
-    The constructor takes the text format's view: a kind (mp, lmp, mealy,
-    mdp) and a table `trans` keyed by state (mp) or by (state, action or
-    input), whose rows are distributions over targets, (target, reward)
-    pairs for mdp, or (target, output) pairs for mealy.  The `trans`
-    property reads the values back in that form.  `of_values` builds a
-    system over any plan with one contractive operator.
+    guard holds a `StateLeaf` naming the successor state.  The discount
+    factor `c` is the contractive operator's.  The text format's kinds are
+    four such plans; its `bot` is `ExcLeaf("*")` and its `leaf(x)` is
+    `VarLeaf(x)`.
     """
 
-    def __init__(self, kind: str, c, states: Sequence[str], trans: dict,
-                 actions: Optional[Sequence[str]] = None,
-                 inputs: Optional[Sequence[str]] = None,
-                 monoid: Optional[Monoid] = None,
+    def __init__(self, plan: LayerPlan, states: Sequence[str],
+                 step: Dict[str, SemValue],
                  space: Optional[FinMetricSpace] = None,
                  name: str = "system"):
-        c = Fraction(c)
-        if not (0 < c < 1):
-            raise DomainError("discount factor must be in (0, 1)")
-        self._init(layer_plan(_kind_theory(kind, c, actions, inputs, monoid)),
-                   states, space, name)
-        self.step = _values_of_trans(self, dict(trans))
-
-    @classmethod
-    def of_values(cls, plan: LayerPlan, states: Sequence[str],
-                  step: Dict[str, SemValue],
-                  space: Optional[FinMetricSpace] = None,
-                  name: str = "system") -> "Coalgebra":
-        C = cls.__new__(cls)
-        C._init(plan, states, space, name)
-        if set(step) != set(C.states):
-            raise DomainError("every state needs exactly one one-step value")
-        C.step = dict(step)
-        return C
-
-    def _init(self, plan, states, space, name):
         if len(plan.guards) != 1:
             raise UnsupportedShape("a coalgebra needs exactly one contractive operator")
         self.plan = plan
@@ -92,13 +56,11 @@ class Coalgebra:
         self.states = tuple(states)
         if len(set(self.states)) != len(self.states) or not self.states:
             raise DomainError("states must be nonempty and distinct")
+        if set(step) != set(self.states):
+            raise DomainError("every state needs exactly one one-step value")
+        self.step = dict(step)
         self.space = space
         self.name = name
-        self.kind = _plan_kind(plan)
-
-    @property
-    def trans(self) -> dict:
-        return _trans_of_values(self)
 
     @property
     def inputs(self) -> Optional[Tuple[str, ...]]:
@@ -272,7 +234,7 @@ def unfold_term(t: Term, th: TheoryExpr,
     step = {}
     for value in order:  # grows while it is walked
         step[names[value].name] = map_guards(value, visit)
-    C = Coalgebra.of_values(plan, [names[v].name for v in order], step, space, name)
+    C = Coalgebra(plan, [names[v].name for v in order], step, space, name)
     return C, names[root].name
 
 
@@ -286,7 +248,7 @@ def disjoint_union(A: Coalgebra, B: Coalgebra,
         for s in side.states:
             step[f"{tag}.{s}"] = map_guards(
                 side.step[s], lambda st, tag=tag: StateLeaf(f"{tag}.{st.name}"))
-    return Coalgebra.of_values(A.plan, list(step), step, A.space or B.space,
+    return Coalgebra(A.plan, list(step), step, A.space or B.space,
                                f"{A.name}+{B.name}")
 
 
@@ -349,252 +311,196 @@ def _union_chain(terms: List[Term]) -> Term:
 # ---------------------------------------------------------------------------
 # Text format
 
-def _kind_theory(kind: str, c: Fraction, actions, inputs, monoid) -> TheoryExpr:
-    """The composed theory a text-format kind names."""
+def _kind_theory(ts: TokenStream, kind_tok, c: Fraction, monoids) -> TheoryExpr:
+    """The composed theory a text-format kind names, reading the kind's
+    header lines (actions or inputs, and a Mealy machine's monoid)."""
+    kind = kind_tok.text
     if kind == "mp":
         return markov_process_theory(c)
-    if kind in ("lmp", "mdp"):
-        if not actions:
-            raise DomainError(f"{kind} needs a nonempty action set")
-        return (labelled_mp_theory if kind == "lmp" else mdp_theory)(actions, c)
-    if kind == "mealy":
-        if not inputs or monoid is None:
-            raise DomainError("mealy needs inputs and an output monoid")
-        return mealy_theory(inputs, monoid, c)
-    raise DomainError(f"unknown coalgebra kind {kind!r}")
+    if kind not in ("lmp", "mealy", "mdp"):
+        raise ts.error(f"expected mp/lmp/mealy/mdp, found {kind!r}", kind_tok)
+    ts.expect("inputs" if kind == "mealy" else "actions")
+    ts.expect(":")
+    labels = [ts.expect_ident().text]
+    while ts.accept(","):
+        labels.append(ts.expect_ident().text)
+    ts.expect(";")
+    if kind != "mealy":
+        return (labelled_mp_theory if kind == "lmp" else mdp_theory)(labels, c)
+    monoid = RATIONAL_LINE
+    if ts.accept("monoid"):
+        ts.expect(":")
+        ref = ts.expect_ident().text
+        if not monoids or ref not in monoids:
+            raise ts.error(f"unknown monoid {ref!r}")
+        monoid = monoids[ref]
+        ts.expect(";")
+    return mealy_theory(labels, monoid, c)
 
 
-def _plan_kind(plan: LayerPlan) -> Optional[str]:
-    """The text-format kind naming the plan, or None if the format has none."""
+def _plan_kind(plan: LayerPlan) -> Optional[Tuple[str, str]]:
+    """The text-format kind naming the plan and the keyword of its function
+    layer's labels, or None if the format has none."""
     shapes = tuple(layer[0] for layer in plan.layers)
     exc = plan.exc_space
     if exc is not None and tuple(exc.points) != ("*",):
         return None
     if shapes == ("dist",):
-        return "mp"
+        return "mp", ""
     if shapes == ("func", "dist"):
-        return "lmp"
+        return "lmp", "actions"
     if exc is None and shapes == ("func", "pair"):
-        return "mealy"
+        return "mealy", "inputs"
     if exc is None and shapes == ("func", "dist", "pair") \
             and isinstance(plan.layers[2][1], RationalLineMonoid):
-        return "mdp"
+        return "mdp", "actions"
     return None
-
-
-def _values_of_trans(C: Coalgebra, trans: dict) -> Dict[str, SemValue]:
-    """The text format's transition table as one-step values of C's plan."""
-    layers = C.plan.layers
-    guard = C.plan.guards[0]
-    known = set(C.states)
-    if layers[0][0] == "func":
-        keys = [(s, i) for s in C.states for i in layers[0][1]]
-    else:
-        keys = list(C.states)
-    for k in keys:
-        if k not in trans:
-            raise DomainError(f"missing transition row for {k!r}")
-    if len(trans) != len(keys):
-        bad = next(k for k in trans if k not in set(keys))
-        raise DomainError(f"transition row for unknown key {bad!r}")
-
-    def target(t) -> SemValue:
-        if t[0] == "st":
-            if t[1] not in known:
-                raise DomainError(f"transition to unknown state {t[1]!r}")
-            return Guard(guard.name, guard.c, StateLeaf(t[1]))
-        if t[0] == "bot":
-            if C.plan.exc_space is None:
-                raise DomainError(f"{C.kind} transitions cannot use bot")
-            return ExcLeaf("*")
-        if t[0] == "leaf":
-            if C.space is not None and t[1] not in C.space.points:
-                raise DomainError(f"leaf point {t[1]!r} outside the space")
-            return VarLeaf(t[1])
-        raise DomainError(f"unknown target {t!r}")
-
-    def cell(k, row, layers) -> SemValue:
-        if not layers:
-            return target(row)
-        if layers[0][0] == "dist":
-            if row.mass != 1:
-                raise DomainError(f"row {k!r} has mass {row.mass}, expected 1")
-            return make_dist((cell(k, x, layers[1:]), w) for x, w in row.items)
-        t, alpha = row  # the pair layer
-        if not layers[0][1].contains(alpha):
-            raise DomainError(f"output {alpha!r} outside the monoid")
-        return PairVal(alpha, cell(k, t, layers[1:]))
-
-    if layers[0][0] == "func":
-        return {s: FuncVal(tuple((i, cell((s, i), trans[(s, i)], layers[1:]))
-                                 for i in layers[0][1]))
-                for s in C.states}
-    return {s: cell(s, trans[s], layers) for s in C.states}
-
-
-def _trans_of_values(C: Coalgebra) -> dict:
-    """C's one-step values as a text-format transition table."""
-    if C.kind is None:
-        raise UnsupportedShape("no coalgebra kind for layer shape "
-                               + ("/".join(l[0] for l in C.plan.layers) or "leaf"))
-
-    def row(v: SemValue):
-        if isinstance(v, DistVal):
-            return FinDist.from_pairs((row(x), w) for x, w in v.items)
-        if isinstance(v, PairVal):
-            return (row(v.inner), v.alpha)
-        if isinstance(v, Guard):
-            return state_target(v.inner.name)
-        if isinstance(v, ExcLeaf):
-            return BOT
-        return leaf_target(v.name)
-
-    trans = {}
-    for s in C.states:
-        v = C.step[s]
-        if isinstance(v, FuncVal):
-            for i, inner in v.items:
-                trans[(s, i)] = row(inner)
-        else:
-            trans[s] = row(v)
-    return trans
 
 
 def parse_coalgebras(text: str, monoids: Optional[Dict[str, Monoid]] = None,
                      space: Optional[FinMetricSpace] = None,
                      source: str = "<coalgebra>") -> Dict[str, Coalgebra]:
-    """Parse mp/lmp/mealy/mdp blocks; returns name -> coalgebra."""
+    """Parse mp/lmp/mealy/mdp blocks; returns name -> coalgebra.
+
+    Each row is read straight into a one-step value by a walk of the kind's
+    layer plan: a function layer is the row's `on i`, a distribution layer
+    is `w -> cell, ...`, a pair layer is `(cell, x)` with x a monoid
+    element, and a cell under the last layer is a state, `bot` or
+    `leaf(x)`.  A state or a `state u on i` row given twice is a parse
+    error."""
     ts = TokenStream(text, source)
     out: Dict[str, Coalgebra] = {}
     while not ts.at(""):
         kind_tok = ts.expect_ident()
-        kind = kind_tok.text
-        if kind not in ("mp", "lmp", "mealy", "mdp"):
-            raise ts.error(f"expected mp/lmp/mealy/mdp, found {kind!r}", kind_tok)
         name = ts.expect_ident().text
         for tok in ("{", "c", "="):
             ts.expect(tok)
         c = ts.expect_rational()
         ts.expect(";")
-        labels, monoid = None, RATIONAL_LINE
-        if kind != "mp":
-            ts.expect("inputs" if kind == "mealy" else "actions")
-            ts.expect(":")
-            labels = [ts.expect_ident().text]
-            while ts.accept(","):
-                labels.append(ts.expect_ident().text)
-            ts.expect(";")
-        if kind == "mealy" and ts.accept("monoid"):
-            ts.expect(":")
-            ref = ts.expect_ident().text
-            if not monoids or ref not in monoids:
-                raise ts.error(f"unknown monoid {ref!r}")
-            monoid = monoids[ref]
-            ts.expect(";")
-        states: List[str] = []
-        trans: dict = {}
-        while not ts.accept("}"):
-            ts.expect("state")
-            s = key = ts.expect_ident().text
-            if s not in states:
-                states.append(s)
-            if kind != "mp":
-                ts.expect("on")
-                key = (s, ts.expect_ident().text)
-            if kind == "mealy":
-                ts.expect("->")
-                trans[key] = _parse_pair(ts, _parse_output)
-            else:
-                ts.expect(":")
-                trans[key] = _parse_dist_row(ts, kind)
-            ts.expect(";")
         try:
-            out[name] = Coalgebra(kind, c, states, trans, actions=labels,
-                                  inputs=labels, monoid=monoid, space=space,
-                                  name=name)
+            plan = layer_plan(_kind_theory(ts, kind_tok, c, monoids))
+            out[name] = _parse_rows(ts, plan, space, name)
         except DomainError as exc:
             raise DomainError(f"{source}: system {name}: {exc}") from None
     return out
 
 
-def _parse_target(ts: TokenStream) -> tuple:
-    tok = ts.next()
-    if tok.text == "bot":
-        return BOT
-    if tok.text == "leaf":
-        ts.expect("(")
-        point = ts.next()
-        if point.kind not in ("ident", "num") and point.text != "*":
-            raise ts.error(f"expected a leaf point, found {point.text!r}", point)
+def _parse_rows(ts: TokenStream, plan: LayerPlan, space, name: str) -> Coalgebra:
+    guard = plan.guards[0]
+    inputs = plan.layers[0][1] if plan.layers[0][0] == "func" else None
+    layers = plan.layers[1:] if inputs else plan.layers
+    rows: dict = {}  # state, or (state, input) -> value
+    targets: Dict[str, None] = {}  # states named as successors, in order
+
+    def cell(layers) -> SemValue:  # reads the current row's `key`
+        if not layers:
+            if ts.accept("bot"):
+                if plan.exc_space is None:
+                    raise DomainError("transitions of this kind cannot use bot")
+                return ExcLeaf("*")
+            if ts.accept("leaf"):
+                ts.expect("(")
+                point = ts.expect_label("a leaf point")
+                ts.expect(")")
+                if space is not None and point not in space.points:
+                    raise DomainError(f"leaf point {point!r} outside the space")
+                return VarLeaf(point)
+            state = ts.expect_ident().text
+            targets[state] = None
+            return Guard(guard.name, guard.c, StateLeaf(state))
+        if layers[0][0] == "dist":
+            pairs = []
+            while not pairs or ts.accept(","):
+                w = ts.expect_rational()
+                ts.expect("->")
+                pairs.append((cell(layers[1:]), w))
+            mass = sum(w for _, w in pairs)
+            if mass != 1:
+                raise DomainError(f"row {key!r} has mass {mass}, expected 1")
+            return make_dist(pairs)
+        ts.expect("(")  # the pair layer
+        inner = cell(layers[1:])
+        ts.expect(",")
+        alpha = ts.expect_element()
         ts.expect(")")
-        return leaf_target(point.text)
-    if tok.kind != "ident":
-        raise ts.error(f"expected a target, found {tok.text!r}", tok)
-    return state_target(tok.text)
+        if not layers[0][1].contains(alpha):
+            raise DomainError(f"output {alpha!r} outside the monoid")
+        return PairVal(alpha, inner)
 
-
-def _parse_output(ts: TokenStream):
-    tok = ts.next()
-    if tok.kind == "num":
-        return Fraction(tok.text)
-    if tok.kind == "ident":
-        return tok.text
-    raise ts.error(f"expected a monoid element, found {tok.text!r}", tok)
-
-
-def _parse_pair(ts: TokenStream, second) -> tuple:
-    """`(target, x)` with x read by `second`: a reward or an output."""
-    ts.expect("(")
-    target = _parse_target(ts)
-    ts.expect(",")
-    x = second(ts)
-    ts.expect(")")
-    return (target, x)
-
-
-def _parse_dist_row(ts: TokenStream, kind: str) -> FinDist:
-    pairs = []
-    while not pairs or ts.accept(","):
-        w = ts.expect_rational()
-        ts.expect("->")
-        if kind == "mdp":
-            pairs.append((_parse_pair(ts, TokenStream.expect_rational), w))
-        else:
-            pairs.append((_parse_target(ts), w))
-    return FinDist.from_pairs(pairs)
+    while not ts.accept("}"):
+        ts.expect("state")
+        tok = ts.expect_ident()
+        key = tok.text
+        if inputs:
+            ts.expect("on")
+            key = (key, ts.expect_ident().text)
+            if key[1] not in inputs:
+                raise DomainError(f"transition row for unknown key {key!r}")
+        if key in rows:
+            raise ts.error(f"duplicate row for {key!r}", tok)
+        ts.expect(":" if layers[0][0] == "dist" else "->")
+        rows[key] = cell(layers)
+        ts.expect(";")
+    states = list(dict.fromkeys(k[0] if inputs else k for k in rows))
+    if inputs:
+        for key in ((s, i) for s in states for i in inputs):
+            if key not in rows:
+                raise DomainError(f"missing transition row for {key!r}")
+        rows = {s: FuncVal(tuple((i, rows[(s, i)]) for i in inputs)) for s in states}
+    bad = next((s for s in targets if s not in rows), None)
+    if bad is not None:
+        raise DomainError(f"transition to unknown state {bad!r}")
+    return Coalgebra(plan, states, rows, space, name)
 
 
 def format_coalgebra(C: Coalgebra, monoid_name: Optional[str] = None) -> str:
-    """Render a coalgebra in the text format parse_coalgebras accepts.
+    """Render a coalgebra in the text format parse_coalgebras accepts,
+    straight from its one-step values.  A row's cells are written `bot`
+    first, then `leaf(x)`, then states, and mdp cells by target, then reward.
 
     Mealy systems over a table monoid need `monoid_name`, the name the
     reader will resolve through its monoid file."""
-    trans = C.trans
-    kind = C.kind
+    shape = _plan_kind(C.plan)
+    if shape is None:
+        raise UnsupportedShape("no coalgebra kind for layer shape "
+                               + ("/".join(l[0] for l in C.plan.layers) or "leaf"))
+    kind, label = shape
     lines = [f"{kind} {C.name} {{", f"  c = {C.c};"]
-    if kind != "mp":
-        label = "inputs" if kind == "mealy" else "actions"
+    if C.inputs:
         lines.append(f"  {label}: " + ", ".join(C.inputs) + ";")
-    if kind == "mealy" and not isinstance(C.monoid, RationalLineMonoid):
+    if C.monoid is not None and not isinstance(C.monoid, RationalLineMonoid):
         if monoid_name is None:
             raise DomainError(
                 "a table-monoid mealy system needs a monoid name to serialize")
         lines.append(f"  monoid: {monoid_name};")
 
-    def text(x) -> str:  # a target, or a (target, reward or output) pair
-        if isinstance(x[0], tuple):
-            return f"({text(x[0])}, {x[1]})"
-        if x[0] == "st":
-            return x[1]
-        if x[0] == "bot":
-            return "bot"
-        return f"leaf({x[1]})"
+    def order(v: SemValue):
+        if isinstance(v, PairVal):
+            return order(v.inner), v.alpha
+        if isinstance(v, ExcLeaf):
+            return 0, ""
+        if isinstance(v, VarLeaf):
+            return 1, v.name
+        return 2, v.inner.name
 
-    for key, row in trans.items():
-        head = f"  state {key}" if kind == "mp" else f"  state {key[0]} on {key[1]}"
-        if kind == "mealy":
-            lines.append(f"{head} -> {text(row)};")
-        else:
-            lines.append(f"{head}: " + ", ".join(f"{w} -> {text(x)}" for x, w in row.items) + ";")
+    def text(v: SemValue) -> str:
+        if isinstance(v, DistVal):
+            return ", ".join(f"{w} -> {text(x)}"
+                             for x, w in sorted(v.items, key=lambda xw: order(xw[0])))
+        if isinstance(v, PairVal):
+            return f"({text(v.inner)}, {v.alpha})"
+        if isinstance(v, Guard):
+            return v.inner.name
+        if isinstance(v, ExcLeaf):
+            return "bot"
+        return f"leaf({v.name})"
+
+    for s in C.states:
+        v = C.step[s]
+        rows = [(f"state {s} on {i}", x) for i, x in v.items] \
+            if isinstance(v, FuncVal) else [(f"state {s}", v)]
+        for head, x in rows:
+            sep = ":" if isinstance(x, DistVal) else " ->"
+            lines.append(f"  {head}{sep} {text(x)};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from .errors import DomainError
 from .extvalue import INF, ZERO, ExtValue, ext_max
@@ -153,7 +153,8 @@ def power(X: FinMetricSpace, inputs: Sequence[str]) -> FinMetricSpace:
 class FinDist:
     """Finitely supported distribution; weights are positive exact rationals.
 
-    Keys are arbitrary hashable labels (points, transition targets, ...).
+    Keys are arbitrary hashable labels (space points, semantic values);
+    `from_pairs` sorts them, so there they must also be mutually comparable.
     Total mass is usually 1; sub-probability deficits are carried by an
     explicit bottom element rather than by missing mass.
     """
@@ -161,8 +162,7 @@ class FinDist:
     items: Tuple[Tuple[object, Fraction], ...]
 
     @staticmethod
-    def from_pairs(pairs: Iterable[Tuple[object, Fraction]],
-                   key: Optional[Callable] = None) -> "FinDist":
+    def from_pairs(pairs: Iterable[Tuple[object, Fraction]]) -> "FinDist":
         acc: Dict[object, Fraction] = {}
         for k, w in pairs:
             w = Fraction(w)
@@ -173,8 +173,7 @@ class FinDist:
             acc[k] = acc.get(k, Fraction(0)) + w
         if not acc:
             raise DomainError("empty distribution")
-        items = tuple(sorted(acc.items(), key=(lambda kv: key(kv[0])) if key else None))
-        return FinDist(items)
+        return FinDist(tuple(sorted(acc.items())))
 
     @staticmethod
     def dirac(point) -> "FinDist":
@@ -186,12 +185,6 @@ class FinDist:
 
     def support(self) -> Tuple[object, ...]:
         return tuple(k for k, _ in self.items)
-
-    def weight(self, point) -> Fraction:
-        for k, w in self.items:
-            if k == point:
-                return w
-        return Fraction(0)
 
 
 def kantorovich_general(mu: FinDist, nu: FinDist,

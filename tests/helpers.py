@@ -1,11 +1,14 @@
-"""Shared random generators for the test suite (seeded, deterministic)."""
+"""Shared random generators for the test suite (seeded, deterministic), and
+a writer of drawn coalgebra tables in the text format."""
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 from quantalg import (App, Bary, Contract, Exc, FinDist, FinMetricSpace,
-                      Reader, Semi, Var, Writer, app, atoms, conv, empty_op,
-                      ext, next_op, raise_, read, union_op, write)
+                      RATIONAL_LINE, Reader, Semi, Var, Writer, app, atoms,
+                      conv, empty_op, ext, next_op, parse_coalgebras, raise_,
+                      read, union_op, write)
 from quantalg.extvalue import INF
 
 
@@ -117,16 +120,67 @@ def random_term(rng: random.Random, th, leaf_vars, depth: int):
     return go(depth)
 
 
+BOT = ("bot",)
+
+
+def st(name: str) -> tuple:
+    return ("st", name)
+
+
+def leaf(point: str) -> tuple:
+    return ("leaf", point)
+
+
+@dataclass
+class Table:
+    """A system as a test draws it, in the text format's terms: rows keyed
+    by state (mp) or by (state, label), each a FinDist over targets (mp,
+    lmp), a FinDist over (target, reward) pairs (mdp), or one (target,
+    output) pair (mealy).  Targets are st(s), BOT and leaf(x)."""
+
+    kind: str
+    c: Fraction
+    states: list
+    rows: dict
+    labels: tuple = ()
+    monoid: object = RATIONAL_LINE
+
+
+def table_text(T: Table, name: str = "T") -> str:
+    """T in the coalgebra text format; a table monoid is named M."""
+    def cell(x) -> str:
+        if isinstance(x[0], tuple):
+            return f"({cell(x[0])}, {x[1]})"
+        return {"st": x[-1], "bot": "bot", "leaf": f"leaf({x[-1]})"}[x[0]]
+
+    lines = [f"{T.kind} {name} {{ c = {T.c};"]
+    if T.labels:
+        label = "inputs" if T.kind == "mealy" else "actions"
+        lines.append(f"{label}: " + ", ".join(T.labels) + ";")
+    if T.monoid != RATIONAL_LINE:
+        lines.append("monoid: M;")
+    for key, row in T.rows.items():
+        head = f"state {key}" if T.kind == "mp" else f"state {key[0]} on {key[1]}"
+        if T.kind == "mealy":
+            lines.append(f"{head} -> {cell(row)};")
+        else:
+            lines.append(f"{head}: " + ", ".join(f"{w} -> {cell(x)}" for x, w in row.items) + ";")
+    return "\n".join(lines + ["}"]) + "\n"
+
+
+def table_coalgebra(T: Table, space=None):
+    """T read through parse_coalgebras."""
+    return parse_coalgebras(table_text(T), {"M": T.monoid}, space)["T"]
+
+
 def random_coalgebra(rng: random.Random, kind: str, n_states: int = 3,
                      c: Fraction = Fraction(1, 2), actions=("a", "b"),
                      inputs=("i", "j"), max_den: int = 6):
     """Random closed system of the given kind."""
-    from quantalg import BOT, Coalgebra, RATIONAL_LINE, state_target
-
     states = [f"s{k}" for k in range(n_states)]
 
     def row(allow_bot=True):
-        targets = [state_target(s) for s in states] + ([BOT] if allow_bot else [])
+        targets = [st(s) for s in states] + ([BOT] if allow_bot else [])
         support = rng.sample(targets, rng.randint(1, min(3, len(targets))))
         den = rng.randint(1, max_den)
         cuts = sorted(rng.randint(0, den) for _ in range(len(support) - 1))
@@ -134,26 +188,22 @@ def random_coalgebra(rng: random.Random, kind: str, n_states: int = 3,
         for cut in cuts + [den]:
             weights.append(Fraction(cut - prev, den))
             prev = cut
-        pairs = [(t, w) for t, w in zip(support, weights) if w > 0]
-        return FinDist.from_pairs(pairs, key=lambda t: t)
+        return FinDist.from_pairs((t, w) for t, w in zip(support, weights) if w > 0)
 
     if kind == "mp":
-        trans = {s: row() for s in states}
-        return Coalgebra("mp", c, states, trans)
+        return table_coalgebra(Table("mp", c, states, {s: row() for s in states}))
     if kind == "lmp":
-        trans = {(s, a): row() for s in states for a in actions}
-        return Coalgebra("lmp", c, states, trans, actions=actions)
+        rows = {(s, a): row() for s in states for a in actions}
+        return table_coalgebra(Table("lmp", c, states, rows, actions))
     if kind == "mealy":
-        trans = {(s, i): (state_target(rng.choice(states)), rational(rng, 4))
-                 for s in states for i in inputs}
-        return Coalgebra("mealy", c, states, trans, inputs=inputs,
-                         monoid=RATIONAL_LINE)
+        rows = {(s, i): (st(rng.choice(states)), rational(rng, 4))
+                for s in states for i in inputs}
+        return table_coalgebra(Table("mealy", c, states, rows, inputs))
     if kind == "mdp":
         def mdp_row():
             base = row(allow_bot=False)
             return FinDist.from_pairs(
-                [((t, Fraction(rng.randint(0, 3))), w) for t, w in base.items],
-                key=lambda k: (k[0], k[1]))
-        trans = {(s, a): mdp_row() for s in states for a in actions}
-        return Coalgebra("mdp", c, states, trans, actions=actions)
+                ((t, Fraction(rng.randint(0, 3))), w) for t, w in base.items)
+        rows = {(s, a): mdp_row() for s in states for a in actions}
+        return table_coalgebra(Table("mdp", c, states, rows, actions))
     raise AssertionError(kind)

@@ -91,14 +91,15 @@ def _solve_tree(subset, supplies, demands):
     return flows
 
 
-def psi_reference(C, d, mode):
+def psi_reference(T, d, mode, space=None):
     """The bisimilarity-metric operator written out per coalgebra kind over
-    the text-format transition table: Kantorovich over targets (mp), its
-    supremum over actions (lmp, mdp, with |r1 - r2| added to the target
-    distance), or the output distance plus the target distance (mealy).
-    States are c * d apart, `bot` is 0 from itself and leaves are the space
-    distance apart; in bounded mode ground distances are truncated at 1, and
-    targets of different sorts are 1 (bounded) or inf (extended) apart."""
+    the table a test drew (tests/helpers.py `Table`): Kantorovich over
+    targets (mp), its supremum over actions (lmp, mdp, with |r1 - r2| added
+    to the target distance), or the output distance plus the target distance
+    (mealy).  States are c * d apart, `bot` is 0 from itself and leaves are
+    the space distance apart; in bounded mode ground distances are truncated
+    at 1, and targets of different sorts are 1 (bounded) or inf (extended)
+    apart."""
     from quantalg.bisim import PseudoMetric
     from quantalg.extvalue import ONE, ext_max
     from quantalg.spaces import kantorovich_general
@@ -108,34 +109,34 @@ def psi_reference(C, d, mode):
 
     def target_dist(t1, t2):
         if t1[0] == "st" and t2[0] == "st":
-            return d.d(t1[1], t2[1]).scaled(C.c)
+            return d.d(t1[1], t2[1]).scaled(T.c)
         if t1 == t2:
             return ExtValue(0)
         if t1[0] == "leaf" and t2[0] == "leaf":
-            return cap(C.space.d(t1[1], t2[1]))
+            return cap(space.d(t1[1], t2[1]))
         return cap(INF)
 
     def ground(k1, k2):
-        if C.kind == "mdp":
+        if T.kind == "mdp":
             (t1, r1), (t2, r2) = k1, k2
             return cap(ExtValue(abs(r1 - r2)) + target_dist(t1, t2))
         return cap(target_dist(k1, k2))
 
-    trans = C.trans
+    rows = T.rows
     table = {}
-    for i, u in enumerate(C.states):
-        for v in C.states[i + 1:]:
-            if C.kind == "mp":
-                val = kantorovich_general(trans[u], trans[v], ground)
-            elif C.kind in ("lmp", "mdp"):
-                val = ext_max(*(kantorovich_general(trans[(u, a)], trans[(v, a)], ground)
-                                for a in C.inputs))
+    for i, u in enumerate(T.states):
+        for v in T.states[i + 1:]:
+            if T.kind == "mp":
+                val = kantorovich_general(rows[u], rows[v], ground)
+            elif T.kind in ("lmp", "mdp"):
+                val = ext_max(*(kantorovich_general(rows[(u, a)], rows[(v, a)], ground)
+                                for a in T.labels))
             else:
                 parts = []
-                for inp in C.inputs:
-                    tu, au = trans[(u, inp)]
-                    tv, av = trans[(v, inp)]
-                    parts.append(C.monoid.dist(au, av) + target_dist(tu, tv))
+                for inp in T.labels:
+                    tu, au = rows[(u, inp)]
+                    tv, av = rows[(v, inp)]
+                    parts.append(T.monoid.dist(au, av) + target_dist(tu, tv))
                 val = ext_max(*parts)
             table[(u, v)] = val
-    return PseudoMetric(C.states, table)
+    return PseudoMetric(T.states, table)

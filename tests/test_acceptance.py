@@ -8,13 +8,12 @@ import random
 import time
 from fractions import Fraction
 
-from quantalg import (BOT, BOUNDED, Bary, EXTENDED, Exc, FinDist,
-                      FinMetricSpace, ParamPool, RATIONAL_LINE, Reader, Semi,
-                      Writer, axioms, bind, disjoint_union, ext, kantorovich,
-                      labelled_mp_theory, markov_process_theory, mdp_theory,
-                      mealy_theory, parse_term, psi_step, solve_bisim,
-                      state_target, term_dist, unfold_term, zero_metric)
-from quantalg.bisim import Coalgebra
+from quantalg import (BOUNDED, Bary, EXTENDED, Exc, FinMetricSpace, ParamPool,
+                      RATIONAL_LINE, Reader, Semi, Writer, axioms, bind,
+                      disjoint_union, ext, kantorovich, labelled_mp_theory,
+                      markov_process_theory, mdp_theory, mealy_theory,
+                      parse_coalgebras, parse_term, psi_step, solve_bisim,
+                      term_dist, unfold_term, zero_metric)
 from quantalg.errors import DivergentGround
 from quantalg.extvalue import ZERO
 
@@ -145,14 +144,12 @@ def test_acceptance_4_markov_chain_reproduction():
         "next(conv(1/2, next(raise(*)), conv(1/2, next(next(raise(*))), raise(*))))",
         MP)
     C, root = unfold_term(t, MP)
-    mk = lambda pairs: FinDist.from_pairs(pairs, key=lambda k: k)
+    chain = parse_coalgebras(
+        "mp chain { c = 1/2; state s0: 1 -> s1;"
+        " state s1: 1/2 -> s2, 1/4 -> s3, 1/4 -> bot;"
+        " state s2: 1 -> bot; state s3: 1 -> s2; }")["chain"]
     assert root == "s0" and len(C.states) == 4
-    assert C.trans["s0"] == mk([(state_target("s1"), Fraction(1))])
-    assert C.trans["s1"] == mk([(state_target("s2"), Fraction(1, 2)),
-                                (state_target("s3"), Fraction(1, 4)),
-                                (BOT, Fraction(1, 4))])
-    assert C.trans["s3"] == mk([(state_target("s2"), Fraction(1))])
-    assert C.trans["s2"] == mk([(BOT, Fraction(1))])
+    assert C.step == chain.step
     print("\nACCEPTANCE 4 PASS: displayed term unfolds to the pictured "
           "4-node chain with edges 1, 1/2, 1/4, 1")
 
@@ -196,17 +193,15 @@ def test_acceptance_5_term_bisimilarity_correspondence():
 
 
 def test_acceptance_6_closed_form_fixed_points():
-    mealy = Coalgebra("mealy", C12, ["p", "q"],
-                      {("p", "i"): (state_target("p"), Fraction(1)),
-                       ("q", "i"): (state_target("q"), Fraction(2))},
-                      inputs=["i"], monoid=RATIONAL_LINE)
+    systems = parse_coalgebras(
+        "mealy mealy { c = 1/2; inputs: i;"
+        " state p on i -> (p, 1); state q on i -> (q, 2); }"
+        " mp mp { c = 1/2; state u: 1/2 -> u, 1/2 -> bot;"
+        " state v: 1/4 -> v, 3/4 -> bot; }")
+    mealy, mp = systems["mealy"], systems["mp"]
     for tol in (Fraction(1, 10), Fraction(1, 1000), Fraction(1, 10**7)):
         d, cert = solve_bisim(mealy, tol, BOUNDED)
         assert abs(d.d("p", "q").rational - 2) <= tol
-    mk = lambda pairs: FinDist.from_pairs(pairs, key=lambda k: k)
-    mp = Coalgebra("mp", C12, ["u", "v"], {
-        "u": mk([(state_target("u"), Fraction(1, 2)), (BOT, Fraction(1, 2))]),
-        "v": mk([(state_target("v"), Fraction(1, 4)), (BOT, Fraction(3, 4))])})
     tol = Fraction(1, 10**9)
     d, _ = solve_bisim(mp, tol, BOUNDED)
     assert abs(d.d("u", "v").rational - Fraction(2, 7)) <= tol

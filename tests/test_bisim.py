@@ -3,13 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from quantalg import (BOT, BOUNDED, Coalgebra, EXTENDED, FinDist,
-                      FinMetricSpace, PseudoMetric, RATIONAL_LINE, approx_term,
-                      disjoint_union, ext, format_coalgebra,
-                      labelled_mp_theory, markov_process_theory, mealy_theory,
+from quantalg import (BOUNDED, EXTENDED, FinMetricSpace, PseudoMetric,
+                      RATIONAL_LINE, TableMonoid, approx_term, disjoint_union,
+                      ext, format_coalgebra, labelled_mp_theory,
+                      markov_process_theory, mdp_theory, mealy_theory,
                       parse_coalgebras, parse_term, parse_theory, psi_step,
-                      solve_bisim, state_target, leaf_target, term_dist,
-                      unfold_term, zero_metric)
+                      solve_bisim, term_dist, unfold_term, zero_metric)
 from quantalg.errors import DivergentGround, DomainError
 from quantalg.extvalue import ZERO
 
@@ -19,28 +18,24 @@ C12 = Fraction(1, 2)
 MP = markov_process_theory(C12)
 
 
-def dist(pairs):
-    return FinDist.from_pairs(pairs, key=lambda t: t)
+def system(text, space=None):
+    """The one system of a coalgebra text."""
+    (C,) = parse_coalgebras(text, None, space).values()
+    return C
 
 
 def mealy_pq():
-    return Coalgebra("mealy", C12, ["p", "q"],
-                     {("p", "i"): (state_target("p"), Fraction(1)),
-                      ("q", "i"): (state_target("q"), Fraction(2))},
-                     inputs=["i"], monoid=RATIONAL_LINE)
+    return system("mealy M { c = 1/2; inputs: i;"
+                  " state p on i -> (p, 1); state q on i -> (q, 2); }")
 
 
 def mp_uv():
-    return Coalgebra("mp", C12, ["u", "v"], {
-        "u": dist([(state_target("u"), C12), (BOT, C12)]),
-        "v": dist([(state_target("v"), Fraction(1, 4)), (BOT, Fraction(3, 4))]),
-    })
+    return system("mp P { c = 1/2; state u: 1/2 -> u, 1/2 -> bot;"
+                  " state v: 1/4 -> v, 3/4 -> bot; }")
 
 
 def test_psi_examples():
-    same = Coalgebra("mp", C12, ["u", "v"], {
-        "u": dist([(BOT, Fraction(1))]),
-        "v": dist([(BOT, Fraction(1))])})
+    same = system("mp P { c = 1/2; state u: 1 -> bot; state v: 1 -> bot; }")
     assert psi_step(same, zero_metric(same.states), BOUNDED).d("u", "v") == ZERO
 
     d1 = psi_step(mealy_pq(), zero_metric(["p", "q"]), BOUNDED)
@@ -69,17 +64,14 @@ def test_solve_mp_linear_fixed_point():
 
 
 def test_bisimilar_states_get_zero():
-    C = Coalgebra("mp", C12, ["u", "v"], {
-        "u": dist([(state_target("v"), C12), (BOT, C12)]),
-        "v": dist([(state_target("u"), C12), (BOT, C12)])})
+    C = system("mp P { c = 1/2; state u: 1/2 -> v, 1/2 -> bot;"
+               " state v: 1/2 -> u, 1/2 -> bot; }")
     d, cert = solve_bisim(C, Fraction(1, 100), BOUNDED)
     assert d.d("u", "v") == ZERO and cert.exact
 
 
 def test_divergent_ground_reported_in_extended_mode():
-    C = Coalgebra("mp", C12, ["u", "v"], {
-        "u": dist([(BOT, Fraction(1))]),
-        "v": dist([(state_target("v"), Fraction(1))])})
+    C = system("mp P { c = 1/2; state u: 1 -> bot; state v: 1 -> v; }")
     with pytest.raises(DivergentGround):
         solve_bisim(C, Fraction(1, 100), EXTENDED)
     d, _ = solve_bisim(C, Fraction(1, 100), BOUNDED)
@@ -93,21 +85,19 @@ def test_unfold_reproduces_four_node_chain():
     C, root = unfold_term(t, MP)
     assert root == "s0"
     assert len(C.states) == 4
-    assert C.trans["s0"] == dist([(state_target("s1"), Fraction(1))])
-    assert C.trans["s1"] == dist([(state_target("s2"), C12),
-                                  (state_target("s3"), Fraction(1, 4)),
-                                  (BOT, Fraction(1, 4))])
-    assert C.trans["s2"] == dist([(BOT, Fraction(1))])
-    assert C.trans["s3"] == dist([(state_target("s2"), Fraction(1))])
+    assert C.step == system(
+        "mp P { c = 1/2; state s0: 1 -> s1;"
+        " state s1: 1/2 -> s2, 1/4 -> s3, 1/4 -> bot;"
+        " state s2: 1 -> bot; state s3: 1 -> s2; }").step
 
 
 def test_unfold_trivial_cases():
     C, root = unfold_term(parse_term("raise(*)", MP), MP)
     assert C.states == (root,)
-    assert C.trans[root] == dist([(BOT, Fraction(1))])
+    assert C.step == system("mp P { c = 1/2; state s0: 1 -> bot; }").step
     C, root = unfold_term(parse_term("next(x)", MP), MP)
-    assert C.trans[root] == dist([(state_target("s1"), Fraction(1))])
-    assert C.trans["s1"] == dist([(leaf_target("x"), Fraction(1))])
+    assert root == "s0" and C.step == system(
+        "mp P { c = 1/2; state s0: 1 -> s1; state s1: 1 -> leaf(x); }").step
 
 
 def test_unfold_requires_guard():
@@ -118,15 +108,30 @@ def test_unfold_requires_guard():
         unfold_term(parse_term("x"), Bary())
 
 
-def test_round_trip_through_text_format():
-    t = parse_term(
-        "next(conv(1/2, next(raise(*)), conv(1/2, next(next(raise(*))), raise(*))))",
-        MP)
-    C, root = unfold_term(t, MP)
-    text = format_coalgebra(C)
-    C2 = parse_coalgebras(text)[C.name]
+ZO = TableMonoid(FinMetricSpace(["z", "o"], {("z", "o"): ext(1)}), "z",
+                 {("z", "z"): "z", ("z", "o"): "o", ("o", "z"): "o", ("o", "o"): "o"})
+XY = FinMetricSpace(["x", "y"], {("x", "y"): ext("1/2")})
+
+
+@pytest.mark.parametrize("th, term", [
+    (MP, "next(conv(1/2, next(raise(*)), conv(1/2, next(next(x)), raise(*))))"),
+    (labelled_mp_theory(["a", "b"], C12),
+     "rd(next(conv(1/3, raise(*), next(rd(x, y)))), conv(1/4, y, next(raise(*))))"),
+    (mealy_theory(["i", "j"], RATIONAL_LINE, C12),
+     "rd(wr(1, next(rd(wr(2, x), wr(1/2, y)))), wr(0, next(rd(x, y))))"),
+    (mealy_theory(["i", "j"], ZO, C12),
+     "rd(wr(o, next(rd(wr(z, x), wr(o, y)))), wr(z, next(rd(y, y))))"),
+    (mdp_theory(["a", "b"], C12),
+     "rd(conv(1/2, wr(3, next(rd(wr(0, x), wr(1, y)))), wr(0, y)),"
+     " conv(1/3, next(rd(x, y)), wr(2, next(rd(x, y)))))"),
+], ids=["mp", "lmp", "mealy", "mealy-table", "mdp"])
+def test_round_trip_through_text_format(th, term):
+    C, root = unfold_term(parse_term(term, th), th, XY)
+    text = format_coalgebra(C, monoid_name="M")
+    C2 = parse_coalgebras(text, {"M": ZO}, XY)[C.name]
     assert C2.states == C.states
-    assert C2.trans == C.trans
+    assert C2.step == C.step
+    assert format_coalgebra(C2, monoid_name="M") == text
     d1, _ = solve_bisim(C, Fraction(1, 64), BOUNDED)
     d2, _ = solve_bisim(C2, Fraction(1, 64), BOUNDED)
     assert d1 == d2
@@ -134,15 +139,23 @@ def test_round_trip_through_text_format():
 
 def test_parse_all_kinds():
     text = """
-    mp P { c = 1/2; state u: 1/2 -> u, 1/2 -> bot; }
+    mp P { c = 1/2; state u: 1/2 -> u, 1/4 -> leaf(x), 1/4 -> bot; }
     lmp L { c = 1/2; actions: a, b;
       state u on a: 1 -> u; state u on b: 1/2 -> u, 1/2 -> bot; }
     mealy M { c = 1/2; inputs: i; state p on i -> (p, 3/2); }
-    mdp D { c = 1/3; actions: a; state u on a: 1/2 -> (u, 3), 1/2 -> (u, 0); }
+    mdp D { c = 1/3; actions: a;
+      state u on a: 1/2 -> (v, 0), 1/4 -> (u, 3), 1/4 -> (u, 0); state v on a: 1 -> (v, 1); }
     """
     systems = parse_coalgebras(text)
-    assert set(systems) == {"P", "L", "M", "D"}
-    assert systems["D"].trans[("u", "a")].mass == 1
+    assert {name: format_coalgebra(C) for name, C in systems.items()} == {
+        "P": "mp P {\n  c = 1/2;\n  state u: 1/4 -> bot, 1/4 -> leaf(x), 1/2 -> u;\n}\n",
+        "L": "lmp L {\n  c = 1/2;\n  actions: a, b;\n  state u on a: 1 -> u;\n"
+             "  state u on b: 1/2 -> bot, 1/2 -> u;\n}\n",
+        "M": "mealy M {\n  c = 1/2;\n  inputs: i;\n  state p on i -> (p, 3/2);\n}\n",
+        "D": "mdp D {\n  c = 1/3;\n  actions: a;\n"
+             "  state u on a: 1/4 -> (u, 0), 1/4 -> (u, 3), 1/2 -> (v, 0);\n"
+             "  state v on a: 1 -> (v, 1);\n}\n",
+    }
     with pytest.raises(DomainError):
         parse_coalgebras("mp B { c = 1/2; state u: 1/2 -> u; }")  # mass != 1
 
@@ -150,7 +163,7 @@ def test_parse_all_kinds():
 def test_approx_term_examples():
     C = mp_uv()
     assert approx_term(C, "u", 0) == parse_term("raise(*)", MP)
-    loop = Coalgebra("mp", C12, ["s"], {"s": dist([(state_target("s"), Fraction(1))])})
+    loop = system("mp P { c = 1/2; state s: 1 -> s; }")
     assert approx_term(loop, "s", 2) == parse_term("next(next(raise(*)))", MP)
 
 
@@ -316,7 +329,7 @@ def test_mealy_table_monoid_round_trip_and_distance():
     text = format_coalgebra(C, monoid_name="M")
     monoids = {"M": mon}
     C2 = parse_coalgebras(text, monoids, X)[C.name]
-    assert C2.trans == C.trans and C2.monoid == mon
+    assert C2.step == C.step and C2.monoid == mon
 
 
 def test_correspondence_lmp_closed_terms():

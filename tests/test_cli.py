@@ -122,6 +122,17 @@ _ALGEBRA = "algebra A { carrier: S; op %s; }\n"
 _HOSTILE = {
     "coalgebra 1/0": (["bisim", "{d}/C.coalg"],
                       {"C.coalg": "mp P { c = 1/0; state u: 1 -> u; }"}, 2),
+    "coalgebra state twice": (["bisim", "{d}/C.coalg"], {"C.coalg": (
+        "mp P { c = 1/2; state u: 1 -> u; state v: 1 -> bot; state u: 1 -> bot; }")}, 2),
+    "coalgebra row twice": (["bisim", "{d}/C.coalg"], {"C.coalg": (
+        "lmp L { c = 1/2; actions: a; state u on a: 1 -> u; state u on a: 1 -> bot; }")}, 2),
+    "coalgebra mealy output zz": (["bisim", "{d}/C.coalg"], {"C.coalg": (
+        "mealy M { c = 1/2; inputs: i; state p on i -> (p, zz); }")}, 1),
+    "coalgebra mealy output 3": (["bisim", "--monoid", "{d}/M.monoid", "{d}/C.coalg"], {
+        "M.monoid": _MONOID % "1",
+        "C.coalg": "mealy M { c = 1/2; inputs: i; monoid: M; state p on i -> (p, 3); }"}, 1),
+    "coalgebra mdp reward zz": (["bisim", "{d}/C.coalg"], {"C.coalg": (
+        "mdp D { c = 1/2; actions: a; state u on a: 1 -> (u, zz); }")}, 1),
     "term 1/0": (["dist", "--theory", "bary", "--inline", "conv(1/0, x, y)", "x"], {}, 2),
     "theory 1/0": (["dist", "--theory", "contr{next, 1/0}", "--inline", "x", "x"], {}, 2),
     "space 1/0": (["dist", "--theory", "bary", "--space", "{d}/B.space", "--inline", "p", "q"],

@@ -1,14 +1,13 @@
 """Psi as the term distance on one-step values, against the per-kind
-operator of tests/oracles.py."""
+operator of tests/oracles.py applied to the table the test drew."""
 
 import random
 from fractions import Fraction
 
-from quantalg import (BOT, BOUNDED, EXTENDED, Coalgebra, FinDist,
-                      FinMetricSpace, RATIONAL_LINE, TableMonoid, ext,
-                      leaf_target, psi_step, state_target, zero_metric)
+from quantalg import (BOUNDED, EXTENDED, FinDist, FinMetricSpace,
+                      RATIONAL_LINE, TableMonoid, ext, psi_step, zero_metric)
 
-from helpers import random_space
+from helpers import BOT, Table, leaf, random_space, st, table_coalgebra
 from oracles import psi_reference
 
 INF_MONOID = TableMonoid(
@@ -26,35 +25,31 @@ def _row(rng, targets):
     return FinDist.from_pairs(zip(support, weights))
 
 
-def random_system(rng, kind, space, monoid=RATIONAL_LINE, n=3):
-    """A random system of the kind whose targets include bot (mp, lmp) and
+def random_table(rng, kind, space, monoid=RATIONAL_LINE, n=3):
+    """A random table of the kind whose targets include bot (mp, lmp) and
     leaf(x) points of the space."""
     states = [f"s{k}" for k in range(n)]
-    targets = [state_target(s) for s in states] + [leaf_target(x) for x in space.points]
+    targets = [st(s) for s in states] + [leaf(x) for x in space.points]
     if kind in ("mp", "lmp"):
         targets.append(BOT)
     labels = ("a", "b")
     if kind == "mp":
-        return Coalgebra("mp", Fraction(1, 2), states,
-                         {s: _row(rng, targets) for s in states}, space=space)
+        return Table("mp", Fraction(1, 2), states, {s: _row(rng, targets) for s in states})
     if kind == "lmp":
-        return Coalgebra("lmp", Fraction(1, 3), states,
-                         {(s, a): _row(rng, targets) for s in states for a in labels},
-                         actions=labels, space=space)
+        return Table("lmp", Fraction(1, 3), states,
+                     {(s, a): _row(rng, targets) for s in states for a in labels}, labels)
     if kind == "mdp":
         def mdp_row():
             base = _row(rng, targets)
             return FinDist.from_pairs(((t, Fraction(rng.randint(0, 4), 2)), w)
                                       for t, w in base.items)
-        return Coalgebra("mdp", Fraction(2, 3), states,
-                         {(s, a): mdp_row() for s in states for a in labels},
-                         actions=labels, space=space)
+        return Table("mdp", Fraction(2, 3), states,
+                     {(s, a): mdp_row() for s in states for a in labels}, labels)
     outputs = list(monoid.elements) if monoid is not RATIONAL_LINE \
         else [Fraction(k, 2) for k in range(5)]
-    return Coalgebra("mealy", Fraction(1, 2), states,
-                     {(s, i): (rng.choice(targets), rng.choice(outputs))
-                      for s in states for i in labels},
-                     inputs=labels, monoid=monoid, space=space)
+    return Table("mealy", Fraction(1, 2), states,
+                 {(s, i): (rng.choice(targets), rng.choice(outputs))
+                  for s in states for i in labels}, labels, monoid)
 
 
 def test_psi_matches_per_kind_reference_on_kleene_iterates():
@@ -65,9 +60,10 @@ def test_psi_matches_per_kind_reference_on_kleene_iterates():
         for mode in (BOUNDED, EXTENDED):
             for _ in range(6):
                 space = random_space(rng, ["x", "y"], max_den=4, inf_prob=0.3)
-                C = random_system(rng, kind, space, monoid)
+                T = random_table(rng, kind, space, monoid)
+                C = table_coalgebra(T, space)
                 d = zero_metric(C.states)
                 for _ in range(4):
                     got = psi_step(C, d, mode)
-                    assert got == psi_reference(C, d, mode), (kind, mode)
+                    assert got == psi_reference(T, d, mode, space), (kind, mode)
                     d = got
