@@ -10,7 +10,7 @@ checks finite models against theory axioms.
 
 from .bisim import (Certificate, Coalgebra, PseudoMetric, approx_term,
                     disjoint_union, format_coalgebra, parse_coalgebras,
-                    psi_step, solve_bisim, unfold_term, zero_metric)
+                    psi_step, solve_bisim, unfold_term)
 from .errors import (DivergentGround, DomainError, ParseError, QuantAlgError,
                      UnsupportedShape)
 from .extvalue import INF, ONE, ZERO, ExtValue, ext

@@ -118,10 +118,6 @@ class PseudoMetric:
             and self._t == other._t
 
 
-def zero_metric(states: Sequence[str]) -> PseudoMetric:
-    return PseudoMetric(states)
-
-
 # ---------------------------------------------------------------------------
 # The one-step operator
 
@@ -170,7 +166,7 @@ def solve_bisim(C: Coalgebra, tol, mode: str = BOUNDED
     tol = Fraction(tol)
     if tol <= 0:
         raise DomainError("tol must be positive")
-    d0 = zero_metric(C.states)
+    d0 = PseudoMetric(C.states)
     d1 = psi_step(C, d0, mode)
     gap = d1.sup_diff(d0)
     if mode == EXTENDED and gap.is_inf:

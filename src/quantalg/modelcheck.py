@@ -5,9 +5,10 @@ axiom, and tensor commutation.
 Interpretation tables may be partial (the barycentric and semilattice models
 are carved out of infinite algebras, and no nontrivial finite fragment is
 closed under all operations); assignments whose lookups are undefined are
-skipped and counted in the report.  Premise thresholds of continuous
-schemata are swept over the realized carrier distances, which suffices
-because satisfaction is monotone in the thresholds.
+skipped and counted in the report.  A continuous schema is also checked
+with each premise threshold set to the actual premise distance, the tightest
+threshold that admits the assignment; this suffices because satisfaction is
+monotone in the thresholds.
 """
 
 from __future__ import annotations
@@ -148,13 +149,11 @@ def check_nonexpansive(alg: FiniteAlgebra, op: OpSym,
 def check_equation(alg: FiniteAlgebra, ax: AxiomInstance,
                    origin: str = "") -> CheckEntry:
     """For every assignment: premises within their thresholds imply the
-    conclusion within the bound, with thresholds swept over realized
-    distances when the axiom carries a continuous bound function."""
+    conclusion within the bound, with the thresholds set to the actual
+    premise distances when the axiom carries a continuous bound function."""
     entry = CheckEntry("axiom", ax.label, origin, True)
     variables = ax.variables()
     pts = alg.carrier.points
-    realized = sorted(
-        {alg.carrier.d(p, q) for p in pts for q in pts if not alg.carrier.d(p, q).is_inf})
     for values in itertools.product(pts, repeat=len(variables)):
         assignment = dict(zip(variables, values))
         lhs = alg.evaluate(ax.lhs, assignment)
@@ -164,7 +163,7 @@ def check_equation(alg: FiniteAlgebra, ax: AxiomInstance,
             continue
         entry.checked += 1
         got = alg.carrier.d(lhs, rhs)
-        violation = _equation_violation(alg, ax, assignment, got, realized)
+        violation = _equation_violation(alg, ax, assignment, got)
         if violation is not None:
             entry.passed = False
             entry.counterexample = Counterexample(assignment, violation)
@@ -172,7 +171,7 @@ def check_equation(alg: FiniteAlgebra, ax: AxiomInstance,
     return entry
 
 
-def _equation_violation(alg, ax, assignment, got, realized) -> Optional[str]:
+def _equation_violation(alg, ax, assignment, got) -> Optional[str]:
     if not ax.premises:
         if got > ax.bound:
             return f"d(lhs, rhs) = {got} > {ax.bound}"
@@ -185,16 +184,13 @@ def _equation_violation(alg, ax, assignment, got, realized) -> Optional[str]:
         return f"premises hold at {[str(e) for e in eps]} but d = {got} > {ax.bound}"
     if ax.bound_fn is None:
         return None
-    # Tightest sweep point: per premise, the least realized distance at or
-    # above the actual one (bound_fn is monotone, so this dominates the sweep).
-    tight = []
-    for pd in premise_dists:
-        if pd.is_inf:
-            return None  # no rational threshold admits this premise
-        tight.append(min(d for d in realized if d >= pd))
-    bound = ax.bound_fn(*tight)
+    # The tightest thresholds are the premise distances themselves (bound_fn
+    # is monotone, so they dominate every other choice).
+    if any(pd.is_inf for pd in premise_dists):
+        return None  # no rational threshold admits this premise
+    bound = ax.bound_fn(*premise_dists)
     if got > bound:
-        return (f"premises hold at {[str(e) for e in tight]} "
+        return (f"premises hold at {[str(e) for e in premise_dists]} "
                 f"but d = {got} > {bound}")
     return None
 

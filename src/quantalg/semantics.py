@@ -20,7 +20,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 from .errors import DomainError
 from .extvalue import INF, ONE, ZERO, ExtValue, ext_max
-from .spaces import FinDist, FinMetricSpace, hausdorff_general, kantorovich_general
+from .spaces import FinMetricSpace, hausdorff_general, kantorovich_general
 from .terms import Term, Var
 from .theories import LayerPlan, TheoryExpr, layer_plan
 
@@ -346,8 +346,7 @@ class _Kernel:
                 raise DomainError(f"states {a.name}, {b.name} need a state metric")
             return self.state_dist(a.name, b.name)
         if kind is DistVal:
-            return kantorovich_general(FinDist(a.items), FinDist(b.items),
-                                       self.capped if self.bounded else self.rec)
+            return kantorovich_general(a, b, self.capped if self.bounded else self.rec)
         if kind is SetVal:
             return hausdorff_general(a.items, b.items,
                                      self.capped if self.bounded else self.rec)

@@ -179,23 +179,18 @@ class FinDist:
     def dirac(point) -> "FinDist":
         return FinDist(((point, Fraction(1)),))
 
-    @property
-    def mass(self) -> Fraction:
-        return sum(w for _, w in self.items)
-
     def support(self) -> Tuple[object, ...]:
         return tuple(k for k, _ in self.items)
 
 
-def kantorovich_general(mu: FinDist, nu: FinDist,
-                        ground: Callable[[object, object], ExtValue]) -> ExtValue:
+def kantorovich_general(mu, nu, ground: Callable[[object, object], ExtValue]) -> ExtValue:
     """Optimal transport cost between equal-mass distributions.
 
-    Zero-mass cells never touch the ground function, so an infinite ground
-    never multiplies a zero weight.
+    mu and nu are anything with `.items`, a tuple of (point, positive weight)
+    pairs: a FinDist or a semantic DistVal.  The transport checks that their
+    masses are equal.  Zero-mass cells never touch the ground function, so an
+    infinite ground never multiplies a zero weight.
     """
-    if mu.mass != nu.mass:
-        raise DomainError(f"mass mismatch: {mu.mass} vs {nu.mass}")
     if mu == nu:
         return ZERO
     supplies = [w for _, w in mu.items]

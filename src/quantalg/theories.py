@@ -224,9 +224,6 @@ class Signature:
             if keys.count(key) > 1:
                 raise DomainError(f"signature families overlap on {key!r}")
 
-    def contains(self, op: OpSym) -> bool:
-        return any(f.admits(op) for f in self.families)
-
     def membership_problem(self, op: OpSym) -> Optional[str]:
         """None if op is generated; otherwise a description of the violation."""
         same_kind = [f for f in self.families if f.kind == op.kind]

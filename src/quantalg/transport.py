@@ -9,19 +9,24 @@ componentwise and compare lexicographically, which Python tuples do
 natively.
 
 The solver is the classical primal transportation simplex on a spanning
-tree basis, with Bland's rule on both the entering and leaving choices
-to prevent cycling.  Everything is exact.
+tree basis, started from the northwest corner.  The basis is a dict from
+basic cells to their flows.  Each pivot makes one walk of the basis tree
+from row 0, which gives every node its potential (u_i + v_j = c_ij on
+basic cells), parent and depth; the entering cell is read off the
+potentials and the cycle off the parents.  Bland's rule on both the
+entering and leaving choices prevents cycling.  Everything is exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .errors import DomainError
 from .extvalue import INF, ExtValue
 
 Cost = Tuple[Fraction, Fraction]
+Cell = Tuple[int, int]
 
 _ZERO: Cost = (Fraction(0), Fraction(0))
 _FORBIDDEN: Cost = (Fraction(1), Fraction(0))
@@ -41,6 +46,11 @@ def _sub(a: Cost, b: Cost) -> Cost:
 
 def _scale(a: Cost, t: Fraction) -> Cost:
     return (a[0] * t, a[1] * t)
+
+
+def _edge_cell(a: int, b: int, m: int) -> Cell:
+    """The basic cell of the tree edge between nodes a and b."""
+    return (a, b - m) if a < m else (b, a - m)
 
 
 def min_cost_transport(
@@ -63,138 +73,82 @@ def min_cost_transport(
         )
 
     costs: List[List[Cost]] = [[_cost_of(cost[i][j]) for j in range(n)] for i in range(m)]
-
-    if m == 1:
-        total = _ZERO
-        for j in range(n):
-            total = _add(total, _scale(costs[0][j], demands[j]))
-        return _finish(total)
-    if n == 1:
-        total = _ZERO
-        for i in range(m):
-            total = _add(total, _scale(costs[i][0], supplies[i]))
-        return _finish(total)
-
-    flow, basis = _northwest_corner(list(supplies), list(demands))
-
-    while True:
-        entering = _entering_cell(costs, basis, m, n)
-        if entering is None:
-            break
-        _pivot(flow, basis, entering, m, n)
+    basis = _northwest_corner(list(supplies), list(demands))
+    # With one row or one column the northwest corner is the only feasible flow.
+    if m > 1 and n > 1:
+        while _pivot(costs, basis, m, n):
+            pass
 
     total = _ZERO
-    for (i, j) in basis:
-        if flow[i][j]:
-            total = _add(total, _scale(costs[i][j], flow[i][j]))
-    return _finish(total)
-
-
-def _finish(total: Cost) -> ExtValue:
+    for (i, j), f in basis.items():
+        if f:
+            total = _add(total, _scale(costs[i][j], f))
     return INF if total[0] > 0 else ExtValue(total[1])
 
 
-def _northwest_corner(a: List[Fraction], b: List[Fraction]):
+def _northwest_corner(a: List[Fraction], b: List[Fraction]) -> Dict[Cell, Fraction]:
     m, n = len(a), len(b)
-    flow = [[Fraction(0)] * n for _ in range(m)]
-    basis = []
+    basis: Dict[Cell, Fraction] = {}
     i = j = 0
     while True:
         t = min(a[i], b[j])
-        flow[i][j] = t
-        basis.append((i, j))
+        basis[(i, j)] = t
         a[i] -= t
         b[j] -= t
         if i == m - 1 and j == n - 1:
-            break
+            return basis
         if a[i] == 0 and i < m - 1:
             i += 1
         else:
             j += 1
-    return flow, basis
 
 
-def _entering_cell(costs, basis, m, n) -> Optional[Tuple[int, int]]:
-    u, v = _duals(costs, basis, m, n)
-    in_basis = set(basis)
-    for i in range(m):
-        for j in range(n):
-            if (i, j) in in_basis:
-                continue
-            reduced = _sub(costs[i][j], _add(u[i], v[j]))
-            if reduced < _ZERO:
-                return (i, j)  # Bland: first in row-major order
-    return None
+def _pivot(costs, basis: Dict[Cell, Fraction], m: int, n: int) -> bool:
+    """One simplex pivot on basis; False when the basis is already optimal.
 
-
-def _duals(costs, basis, m, n):
-    # Solve u_i + v_j = c_ij over the spanning-tree basis.
-    u: List[Optional[Cost]] = [None] * m
-    v: List[Optional[Cost]] = [None] * n
-    u[0] = _ZERO
-    by_row = [[] for _ in range(m)]
-    by_col = [[] for _ in range(n)]
+    Tree nodes are rows 0..m-1 and columns m..m+n-1.
+    """
+    adj = [[] for _ in range(m + n)]
     for (i, j) in basis:
-        by_row[i].append(j)
-        by_col[j].append(i)
-    stack = [("r", 0)]
+        adj[i].append(m + j)
+        adj[m + j].append(i)
+    pot = [None] * (m + n)
+    parent = [0] * (m + n)
+    depth = [0] * (m + n)
+    pot[0] = _ZERO
+    stack = [0]
     while stack:
-        side, k = stack.pop()
-        if side == "r":
-            for j in by_row[k]:
-                if v[j] is None:
-                    v[j] = _sub(costs[k][j], u[k])
-                    stack.append(("c", j))
+        a = stack.pop()
+        for b in adj[a]:
+            if pot[b] is None:
+                i, j = _edge_cell(a, b, m)
+                pot[b] = _sub(costs[i][j], pot[a])
+                parent[b], depth[b] = a, depth[a] + 1
+                stack.append(b)
+
+    entering = next(
+        ((i, j) for i in range(m) for j in range(n)
+         if (i, j) not in basis and _sub(costs[i][j], _add(pot[i], pot[m + j])) < _ZERO),
+        None)  # Bland: the first improving cell in row-major order
+    if entering is None:
+        return False
+
+    # The cycle closes entering with the tree path from its row to its column,
+    # the two ends climbing to their common ancestor.
+    up, down = [entering[0]], [m + entering[1]]
+    while up[-1] != down[-1]:
+        if depth[up[-1]] >= depth[down[-1]]:
+            up.append(parent[up[-1]])
         else:
-            for i in by_col[k]:
-                if u[i] is None:
-                    u[i] = _sub(costs[i][k], v[k])
-                    stack.append(("r", i))
-    assert all(x is not None for x in u) and all(x is not None for x in v)
-    return u, v
-
-
-def _pivot(flow, basis, entering, m, n):
-    cycle = _find_cycle(basis, entering)
+            down.append(parent[down[-1]])
+    path = up + down[-2::-1]  # entering row, ..., common ancestor, ..., entering column
+    cycle = [entering] + [_edge_cell(a, b, m) for a, b in zip(path, path[1:])]
     # Odd positions give up flow; theta is the smallest of them.
     givers = cycle[1::2]
-    theta = min(flow[i][j] for (i, j) in givers)
-    leaving = min((i, j) for (i, j) in givers if flow[i][j] == theta)  # Bland
-    for k, (i, j) in enumerate(cycle):
-        flow[i][j] = flow[i][j] + theta if k % 2 == 0 else flow[i][j] - theta
-    basis.remove(leaving)
-    basis.append(entering)
-    basis.sort()
-
-
-def _find_cycle(basis, entering) -> List[Tuple[int, int]]:
-    """The unique alternating cycle in basis + entering, starting at entering."""
-    # Path in the basis tree from entering's row node to its column node.
-    adj = {}
-    for (i, j) in basis:
-        adj.setdefault(("r", i), []).append(("c", j))
-        adj.setdefault(("c", j), []).append(("r", i))
-    start = ("r", entering[0])
-    goal = ("c", entering[1])
-    prev = {start: None}
-    stack = [start]
-    while stack:
-        node = stack.pop()
-        if node == goal:
-            break
-        for nxt in adj.get(node, ()):
-            if nxt not in prev:
-                prev[nxt] = node
-                stack.append(nxt)
-    assert goal in prev, "basis is not a spanning tree"
-    path = [goal]
-    while path[-1] != start:
-        path.append(prev[path[-1]])
-    path.reverse()  # r_i0, c_j1, r_i1, ..., c_j(entering)
-    cells = [entering]
-    for a, b in zip(path, path[1:]):
-        if a[0] == "r":
-            cells.append((a[1], b[1]))
-        else:
-            cells.append((b[1], a[1]))
-    return cells
+    theta = min(basis[c] for c in givers)
+    leaving = min(c for c in givers if basis[c] == theta)  # Bland
+    basis[entering] = Fraction(0)
+    for k, c in enumerate(cycle):
+        basis[c] = basis[c] + theta if k % 2 == 0 else basis[c] - theta
+    del basis[leaving]
+    return True

@@ -9,11 +9,11 @@ import time
 from fractions import Fraction
 
 from quantalg import (BOUNDED, Bary, EXTENDED, Exc, FinMetricSpace, ParamPool,
-                      RATIONAL_LINE, Reader, Semi, Writer, axioms, bind,
+                      PseudoMetric, RATIONAL_LINE, Reader, Semi, Writer, axioms, bind,
                       disjoint_union, ext, kantorovich, labelled_mp_theory,
                       markov_process_theory, mdp_theory, mealy_theory,
                       parse_coalgebras, parse_term, psi_step, solve_bisim,
-                      term_dist, unfold_term, zero_metric)
+                      term_dist, unfold_term)
 from quantalg.errors import DivergentGround
 from quantalg.extvalue import ZERO
 
@@ -206,7 +206,7 @@ def test_acceptance_6_closed_form_fixed_points():
     d, _ = solve_bisim(mp, tol, BOUNDED)
     assert abs(d.d("u", "v").rational - Fraction(2, 7)) <= tol
     # value-iteration cross-check of the hand-derived 2/7
-    it = zero_metric(mp.states)
+    it = PseudoMetric(mp.states)
     for _ in range(60):
         it = psi_step(mp, it, BOUNDED)
     assert abs(it.d("u", "v").rational - Fraction(2, 7)) <= Fraction(1, 2**55)

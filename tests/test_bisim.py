@@ -8,7 +8,7 @@ from quantalg import (BOUNDED, EXTENDED, FinMetricSpace, PseudoMetric,
                       ext, format_coalgebra, labelled_mp_theory,
                       markov_process_theory, mdp_theory, mealy_theory,
                       parse_coalgebras, parse_term, parse_theory, psi_step,
-                      solve_bisim, term_dist, unfold_term, zero_metric)
+                      solve_bisim, term_dist, unfold_term)
 from quantalg.errors import DivergentGround, DomainError
 from quantalg.extvalue import ZERO
 
@@ -36,12 +36,12 @@ def mp_uv():
 
 def test_psi_examples():
     same = system("mp P { c = 1/2; state u: 1 -> bot; state v: 1 -> bot; }")
-    assert psi_step(same, zero_metric(same.states), BOUNDED).d("u", "v") == ZERO
+    assert psi_step(same, PseudoMetric(same.states), BOUNDED).d("u", "v") == ZERO
 
-    d1 = psi_step(mealy_pq(), zero_metric(["p", "q"]), BOUNDED)
+    d1 = psi_step(mealy_pq(), PseudoMetric(["p", "q"]), BOUNDED)
     assert d1.d("p", "q") == ext(1)
 
-    d1 = psi_step(mp_uv(), zero_metric(["u", "v"]), BOUNDED)
+    d1 = psi_step(mp_uv(), PseudoMetric(["u", "v"]), BOUNDED)
     assert d1.d("u", "v") == ext("1/4")
 
 
@@ -57,7 +57,7 @@ def test_solve_mp_linear_fixed_point():
     d, cert = solve_bisim(mp_uv(), tol, BOUNDED)
     assert abs(d.d("u", "v").rational - Fraction(2, 7)) <= tol
     # value iteration cross-check at a coarser horizon
-    d_it = zero_metric(["u", "v"])
+    d_it = PseudoMetric(["u", "v"])
     for _ in range(40):
         d_it = psi_step(mp_uv(), d_it, BOUNDED)
     assert abs(d_it.d("u", "v").rational - Fraction(2, 7)) < Fraction(1, 10**10)
@@ -198,7 +198,7 @@ def test_psi_monotone_and_contractive():
             d1 = PseudoMetric(C.states, {
                 (u, v): space.d(u, v).truncated(ext(1))
                 for u in C.states for v in C.states if u != v})
-            d0 = zero_metric(C.states)
+            d0 = PseudoMetric(C.states)
             p0, p1 = psi_step(C, d0, BOUNDED), psi_step(C, d1, BOUNDED)
             for (u, v), val in p0.pairs():
                 assert val <= p1.d(u, v)  # monotone

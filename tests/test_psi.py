@@ -4,8 +4,8 @@ operator of tests/oracles.py applied to the table the test drew."""
 import random
 from fractions import Fraction
 
-from quantalg import (BOUNDED, EXTENDED, FinDist, FinMetricSpace,
-                      RATIONAL_LINE, TableMonoid, ext, psi_step, zero_metric)
+from quantalg import (BOUNDED, EXTENDED, FinDist, FinMetricSpace, PseudoMetric,
+                      RATIONAL_LINE, TableMonoid, ext, psi_step)
 
 from helpers import BOT, Table, leaf, random_space, st, table_coalgebra
 from oracles import psi_reference
@@ -62,7 +62,7 @@ def test_psi_matches_per_kind_reference_on_kleene_iterates():
                 space = random_space(rng, ["x", "y"], max_den=4, inf_prob=0.3)
                 T = random_table(rng, kind, space, monoid)
                 C = table_coalgebra(T, space)
-                d = zero_metric(C.states)
+                d = PseudoMetric(C.states)
                 for _ in range(4):
                     got = psi_step(C, d, mode)
                     assert got == psi_reference(T, d, mode, space), (kind, mode)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ from quantalg import (FinDist, FinMetricSpace, box, coproduct, discrete,
                       hausdorff, kantorovich, parse_spaces, power, rescale)
 from quantalg.errors import DomainError
 from quantalg.extvalue import INF, ZERO, ext
+from quantalg.transport import min_cost_transport
 
 from helpers import random_dist, random_space
 from oracles import enumerate_transport
@@ -201,3 +203,52 @@ def test_transport_simplex_against_float_lp_on_larger_instances():
                                 bounds=[(0, None)] * (mm * nn), method="highs")
         assert res.success
         assert abs(float(got.rational) - res.fun) < 1e-9
+
+
+def _masses(rng, k, uniform):
+    if uniform:
+        return [Fraction(1, k)] * k
+    raw = [rng.randint(1, 9) for _ in range(k)]
+    return [Fraction(r, sum(raw)) for r in raw]
+
+
+def test_transport_simplex_against_networkx_on_integer_scaled_instances():
+    # Exact oracle up to 16 x 16: scale masses and costs to integers, make the
+    # finite cells arcs of a bipartite network, and solve it with networkx's
+    # network simplex.  Uniform masses make the northwest corner degenerate.
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(16)
+    sizes = [(16, 16), (16, 1), (1, 16)]
+    sizes += [(rng.randint(2, 16), rng.randint(2, 16)) for _ in range(45)]
+    infeasible = 0
+    for k, (m, n) in enumerate(sizes):
+        uniform = k % 3 == 0
+        if uniform and k % 2 == 0:
+            n = m
+        supplies, demands = _masses(rng, m, uniform), _masses(rng, n, uniform)
+        forbid = rng.choice([0, 0.2, 0.5])
+        cost = [[INF if rng.random() < forbid
+                 else ext(Fraction(rng.randint(0, 12), rng.choice([1, 2, 3, 4])))
+                 for _ in range(n)] for _ in range(m)]
+        got = min_cost_transport(supplies, demands, cost)
+
+        mass_scale = math.lcm(*(w.denominator for w in supplies + demands))
+        cost_scale = math.lcm(*(c.rational.denominator for row in cost for c in row
+                                if not c.is_inf))
+        G = nx.DiGraph()
+        for i, s in enumerate(supplies):
+            G.add_node(("r", i), demand=-int(s * mass_scale))
+        for j, d in enumerate(demands):
+            G.add_node(("c", j), demand=int(d * mass_scale))
+        for i in range(m):
+            for j in range(n):
+                if not cost[i][j].is_inf:
+                    G.add_edge(("r", i), ("c", j), weight=int(cost[i][j].rational * cost_scale))
+        try:
+            flow_cost, _ = nx.network_simplex(G)
+            want = ext(Fraction(flow_cost, mass_scale * cost_scale))
+        except nx.NetworkXUnfeasible:
+            want = INF
+            infeasible += 1
+        assert got == want, (m, n, supplies, demands, cost)
+    assert 0 < infeasible < len(sizes)

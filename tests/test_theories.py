@@ -21,17 +21,20 @@ POOL = ParamPool.make(weights=[C12, Fraction(1, 3)], epsilons=[1, 2],
 
 
 def test_signature_membership():
+    def generated(sig, op):
+        return sig.membership_problem(op) is None
+
     sig = signature_of(Bary())
-    assert sig.contains(conv(C12))
-    assert not sig.contains(read(2))
+    assert generated(sig, conv(C12))
+    assert not generated(sig, read(2))
     sig = signature_of(Sum(Bary(), Exc(ONE_POINT)))
-    assert sig.contains(raise_("*"))
-    assert not sig.contains(raise_("other"))
+    assert generated(sig, raise_("*"))
+    assert not generated(sig, raise_("other"))
     sig = signature_of(Tensor(Reader(("i1", "i2")), Writer(RATIONAL_LINE)))
-    assert sig.contains(read(2))
-    assert not sig.contains(read(3))
-    assert sig.contains(write(Fraction(7, 3)))
-    assert not sig.contains(write("a"))
+    assert generated(sig, read(2))
+    assert not generated(sig, read(3))
+    assert generated(sig, write(Fraction(7, 3)))
+    assert not generated(sig, write("a"))
 
 
 def test_signature_disjointness_enforced():
