@@ -16,16 +16,16 @@ from .errors import (DivergentGround, DomainError, ParseError, QuantAlgError,
 from .extvalue import INF, ONE, ZERO, ExtValue, ext
 from .modelcheck import (CheckEntry, Counterexample, FiniteAlgebra, Report,
                          check_equation, check_nonexpansive, check_theory,
-                         distribution_model, format_report, parse_algebras,
-                         powerset_model, reader_model, writer_model)
+                         distribution_model, format_report, free_model,
+                         parse_algebras, powerset_model, reader_model,
+                         writer_model)
 from .semantics import (BOUNDED, EXTENDED, DistVal, ExcLeaf, FuncVal, Guard,
                         PairVal, SemValue, SetVal, StateLeaf, VarLeaf,
                         apply_operation, canon_key, denote, denote_with_plan,
                         format_value, make_dist, make_set, map_guards,
                         sem_dist, sem_dist_with_plan, term_dist)
-from .spaces import (FinDist, FinMetricSpace, box, coproduct, discrete,
-                     hausdorff, hausdorff_general, kantorovich,
-                     kantorovich_general, parse_spaces, power, rescale)
+from .spaces import (FinMetricSpace, discrete, hausdorff_general,
+                     kantorovich_general, parse_spaces)
 from .terms import (App, OpSym, Term, Var, app, bind, conv, empty_op,
                     format_term, next_op, parse_term, raise_, read, union_op,
                     variables, well_formed, write)

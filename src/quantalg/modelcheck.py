@@ -2,13 +2,20 @@
 non-expansiveness of every interpretation, satisfaction of every instantiated
 axiom, and tensor commutation.
 
-Interpretation tables may be partial (the barycentric and semilattice models
-are carved out of infinite algebras, and no nontrivial finite fragment is
-closed under all operations); assignments whose lookups are undefined are
-skipped and counted in the report.  A continuous schema is also checked
-with each premise threshold set to the actual premise distance, the tightest
-threshold that admits the assignment; this suffices because satisfaction is
-monotone in the thresholds.
+Interpretation tables may be partial (the barycentric model is carved out of
+an infinite algebra, and no nontrivial finite fragment of it is closed under
+all operations); assignments whose lookups are undefined are skipped and
+counted in the report.  A continuous schema is also checked with each
+premise threshold set to the actual premise distance, the tightest threshold
+that admits the assignment; this suffices because satisfaction is monotone
+in the thresholds.
+
+The built-in models are finite carriers inside the free models of the
+theories (`free_model`): sets with the Hausdorff metric, a grid of
+distributions with the Kantorovich metric, functions with the supremum
+metric and output-value pairs with the sum metric.  Their distances are
+`semantics.sem_dist` and their tables `semantics.apply_operation`,
+restricted to the carrier.
 """
 
 from __future__ import annotations
@@ -16,17 +23,20 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import DomainError
 from .extvalue import ZERO, ext_max
 from .lexing import TokenStream
-from .spaces import (FinDist, FinMetricSpace, box, hausdorff, kantorovich, pair_id,
-                     power, tuple_id)
+from .semantics import (DistVal, ExcLeaf, FuncVal, Guard, PairVal, SemValue, SetVal,
+                        VarLeaf, apply_operation, make_dist, make_set,
+                        sem_dist_with_plan)
+from .spaces import FinMetricSpace
 from .terms import (OpSym, Term, Var, conv, empty_op, next_op, raise_, read,
                     union_op, write)
-from .theories import (AxiomInstance, ParamPool, TableMonoid, TheoryExpr,
-                       axiom_groups, conv_weight_closure, instantiate_generators)
+from .theories import (AxiomInstance, Bary, ParamPool, Reader, Semi, TableMonoid,
+                       TheoryExpr, Writer, axiom_groups, instantiate_generators,
+                       layer_plan)
 
 Table = Dict[Tuple[str, ...], str]
 
@@ -105,13 +115,10 @@ class Report:
                       list(self.notes))
 
 
-def check_nonexpansive(alg: FiniteAlgebra, op: OpSym,
-                       lipschitz: Optional[Fraction] = None,
-                       origin: str = "") -> CheckEntry:
-    """Exhaustively check d(f(a), f(b)) <= (c *) max_i d(a_i, b_i)."""
-    factor = lipschitz
-    if factor is None and op.kind == "next":
-        factor = op.param[1]
+def check_nonexpansive(alg: FiniteAlgebra, op: OpSym, origin: str = "") -> CheckEntry:
+    """Exhaustively check d(f(a), f(b)) <= c * max_i d(a_i, b_i), where c is
+    the contraction factor of a `next` operation and 1 otherwise."""
+    factor = op.param[1] if op.kind == "next" else None
     n = op.arity
     entry = CheckEntry("nonexpansive", f"nonexpansive {op}", origin, True)
     pts = alg.carrier.points
@@ -130,12 +137,9 @@ def check_nonexpansive(alg: FiniteAlgebra, op: OpSym,
                 spread = ZERO
             else:
                 spread = ext_max(*(alg.carrier.d(x, y) for x, y in zip(avec, bvec)))
-            if factor is not None:
-                if spread.is_inf:
-                    continue
-                allowed = spread.scaled(factor)
-            else:
-                allowed = spread
+            if spread.is_inf:
+                continue  # an infinite spread bounds nothing
+            allowed = spread if factor is None else spread.scaled(factor)
             got = alg.carrier.d(fa, fb)
             if got > allowed:
                 entry.passed = False
@@ -232,54 +236,59 @@ def format_report(report: Report, verbose: bool = False) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Built-in concrete models
+# Built-in concrete models: finite carriers inside the free models
 
-def set_id(points: Iterable[str]) -> str:
-    inner = ",".join(sorted(points))
-    return "{" + inner + "}"
+def point_name(v: SemValue) -> str:
+    """The carrier point that spells a value: {p,q} for a set, [p:1/2;q:1/2]
+    for a distribution, <p,q> for a function (inputs in order), (z,p) for a
+    pair, raise(e) for an exception and n(v) for a guard of operation n."""
+    if isinstance(v, VarLeaf):
+        return v.name
+    if isinstance(v, SetVal):
+        return "{" + ",".join(point_name(x) for x in v.items) + "}"
+    if isinstance(v, DistVal):
+        return "[" + ";".join(f"{point_name(x)}:{w}" for x, w in v.items) + "]"
+    if isinstance(v, FuncVal):
+        return "<" + ",".join(point_name(x) for _, x in v.items) + ">"
+    if isinstance(v, PairVal):
+        return f"({v.alpha},{point_name(v.inner)})"
+    if isinstance(v, ExcLeaf):
+        return f"raise({v.label})"
+    if isinstance(v, Guard):
+        return f"{v.name}({point_name(v.inner)})"
+    raise TypeError(f"no point name for {v!r}")
+
+
+def free_model(atom: TheoryExpr, X: FinMetricSpace, values: Sequence[SemValue],
+               params: ParamPool = ParamPool(), name: str = "free") -> FiniteAlgebra:
+    """The finite part of the free model of `atom` over X that the carrier
+    `values` cuts out: the free monad's distance (sem_dist, extended mode),
+    and for each generator every result that lands in the carrier, so the
+    tables are partial where the carrier is not closed."""
+    plan = layer_plan(atom)
+    points = [point_name(v) for v in values]
+    ids = dict(zip(values, points))
+    memo: dict = {}
+    dist = {(ids[v], ids[w]): sem_dist_with_plan(v, w, plan, X, memo=memo)
+            for v in values for w in values}
+    carrier = FinMetricSpace(points, dist, validate=False)
+    interp: Dict[OpSym, Table] = {}
+    for op in instantiate_generators(atom, params):
+        table: Table = {}
+        for args in itertools.product(values, repeat=op.arity):
+            out = ids.get(apply_operation(plan, op, args))
+            if out is not None:
+                table[tuple(ids[a] for a in args)] = out
+        interp[op] = table
+    return FiniteAlgebra(carrier, interp, name=name)
 
 
 def powerset_model(X: FinMetricSpace) -> FiniteAlgebra:
-    """All finite subsets of X with Hausdorff metric; union and empty."""
-    subsets: List[Tuple[str, ...]] = []
-    pts = list(X.points)
-    for mask in range(1 << len(pts)):
-        subsets.append(tuple(p for k, p in enumerate(pts) if mask >> k & 1))
-    ids = {s: set_id(s) for s in subsets}
-    dist = {}
-    for a in subsets:
-        for b in subsets:
-            dist[(ids[a], ids[b])] = hausdorff(X, a, b)
-    carrier = FinMetricSpace([ids[s] for s in subsets], dist, validate=False)
-    union_table: Table = {}
-    for a in subsets:
-        for b in subsets:
-            union_table[(ids[a], ids[b])] = set_id(set(a) | set(b))
-    return FiniteAlgebra(carrier, {
-        union_op(): union_table,
-        empty_op(): {(): set_id(())},
-    }, name="powerset")
-
-
-def dist_id(d: FinDist) -> str:
-    return "[" + ";".join(f"{p}:{w}" for p, w in d.items) + "]"
-
-
-def _grid_distributions(points: Sequence[str], denominator: int) -> List[FinDist]:
-    out = []
-
-    def go(rest, remaining, acc):
-        if not rest:
-            if remaining == 0 and acc:
-                out.append(FinDist.from_pairs(list(acc)))
-            return
-        p = rest[0]
-        for k in range(remaining + 1):
-            go(rest[1:], remaining - k,
-               acc + [(p, Fraction(k, denominator))] if k else acc)
-
-    go(list(points), denominator, [])
-    return out
+    """All subsets of X with the Hausdorff metric; union and empty."""
+    pts = X.points
+    return free_model(Semi(), X, [
+        make_set(VarLeaf(p) for k, p in enumerate(pts) if mask >> k & 1)
+        for mask in range(1 << len(pts))], name="powerset")
 
 
 def distribution_model(X: FinMetricSpace, denominator: int,
@@ -287,52 +296,26 @@ def distribution_model(X: FinMetricSpace, denominator: int,
     """Distributions over X with weights in (1/denominator)Z, Kantorovich
     metric, and convex combination tables defined where the exact result
     stays on the grid."""
-    dists = _grid_distributions(X.points, denominator)
-    ids = {d: dist_id(d) for d in dists}
-    table = {}
-    for a in dists:
-        for b in dists:
-            table[(ids[a], ids[b])] = kantorovich(X, a, b)
-    carrier = FinMetricSpace(list(ids.values()), table, validate=False)
-    interp: Dict[OpSym, Table] = {}
-    grid = set(ids)
-    for e in conv_weight_closure(tuple(weights)):
-        t: Table = {}
-        for a in dists:
-            for b in dists:
-                mixed = FinDist.from_pairs(
-                    [(p, w * e) for p, w in a.items]
-                    + [(p, w * (1 - e)) for p, w in b.items])
-                if mixed in grid:
-                    t[(ids[a], ids[b])] = ids[mixed]
-        interp[conv(e)] = t
-    return FiniteAlgebra(carrier, interp, name=f"distributions/{denominator}")
+    grid = [make_dist((VarLeaf(p), Fraction(k, denominator)) for p, k in zip(X.points, ks))
+            for ks in itertools.product(range(denominator + 1), repeat=len(X.points))
+            if sum(ks) == denominator]
+    return free_model(Bary(), X, grid, ParamPool.make(weights=weights),
+                      name=f"distributions/{denominator}")
 
 
 def reader_model(X: FinMetricSpace, inputs: Sequence[str]) -> FiniteAlgebra:
     """The function space X^inputs with sup metric and diagonal read."""
     inputs = tuple(inputs)
-    carrier = power(X, inputs)
-    n = len(inputs)
-    tuples = list(itertools.product(X.points, repeat=n))
-    table: Table = {}
-    for fs in itertools.product(tuples, repeat=n):
-        result = tuple(fs[k][k] for k in range(n))
-        table[tuple(tuple_id(f) for f in fs)] = tuple_id(result)
-    return FiniteAlgebra(carrier, {read(n): table}, name="reader")
+    return free_model(Reader(inputs), X, [
+        FuncVal(tuple(zip(inputs, map(VarLeaf, f))))
+        for f in itertools.product(X.points, repeat=len(inputs))], name="reader")
 
 
 def writer_model(monoid: TableMonoid, X: FinMetricSpace) -> FiniteAlgebra:
     """The product monoid-carrier x X with sum metric; writes multiply."""
-    carrier = box(monoid.space, X)
-    interp: Dict[OpSym, Table] = {}
-    for alpha in monoid.elements:
-        t: Table = {}
-        for beta in monoid.elements:
-            for x in X.points:
-                t[(pair_id(beta, x),)] = pair_id(monoid.mult(alpha, beta), x)
-        interp[write(alpha)] = t
-    return FiniteAlgebra(carrier, interp, name="writer")
+    return free_model(Writer(monoid), X, [
+        PairVal(alpha, VarLeaf(x)) for alpha in monoid.elements for x in X.points],
+        name="writer")
 
 
 # ---------------------------------------------------------------------------

@@ -146,8 +146,6 @@ def well_formed(t: Term, theory) -> Tuple[bool, Optional[str]]:
         problem = sig.membership_problem(node.op)
         if problem is not None:
             return False, problem
-        if len(node.args) != node.op.arity:
-            return False, f"{node.op} applied to {len(node.args)} arguments"
     return True, None
 
 

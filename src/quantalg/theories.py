@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .errors import DomainError, UnsupportedShape
-from .extvalue import ZERO, ExtValue
+from .extvalue import ZERO, ExtValue, ext_sum
 from .lexing import TokenStream
 from .spaces import FinMetricSpace, discrete
 from .terms import (App, MonoidElement, OpSym, Term, Var, app, conv, empty_op,
@@ -464,15 +464,8 @@ def _atom_axioms(atom: TheoryExpr, params: ParamPool) -> List[AxiomInstance]:
 
 def _ib_bound(e: Fraction):
     def bound(e1: ExtValue, e2: ExtValue) -> ExtValue:
-        parts = []
-        if e != 0:
-            parts.append(e1.scaled(e))
-        if e != 1:
-            parts.append(e2.scaled(1 - e))
-        total = ZERO
-        for p in parts:
-            total = total + p
-        return total
+        # a zero weight drops its part, so that 0 * inf never arises
+        return ext_sum(d.scaled(w) for d, w in ((e1, e), (e2, 1 - e)) if w != 0)
 
     return bound
 

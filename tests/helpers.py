@@ -5,11 +5,38 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from quantalg import (App, Bary, Contract, Exc, FinDist, FinMetricSpace,
+from quantalg import (App, Bary, Contract, DomainError, Exc, FinMetricSpace,
                       RATIONAL_LINE, Reader, Semi, Var, Writer, app, atoms,
                       conv, empty_op, ext, next_op, parse_coalgebras, raise_,
                       read, union_op, write)
 from quantalg.extvalue import INF
+
+
+@dataclass(frozen=True)
+class FinDist:
+    """A finitely supported distribution as a test draws it: (key, weight)
+    items with positive exact weights, sorted by key, so keys must be
+    mutually comparable.  It has `.items` like a semantic DistVal, which is
+    all the Kantorovich kernel reads."""
+
+    items: tuple
+
+    @staticmethod
+    def from_pairs(pairs) -> "FinDist":
+        acc = {}
+        for k, w in pairs:
+            w = Fraction(w)
+            if w < 0:
+                raise DomainError("negative weight in distribution")
+            if w:
+                acc[k] = acc.get(k, Fraction(0)) + w
+        if not acc:
+            raise DomainError("empty distribution")
+        return FinDist(tuple(sorted(acc.items())))
+
+    @staticmethod
+    def dirac(point) -> "FinDist":
+        return FinDist(((point, Fraction(1)),))
 
 
 def rational(rng: random.Random, max_den: int = 8, max_num: int = 4) -> Fraction:

@@ -4,16 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from quantalg import (AxiomInstance, Bary, BOUNDED, Exc, FinMetricSpace,
-                      FiniteAlgebra, ONE_POINT, ParamPool, Reader, Semi, Sum,
-                      TableMonoid, Tensor, Writer, apply_operation, axioms,
-                      check_equation, check_nonexpansive, check_theory,
-                      distribution_model, denote_with_plan, ext, layer_plan,
-                      markov_process_theory, parse_algebras, parse_spaces,
-                      power, powerset_model, reader_model, sem_dist_with_plan,
-                      writer_model)
-from quantalg.spaces import tuple_id
-from quantalg.modelcheck import set_id
+from quantalg import (INF, AxiomInstance, Bary, BOUNDED, Exc, FinMetricSpace,
+                      FiniteAlgebra, FuncVal, ONE_POINT, ParamPool, Reader, Semi,
+                      Sum, TableMonoid, Tensor, VarLeaf, Writer, apply_operation,
+                      axioms, check_equation, check_nonexpansive, check_theory,
+                      distribution_model, denote_with_plan, ext, free_model,
+                      layer_plan, make_set, markov_process_theory, parse_algebras,
+                      parse_spaces, powerset_model, reader_model,
+                      sem_dist_with_plan, writer_model)
 from quantalg.terms import Var, conv, empty_op, next_op, read, union_op, write
 
 from helpers import random_term
@@ -105,29 +103,15 @@ def test_check_equation_monotone_in_bound():
 
 
 def test_commutation_passes_on_pointwise_lifted_model():
-    # lift the powerset model pointwise to functions from two inputs
-    base = powerset_model(X2)
+    # the powerset model lifted pointwise to functions from two inputs
     inputs = ("i1", "i2")
-    carrier = power(base.carrier, inputs)
-    pts = base.carrier.points
-    tuples = list(itertools.product(pts, repeat=len(inputs)))
-    union_t = {}
-    for f in tuples:
-        for g in tuples:
-            out = tuple(base.interp[union_op()][(f[k], g[k])]
-                        for k in range(len(inputs)))
-            union_t[(tuple_id(f), tuple_id(g))] = tuple_id(out)
-    empty_f = tuple_id(tuple(set_id(()) for _ in inputs))
-    read_t = {}
-    for fs in itertools.product(tuples, repeat=len(inputs)):
-        result = tuple(fs[k][k] for k in range(len(inputs)))
-        read_t[tuple(tuple_id(f) for f in fs)] = tuple_id(result)
-    alg = FiniteAlgebra(carrier, {
-        union_op(): union_t,
-        empty_op(): {(): empty_f},
-        read(2): read_t,
-    }, name="lifted")
+    subsets = [make_set(map(VarLeaf, s)) for s in ((), ("p",), ("q",), ("p", "q"))]
+    values = [FuncVal(tuple(zip(inputs, f)))
+              for f in itertools.product(subsets, repeat=len(inputs))]
     th = Tensor(Semi(), Reader(inputs))
+    alg = free_model(th, X2, values, name="lifted")
+    # the carrier is closed under every operation
+    assert [len(t) for t in alg.interp.values()] == [16 * 16, 1, 16 * 16]
     report = check_theory(alg, th, ParamPool.make(epsilons=[1]))
     assert report.passed
     com = [e for e in report.entries if e.label.startswith("Com[")]
@@ -190,6 +174,13 @@ def test_free_algebra_is_a_model():
     assert report.passed
     checked = sum(e.checked for e in report.entries)
     assert checked > 0
+    # free_model builds the same table for each generator, and its
+    # extended-mode metric gives a model too
+    free = free_model(th, X, values, pool)
+    rename = dict(zip(free.carrier.points, carrier.points))
+    for op, t in free.interp.items():
+        assert {tuple(map(rename.get, a)): rename[b] for a, b in t.items()} == interp[op]
+    assert check_theory(free, th, pool).passed
 
 
 def test_mutations_are_caught():
@@ -261,7 +252,7 @@ def test_sum_report_decomposes_into_component_reports():
     interp = dict(model.interp)
     from quantalg.terms import raise_
 
-    interp[raise_("*")] = {(): set_id(())}
+    interp[raise_("*")] = {(): "{}"}
     alg = FiniteAlgebra(model.carrier, interp, name="pointed-powerset")
     th = Sum(Semi(), Exc(ONE_POINT))
     report = check_theory(alg, th, ParamPool.make(epsilons=[1]))
@@ -300,3 +291,47 @@ def test_tight_instance_accepted_iff_all_looser_accepted():
     beyond_witness = AxiomInstance(
         "Mult~~", mult.premises, mult.lhs, mult.rhs, mult.bound + ext(2))
     assert check_equation(broken, beyond_witness).passed
+
+
+def test_builtin_models_pin_point_names_distances_and_tables():
+    # Written out by hand: files written from these models name their
+    # entries by these points, in this order.
+    P = powerset_model(X2)
+    assert P.carrier.points == ("{}", "{p}", "{q}", "{p,q}")
+    assert P.carrier.d("{}", "{p}") == INF
+    assert P.carrier.d("{p}", "{p,q}") == ext(1)
+    assert list(P.interp) == [union_op(), empty_op()]
+    assert list(P.interp[union_op()].items())[:5] == [
+        (("{}", "{}"), "{}"), (("{}", "{p}"), "{p}"), (("{}", "{q}"), "{q}"),
+        (("{}", "{p,q}"), "{p,q}"), (("{p}", "{}"), "{p}")]
+    assert P.interp[empty_op()] == {(): "{}"}
+
+    D = distribution_model(X2, 2, [C12])
+    assert D.carrier.points == ("[q:1]", "[p:1/2;q:1/2]", "[p:1]")
+    assert D.carrier.d("[q:1]", "[p:1/2;q:1/2]") == ext("1/2")
+    assert D.carrier.d("[q:1]", "[p:1]") == ext(1)
+    assert list(D.interp) == [conv(C12), conv(1), conv(0), conv("1/4"), conv("1/3")]
+    # partial: conv(1/2) of [q:1] and the midpoint is [p:1/4;q:3/4], off the grid
+    assert list(D.interp[conv(C12)].items()) == [
+        (("[q:1]", "[q:1]"), "[q:1]"),
+        (("[q:1]", "[p:1]"), "[p:1/2;q:1/2]"),
+        (("[p:1/2;q:1/2]", "[p:1/2;q:1/2]"), "[p:1/2;q:1/2]"),
+        (("[p:1]", "[q:1]"), "[p:1/2;q:1/2]"),
+        (("[p:1]", "[p:1]"), "[p:1]")]
+    apart = FinMetricSpace(["p", "q"], {})
+    assert distribution_model(apart, 2, [C12]).carrier.d("[q:1]", "[p:1/2;q:1/2]") == INF
+
+    R = reader_model(X2, ("i1", "i2"))
+    assert R.carrier.points == ("<p,p>", "<p,q>", "<q,p>", "<q,q>")
+    assert R.carrier.d("<p,q>", "<q,q>") == ext(1)
+    assert list(R.interp) == [read(2)]
+    assert R.interp[read(2)][("<p,q>", "<q,p>")] == "<p,p>"
+    assert R.interp[read(2)][("<q,p>", "<p,q>")] == "<q,q>"
+
+    W = writer_model(two_point_monoid(), X2)
+    assert W.carrier.points == ("(z,p)", "(z,q)", "(o,p)", "(o,q)")
+    assert W.carrier.d("(z,p)", "(o,q)") == ext(2)
+    assert list(W.interp) == [write("z"), write("o")]
+    assert list(W.interp[write("o")].items()) == [
+        (("(z,p)",), "(o,p)"), (("(z,q)",), "(o,q)"),
+        (("(o,p)",), "(o,p)"), (("(o,q)",), "(o,q)")]

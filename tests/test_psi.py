@@ -4,10 +4,10 @@ operator of tests/oracles.py applied to the table the test drew."""
 import random
 from fractions import Fraction
 
-from quantalg import (BOUNDED, EXTENDED, FinDist, FinMetricSpace, PseudoMetric,
+from quantalg import (BOUNDED, EXTENDED, FinMetricSpace, PseudoMetric,
                       RATIONAL_LINE, TableMonoid, ext, psi_step)
 
-from helpers import BOT, Table, leaf, random_space, st, table_coalgebra
+from helpers import BOT, FinDist, Table, leaf, random_space, st, table_coalgebra
 from oracles import psi_reference
 
 INF_MONOID = TableMonoid(
