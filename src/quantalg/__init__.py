@@ -28,15 +28,14 @@ from .spaces import (FinMetricSpace, discrete, hausdorff_general,
                      kantorovich_general, parse_spaces)
 from .terms import (App, OpSym, Term, Var, app, bind, conv, empty_op,
                     format_term, next_op, parse_term, raise_, read, union_op,
-                    variables, well_formed, write)
+                    variables, write)
 from .theories import (AxiomInstance, Bary, Contract, Exc, GuardLeaf,
-                       LayerPlan, Monoid, ONE_POINT, OpFamily, ParamPool,
-                       RATIONAL_LINE, Reader, Semi, Signature, Sum,
-                       TableMonoid, Tensor, TheoryExpr, Writer, atoms,
-                       axiom_groups, axioms, instantiate_generators,
-                       labelled_mp_theory, layer_plan, markov_process_theory,
-                       mdp_theory, mealy_theory, parse_monoids, parse_theory,
-                       signature_of)
+                       LayerPlan, Monoid, ONE_POINT, ParamPool, RATIONAL_LINE,
+                       Reader, Semi, Sum, TableMonoid, Tensor, TheoryExpr,
+                       Writer, atoms, axiom_groups, axioms,
+                       instantiate_generators, labelled_mp_theory, layer_plan,
+                       markov_process_theory, mdp_theory, mealy_theory,
+                       parse_monoids, parse_theory)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -14,12 +14,12 @@ from fractions import Fraction
 from pathlib import Path
 
 from .bisim import format_coalgebra, parse_coalgebras, solve_bisim, unfold_term
-from .errors import DomainError, ParseError, QuantAlgError
+from .errors import ParseError, QuantAlgError
 from .extvalue import ExtValue
 from .modelcheck import check_theory, format_report, parse_algebras
 from .semantics import BOUNDED, EXTENDED, denote, format_value, term_dist
 from .spaces import parse_spaces
-from .terms import parse_term, well_formed
+from .terms import parse_term
 from .theories import ParamPool, parse_monoids, parse_theory
 
 
@@ -140,10 +140,6 @@ def _cmd_dist(args) -> int:
     theory, space, _, _ = _load_context(args)
     t = _read_term(args.terms[0], args.inline, theory, "term-1")
     s = _read_term(args.terms[1], args.inline, theory, "term-2")
-    for label, term in (("term-1", t), ("term-2", s)):
-        ok, why = well_formed(term, theory)
-        if not ok:
-            raise DomainError(f"{label} is not well formed: {why}")
     d = term_dist(t, s, theory, space, args.mode)
     if args.format == "record":
         print(json.dumps({"verb": "dist", "mode": args.mode, "distance": str(d)},
@@ -156,9 +152,6 @@ def _cmd_dist(args) -> int:
 def _cmd_normalize(args) -> int:
     theory, _, _, _ = _load_context(args)
     t = _read_term(args.term, args.inline, theory, "term")
-    ok, why = well_formed(t, theory)
-    if not ok:
-        raise DomainError(f"term is not well formed: {why}")
     v = denote(t, theory)
     if args.format == "record":
         print(json.dumps({"verb": "normalize", "value": format_value(v)}, sort_keys=True))
@@ -195,9 +188,6 @@ def _cmd_bisim(args) -> int:
 def _cmd_unfold(args) -> int:
     theory, space, _, monoids = _load_context(args)
     t = _read_term(args.term, args.inline, theory, "term")
-    ok, why = well_formed(t, theory)
-    if not ok:
-        raise DomainError(f"term is not well formed: {why}")
     C, root = unfold_term(t, theory, space)
     monoid_name = next((name for name, m in monoids.items() if m == C.monoid), None)
     text = format_coalgebra(C, monoid_name)

@@ -53,8 +53,6 @@ class ExtValue:
             return INF
         return ExtValue(self._q + other._q)
 
-    __radd__ = __add__
-
     def scaled(self, c: Rationalish) -> "ExtValue":
         """Scale by an exact rational c >= 0.  0 * inf is rejected."""
         c = Fraction(c)
@@ -65,11 +63,6 @@ class ExtValue:
                 raise UndefinedProduct("0 * inf is undefined")
             return INF
         return ExtValue(self._q * c)
-
-    def __mul__(self, c):
-        return self.scaled(c)
-
-    __rmul__ = __mul__
 
     def truncated(self, cap: "ExtValue") -> "ExtValue":
         return self if self <= cap else cap

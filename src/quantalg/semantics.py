@@ -179,18 +179,38 @@ def denote_with_plan(t: Term, plan: LayerPlan) -> SemValue:
     return apply_operation(plan, t.op, args)
 
 
+# the layer each operation other than raise and next acts at
+_HOME = {"conv": "dist", "union": "set", "empty": "set", "read": "func", "write": "pair"}
+
+
 def apply_operation(plan: LayerPlan, op, args) -> SemValue:
-    """The free algebra's interpretation of one operation on values."""
+    """The free algebra's interpretation of one operation on values.  An
+    operation outside the plan's theory is a DomainError (see _check_member)."""
+    _check_member(plan, op)
     if op.kind == "raise":
         return _eta(plan.layers, ExcLeaf(op.param))
     if op.kind == "next":
-        g = plan.guard(op.param[0])
-        return _eta(plan.layers, Guard(g.name, g.c, args[0]))
-    target = {"conv": "dist", "union": "set", "empty": "set",
-              "read": "func", "write": "pair"}.get(op.kind)
-    if target is None:
-        raise DomainError(f"cannot denote operation {op}")
-    return _apply(plan.layers, target, op, list(args))
+        return _eta(plan.layers, Guard(*op.param, args[0]))
+    return _apply(plan.layers, _HOME[op.kind], op, list(args))
+
+
+def _check_member(plan: LayerPlan, op) -> None:
+    """The plan is the theory's signature: raise(e) needs e in the exception
+    space, a contractive operator its guard (name and factor), and every
+    other operation its home layer, where rd's arity is the layer's input
+    count and wr's element lies in the layer's monoid."""
+    if op.kind == "raise":
+        ok = plan.exc_space is not None and op.param in plan.exc_space.points
+    elif op.kind == "next":
+        ok = any(op.param == (g.name, g.c) for g in plan.guards)
+    else:
+        home = next((layer for layer in plan.layers if layer[0] == _HOME[op.kind]), None)
+        ok = (home is not None and (op.kind != "read" or op.param == len(home[1]))
+              and (op.kind != "write" or home[1].contains(op.param)))
+    if not ok:
+        detail = (f" of arity {op.param}" if op.kind == "read" else
+                  f" of factor {op.param[1]}" if op.kind == "next" else "")
+        raise DomainError(f"operation {op}{detail} is not in the theory")
 
 
 def _eta(layers, leaf: SemValue) -> SemValue:
@@ -210,12 +230,10 @@ def _eta(layers, leaf: SemValue) -> SemValue:
 
 def _apply(layers, target: str, op, args) -> SemValue:
     """Apply op at its home layer, acting pointwise through outer layers."""
-    if not layers:
-        raise DomainError(f"operation {op} has no {target} layer to act on")
     layer = layers[0]
     kind = layer[0]
     if kind == target:
-        return _apply_here(layer, op, args, layers[1:])
+        return _apply_here(layer, op, args)
     if kind == "func":
         inputs = layer[1]
         for a in args:
@@ -238,7 +256,7 @@ def _apply(layers, target: str, op, args) -> SemValue:
     raise DomainError(f"operation {op} cannot act through a {kind} layer")
 
 
-def _apply_here(layer, op, args, inner_layers) -> SemValue:
+def _apply_here(layer, op, args) -> SemValue:
     if op.kind == "conv":
         e = op.param
         a, b = args
@@ -254,21 +272,14 @@ def _apply_here(layer, op, args, inner_layers) -> SemValue:
     if op.kind == "empty":
         return SetVal(())
     if op.kind == "read":
-        inputs = layer[1]
-        if op.param != len(inputs):
-            raise DomainError(
-                f"rd of arity {op.param} against {len(inputs)} inputs")
         out = []
-        for k, i in enumerate(inputs):
-            a = args[k]
+        for i, a in zip(layer[1], args):
             if not isinstance(a, FuncVal):
                 raise DomainError("rd applied to non-function values")
             out.append((i, dict(a.items)[i]))
         return FuncVal(tuple(out))
     if op.kind == "write":
         mon = layer[1]
-        if not mon.contains(op.param):
-            raise DomainError(f"monoid element {op.param!r} outside the writer monoid")
         (a,) = args
         if not isinstance(a, PairVal):
             raise DomainError("wr applied to a non-pair value")

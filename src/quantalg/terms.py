@@ -1,8 +1,10 @@
 """Operation symbols, terms, substitution, and the term surface grammar.
 
-Signatures are families of parameterized symbols: convex combination +_e,
-exception constants raise_e, semilattice union/empty, n-ary read, unary
-writes wr_alpha, and unary contractive step operators.
+Operation symbols come in families of parameterized symbols: convex
+combination +_e, exception constants raise_e, semilattice union/empty,
+n-ary read, unary writes wr_alpha, and unary contractive step operators.
+Which of them a theory has is decided by its layer plan, when a term is
+denoted (`semantics.apply_operation`), not here.
 """
 
 from __future__ import annotations
@@ -134,28 +136,6 @@ def bind(t: Term, sigma: Mapping[str, Term]) -> Term:
     return App(t.op, tuple(bind(a, sigma) for a in t.args))
 
 
-def well_formed(t: Term, theory) -> Tuple[bool, Optional[str]]:
-    """Check every symbol of t against the theory's signature.
-
-    Returns (True, None) or (False, description of the first violation).
-    """
-    from .theories import signature_of
-
-    sig = signature_of(theory)
-    for node in _apps(t):
-        problem = sig.membership_problem(node.op)
-        if problem is not None:
-            return False, problem
-    return True, None
-
-
-def _apps(t: Term) -> Iterator[App]:
-    if isinstance(t, App):
-        yield t
-        for a in t.args:
-            yield from _apps(a)
-
-
 _KEYWORDS = {"raise", "empty", "conv", "union", "rd", "wr", "next"}
 
 
@@ -185,9 +165,11 @@ def format_term(t: Term) -> str:
 def parse_term(text: str, theory=None, source: str = "<term>") -> Term:
     """Parse the term surface grammar.
 
-    With a theory, `next`, `wr` and `rd` are resolved against its signature
-    (contraction factor, monoid element type, read arity) and parameter
-    ranges are validated; without one the term is left partially resolved.
+    With a theory, `next` takes the name and factor of its only contractive
+    operator, and `rd` must have its reader's arity; without one, or with
+    several contractive operators, `next` stays unresolved.  Whether each
+    operation is in the theory is decided when the term is denoted: an
+    operation outside it is a DomainError there.
     """
     ts = TokenStream(text, source)
     t = _parse_term(ts, theory)

@@ -1,10 +1,13 @@
-"""Theory expressions, generated signatures, axiom instantiation, and the
-layered normal-form plan that drives the semantics.
+"""Theory expressions, axiom instantiation, and the layered normal-form plan
+that drives the semantics.
 
 A theory expression combines atoms (barycentric, semilattice, exceptions,
 reader, writer, contractive step) with Sum and Tensor.  Sum is plain union
 of disjoint signatures and axioms; Tensor additionally makes every pair of
-cross-side operations commute.
+cross-side operations commute.  The layer plan is also the theory's
+signature: each atom adds one layer, guard or exception space, a repeated
+atom is rejected, and `semantics.apply_operation` admits exactly the
+operations whose part of the plan exists.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from .extvalue import ZERO, ExtValue, ext_sum
 from .lexing import TokenStream
 from .spaces import FinMetricSpace, discrete
 from .terms import (App, MonoidElement, OpSym, Term, Var, app, conv, empty_op,
-                    next_op, raise_, read, union_op, write)
+                    next_op, raise_, read, union_op, variables as term_vars, write)
 
 
 # ---------------------------------------------------------------------------
@@ -181,89 +184,6 @@ def atoms(th: TheoryExpr) -> Iterator[TheoryExpr]:
 
 
 # ---------------------------------------------------------------------------
-# Signatures
-
-@dataclass(frozen=True)
-class OpFamily:
-    """A family of generators contributed by one atom.
-
-    kind matches OpSym.kind; `domain` describes admissible parameters:
-    conv -> rationals in [0,1]; raise -> exception point ids; write -> the
-    monoid; read/next carry their fixed shape in `fixed`.
-    """
-
-    kind: str
-    fixed: object = None
-
-    def admits(self, op: OpSym) -> bool:
-        if op.kind != self.kind:
-            return False
-        if self.kind == "conv":
-            return isinstance(op.param, Fraction) and 0 <= op.param <= 1
-        if self.kind == "raise":
-            return op.param in self.fixed
-        if self.kind in ("union", "empty"):
-            return True
-        if self.kind == "read":
-            return op.param == self.fixed
-        if self.kind == "write":
-            return self.fixed.contains(op.param)
-        if self.kind == "next":
-            return op.param == self.fixed
-        return False
-
-    def family_key(self):
-        return (self.kind, self.fixed) if self.kind == "next" else self.kind
-
-
-class Signature:
-    def __init__(self, families: Sequence[OpFamily]):
-        self.families = tuple(families)
-        keys = [f.family_key() for f in families]
-        for key in keys:
-            if keys.count(key) > 1:
-                raise DomainError(f"signature families overlap on {key!r}")
-
-    def membership_problem(self, op: OpSym) -> Optional[str]:
-        """None if op is generated; otherwise a description of the violation."""
-        same_kind = [f for f in self.families if f.kind == op.kind]
-        if not same_kind:
-            return f"operation family {op.kind!r} not in the signature"
-        if not any(f.admits(op) for f in same_kind):
-            return f"parameter of {op} outside the family"
-        return None
-
-
-def _atom_families(atom: TheoryExpr) -> List[OpFamily]:
-    if isinstance(atom, Bary):
-        return [OpFamily("conv")]
-    if isinstance(atom, Semi):
-        return [OpFamily("union"), OpFamily("empty")]
-    if isinstance(atom, Exc):
-        return [OpFamily("raise", frozenset(atom.space.points))]
-    if isinstance(atom, Reader):
-        return [OpFamily("read", len(atom.inputs))]
-    if isinstance(atom, Writer):
-        return [OpFamily("write", atom.monoid)]
-    if isinstance(atom, Contract):
-        return [OpFamily("next", (atom.name, atom.c))]
-    raise DomainError(f"unknown atom {atom!r}")
-
-
-def signature_of(th: TheoryExpr) -> Signature:
-    """Disjoint union of the atoms' operation families."""
-    families: List[OpFamily] = []
-    dist_atoms = 0
-    for atom in atoms(th):
-        if isinstance(atom, (Bary, Semi)):
-            dist_atoms += 1
-        families.extend(_atom_families(atom))
-    if dist_atoms > 1:
-        raise DomainError("at most one barycentric or semilattice atom is supported")
-    return Signature(families)
-
-
-# ---------------------------------------------------------------------------
 # Axiom instantiation
 
 @dataclass(frozen=True, eq=False)
@@ -282,8 +202,6 @@ class AxiomInstance:
     bound_fn: Optional[Callable[..., ExtValue]] = None
 
     def variables(self) -> Tuple[str, ...]:
-        from .terms import variables as term_vars
-
         seen: List[str] = []
         names = [v for pair in self.premises for v in pair[:2]]
         names += list(term_vars(self.lhs)) + list(term_vars(self.rhs))
@@ -598,12 +516,6 @@ class LayerPlan:
     guards: Tuple[GuardLeaf, ...]
     exc_space: Optional[FinMetricSpace]
 
-    def guard(self, name: str) -> GuardLeaf:
-        for g in self.guards:
-            if g.name == name:
-                return g
-        raise DomainError(f"no contractive operator named {name!r} in the plan")
-
 
 def layer_plan(th: TheoryExpr) -> LayerPlan:
     """Normalization recipe: a fold of the four effect transformers.
@@ -614,9 +526,9 @@ def layer_plan(th: TheoryExpr) -> LayerPlan:
     starts from its plan, or the empty plan, and each transformer acts on it
     in turn (see LayerPlan).  Raises UnsupportedShape when a tensor would
     pass a guard or a writer would pass exceptions, whose commutation axioms
-    have no layered normal form, and for contractive operators alone.
+    have no layered normal form, and for contractive operators alone;
+    DomainError for a repeated atom (see _transform).
     """
-    signature_of(th)  # checks disjointness and the single-Bary/Semi rule
     plan = _plan(th)
     if not plan.layers and plan.exc_space is None:
         raise UnsupportedShape("a theory of contractive operators alone has no leaves to guard")
@@ -632,6 +544,8 @@ def _plan(th: TheoryExpr) -> LayerPlan:
                    else (Sum, (Exc, Contract)))
     parts = _flatten(th, node)
     others = [p for p in parts if not isinstance(p, steps)]
+    if others == [th]:
+        raise DomainError(f"unknown atom {th!r}")
     if len(others) > 1:
         raise UnsupportedShape(
             f"a {node.__name__} has more than one part besides its transformers: "
@@ -644,8 +558,20 @@ def _plan(th: TheoryExpr) -> LayerPlan:
 
 
 def _transform(plan: LayerPlan, atom: TheoryExpr) -> LayerPlan:
-    """One effect transformer applied to the plan of the theory it extends."""
+    """One effect transformer applied to the plan of the theory it extends.
+    An atom whose part of the plan already exists would give two
+    operation families one interpretation, so it is a DomainError: a
+    second exception space, reader or writer, or a second contractive
+    operator of the same name."""
     layers, guards, exc = plan.layers, plan.guards, plan.exc_space
+    kinds = [layer[0] for layer in layers]
+    if (isinstance(atom, Exc) and exc is not None
+            or isinstance(atom, Contract) and any(g.name == atom.name for g in guards)
+            or isinstance(atom, Reader) and "func" in kinds
+            or isinstance(atom, Writer) and "pair" in kinds):
+        raise DomainError(f"repeated {type(atom).__name__} atom: a theory has at most one "
+                          "exception, reader and writer atom, and one contractive "
+                          "operator per name")
     if isinstance(atom, Exc):
         return LayerPlan(layers, guards, atom.space)
     if isinstance(atom, Contract):

@@ -6,9 +6,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from quantalg import (App, Bary, Contract, DomainError, Exc, FinMetricSpace,
-                      RATIONAL_LINE, Reader, Semi, Var, Writer, app, atoms,
-                      conv, empty_op, ext, next_op, parse_coalgebras, raise_,
-                      read, union_op, write)
+                      ONE_POINT, RATIONAL_LINE, Reader, Semi, Sum, Tensor, Var,
+                      Writer, app, atoms, conv, empty_op, ext, next_op,
+                      parse_coalgebras, raise_, read, union_op, write)
 from quantalg.extvalue import INF
 
 
@@ -93,6 +93,22 @@ def random_dist(rng: random.Random, points, max_den: int = 12) -> FinDist:
         prev = c
     return FinDist.from_pairs(
         [(p, w) for p, w in zip(support, weights) if w > 0])
+
+
+SHAPE_ATOMS = (Bary(), Semi(), Exc(ONE_POINT), Reader(("a", "b")), Writer(RATIONAL_LINE),
+               Contract("next", Fraction(1, 2)))
+
+
+def theory_shapes(steps: int = 2) -> list:
+    """Every theory with at most `steps` sum/tensor steps over SHAPE_ATOMS,
+    each step adding one atom on either side."""
+    shapes = level = list(SHAPE_ATOMS)
+    for _ in range(steps):
+        level = list(dict.fromkeys(
+            node(*pair) for th in level for atom in SHAPE_ATOMS for node in (Sum, Tensor)
+            for pair in ((th, atom), (atom, th))))
+        shapes = shapes + level
+    return shapes
 
 
 def random_term(rng: random.Random, th, leaf_vars, depth: int):

@@ -165,6 +165,11 @@ _HOSTILE = {
        for header, entry in [("rd(1/2)", "(p) -> p"), ("rd(0)", "-> p"),
                              ("conv(3)", "(p, p) -> p"), ("raise(,)", "-> p"),
                              ("wr(()", "(p) -> p"), ("next(n, 2)", "(p) -> p")]},
+    "theory contr n twice": (["dist", "--theory",
+                              "sum(sum(sum(bary, exc{1}), contr{n, 1/2}), contr{n, 1/3})",
+                              "--space", "{d}/S.space", "--inline", "p", "q"], {}, 1),
+    "term wr(m, empty)": (["normalize", "--theory", "tensor(reader{a,b}, tensor(semi, writer{q}))",
+                           "--inline", "wr(m, empty)"], {}, 1),
 }
 
 
@@ -186,7 +191,7 @@ def test_ill_formed_term_rejected(capsys):
     code = main(["dist", "--theory", "bary", "--inline",
                  "union(x, y)", "x"])
     assert code == 1
-    assert "not well formed" in capsys.readouterr().err
+    assert "operation union is not in the theory" in capsys.readouterr().err
 
 
 def test_unfold_round_trip_agrees_with_term_dist(tmp_path, capsys):

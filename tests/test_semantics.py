@@ -5,15 +5,16 @@ import pytest
 
 from quantalg import (BOUNDED, Bary, DistVal, EXTENDED, ExcLeaf, FinMetricSpace,
                       FuncVal, Guard, PairVal, RATIONAL_LINE, Reader, Semi,
-                      SetVal, Sum, VarLeaf, Writer, bind, denote, ext,
-                      format_value, labelled_mp_theory, make_dist,
-                      markov_process_theory, mdp_theory, mealy_theory,
-                      parse_term, sem_dist, term_dist)
+                      SetVal, Sum, VarLeaf, Writer, bind, denote,
+                      denote_with_plan, ext, format_value, labelled_mp_theory,
+                      layer_plan, make_dist, markov_process_theory, mdp_theory,
+                      mealy_theory, parse_term, sem_dist, term_dist)
 from quantalg.errors import DomainError
 from quantalg.extvalue import INF, ZERO
-from quantalg.terms import App, conv, next_op, read, write
+from quantalg.terms import (App, Var, conv, empty_op, next_op, raise_, read,
+                            union_op, write)
 
-from helpers import random_space, random_term
+from helpers import random_space, random_term, theory_shapes
 from oracles import enumerate_transport
 
 C12 = Fraction(1, 2)
@@ -254,3 +255,38 @@ def test_zero_distance_iff_canonical_equality():
             for mode in (EXTENDED, BOUNDED):
                 d = sem_dist_with_plan(v, w, plan, X, mode)
                 assert (d == ZERO) == (v == w)
+
+
+_ANY_LEAVES = (Var("x"), App(raise_("*"), ()), App(raise_("zz"), ()), App(empty_op(), ()))
+_ANY_OPS = (conv(C12), union_op(), read(1), read(2), write(Fraction(2)), write("m"),
+            next_op("next", C12), next_op("next", Fraction(1, 3)), next_op())
+
+
+def _any_term(rng, depth):
+    """A random term over every operation kind, with parameters both inside
+    and outside the shapes' signatures: raise(zz), rd of arity 1, wr(m, .)
+    over q, and next with a wrong or unresolved factor."""
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice(_ANY_LEAVES)
+    op = rng.choice(_ANY_OPS)
+    return App(op, tuple(_any_term(rng, depth - 1) for _ in range(op.arity)))
+
+
+def test_denote_is_total():
+    # on every shape layer_plan accepts, any term denotes or is a DomainError
+    rng = random.Random(29)
+    outcomes = {True: 0, False: 0}
+    for th in theory_shapes(2):
+        try:
+            plan = layer_plan(th)
+        except DomainError:
+            continue
+        for _ in range(40):
+            t = _any_term(rng, 3)
+            try:
+                denote_with_plan(t, plan)
+            except DomainError:
+                outcomes[False] += 1
+            else:
+                outcomes[True] += 1
+    assert min(outcomes.values()) > 500, outcomes

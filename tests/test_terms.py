@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from quantalg import (App, Bary, Var, app, bind, conv, format_term,
+from quantalg import (App, Bary, Var, app, bind, conv, denote, format_term,
                       markov_process_theory, next_op, parse_term, raise_,
-                      read, well_formed, write)
-from quantalg.errors import ParseError
+                      read, write)
+from quantalg.errors import DomainError, ParseError
 
 MP = markov_process_theory(Fraction(1, 2))
 
@@ -83,14 +83,15 @@ def test_bind_monad_laws_randomized():
 
 
 def test_well_formed_examples():
-    ok, why = well_formed(parse_term("conv(1/2, x, y)"), Bary())
-    assert ok and why is None
-    ok, why = well_formed(app(read(2), Var("x"), Var("y")), Bary())
-    assert not ok and "read" in why
-    ok, why = well_formed(parse_term("next(x)"), MP)  # unresolved contraction
-    assert not ok
-    ok, why = well_formed(parse_term("next(x)", MP), MP)
-    assert ok
+    # a term is well formed when it denotes; an operation outside the
+    # theory is a DomainError
+    denote(parse_term("conv(1/2, x, y)"), Bary())
+    with pytest.raises(DomainError) as e:
+        denote(app(read(2), Var("x"), Var("y")), Bary())
+    assert "rd" in str(e.value)
+    with pytest.raises(DomainError):
+        denote(parse_term("next(x)"), MP)  # unresolved contraction
+    denote(parse_term("next(x)", MP), MP)
 
 
 def test_well_formed_preserved_by_bind():
@@ -101,5 +102,5 @@ def test_well_formed_preserved_by_bind():
     for _ in range(40):
         t = random_term(rng, MP, X, 3)
         sigma = {v: random_term(rng, MP, X, 2) for v in X}
-        assert well_formed(t, MP)[0]
-        assert well_formed(bind(t, sigma), MP)[0]
+        denote(t, MP)
+        denote(bind(t, sigma), MP)

@@ -5,15 +5,16 @@ import pytest
 
 from quantalg import (Bary, Contract, Exc, FinMetricSpace, ONE_POINT,
                       ParamPool, RATIONAL_LINE, Reader, Semi, Sum, TableMonoid,
-                      Tensor, Writer, axioms, discrete, instantiate_generators,
+                      Tensor, Var, Writer, apply_operation, axioms, discrete,
+                      denote_with_plan, instantiate_generators,
                       labelled_mp_theory, layer_plan, markov_process_theory,
                       mdp_theory, mealy_theory, parse_monoids, parse_theory,
-                      parse_term, signature_of, bind, term_dist)
+                      parse_term, bind, term_dist)
 from quantalg.errors import DomainError, UnsupportedShape
 from quantalg.extvalue import ZERO, ext
-from quantalg.terms import conv, raise_, read, write
+from quantalg.terms import conv, next_op, raise_, read, write
 
-from helpers import random_space, random_term
+from helpers import random_space, random_term, theory_shapes
 
 C12 = Fraction(1, 2)
 POOL = ParamPool.make(weights=[C12, Fraction(1, 3)], epsilons=[1, 2],
@@ -21,31 +22,50 @@ POOL = ParamPool.make(weights=[C12, Fraction(1, 3)], epsilons=[1, 2],
 
 
 def test_signature_membership():
-    def generated(sig, op):
-        return sig.membership_problem(op) is None
+    # the layer plan is the signature: apply_operation admits an operation
+    # exactly when its part of the plan exists
+    def generated(th, op):
+        plan = layer_plan(th)
+        x = denote_with_plan(Var("x"), plan)
+        try:
+            apply_operation(plan, op, [x] * op.arity)
+        except DomainError:
+            return False
+        return True
 
-    sig = signature_of(Bary())
-    assert generated(sig, conv(C12))
-    assert not generated(sig, read(2))
-    sig = signature_of(Sum(Bary(), Exc(ONE_POINT)))
-    assert generated(sig, raise_("*"))
-    assert not generated(sig, raise_("other"))
-    sig = signature_of(Tensor(Reader(("i1", "i2")), Writer(RATIONAL_LINE)))
-    assert generated(sig, read(2))
-    assert not generated(sig, read(3))
-    assert generated(sig, write(Fraction(7, 3)))
-    assert not generated(sig, write("a"))
+    assert generated(Bary(), conv(C12))
+    assert not generated(Bary(), read(2))
+    th = Sum(Bary(), Exc(ONE_POINT))
+    assert generated(th, raise_("*"))
+    assert not generated(th, raise_("other"))
+    th = Tensor(Reader(("i1", "i2")), Writer(RATIONAL_LINE))
+    assert generated(th, read(2))
+    assert not generated(th, read(3))
+    assert generated(th, write(Fraction(7, 3)))
+    assert not generated(th, write("a"))
+    mp = markov_process_theory(C12)
+    assert generated(mp, next_op("next", C12))
+    assert not generated(mp, next_op("next", Fraction(1, 3)))
+    assert not generated(mp, next_op())  # unresolved factor
 
 
 def test_signature_disjointness_enforced():
     with pytest.raises(DomainError):
-        signature_of(Sum(Bary(), Bary()))
+        layer_plan(Sum(Bary(), Bary()))
     with pytest.raises(DomainError):
-        signature_of(Sum(Reader(("i",)), Reader(("j", "k"))))
+        layer_plan(Sum(Reader(("i",)), Reader(("j", "k"))))
     with pytest.raises(DomainError):
-        signature_of(Sum(Bary(), Semi()))  # one distribution-like atom only
+        layer_plan(Sum(Bary(), Semi()))  # one distribution-like atom only
+    # a repeated atom would give one part of the plan two owners
+    for th in (Sum(Sum(Sum(Bary(), Exc(ONE_POINT)), Contract("n", C12)),
+                   Contract("n", Fraction(1, 3))),
+               Tensor(Reader(("i",)), Reader(("j", "k"))),
+               Tensor(Tensor(Bary(), Writer(RATIONAL_LINE)), Writer(RATIONAL_LINE)),
+               Sum(Sum(Bary(), Exc(ONE_POINT)), Exc(discrete(["e"])))):
+        with pytest.raises(DomainError):
+            layer_plan(th)
     # distinct contraction names may coexist
-    signature_of(Sum(Sum(Bary(), Contract("a", C12)), Contract("b", Fraction(1, 3))))
+    layer_plan(Sum(Sum(Bary(), Contract("a", C12)), Contract("b", Fraction(1, 3))))
 
 
 def test_axioms_writer_includes_mult_instance():
@@ -152,19 +172,10 @@ def test_layer_plan_rejects_unsupported_shapes():
         layer_plan(Tensor(Exc(ONE_POINT), Writer(RATIONAL_LINE)))
 
 
-_ATOMS = (Bary(), Semi(), Exc(ONE_POINT), Reader(("a", "b")), Writer(RATIONAL_LINE),
-          Contract("next", C12))
-
-
 def test_layer_plan_accepts_only_sound_shapes():
     # every theory with at most two sum/tensor steps over the six atoms: each
     # shape layer_plan accepts satisfies its zero-bound axioms exactly
-    shapes = level = list(_ATOMS)
-    for _ in range(2):
-        level = list(dict.fromkeys(
-            node(*pair) for th in level for atom in _ATOMS for node in (Sum, Tensor)
-            for pair in ((th, atom), (atom, th))))
-        shapes = shapes + level
+    shapes = theory_shapes(2)
     rng = random.Random(23)
     X = random_space(rng, ["x", "y"])
     pool = ParamPool.make(weights=[C12], epsilons=[1], monoid_elems=[0, 2])
