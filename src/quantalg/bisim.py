@@ -15,12 +15,13 @@ termination point `bot` (`ExcLeaf("*")`) or a ground point `leaf(x)`
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import DivergentGround, DomainError, UnsupportedShape
-from .extvalue import INF, ZERO, ExtValue
+from .extvalue import INF, ZERO, Affine, ExtValue, ext_max
 from .lexing import TokenStream
 from .semantics import (BOUNDED, EXTENDED, DistVal, ExcLeaf, FuncVal, Guard,
                         PairVal, SemValue, SetVal, StateLeaf, VarLeaf,
@@ -97,6 +98,13 @@ class PseudoMetric:
             return ZERO
         return self._t[self._key(u, v)]
 
+    def unknown(self, u: str, v: str) -> ExtValue:
+        """d(u, v) as an `Affine` value whose form is the pair's unknown."""
+        if u == v:
+            return ZERO
+        k = self._key(u, v)
+        return Affine(self._t[k].rational, Fraction(0), {k: Fraction(1)})
+
     def pairs(self):
         return sorted(self._t.items())
 
@@ -121,21 +129,35 @@ class PseudoMetric:
 # ---------------------------------------------------------------------------
 # The one-step operator
 
-def psi_step(C: Coalgebra, d: PseudoMetric, mode: str = BOUNDED) -> PseudoMetric:
+def psi_step(C: Coalgebra, d: PseudoMetric, mode: str = BOUNDED,
+             strategy: Optional["MaxStrategy"] = None) -> PseudoMetric:
     """One application of the bisimilarity-metric operator: the term distance
-    between the states' one-step values, with d between successor states."""
+    between the states' one-step values, with d between successor states.
+
+    With a strategy, the strategy chooses at the maximising nodes and each
+    distance is an `Affine` value: its form in the state-pair unknowns is
+    the policy that realises it at d."""
     memo: dict = {}
+    state_dist, pick = (d.d, None) if strategy is None else (d.unknown, strategy.pick)
     table: Dict[Tuple[str, str], ExtValue] = {}
     for i, u in enumerate(C.states):
         for v in C.states[i + 1:]:
             table[(u, v)] = sem_dist_with_plan(C.step[u], C.step[v], C.plan,
-                                               C.space, mode, memo, d.d)
+                                               C.space, mode, memo, state_dist, pick)
     return PseudoMetric(C.states, table)
 
 
 @dataclass
 class Certificate:
-    """Machine-readable convergence evidence for the fixed-point solver."""
+    """Machine-readable convergence evidence for the fixed-point solver.
+
+    `iterations` counts evaluations of Psi: the Kleene iterates d_1 .. d_k,
+    or every evaluation policy iteration made, from Psi(0) to the final
+    check.  `exact` means that d passed the test Psi(d) == d, so that
+    `residual`, ||Psi(d) - d||, is 0.  Policy iteration answers only so, with
+    `a_priori_bound` 0 too.  Kleene iteration's `a_priori_bound` bounds
+    ||d - d*|| by c^k/(1-c) * `initial_gap`, or by its a-posteriori form
+    while that is infinite."""
 
     iterations: int
     c: Fraction
@@ -153,9 +175,15 @@ class Certificate:
 
 def solve_bisim(C: Coalgebra, tol, mode: str = BOUNDED
                 ) -> Tuple[PseudoMetric, Certificate]:
-    """Iterate Psi from the zero metric until the a-priori Banach bound
-    c^k/(1-c) * ||Psi(0)|| drops below tol, or the iterate is an exact fixed
-    point.  The returned metric d_k satisfies ||d_k - d*|| <= tol.
+    """The bisimilarity metric of C, exactly or within tol in the sup norm.
+
+    Psi is applied once to the zero metric.  If the system is cyclic and
+    ||Psi(0)|| is finite, exact policy iteration (`_policy_iteration`) finds
+    the fixed point itself.  Otherwise Psi is iterated from 0 (Kleene) until
+    the a-priori Banach bound c^k/(1-c) * ||Psi(0)|| drops below tol, or the
+    iterate is an exact fixed point; the returned d_k satisfies
+    ||d_k - d*|| <= tol.  On an acyclic system the iterate is exact after at
+    most height + 1 steps.
 
     In bounded mode ||Psi(0)|| can be infinite (an infinite monoid distance,
     or a Hausdorff distance to the empty set); while the bound is infinite
@@ -176,9 +204,17 @@ def solve_bisim(C: Coalgebra, tol, mode: str = BOUNDED
     if d1 == d0:
         cert = Certificate(1, C.c, mode, tol, gap, ZERO, ZERO, True)
         return d0, cert
+    if gap.is_inf or not _cyclic(C):
+        return _kleene(C, d1, tol, gap, mode)
+    d, evaluations = _policy_iteration(C, d1, mode)
+    return d, Certificate(1 + evaluations, C.c, mode, tol, gap, ZERO, ZERO, True)
+
+
+def _kleene(C: Coalgebra, d: PseudoMetric, tol: Fraction, gap: ExtValue,
+            mode: str) -> Tuple[PseudoMetric, Certificate]:
+    """Iterate Psi from d = Psi(0) under the Banach bound (see solve_bisim)."""
     shrink = C.c / (1 - C.c)
     k = 1
-    d = d1
     bound = gap.scaled(shrink)
     exact = False
     while bound > ExtValue(tol):
@@ -201,6 +237,140 @@ def solve_bisim(C: Coalgebra, tol, mode: str = BOUNDED
         if residual == ZERO:
             exact = True
     return d, Certificate(k, C.c, mode, tol, gap, bound, residual, exact)
+
+
+def _cyclic(C: Coalgebra) -> bool:
+    """Whether some state reaches itself: states are peeled off the successor
+    graph once nothing leads to them, and a cycle is what remains."""
+    succ: Dict[str, List[str]] = {}
+    for s in C.states:
+        succ[s] = out = []
+        map_guards(C.step[s], lambda leaf, out=out: out.append(leaf.name) or leaf)
+    preds = dict.fromkeys(C.states, 0)
+    for targets in succ.values():
+        for t in targets:
+            preds[t] += 1
+    free = [s for s, n in preds.items() if n == 0]
+    peeled = 0
+    while free:
+        peeled += 1
+        for t in succ[free.pop()]:
+            preds[t] -= 1
+            if preds[t] == 0:
+                free.append(t)
+    return peeled < len(C.states)
+
+
+class MaxStrategy:
+    """The maximising side's choices in Psi, for Hoffman and Karp's strategy
+    iteration: a candidate index at each maximising node (an input of two
+    function values, a Hausdorff candidate of two set values), keyed by the
+    node's pair of values.  While `improving`, a node moves to its first
+    largest candidate, but only where that is strictly larger than its
+    current choice; otherwise every node keeps its choice, and Psi under
+    the strategy is a minimum of affine forms."""
+
+    def __init__(self):
+        self.choice: Dict[tuple, int] = {}
+        self.improving = True
+
+    def pick(self, node: tuple, candidates: list) -> ExtValue:
+        k = self.choice.get(node)
+        if k is None or self.improving:
+            best = ext_max(*candidates)
+            if k is None or candidates[k] < best:
+                k = candidates.index(best)
+                self.choice[node] = k
+        return candidates[k]
+
+
+def _policy_iteration(C: Coalgebra, d: PseudoMetric, mode: str
+                      ) -> Tuple[PseudoMetric, int]:
+    """The exact fixed point of Psi, by Hoffman-Karp strategy iteration from
+    d, and the number of Psi evaluations spent.
+
+    A round improves the max strategy at d, then solves the min side with
+    the strategy fixed, by policy iteration: the policy (the affine forms
+    psi_step reports) is solved exactly as d = b + M d, and Psi under the
+    strategy is evaluated at the solution, until it returns d itself.  The
+    min side's values fall strictly from one solve to the next, and the
+    strategies' fixed points rise strictly from one round to the next, so
+    neither a policy nor a strategy comes back and both loops end.  A plan
+    with no distribution or set layer has no minimising node: Psi under a
+    fixed strategy is affine, and one solve is its fixed point.  A round
+    ends with the check psi_step(C, d, mode) == d, and d is the answer once
+    it holds."""
+    affine = not any(layer[0] in ("dist", "set") for layer in C.plan.layers)
+    strategy = MaxStrategy()
+    evaluations = 0
+    while True:
+        policy = psi_step(C, d, mode, strategy)
+        evaluations += 1
+        if policy != d:
+            d = _solve_policy(policy)
+            strategy.improving = affine
+            continue
+        evaluations += 1
+        if psi_step(C, d, mode) == d:
+            return d, evaluations
+        strategy.improving = True
+
+
+def _solve_policy(policy: PseudoMetric) -> PseudoMetric:
+    """The metric d with d = the policy's forms at d."""
+    system = {k: (v.const, v.coef) if isinstance(v, Affine) else (v.rational, {})
+              for k, v in policy.pairs()}
+    return PseudoMetric(policy.states,
+                        {k: ExtValue(x) for k, x in solve_affine(system).items()})
+
+
+def solve_affine(system: Dict[object, Tuple[Fraction, Dict[object, Fraction]]]
+                 ) -> Dict[object, Fraction]:
+    """The x with x_k = b_k + sum_j M_kj x_j for every row k -> (b_k, {j: M_kj}),
+    where M is nonnegative and each row sums to less than 1.
+
+    Exact sparse Gauss-Jordan elimination on (I - M) x = b, pivoting on the
+    diagonal in row order: I - M is strictly diagonally dominant by rows and
+    elimination keeps it so, so no pivot is zero.  Each row is a dict of its
+    nonzero entries, scaled to integers and divided by the gcd of its entries
+    after every update, so that no operation reduces a fraction.  Each
+    column keeps the set of rows it is nonzero in.
+    """
+    rows: Dict[object, Dict[object, int]] = {}
+    rhs: Dict[object, int] = {}
+    cols: Dict[object, set] = {k: set() for k in system}
+    for k, (b, coef) in system.items():
+        row = {j: -w for j, w in coef.items() if w}
+        row[k] = 1 + row.get(k, 0)
+        scale = math.lcm(b.denominator, *(w.denominator for w in row.values()))
+        rows[k], rhs[k] = {j: int(w * scale) for j, w in row.items()}, int(b * scale)
+        for j in row:
+            cols[j].add(k)
+    for p, prow in rows.items():
+        a = prow[p]
+        cols[p].discard(p)
+        for r in cols.pop(p):  # row r := a * row r - f * row p, which clears column p
+            row = rows[r]
+            f = row.pop(p)
+            for j in row:
+                row[j] *= a
+            for j, w in prow.items():
+                if j == p:
+                    continue
+                x = row.get(j, 0) - f * w
+                if x:
+                    row[j] = x
+                    cols[j].add(r)
+                else:
+                    del row[j]
+                    cols[j].discard(r)
+            rhs[r] = a * rhs[r] - f * rhs[p]
+            g = math.gcd(rhs[r], *row.values())
+            if g > 1:
+                for j in row:
+                    row[j] //= g
+                rhs[r] //= g
+    return {k: Fraction(rhs[k], rows[k][k]) for k in system}
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,19 @@ distributions, Hausdorff for sets, supremum over inputs for functions,
 monoid distance plus inner distance for pairs, c times the inner distance
 for guards, and the coproduct rule across leaf kinds (infinite in extended
 mode, truncated to 1 in bounded mode).
+
+When the caller's state distances are `extvalue.Affine` values, every
+distance comes with the affine form in the state-pair unknowns that realises
+it: the optimal coupling's flows, whether a bounded-mode cap binds, and the
+chosen input, Hausdorff point and nearest point.  A caller may also choose
+at the maximising nodes (function values and Hausdorff distances) itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Dict, Optional, Tuple
 
 from .errors import DomainError
@@ -293,7 +300,8 @@ def _apply_here(layer, op, args) -> SemValue:
 def sem_dist(v: SemValue, w: SemValue, space: Optional[FinMetricSpace] = None,
              mode: str = EXTENDED, exc_space: Optional[FinMetricSpace] = None,
              pair_monoid=None, _memo: Optional[dict] = None,
-             state_dist: Optional[Callable[[str, str], ExtValue]] = None) -> ExtValue:
+             state_dist: Optional[Callable[[str, str], ExtValue]] = None,
+             max_pick: Optional[Callable[[tuple, list], ExtValue]] = None) -> ExtValue:
     """Distance between two values of the same layer plan.
 
     Free variables are interpreted in `space`; exception labels in
@@ -302,12 +310,18 @@ def sem_dist(v: SemValue, w: SemValue, space: Optional[FinMetricSpace] = None,
     Bounded mode truncates ground distances at 1 (leaves and the ground fed
     to each distribution/set layer), matching the supremum over nonexpansive
     1-bounded dual functions.
+
+    A maximising node, the distance of two function values (the largest
+    over inputs) or of two set values (the largest of the Hausdorff
+    candidates), is the first largest of its candidates, or
+    `max_pick((a, b), candidates)` for the node's pair of values (a, b) if
+    given.
     """
     if mode not in (EXTENDED, BOUNDED):
         raise DomainError(f"unknown mode {mode!r}")
     memo = _memo if _memo is not None else {}
     return _Kernel(space, mode == BOUNDED, exc_space, pair_monoid, state_dist,
-                   memo).rec(v, w)
+                   max_pick, memo).rec(v, w)
 
 
 class _Kernel:
@@ -315,12 +329,14 @@ class _Kernel:
     mutually recursive closures, so that no reference cycle keeps the memo
     alive after the call returns."""
 
-    def __init__(self, space, bounded, exc_space, pair_monoid, state_dist, memo):
+    def __init__(self, space, bounded, exc_space, pair_monoid, state_dist,
+                 max_pick, memo):
         self.space = space
         self.bounded = bounded
         self.exc_space = exc_space
         self.pair_monoid = pair_monoid
         self.state_dist = state_dist
+        self.max_pick = max_pick
         self.memo = memo
         # leaves of different kinds are `top` apart (the coproduct rule), and
         # bounded mode truncates ground distances at it
@@ -339,6 +355,11 @@ class _Kernel:
 
     def capped(self, a: SemValue, b: SemValue) -> ExtValue:
         return self.rec(a, b).truncated(ONE)
+
+    def largest(self, a: SemValue, b: SemValue, candidates: list) -> ExtValue:
+        if self.max_pick is None:
+            return ext_max(*candidates)
+        return self.max_pick((a, b), candidates)
 
     def _dist(self, a: SemValue, b: SemValue) -> ExtValue:
         kind = type(a)
@@ -360,11 +381,13 @@ class _Kernel:
             return kantorovich_general(a, b, self.capped if self.bounded else self.rec)
         if kind is SetVal:
             return hausdorff_general(a.items, b.items,
-                                     self.capped if self.bounded else self.rec)
+                                     self.capped if self.bounded else self.rec,
+                                     pick=partial(self.largest, a, b))
         if kind is FuncVal:
             if [i for i, _ in a.items] != [i for i, _ in b.items]:
                 raise DomainError("function values over different input sets")
-            return ext_max(*(self.rec(x, y) for (_, x), (_, y) in zip(a.items, b.items)))
+            return self.largest(a, b, [self.rec(x, y)
+                                       for (_, x), (_, y) in zip(a.items, b.items)])
         if kind is PairVal:
             return self._alpha_dist(a.alpha, b.alpha) + self.rec(a.inner, b.inner)
         if kind is VarLeaf:
@@ -397,14 +420,15 @@ def sem_dist_with_plan(v: SemValue, w: SemValue, plan: LayerPlan,
                        space: Optional[FinMetricSpace] = None,
                        mode: str = EXTENDED,
                        memo: Optional[dict] = None,
-                       state_dist: Optional[Callable[[str, str], ExtValue]] = None
+                       state_dist: Optional[Callable[[str, str], ExtValue]] = None,
+                       max_pick: Optional[Callable[[tuple, list], ExtValue]] = None
                        ) -> ExtValue:
     mon = None
     for layer in plan.layers:
         if layer[0] == "pair":
             mon = layer[1]
-    return sem_dist(v, w, space, mode, plan.exc_space,
-                    pair_monoid=mon, _memo=memo, state_dist=state_dist)
+    return sem_dist(v, w, space, mode, plan.exc_space, pair_monoid=mon,
+                    _memo=memo, state_dist=state_dist, max_pick=max_pick)
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,10 @@ these kernels."""
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Mapping, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 from .errors import DomainError
-from .extvalue import INF, ZERO, ExtValue, ext_max
+from .extvalue import INF, ZERO, Affine, ExtValue, ext_max, ext_sum
 from .lexing import TokenStream
 from .transport import min_cost_transport
 
@@ -93,32 +93,38 @@ def kantorovich_general(mu, nu, ground: Callable[[object, object], ExtValue]) ->
     mu and nu are anything with `.items`, a tuple of (point, positive weight)
     pairs, such as a semantic DistVal.  The transport checks that their
     masses are equal.  Zero-mass cells never touch the ground function, so an
-    infinite ground never multiplies a zero weight.
+    infinite ground never multiplies a zero weight.  If ground distances
+    carry affine forms (`extvalue.Affine`), the result is the optimal
+    coupling's flow-weighted sum of them, which carries its form.
     """
-    supplies = [w for _, w in mu.items]
-    demands = [w for _, w in nu.items]
     cost = [[ground(a, b) for b, _ in nu.items] for a, _ in mu.items]
-    return min_cost_transport(supplies, demands, cost)
+    plan = min_cost_transport([w for _, w in mu.items], [w for _, w in nu.items], cost)
+    used = [(cost[i][j], f) for (i, j), f in plan.flows.items() if f]
+    if plan.value.is_inf or not any(isinstance(c, Affine) for c, _ in used):
+        return plan.value
+    return ext_sum(c.scaled(f) for c, f in used)
 
 
 def hausdorff_general(U: Iterable, V: Iterable,
-                      ground: Callable[[object, object], ExtValue]) -> ExtValue:
-    """Hausdorff distance of two finite sets; inf over an empty set is INF."""
+                      ground: Callable[[object, object], ExtValue],
+                      pick: Optional[Callable[[list], ExtValue]] = None) -> ExtValue:
+    """Hausdorff distance of two finite sets; inf over an empty set is INF.
+
+    The distance is the largest of the candidates: each point's distance to
+    its nearest point of the other set, U's points first.  `pick` chooses
+    from that list instead (default: the first largest)."""
     U, V = list(U), list(V)
 
-    def directed(A, B):
-        worst = ZERO
-        for a in A:
-            best = INF
-            for b in B:
-                d = ground(a, b)
-                if d < best:
-                    best = d
-            if best > worst:
-                worst = best
-        return worst
+    def nearest(a, B):
+        best = INF
+        for b in B:
+            d = ground(a, b)
+            if d < best:
+                best = d
+        return best
 
-    return ext_max(directed(U, V), directed(V, U))
+    candidates = [nearest(a, V) for a in U] + [nearest(b, U) for b in V]
+    return ext_max(*candidates) if pick is None else pick(candidates)
 
 
 def parse_spaces(text: str, source: str = "<space>") -> Dict[str, FinMetricSpace]:

@@ -166,9 +166,9 @@ def parse_term(text: str, theory=None, source: str = "<term>") -> Term:
     """Parse the term surface grammar.
 
     With a theory, `next` takes the name and factor of its only contractive
-    operator, and `rd` must have its reader's arity; without one, or with
-    several contractive operators, `next` stays unresolved.  Whether each
-    operation is in the theory is decided when the term is denoted: an
+    operator; without one, or with several contractive operators, `next`
+    stays unresolved.  Whether each operation is in the theory (`rd` of the
+    reader's arity among them) is decided when the term is denoted: an
     operation outside it is a DomainError there.
     """
     ts = TokenStream(text, source)
@@ -212,10 +212,6 @@ def _parse_term(ts: TokenStream, theory) -> Term:
         while ts.accept(","):
             args.append(_parse_term(ts, theory))
         ts.expect(")")
-        if theory is not None:
-            n = _reader_arity(theory)
-            if n is not None and n != len(args):
-                raise ts.error(f"rd expects {n} arguments here, got {len(args)}", tok)
         return App(read(len(args)), tuple(args))
     if tok.text == "wr":
         ts.expect("(")
@@ -235,13 +231,6 @@ def _parse_term(ts: TokenStream, theory) -> Term:
                 op = resolved
         return App(op, (a,))
     raise ts.error(f"expected a term, found {tok.text or 'end of input'!r}", tok)
-
-
-def _reader_arity(theory) -> Optional[int]:
-    from .theories import atoms, Reader
-
-    readers = [a for a in atoms(theory) if isinstance(a, Reader)]
-    return len(readers[0].inputs) if readers else None
 
 
 def _contract_op(theory) -> Optional[OpSym]:

@@ -15,12 +15,18 @@ from row 0, which gives every node its potential (u_i + v_j = c_ij on
 basic cells), parent and depth; the entering cell is read off the
 potentials and the cycle off the parents.  Bland's rule on both the
 entering and leaving choices prevents cycling.  Everything is exact.
+
+The result keeps the optimal basis flows and potentials (those of the last
+walk; with one row or one column, the costs).  The potentials are a dual
+certificate: u_i + v_j <= c_ij on every cell, with equality on basic cells,
+so the dual objective equals the primal one.  The flows are the coupling
+behind a Kantorovich value.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from .errors import DomainError
 from .extvalue import INF, ExtValue
@@ -48,6 +54,17 @@ def _scale(a: Cost, t: Fraction) -> Cost:
     return (a[0] * t, a[1] * t)
 
 
+class Transport(NamedTuple):
+    """An optimal transport: its value (INF if every feasible flow uses a
+    forbidden cell), the basic cells' flows (zero on degenerate ones), and
+    the row and column potentials u, v as big-M cost pairs."""
+
+    value: ExtValue
+    flows: Dict[Cell, Fraction]
+    u: List[Cost]
+    v: List[Cost]
+
+
 def _edge_cell(a: int, b: int, m: int) -> Cell:
     """The basic cell of the tree edge between nodes a and b."""
     return (a, b - m) if a < m else (b, a - m)
@@ -57,8 +74,8 @@ def min_cost_transport(
     supplies: Sequence[Fraction],
     demands: Sequence[Fraction],
     cost: Sequence[Sequence[ExtValue]],
-) -> ExtValue:
-    """Exact optimum of the transportation LP; INF if no finite-cost flow exists.
+) -> Transport:
+    """Exact optimum of the transportation LP, with its basis and potentials.
 
     supplies and demands must be positive and have equal totals.
     """
@@ -74,16 +91,21 @@ def min_cost_transport(
 
     costs: List[List[Cost]] = [[_cost_of(cost[i][j]) for j in range(n)] for i in range(m)]
     basis = _northwest_corner(list(supplies), list(demands))
-    # With one row or one column the northwest corner is the only feasible flow.
-    if m > 1 and n > 1:
-        while _pivot(costs, basis, m, n):
-            pass
+    if m == 1 or n == 1:
+        # Every cell is basic, so the northwest corner is the only feasible
+        # flow, and the costs are potentials (with 0 on the other side).
+        u, v = ([_ZERO], costs[0]) if m == 1 else ([row[0] for row in costs], [_ZERO])
+    else:
+        walk = _walk(costs, basis, m, n)
+        while _pivot(costs, basis, m, n, walk):
+            walk = _walk(costs, basis, m, n)
+        u, v = walk[0][:m], walk[0][m:]
 
     total = _ZERO
     for (i, j), f in basis.items():
         if f:
             total = _add(total, _scale(costs[i][j], f))
-    return INF if total[0] > 0 else ExtValue(total[1])
+    return Transport(INF if total[0] > 0 else ExtValue(total[1]), basis, u, v)
 
 
 def _northwest_corner(a: List[Fraction], b: List[Fraction]) -> Dict[Cell, Fraction]:
@@ -103,11 +125,10 @@ def _northwest_corner(a: List[Fraction], b: List[Fraction]) -> Dict[Cell, Fracti
             j += 1
 
 
-def _pivot(costs, basis: Dict[Cell, Fraction], m: int, n: int) -> bool:
-    """One simplex pivot on basis; False when the basis is already optimal.
-
-    Tree nodes are rows 0..m-1 and columns m..m+n-1.
-    """
+def _walk(costs, basis: Dict[Cell, Fraction], m: int, n: int):
+    """One walk of the basis tree from row 0: every node's potential
+    (u_i + v_j = c_ij on basic cells), parent and depth.  Tree nodes are rows
+    0..m-1 and columns m..m+n-1."""
     adj = [[] for _ in range(m + n)]
     for (i, j) in basis:
         adj[i].append(m + j)
@@ -125,7 +146,13 @@ def _pivot(costs, basis: Dict[Cell, Fraction], m: int, n: int) -> bool:
                 pot[b] = _sub(costs[i][j], pot[a])
                 parent[b], depth[b] = a, depth[a] + 1
                 stack.append(b)
+    return pot, parent, depth
 
+
+def _pivot(costs, basis: Dict[Cell, Fraction], m: int, n: int, walk) -> bool:
+    """One simplex pivot on basis, given its walk; False when the basis is
+    already optimal."""
+    pot, parent, depth = walk
     entering = next(
         ((i, j) for i in range(m) for j in range(n)
          if (i, j) not in basis and _sub(costs[i][j], _add(pot[i], pot[m + j])) < _ZERO),

@@ -5,10 +5,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from quantalg import (App, Bary, Contract, DomainError, Exc, FinMetricSpace,
-                      ONE_POINT, RATIONAL_LINE, Reader, Semi, Sum, Tensor, Var,
-                      Writer, app, atoms, conv, empty_op, ext, next_op,
-                      parse_coalgebras, raise_, read, union_op, write)
+from quantalg import (EXTENDED, App, Bary, Contract, DomainError, Exc,
+                      FinMetricSpace, ONE_POINT, RATIONAL_LINE, Reader, Semi,
+                      Sum, TableMonoid, Tensor, Var, Writer, app, atoms, conv,
+                      empty_op, ext, next_op, parse_coalgebras, raise_, read,
+                      union_op, write)
 from quantalg.extvalue import INF
 
 
@@ -250,3 +251,50 @@ def random_coalgebra(rng: random.Random, kind: str, n_states: int = 3,
         rows = {(s, a): mdp_row() for s in states for a in actions}
         return table_coalgebra(Table("mdp", c, states, rows, actions))
     raise AssertionError(kind)
+
+
+# max on 0 <= 1/2 <= 1, as names z, h, o: a table monoid with finite distances
+MAX_MONOID = TableMonoid(
+    FinMetricSpace(["z", "h", "o"], {("z", "h"): ext("1/2"), ("h", "o"): ext("1/2"),
+                                     ("z", "o"): ext(1)}), "z",
+    {(a, b): max(a, b, key="zho".index) for a in "zho" for b in "zho"})
+
+
+def random_cyclic_table(rng: random.Random, kind: str, mode: str, space,
+                        monoid=RATIONAL_LINE, n: int = 3,
+                        c: Fraction = Fraction(1, 2)) -> Table:
+    """A random table in which every row reaches a state, so that the system
+    is cyclic.  Distribution rows also reach leaf(x) points of the space and,
+    for mp and lmp, bot.  In extended mode ||Psi(0)|| stays finite if the
+    space's distances are: no row reaches bot, and every distribution row
+    puts mass 1/2 on states and 1/2 on leaves."""
+    names = [f"s{k}" for k in range(n)]
+    states = [st(s) for s in names]
+    leaves = [leaf(x) for x in space.points]
+    labels = ("a", "b")
+
+    def row():
+        if mode == EXTENDED:
+            parts = [(random_dist(rng, states, 6), Fraction(1, 2)),
+                     (random_dist(rng, leaves, 6), Fraction(1, 2))]
+        else:
+            others = states + leaves + ([BOT] if kind in ("mp", "lmp") else [])
+            e = Fraction(rng.randint(1, 3), 4)
+            parts = [(FinDist.dirac(rng.choice(states)), e),
+                     (random_dist(rng, others, 6), 1 - e)]
+        return FinDist.from_pairs((t, w * share) for dist, share in parts
+                                  for t, w in dist.items)
+
+    if kind == "mp":
+        return Table("mp", c, names, {s: row() for s in names})
+    keys = [(s, a) for s in names for a in labels]
+    if kind == "lmp":
+        return Table("lmp", c, names, {k: row() for k in keys}, labels)
+    if kind == "mdp":
+        return Table("mdp", c, names, {k: FinDist.from_pairs(
+            ((t, Fraction(rng.randint(0, 4), 2)), w) for t, w in row().items)
+            for k in keys}, labels)
+    outputs = list(monoid.elements) if monoid is not RATIONAL_LINE \
+        else [Fraction(k, 2) for k in range(5)]
+    return Table("mealy", c, names, {k: (rng.choice(states), rng.choice(outputs))
+                                     for k in keys}, labels, monoid)

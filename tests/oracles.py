@@ -2,7 +2,8 @@
 
 The transport oracle enumerates every spanning-tree basic feasible solution
 of the transport polytope and takes the minimum, solving each tree by leaf
-elimination.  It shares no code with the production simplex."""
+elimination.  It shares no code with the production simplex, and neither
+does the checker of a transport's dual certificate."""
 
 from collections import defaultdict
 from fractions import Fraction
@@ -38,6 +39,34 @@ def enumerate_transport(supplies, demands, cost):
             best = cand
     assert best is not None, "transport polytope has no vertex?"
     return INF if best[0] > 0 else ExtValue(best[1])
+
+
+def check_transport(supplies, demands, cost, plan):
+    """Assert that plan, a min_cost_transport result, is optimal: its flows
+    are feasible, its potentials satisfy u_i + v_j <= c_ij on every finite
+    cell, and the primal and dual objectives are equal and give its value.
+    Costs are big-M pairs (inf is (1, 0)), compared lexicographically."""
+    m, n = len(supplies), len(demands)
+    big = [[(Fraction(1), Fraction(0)) if c.is_inf else (Fraction(0), c.rational)
+            for c in row] for row in cost]
+    flows = plan.flows
+    assert all(f >= 0 for f in flows.values())
+    assert all(0 <= i < m and 0 <= j < n for i, j in flows)
+    for i in range(m):
+        assert sum(f for (r, _), f in flows.items() if r == i) == supplies[i]
+    for j in range(n):
+        assert sum(f for (_, c), f in flows.items() if c == j) == demands[j]
+    for i in range(m):
+        for j in range(n):
+            if not cost[i][j].is_inf:
+                reduced = tuple(big[i][j][k] - plan.u[i][k] - plan.v[j][k] for k in (0, 1))
+                assert reduced >= (0, 0), (i, j, reduced)
+    primal = tuple(sum(f * big[i][j][k] for (i, j), f in flows.items()) for k in (0, 1))
+    dual = tuple(sum(s * u[k] for s, u in zip(supplies, plan.u))
+                 + sum(d * v[k] for d, v in zip(demands, plan.v)) for k in (0, 1))
+    assert primal == dual, (primal, dual)
+    assert plan.value == (INF if primal[0] > 0 else ExtValue(primal[1]))
+    return plan
 
 
 def _solve_tree(subset, supplies, demands):

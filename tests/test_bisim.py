@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -6,13 +7,15 @@ import pytest
 from quantalg import (BOUNDED, EXTENDED, FinMetricSpace, PseudoMetric,
                       RATIONAL_LINE, TableMonoid, approx_term, disjoint_union,
                       ext, format_coalgebra, labelled_mp_theory,
-                      markov_process_theory, mdp_theory, mealy_theory,
+                      layer_plan, markov_process_theory, mdp_theory, mealy_theory,
                       parse_coalgebras, parse_term, parse_theory, psi_step,
                       solve_bisim, term_dist, unfold_term)
 from quantalg.errors import DivergentGround, DomainError
 from quantalg.extvalue import ZERO
 
-from helpers import random_coalgebra, random_space, random_term
+from helpers import (MAX_MONOID, random_coalgebra, random_cyclic_table,
+                     random_space, random_term, table_coalgebra)
+from oracles import psi_reference
 
 C12 = Fraction(1, 2)
 MP = markov_process_theory(C12)
@@ -385,3 +388,107 @@ def test_approx_term_lmp_and_mdp_recover_fixed_point():
     b2 = approx_term(D, "s1", k)
     got2 = term_dist(a2, b2, MDP, space, BOUNDED)
     assert abs(got2.rational - d2.d("s0", "s1").rational) <= slack
+
+
+def test_policy_iteration_is_exact_against_the_reference_operator():
+    # Psi is a contraction, so its fixed point is unique: a metric the
+    # independent per-kind operator maps to itself is the bisimilarity metric.
+    rng = random.Random(73)
+    tol = Fraction(1, 1000)
+    cases = [(kind, RATIONAL_LINE) for kind in ("mp", "lmp", "mdp", "mealy")]
+    cases.append(("mealy", MAX_MONOID))
+    for kind, monoid in cases:
+        for mode in (BOUNDED, EXTENDED):
+            for _ in range(5):
+                space = random_space(rng, ["x", "y"], max_den=4)
+                c = rng.choice([Fraction(1, 2), Fraction(2, 3), Fraction(9, 10)])
+                T = random_cyclic_table(rng, kind, mode, space, monoid, rng.randint(2, 4), c)
+                d, cert = solve_bisim(table_coalgebra(T, space), tol, mode)
+                assert cert.exact and cert.a_priori_bound == ZERO, (kind, mode)
+                assert psi_reference(T, d, mode, space) == d, (kind, mode)
+                # a Kleene iterate of the reference operator within tol of d*
+                it = psi_reference(T, PseudoMetric(d.states), mode, space)
+                bound = it.sup_diff(PseudoMetric(d.states)).scaled(c / (1 - c))
+                while bound > ext(tol):
+                    it, bound = psi_reference(T, it, mode, space), bound.scaled(c)
+                assert d.sup_diff(it) <= ext(tol), (kind, mode)
+
+
+def test_solve_affine_matches_sympy_lu_solve():
+    sympy = pytest.importorskip("sympy")
+    from quantalg.bisim import solve_affine
+
+    rng = random.Random(79)
+    for _ in range(24):
+        n = rng.randint(1, 30)
+        c = Fraction(rng.randint(1, 9), 10)
+        P = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):  # a substochastic row over at most 4 columns, one of them i + 1
+            cols = rng.sample(range(n), min(n, rng.randint(0, 3))) + [(i + 1) % n]
+            weights = [rng.randint(1, 6) for _ in cols]
+            total = sum(weights) + rng.randint(0, 6)
+            for j, w in zip(cols, weights):
+                P[i][j] += Fraction(w, total)
+        b = [Fraction(rng.randint(0, 12), rng.randint(1, 4)) for _ in range(n)]
+        got = solve_affine({i: (b[i], {j: c * P[i][j] for j in range(n) if P[i][j]})
+                            for i in range(n)})
+        # (I - cP) x = b with each row scaled to integers
+        rows = [[int(i == j) - c * P[i][j] for j in range(n)] + [b[i]] for i in range(n)]
+        rows = [[int(x * math.lcm(*(y.denominator for y in row))) for x in row]
+                for row in rows]
+        want = sympy.Matrix([r[:-1] for r in rows]).LUsolve(sympy.Matrix([r[-1] for r in rows]))
+        assert [got[i] for i in range(n)] == [Fraction(int(x.p), int(x.q)) for x in want]
+
+
+def test_policy_iteration_on_set_layers():
+    # Hausdorff max-min choices, alone (a set of outputs and successors) and
+    # under a max over inputs (a reader over sets with termination), against
+    # the Hausdorff distance written out over the drawn rows.
+    from quantalg import Coalgebra, ExcLeaf, FuncVal, Guard, PairVal, StateLeaf, make_set
+
+    rng = random.Random(83)
+    cases = [("sum(tensor(semi, writer{q}), contr{next, %s})", m) for m in (BOUNDED, EXTENDED)]
+    cases.append(("sum(sum(tensor(semi, reader{a, b}), exc{1}), contr{next, %s})", BOUNDED))
+    for theory, mode in cases:
+        for _ in range(6):
+            c = rng.choice([Fraction(1, 2), Fraction(9, 10)])
+            plan = layer_plan(parse_theory(theory % c))
+            states = [f"s{k}" for k in range(rng.randint(2, 4))]
+            inputs = ("a", "b") if plan.layers[0][0] == "func" else (None,)
+            # a row is a nonempty set of (output, successor) or, under a reader,
+            # of successors and bot (None); every set names a state
+            targets = states + [None] if inputs[0] else states
+            rows = {(s, i): [(Fraction(rng.randint(0, 4), 4), rng.choice(states))]
+                    + [(Fraction(rng.randint(0, 4), 4), rng.choice(targets))
+                       for _ in range(rng.randint(0, 2))] for s in states for i in inputs}
+
+            def cell(alpha, t):
+                leaf = ExcLeaf("*") if t is None else Guard("next", c, StateLeaf(t))
+                return leaf if inputs[0] else PairVal(alpha, leaf)
+
+            def value(s):
+                sets = [(i, make_set(cell(*x) for x in rows[(s, i)])) for i in inputs]
+                return FuncVal(tuple(sets)) if inputs[0] else sets[0][1]
+
+            C = Coalgebra(plan, states, {s: value(s) for s in states})
+            d, cert = solve_bisim(C, Fraction(1, 1000), mode)
+            assert cert.exact and cert.a_priori_bound == ZERO
+
+            def ground(x, y):
+                (alpha, t), (beta, u) = x, y
+                if not inputs[0]:
+                    g = abs(alpha - beta) + c * d.d(t, u).rational
+                elif None in (t, u):  # bot against bot, or against a state
+                    g = Fraction(int(t != u))
+                else:
+                    g = c * d.d(t, u).rational
+                return min(g, Fraction(1)) if mode == BOUNDED else g
+
+            def hausdorff(U, V):
+                return max([min(ground(x, y) for y in V) for x in U]
+                           + [min(ground(y, x) for x in U) for y in V])
+
+            for u in states:
+                for v in states:
+                    want = max(hausdorff(rows[(u, i)], rows[(v, i)]) for i in inputs)
+                    assert d.d(u, v) == ext(want if u != v else 0), (theory, mode)

@@ -55,8 +55,9 @@ def test_bisim_verb(files, capsys):
     code = main(["bisim", "--tol", "1/1000", str(files / "mealy.coalg")])
     assert code == 0
     out = capsys.readouterr().out
-    assert "d(p,q) = 2047/1024" in out
-    assert "iterations=11" in out
+    # cyclic: policy iteration reaches the fixed point d = 1 + d/2 exactly
+    assert "d(p,q) = 2\n" in out
+    assert "exact=yes" in out
 
 
 def test_unfold_round_trip(files, tmp_path, capsys):
@@ -170,6 +171,8 @@ _HOSTILE = {
                               "--space", "{d}/S.space", "--inline", "p", "q"], {}, 1),
     "term wr(m, empty)": (["normalize", "--theory", "tensor(reader{a,b}, tensor(semi, writer{q}))",
                            "--inline", "wr(m, empty)"], {}, 1),
+    "term rd(x) under reader{a,b}": (["dist", "--theory", "tensor(bary, reader{a,b})",
+                                      "--inline", "rd(x)", "x"], {}, 1),
 }
 
 
@@ -299,3 +302,28 @@ def test_bisim_with_infinite_output_distance_terminates(tmp_path):
     assert "d(p,q) = inf" in out.stdout
     rs = next(line for line in out.stdout.splitlines() if "d(r,s)" in line)
     assert abs(Fraction(rs.split("= ")[1]) - 2) <= Fraction(1, 1000)
+
+
+def test_bisim_discount_near_one_is_exact(tmp_path):
+    # c = 999/1000: Kleene iteration would need thousands of steps and print
+    # a rational of over 4300 digits; the fixed point 1/(4 - c) is exact.
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import quantalg
+
+    (tmp_path / "p.coalg").write_text(
+        "mp P { c = 999/1000; state u: 1/2 -> u, 1/2 -> bot;"
+        " state v: 1/4 -> v, 3/4 -> bot; }\n")
+    env = dict(os.environ)
+    src = str(Path(quantalg.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-m", "quantalg.cli", "bisim", "--tol", "1/1000",
+         str(tmp_path / "p.coalg")],
+        capture_output=True, text=True, env=env, timeout=20)
+    assert out.returncode == 0, out.stderr
+    assert "d(u,v) = 1000/3001\n" in out.stdout
+    assert "exact=yes" in out.stdout
