@@ -99,11 +99,13 @@ class PseudoMetric:
         return self._t[self._key(u, v)]
 
     def unknown(self, u: str, v: str) -> ExtValue:
-        """d(u, v) as an `Affine` value whose form is the pair's unknown."""
+        """d(u, v) as an `Affine` value whose form is the pair's unknown, or
+        INF if d(u, v) is infinite."""
         if u == v:
             return ZERO
         k = self._key(u, v)
-        return Affine(self._t[k].rational, Fraction(0), {k: Fraction(1)})
+        val = self._t[k]
+        return val if val.is_inf else Affine(val.rational, Fraction(0), {k: Fraction(1)})
 
     def pairs(self):
         return sorted(self._t.items())
@@ -152,9 +154,9 @@ class Certificate:
     """Machine-readable convergence evidence for the fixed-point solver.
 
     `iterations` counts evaluations of Psi: the Kleene iterates d_1 .. d_k,
-    or every evaluation policy iteration made, from Psi(0) to the final
-    check.  `exact` means that d passed the test Psi(d) == d, so that
-    `residual`, ||Psi(d) - d||, is 0.  Policy iteration answers only so, with
+    then every evaluation policy iteration made, up to the final check.
+    `exact` means that d passed the test Psi(d) == d, so that `residual`,
+    ||Psi(d) - d||, is 0.  Policy iteration answers only so, with
     `a_priori_bound` 0 too.  Kleene iteration's `a_priori_bound` bounds
     ||d - d*|| by c^k/(1-c) * `initial_gap`, or by its a-posteriori form
     while that is infinite."""
@@ -189,7 +191,9 @@ def solve_bisim(C: Coalgebra, tol, mode: str = BOUNDED
     or a Hausdorff distance to the empty set); while the bound is infinite
     it is replaced by the a-posteriori bound c/(1-c) * ||d_k - d_{k-1}||.
     That is finite once the set of infinite pairs has stopped growing, and
-    from then on Psi is a c-contraction on the remaining pairs.
+    from then on Psi is a c-contraction on the remaining pairs.  A cyclic
+    system then leaves Kleene iteration for policy iteration from d_k, which
+    keeps the infinite pairs and solves the rest exactly.
     """
     tol = Fraction(tol)
     if tol <= 0:
@@ -212,7 +216,9 @@ def solve_bisim(C: Coalgebra, tol, mode: str = BOUNDED
 
 def _kleene(C: Coalgebra, d: PseudoMetric, tol: Fraction, gap: ExtValue,
             mode: str) -> Tuple[PseudoMetric, Certificate]:
-    """Iterate Psi from d = Psi(0) under the Banach bound (see solve_bisim)."""
+    """Iterate Psi from d = Psi(0) under the Banach bound (see solve_bisim),
+    or, on a cyclic system, until the bound is finite and policy iteration
+    takes over."""
     shrink = C.c / (1 - C.c)
     k = 1
     bound = gap.scaled(shrink)
@@ -227,6 +233,9 @@ def _kleene(C: Coalgebra, d: PseudoMetric, tol: Fraction, gap: ExtValue,
             break
         if bound.is_inf:
             bound = d_next.sup_diff(d).scaled(shrink)
+            if not bound.is_inf and _cyclic(C):
+                d, evaluations = _policy_iteration(C, d_next, mode)
+                return d, Certificate(k + evaluations, C.c, mode, tol, gap, ZERO, ZERO, True)
         else:
             bound = bound.scaled(C.c)
         d = d_next
@@ -317,11 +326,13 @@ def _policy_iteration(C: Coalgebra, d: PseudoMetric, mode: str
 
 
 def _solve_policy(policy: PseudoMetric) -> PseudoMetric:
-    """The metric d with d = the policy's forms at d."""
+    """The metric d with d = the policy's forms at d.  Infinite pairs are
+    copied through; no finite form reads them."""
+    table = dict(policy.pairs())
     system = {k: (v.const, v.coef) if isinstance(v, Affine) else (v.rational, {})
-              for k, v in policy.pairs()}
-    return PseudoMetric(policy.states,
-                        {k: ExtValue(x) for k, x in solve_affine(system).items()})
+              for k, v in table.items() if not v.is_inf}
+    table.update((k, ExtValue(x)) for k, x in solve_affine(system).items())
+    return PseudoMetric(policy.states, table)
 
 
 def solve_affine(system: Dict[object, Tuple[Fraction, Dict[object, Fraction]]]

@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 domain errors, 2 parse errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -36,7 +37,10 @@ def main(argv=None) -> int:
         return 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args leaves it
+    unchanged, so every call of main shares it."""
     p = argparse.ArgumentParser(
         prog="quantalg",
         description="exact distances for quantitative algebraic effects")

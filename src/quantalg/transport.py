@@ -1,30 +1,31 @@
-"""Exact transportation problem solver over rationals.
+"""Exact transportation problem solver over rationals, run on integers.
 
-Costs live in a two-component "big-M" arithmetic: a cost is a pair
-(m, q) meaning m*M + q for an infinitely large M.  Forbidden cells
-(infinite ground distance) get cost (1, 0); the optimum is infinite
-exactly when its m-component is positive, i.e. when every feasible
-coupling puts mass on a forbidden cell.  Pairs of Fractions add
-componentwise and compare lexicographically, which Python tuples do
-natively.
+The masses are scaled to ints by W, the lcm of their denominators, and the
+finite costs by K, the lcm of theirs.  A cost is a "big-M" pair (m, q) of
+ints meaning m*M + q for an infinitely large M; a forbidden cell (infinite
+ground distance) costs (1, 0), and the optimum is infinite exactly when its
+m-component is positive.  Pairs add componentwise and compare
+lexicographically.
 
-The solver is the classical primal transportation simplex on a spanning
-tree basis, started from the northwest corner.  The basis is a dict from
-basic cells to their flows.  Each pivot makes one walk of the basis tree
-from row 0, which gives every node its potential (u_i + v_j = c_ij on
-basic cells), parent and depth; the entering cell is read off the
-potentials and the cycle off the parents.  Bland's rule on both the
-entering and leaving choices prevents cycling.  Everything is exact.
+The solver is the primal transportation simplex on a spanning tree basis
+(a dict from basic cells to flows), started from the northwest corner.
+Each pivot walks the basis tree once from row 0, which gives every node its
+potential (u_i + v_j = c_ij on basic cells), parent and depth; the entering
+cell is read off the potentials and the cycle off the parents.  Bland's
+rule on both the entering and the leaving cell prevents cycling.  Positive
+scalings keep the sign of every reduced cost and the order of the flows,
+so every pivot is the one the simplex takes on the rationals themselves.
 
-The result keeps the optimal basis flows and potentials (those of the last
-walk; with one row or one column, the costs).  The potentials are a dual
-certificate: u_i + v_j <= c_ij on every cell, with equality on basic cells,
-so the dual objective equals the primal one.  The flows are the coupling
-behind a Kantorovich value.
+Only the returned `Transport` holds rationals: the value total/(W*K), the
+flows f/W and the potentials (m, q/K).  The potentials are a dual
+certificate (u_i + v_j <= c_ij on every cell, with equality on basic
+cells, so the dual objective equals the primal one), and the flows are the
+coupling behind a Kantorovich value.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
@@ -33,25 +34,6 @@ from .extvalue import INF, ExtValue
 
 Cost = Tuple[Fraction, Fraction]
 Cell = Tuple[int, int]
-
-_ZERO: Cost = (Fraction(0), Fraction(0))
-_FORBIDDEN: Cost = (Fraction(1), Fraction(0))
-
-
-def _cost_of(d: ExtValue) -> Cost:
-    return _FORBIDDEN if d.is_inf else (Fraction(0), d.rational)
-
-
-def _add(a: Cost, b: Cost) -> Cost:
-    return (a[0] + b[0], a[1] + b[1])
-
-
-def _sub(a: Cost, b: Cost) -> Cost:
-    return (a[0] - b[0], a[1] - b[1])
-
-
-def _scale(a: Cost, t: Fraction) -> Cost:
-    return (a[0] * t, a[1] * t)
 
 
 class Transport(NamedTuple):
@@ -70,6 +52,12 @@ def _edge_cell(a: int, b: int, m: int) -> Cell:
     return (a, b - m) if a < m else (b, a - m)
 
 
+def _scaled(values) -> Tuple[List[int], int]:
+    """Rationals (or ints) as ints over their least common denominator."""
+    scale = math.lcm(*(x.denominator for x in values))
+    return [x.numerator * (scale // x.denominator) for x in values], scale
+
+
 def min_cost_transport(
     supplies: Sequence[Fraction],
     demands: Sequence[Fraction],
@@ -82,35 +70,37 @@ def min_cost_transport(
     m, n = len(supplies), len(demands)
     if m == 0 or n == 0:
         raise DomainError("transportation problem needs nonempty supports")
-    if any(s <= 0 for s in supplies) or any(d <= 0 for d in demands):
+    mass, W = _scaled(list(supplies) + list(demands))
+    if min(mass) <= 0:
         raise DomainError("supplies and demands must be positive")
-    if sum(supplies) != sum(demands):
-        raise DomainError(
-            f"mass mismatch: supply {sum(supplies)} vs demand {sum(demands)}"
-        )
+    if sum(mass[:m]) != sum(mass[m:]):
+        raise DomainError(f"mass mismatch: supply {sum(supplies)} vs demand {sum(demands)}")
 
-    costs: List[List[Cost]] = [[_cost_of(cost[i][j]) for j in range(n)] for i in range(m)]
-    basis = _northwest_corner(list(supplies), list(demands))
+    finite, K = _scaled([c.rational for row in cost for c in row if not c.is_inf])
+    it = iter(finite)
+    costs = [[(1, 0) if c.is_inf else (0, next(it)) for c in row] for row in cost]
+    basis = _northwest_corner(mass[:m], mass[m:])
     if m == 1 or n == 1:
         # Every cell is basic, so the northwest corner is the only feasible
         # flow, and the costs are potentials (with 0 on the other side).
-        u, v = ([_ZERO], costs[0]) if m == 1 else ([row[0] for row in costs], [_ZERO])
+        pot = [(0, 0)] + costs[0] if m == 1 else [row[0] for row in costs] + [(0, 0)]
     else:
         walk = _walk(costs, basis, m, n)
         while _pivot(costs, basis, m, n, walk):
             walk = _walk(costs, basis, m, n)
-        u, v = walk[0][:m], walk[0][m:]
+        pot = walk[0]
 
-    total = _ZERO
-    for (i, j), f in basis.items():
-        if f:
-            total = _add(total, _scale(costs[i][j], f))
-    return Transport(INF if total[0] > 0 else ExtValue(total[1]), basis, u, v)
+    big = sum(f * costs[i][j][0] for (i, j), f in basis.items())
+    total = sum(f * costs[i][j][1] for (i, j), f in basis.items())
+    value = INF if big > 0 else ExtValue(Fraction(total, W * K))
+    flows = {c: Fraction(f, W) for c, f in basis.items()}
+    pot = [(Fraction(pm), Fraction(pq, K)) for pm, pq in pot]
+    return Transport(value, flows, pot[:m], pot[m:])
 
 
-def _northwest_corner(a: List[Fraction], b: List[Fraction]) -> Dict[Cell, Fraction]:
+def _northwest_corner(a: List[int], b: List[int]) -> Dict[Cell, int]:
     m, n = len(a), len(b)
-    basis: Dict[Cell, Fraction] = {}
+    basis: Dict[Cell, int] = {}
     i = j = 0
     while True:
         t = min(a[i], b[j])
@@ -125,7 +115,7 @@ def _northwest_corner(a: List[Fraction], b: List[Fraction]) -> Dict[Cell, Fracti
             j += 1
 
 
-def _walk(costs, basis: Dict[Cell, Fraction], m: int, n: int):
+def _walk(costs, basis: Dict[Cell, int], m: int, n: int):
     """One walk of the basis tree from row 0: every node's potential
     (u_i + v_j = c_ij on basic cells), parent and depth.  Tree nodes are rows
     0..m-1 and columns m..m+n-1."""
@@ -133,30 +123,40 @@ def _walk(costs, basis: Dict[Cell, Fraction], m: int, n: int):
     for (i, j) in basis:
         adj[i].append(m + j)
         adj[m + j].append(i)
-    pot = [None] * (m + n)
-    parent = [0] * (m + n)
-    depth = [0] * (m + n)
-    pot[0] = _ZERO
+    pot = [(0, 0)] + [None] * (m + n - 1)
+    parent, depth = [0] * (m + n), [0] * (m + n)
     stack = [0]
     while stack:
         a = stack.pop()
+        pm, pq = pot[a]
         for b in adj[a]:
             if pot[b] is None:
                 i, j = _edge_cell(a, b, m)
-                pot[b] = _sub(costs[i][j], pot[a])
+                cm, cq = costs[i][j]
+                pot[b] = (cm - pm, cq - pq)
                 parent[b], depth[b] = a, depth[a] + 1
                 stack.append(b)
     return pot, parent, depth
 
 
-def _pivot(costs, basis: Dict[Cell, Fraction], m: int, n: int, walk) -> bool:
+def _entering(costs, pot, m: int):
+    """Bland's entering cell, the first in row-major order with a negative
+    reduced cost c_ij - u_i - v_j, or None at an optimal basis."""
+    vm, vq = zip(*pot[m:])
+    for i, row in enumerate(costs):
+        um, uq = pot[i]
+        for j, (cm, cq) in enumerate(row):
+            dm = cm - um - vm[j]
+            if dm < 0 or (dm == 0 and cq - uq < vq[j]):
+                return (i, j)
+    return None
+
+
+def _pivot(costs, basis: Dict[Cell, int], m: int, n: int, walk) -> bool:
     """One simplex pivot on basis, given its walk; False when the basis is
     already optimal."""
     pot, parent, depth = walk
-    entering = next(
-        ((i, j) for i in range(m) for j in range(n)
-         if (i, j) not in basis and _sub(costs[i][j], _add(pot[i], pot[m + j])) < _ZERO),
-        None)  # Bland: the first improving cell in row-major order
+    entering = _entering(costs, pot, m)
     if entering is None:
         return False
 
@@ -174,7 +174,7 @@ def _pivot(costs, basis: Dict[Cell, Fraction], m: int, n: int, walk) -> bool:
     givers = cycle[1::2]
     theta = min(basis[c] for c in givers)
     leaving = min(c for c in givers if basis[c] == theta)  # Bland
-    basis[entering] = Fraction(0)
+    basis[entering] = 0
     for k, c in enumerate(cycle):
         basis[c] = basis[c] + theta if k % 2 == 0 else basis[c] - theta
     del basis[leaving]

@@ -414,6 +414,40 @@ def test_policy_iteration_is_exact_against_the_reference_operator():
                 assert d.sup_diff(it) <= ext(tol), (kind, mode)
 
 
+# e, a, b with `a` absorbing and infinitely far from e and b: in bounded mode
+# ||Psi(0)|| is infinite as soon as a Mealy row writes `a`.
+ABSORBING = TableMonoid(
+    FinMetricSpace(["e", "a", "b"], {("e", "b"): ext(1)}), "e",
+    {(x, y): "a" if "a" in (x, y) else max(x, y, key="eb".index)
+     for x in "eab" for y in "eab"})
+
+
+def test_policy_iteration_after_the_infinite_pairs_are_fixed():
+    # ||Psi(0)|| is infinite, so Kleene iteration runs until the set of
+    # infinite pairs stops growing and policy iteration solves the rest.
+    # Infinite pairs make other fixed points of Psi (all of them infinite,
+    # say), so the answer's infinite pairs are checked against the Kleene
+    # iterates of the reference operator, whose infinite pairs are settled
+    # after one step per pair.
+    rng = random.Random(83)
+    tol = Fraction(1, 1000)
+    space = random_space(rng, ["x", "y"], max_den=4)
+    with_inf = 0
+    for _ in range(40):
+        c = rng.choice([Fraction(1, 2), Fraction(2, 3), Fraction(9, 10)])
+        T = random_cyclic_table(rng, "mealy", BOUNDED, space, ABSORBING, rng.randint(2, 5), c)
+        d, cert = solve_bisim(table_coalgebra(T, space), tol, BOUNDED)
+        assert cert.exact and cert.a_priori_bound == ZERO
+        assert psi_reference(T, d, BOUNDED, space) == d
+        it = PseudoMetric(d.states)
+        for _ in range(len(d.pairs()) + 1):
+            it = psi_reference(T, it, BOUNDED, space)
+        infinite = [k for k, v in d.pairs() if v.is_inf]
+        assert infinite == [k for k, v in it.pairs() if v.is_inf]
+        with_inf += cert.initial_gap.is_inf and len(infinite) < len(d.pairs())
+    assert with_inf >= 5, with_inf
+
+
 def test_solve_affine_matches_sympy_lu_solve():
     sympy = pytest.importorskip("sympy")
     from quantalg.bisim import solve_affine

@@ -271,59 +271,101 @@ def test_mdp_unfold_and_bisim_end_to_end(tmp_path, capsys):
     assert "certificate" in capsys.readouterr().out
 
 
-def test_bisim_with_infinite_output_distance_terminates(tmp_path):
-    # `a` is absorbing and infinitely far from `e` and `b`, so ||Psi(0)|| is
-    # infinite in bounded mode and the a-priori bound never falls below tol.
+def _bisim_subprocess(*args):
+    """`quantalg bisim --tol 1/1000 ARGS` in a fresh interpreter, 20 s at most."""
     import os
     import subprocess
     import sys
-    from fractions import Fraction
     from pathlib import Path
 
     import quantalg
 
+    env = dict(os.environ)
+    src = str(Path(quantalg.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-m", "quantalg.cli", "bisim", "--tol", "1/1000", *map(str, args)],
+        capture_output=True, text=True, env=env, timeout=20)
+    assert out.returncode == 0, out.stderr
+    return out.stdout
+
+
+def _absorbing_output_mealy(tmp_path, c):
+    """A Mealy system whose output `a` is absorbing and infinitely far from
+    `e` and `b`, so ||Psi(0)|| is infinite in bounded mode and the a-priori
+    bound never falls below tol: p and q loop on e and a, r and s swap
+    outputs e and b.  Returns its monoid file and its system file."""
     (tmp_path / "M.monoid").write_text(
         "monoid M { elements: e, a, b; unit = e;\n"
         "  mult(e,e) = e; mult(e,a) = a; mult(e,b) = b;\n"
         "  mult(a,e) = a; mult(a,a) = a; mult(a,b) = a;\n"
         "  mult(b,e) = b; mult(b,a) = a; mult(b,b) = b; d(e,b) = 1; }\n")
     (tmp_path / "h.coalg").write_text(
-        "mealy H { c = 1/2; inputs: i; monoid: M;\n"
+        f"mealy H {{ c = {c}; inputs: i; monoid: M;\n"
         "  state p on i -> (p, e); state q on i -> (q, a);\n"
         "  state r on i -> (s, e); state s on i -> (r, b); }\n")
-    env = dict(os.environ)
-    src = str(Path(quantalg.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    out = subprocess.run(
-        [sys.executable, "-m", "quantalg.cli", "bisim", "--tol", "1/1000",
-         "--monoid", str(tmp_path / "M.monoid"), str(tmp_path / "h.coalg")],
-        capture_output=True, text=True, env=env, timeout=20)
-    assert out.returncode == 0, out.stderr
-    assert "d(p,q) = inf" in out.stdout
-    rs = next(line for line in out.stdout.splitlines() if "d(r,s)" in line)
+    return tmp_path / "M.monoid", tmp_path / "h.coalg"
+
+
+def test_bisim_with_infinite_output_distance_terminates(tmp_path):
+    from fractions import Fraction
+
+    monoid, system = _absorbing_output_mealy(tmp_path, "1/2")
+    out = _bisim_subprocess("--monoid", monoid, system)
+    assert "d(p,q) = inf" in out
+    rs = next(line for line in out.splitlines() if "d(r,s)" in line)
     assert abs(Fraction(rs.split("= ")[1]) - 2) <= Fraction(1, 1000)
+
+
+def test_bisim_infinite_output_distance_near_one_is_exact(tmp_path):
+    # c = 999/1000: the infinite pairs are fixed after a few Kleene steps,
+    # and policy iteration solves the rest exactly: d(r,s) = 1/(1 - c) and
+    # d(p,r) = c/(1 - c^2).  Kleene iteration alone would print a rational
+    # of over 4300 digits.
+    monoid, system = _absorbing_output_mealy(tmp_path, "999/1000")
+    out = _bisim_subprocess("--monoid", monoid, system)
+    assert "d(p,q) = inf\n" in out
+    assert "d(r,s) = 1000\n" in out
+    assert "d(p,r) = 999000/1999\n" in out
+    assert "exact=yes" in out
 
 
 def test_bisim_discount_near_one_is_exact(tmp_path):
     # c = 999/1000: Kleene iteration would need thousands of steps and print
     # a rational of over 4300 digits; the fixed point 1/(4 - c) is exact.
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import quantalg
-
     (tmp_path / "p.coalg").write_text(
         "mp P { c = 999/1000; state u: 1/2 -> u, 1/2 -> bot;"
         " state v: 1/4 -> v, 3/4 -> bot; }\n")
-    env = dict(os.environ)
-    src = str(Path(quantalg.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    out = subprocess.run(
-        [sys.executable, "-m", "quantalg.cli", "bisim", "--tol", "1/1000",
-         str(tmp_path / "p.coalg")],
-        capture_output=True, text=True, env=env, timeout=20)
-    assert out.returncode == 0, out.stderr
-    assert "d(u,v) = 1000/3001\n" in out.stdout
-    assert "exact=yes" in out.stdout
+    out = _bisim_subprocess(tmp_path / "p.coalg")
+    assert "d(u,v) = 1000/3001\n" in out
+    assert "exact=yes" in out
+
+
+def test_parser_is_built_once_and_reused_across_calls(files, capsys):
+    from quantalg import cli
+
+    space = ["--space", str(files / "S.space")]
+    calls = [
+        ["dist", "--theory", "bary", *space, "--inline", "conv(1/2, x, y)", "y"],
+        ["dist", "--theory", "bary", "--mode", "sideways", "--inline", "x", "y"],
+        ["normalize", "--theory", "writer{q}", "--inline", "wr(2, wr(3, x))"],
+        ["dist", "--theory", "bary", *space, "--decimal", "2", "--inline", "x", "y"],
+    ]
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    shared = [run(argv) for argv in calls]
+    assert cli._build_parser() is cli._build_parser()
+    fresh = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        fresh.append(run(argv))
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 2, 0, 0]
+    assert shared[0][1] == "1/2\n" and shared[3][1] == "1 (1.00)\n"

@@ -234,3 +234,84 @@ def test_transport_simplex_against_networkx_on_integer_scaled_instances():
             infeasible += 1
         assert got == want, (m, n, supplies, demands, cost)
     assert 0 < infeasible < len(sizes)
+
+
+def _random_transport(rng, m, n, forbid):
+    supplies = _masses(rng, m, rng.random() < 0.3)
+    demands = _masses(rng, n, rng.random() < 0.3)
+    cost = [[INF if rng.random() < forbid
+             else ext(Fraction(rng.randint(0, 12), rng.choice([1, 2, 3, 4])))
+             for _ in range(n)] for _ in range(m)]
+    return supplies, demands, cost
+
+
+def test_transport_scaling_costs_scales_the_value_and_keeps_the_plan():
+    rng = random.Random(93)
+    for _ in range(60):
+        supplies, demands, cost = _random_transport(
+            rng, rng.randint(1, 7), rng.randint(1, 7), rng.choice([0, 0.3]))
+        plan = spaces.min_cost_transport(supplies, demands, cost)
+        for r in (Fraction(7, 3), Fraction(1, 1000), Fraction(10**40, 3)):
+            scaled = [[c.scaled(r) for c in row] for row in cost]
+            got = spaces.min_cost_transport(supplies, demands, scaled)
+            assert got.value == plan.value.scaled(r)
+            assert got.flows == plan.flows
+            for side, base in ((got.u, plan.u), (got.v, plan.v)):
+                assert side == [(big, q * r) for big, q in base]
+
+
+def test_transport_scaling_masses_scales_the_flows_and_the_value():
+    rng = random.Random(94)
+    for _ in range(60):
+        supplies, demands, cost = _random_transport(
+            rng, rng.randint(1, 7), rng.randint(1, 7), rng.choice([0, 0.3]))
+        plan = spaces.min_cost_transport(supplies, demands, cost)
+        for s in (Fraction(5), Fraction(2, 9), Fraction(1, 10**30)):
+            got = spaces.min_cost_transport([w * s for w in supplies],
+                                            [w * s for w in demands], cost)
+            assert got.flows == {c: f * s for c, f in plan.flows.items()}
+            assert got.value == plan.value.scaled(s)
+
+
+def _coprime_masses(rng, k, dens):
+    """k positive masses of total 1, the first k - 1 over the given
+    denominators in turn (each below 1/k), the last their complement."""
+    head = []
+    for i in range(k - 1):
+        d = dens[i % len(dens)]
+        head.append(Fraction(rng.randint(1, d - 1), d * k))
+    return head + [1 - sum(head)]
+
+
+def test_transport_with_coprime_masses_and_huge_cost_denominators():
+    # Masses over sevenths, elevenths and thirteenths, costs over denominators
+    # of more than 100 digits: the integer scalings are large and coprime.
+    rng = random.Random(95)
+    big_dens = [3**211, 7**120 + 2, 10**101 + 267, rng.randint(10**101, 10**102)]
+    outcomes = {"inf": 0, "finite next to forbidden cells": 0}
+    for _ in range(40):
+        m, n = rng.choice([(2, 2), (2, 3), (3, 2), (3, 3), (3, 4), (4, 3)])
+        supplies = _coprime_masses(rng, m, [7, 11])
+        demands = _coprime_masses(rng, n, [13, 7, 11])
+        cost = [[INF if rng.random() < 0.35
+                 else ext(Fraction(rng.randint(0, 10**103), rng.choice(big_dens)))
+                 for _ in range(n)] for _ in range(m)]
+        got = spaces.min_cost_transport(supplies, demands, cost).value
+        assert got == enumerate_transport(supplies, demands, cost)
+        if got.is_inf:
+            outcomes["inf"] += 1
+        elif any(c.is_inf for row in cost for c in row):
+            outcomes["finite next to forbidden cells"] += 1
+    assert all(outcomes.values()), outcomes
+
+
+@pytest.mark.parametrize("supplies, demands", [
+    ([], [Fraction(1)]),
+    ([Fraction(1), Fraction(0)], [Fraction(1)]),
+    ([Fraction(1)], [Fraction(3, 2), Fraction(-1, 2)]),
+    ([Fraction(1, 3)], [Fraction(1, 2)]),
+])
+def test_transport_rejects_empty_nonpositive_or_unequal_masses(supplies, demands):
+    cost = [[ZERO] * len(demands) for _ in supplies]
+    with pytest.raises(DomainError):
+        min_cost_transport(supplies, demands, cost)
