@@ -67,26 +67,20 @@ class ExtValue:
     def truncated(self, cap: "ExtValue") -> "ExtValue":
         return self if self <= cap else cap
 
-    def _key(self, other) -> tuple:
-        other = _coerce(other)
-        return (self._q, other._q)
-
     def __eq__(self, other) -> bool:
-        if not isinstance(other, (ExtValue, int, Fraction)):
-            return NotImplemented
-        a, b = self._key(other)
-        return a == b
+        if type(other) is not ExtValue:
+            if not isinstance(other, (ExtValue, int, Fraction)):
+                return NotImplemented
+            other = _coerce(other)
+        return self._q == other._q
 
     def __lt__(self, other) -> bool:
-        a, b = self._key(other)
-        if a is None:
-            return False
-        if b is None:
-            return True
-        return a < b
+        b = (other if type(other) is ExtValue else _coerce(other))._q
+        return self._q is not None and (b is None or self._q < b)
 
     def __le__(self, other) -> bool:
-        return self == _coerce(other) or self < other
+        b = (other if type(other) is ExtValue else _coerce(other))._q
+        return b is None or (self._q is not None and self._q <= b)
 
     def __gt__(self, other) -> bool:
         return not self <= other

@@ -10,6 +10,13 @@ premise threshold set to the actual premise distance, the tightest threshold
 that admits the assignment; this suffices because satisfaction is monotone
 in the thresholds.
 
+The instances of one schema (equal sides, premise variables and bound
+function) share one loop over the assignments, which evaluates the sides,
+the premise distances and that tight bound once per assignment.  Each
+instance keeps its own verdict and its own `checked`/`skipped` counts, up
+to its first counterexample, and its own test at its given thresholds: its
+bound need not be the bound function's value there.
+
 The built-in models are finite carriers inside the free models of the
 theories (`free_model`): sets with the Hausdorff metric, a grid of
 distributions with the Kantorovich metric, functions with the supremum
@@ -121,26 +128,23 @@ def check_nonexpansive(alg: FiniteAlgebra, op: OpSym, origin: str = "") -> Check
     factor = op.param[1] if op.kind == "next" else None
     n = op.arity
     entry = CheckEntry("nonexpansive", f"nonexpansive {op}", origin, True)
-    pts = alg.carrier.points
-    for avec in itertools.product(pts, repeat=n):
-        fa = alg.lookup(op, avec)
+    d = alg.carrier.d
+    images = [(vec, alg.lookup(op, vec))
+              for vec in itertools.product(alg.carrier.points, repeat=n)]
+    for avec, fa in images:
         if fa is None:
             entry.skipped += 1
             continue
-        for bvec in itertools.product(pts, repeat=n):
-            fb = alg.lookup(op, bvec)
+        for bvec, fb in images:
             if fb is None:
                 entry.skipped += 1
                 continue
             entry.checked += 1
-            if n == 0:
-                spread = ZERO
-            else:
-                spread = ext_max(*(alg.carrier.d(x, y) for x, y in zip(avec, bvec)))
+            spread = ext_max(*(d(x, y) for x, y in zip(avec, bvec))) if n else ZERO
             if spread.is_inf:
                 continue  # an infinite spread bounds nothing
             allowed = spread if factor is None else spread.scaled(factor)
-            got = alg.carrier.d(fa, fb)
+            got = d(fa, fb)
             if got > allowed:
                 entry.passed = False
                 entry.counterexample = Counterexample(
@@ -150,57 +154,64 @@ def check_nonexpansive(alg: FiniteAlgebra, op: OpSym, origin: str = "") -> Check
     return entry
 
 
-def check_equation(alg: FiniteAlgebra, ax: AxiomInstance,
-                   origin: str = "") -> CheckEntry:
-    """For every assignment: premises within their thresholds imply the
-    conclusion within the bound, with the thresholds set to the actual
-    premise distances when the axiom carries a continuous bound function."""
-    entry = CheckEntry("axiom", ax.label, origin, True)
-    variables = ax.variables()
-    pts = alg.carrier.points
-    for values in itertools.product(pts, repeat=len(variables)):
+def check_equation(alg: FiniteAlgebra, group: Sequence[AxiomInstance],
+                   origin: str = "") -> List[CheckEntry]:
+    """One entry per instance of `group`, instances that share lhs, rhs,
+    premise variables and bound function.  For every assignment: premises
+    within their thresholds imply the conclusion within the bound, and with
+    a bound function also within its value at the actual premise distances.
+    An instance leaves the loop at its first counterexample."""
+    first = group[0]
+    entries = [CheckEntry("axiom", ax.label, origin, True) for ax in group]
+    live = [(ax, entry, [e for _, _, e in ax.premises]) for ax, entry in zip(group, entries)]
+    variables = first.variables()
+    pairs = [(x, y) for x, y, _ in first.premises]
+    d = alg.carrier.d
+    for values in itertools.product(alg.carrier.points, repeat=len(variables)):
         assignment = dict(zip(variables, values))
-        lhs = alg.evaluate(ax.lhs, assignment)
-        rhs = alg.evaluate(ax.rhs, assignment)
+        lhs = alg.evaluate(first.lhs, assignment)
+        rhs = alg.evaluate(first.rhs, assignment)
         if lhs is None or rhs is None:
-            entry.skipped += 1
+            for _, entry, _ in live:
+                entry.skipped += 1
             continue
-        entry.checked += 1
-        got = alg.carrier.d(lhs, rhs)
-        violation = _equation_violation(alg, ax, assignment, got)
-        if violation is not None:
+        got = d(lhs, rhs)
+        premise_dists = [d(assignment[x], assignment[y]) for x, y in pairs]
+        # The tightest thresholds are the premise distances themselves
+        # (bound_fn is monotone, so they dominate every other choice); no
+        # rational threshold admits an infinite one.  `tight` is kept only
+        # when got exceeds it.
+        tight = None
+        if pairs and first.bound_fn is not None and not any(
+                pd.is_inf for pd in premise_dists):
+            tight = first.bound_fn(*premise_dists)
+            if not got > tight:
+                tight = None
+        failed = False
+        for ax, entry, eps in live:
+            entry.checked += 1
+            if got > ax.bound and all(pd <= e for pd, e in zip(premise_dists, eps)):
+                # The given instance, whose bound need not be bound_fn(eps).
+                detail = (f"premises hold at {[str(e) for e in eps]} but d = {got} > {ax.bound}"
+                          if pairs else f"d(lhs, rhs) = {got} > {ax.bound}")
+            elif tight is not None:
+                detail = (f"premises hold at {[str(e) for e in premise_dists]} "
+                          f"but d = {got} > {tight}")
+            else:
+                continue
             entry.passed = False
-            entry.counterexample = Counterexample(assignment, violation)
-            return entry
-    return entry
-
-
-def _equation_violation(alg, ax, assignment, got) -> Optional[str]:
-    if not ax.premises:
-        if got > ax.bound:
-            return f"d(lhs, rhs) = {got} > {ax.bound}"
-        return None
-    premise_dists = [
-        alg.carrier.d(assignment[x], assignment[y]) for x, y, _ in ax.premises]
-    # The given instance.
-    eps = [e for _, _, e in ax.premises]
-    if all(pd <= e for pd, e in zip(premise_dists, eps)) and got > ax.bound:
-        return f"premises hold at {[str(e) for e in eps]} but d = {got} > {ax.bound}"
-    if ax.bound_fn is None:
-        return None
-    # The tightest thresholds are the premise distances themselves (bound_fn
-    # is monotone, so they dominate every other choice).
-    if any(pd.is_inf for pd in premise_dists):
-        return None  # no rational threshold admits this premise
-    bound = ax.bound_fn(*premise_dists)
-    if got > bound:
-        return (f"premises hold at {[str(e) for e in premise_dists]} "
-                f"but d = {got} > {bound}")
-    return None
+            entry.counterexample = Counterexample(assignment, detail)
+            failed = True
+        if failed:
+            live = [t for t in live if t[1].passed]
+            if not live:
+                break
+    return entries
 
 
 def check_theory(alg: FiniteAlgebra, th: TheoryExpr, params: ParamPool) -> Report:
-    """Aggregate table, non-expansiveness, and axiom checks for the theory."""
+    """Aggregate table, non-expansiveness, and axiom checks for the theory.
+    The instances of one schema are checked together (`check_equation`)."""
     report = Report()
     alg.validate_closure()
     for op in instantiate_generators(th, params):
@@ -213,8 +224,14 @@ def check_theory(alg: FiniteAlgebra, th: TheoryExpr, params: ParamPool) -> Repor
             for op in instantiate_generators(atom, params):
                 if op in alg.interp:
                     report.entries.append(check_nonexpansive(alg, op, origin=origin))
+        schemata: Dict[tuple, List[AxiomInstance]] = {}
         for ax in instances:
-            report.entries.append(check_equation(alg, ax, origin))
+            key = (ax.lhs, ax.rhs, tuple(p[:2] for p in ax.premises), ax.bound_fn)
+            schemata.setdefault(key, []).append(ax)
+        verdict = {}
+        for group in schemata.values():
+            verdict.update(zip(group, check_equation(alg, group, origin)))
+        report.entries.extend(verdict[ax] for ax in instances)
     report.notes.append(
         "continuity rule not checked: distances on a finite carrier are attained")
     return report

@@ -99,10 +99,9 @@ def kantorovich_general(mu, nu, ground: Callable[[object, object], ExtValue]) ->
     """
     cost = [[ground(a, b) for b, _ in nu.items] for a, _ in mu.items]
     plan = min_cost_transport([w for _, w in mu.items], [w for _, w in nu.items], cost)
-    used = [(cost[i][j], f) for (i, j), f in plan.flows.items() if f]
-    if plan.value.is_inf or not any(isinstance(c, Affine) for c, _ in used):
+    if plan.value.is_inf or not any(isinstance(c, Affine) for row in cost for c in row):
         return plan.value
-    return ext_sum(c.scaled(f) for c, f in used)
+    return ext_sum(cost[i][j].scaled(f) for (i, j), f in plan.flows.items() if f)
 
 
 def hausdorff_general(U: Iterable, V: Iterable,

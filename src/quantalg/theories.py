@@ -191,7 +191,9 @@ class AxiomInstance:
     """One conditional quantitative equation with variable-only premises.
 
     `bound_fn`, present for continuous schemata, maps the premise thresholds
-    to the tight conclusion bound and is monotone in each argument.
+    to the tight conclusion bound and is monotone in each argument.  The
+    instances of one schema share one `bound_fn` object, by which the model
+    checker groups them.
     """
 
     label: str
@@ -297,9 +299,9 @@ def _atom_axioms(atom: TheoryExpr, params: ParamPool) -> List[AxiomInstance]:
                         app(conv(e * e2), x, app(conv(inner), y, z)),
                         ZERO))
         for e in params.weights:
+            bound_fn = _ib_bound(e)
             for e1 in eps:
                 for e2 in eps:
-                    bound_fn = _ib_bound(e)
                     out.append(AxiomInstance(
                         f"IB[{e}]",
                         (("x1", "y1", e1), ("x2", "y2", e2)),
@@ -359,8 +361,8 @@ def _atom_axioms(atom: TheoryExpr, params: ParamPool) -> List[AxiomInstance]:
                     app(write(mon.mult(a, b)), x), ZERO))
         for a in alphas:
             for b in alphas:
+                bound_fn = _diff_bound(mon, a, b)
                 for e in eps:
-                    bound_fn = _diff_bound(mon, a, b)
                     out.append(AxiomInstance(
                         f"Diff[{a},{b}]", (("x1", "y1", e),),
                         app(write(a), Var("x1")), app(write(b), Var("y1")),
@@ -369,8 +371,8 @@ def _atom_axioms(atom: TheoryExpr, params: ParamPool) -> List[AxiomInstance]:
 
     if isinstance(atom, Contract):
         step = next_op(atom.name, atom.c)
+        bound_fn = _lip_bound(atom.c)
         for e in eps:
-            bound_fn = _lip_bound(atom.c)
             out.append(AxiomInstance(
                 f"Lip[{atom.name}]", (("x1", "y1", e),),
                 app(step, Var("x1")), app(step, Var("y1")),

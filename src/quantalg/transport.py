@@ -16,18 +16,19 @@ rule on both the entering and the leaving cell prevents cycling.  Positive
 scalings keep the sign of every reduced cost and the order of the flows,
 so every pivot is the one the simplex takes on the rationals themselves.
 
-Only the returned `Transport` holds rationals: the value total/(W*K), the
-flows f/W and the potentials (m, q/K).  The potentials are a dual
-certificate (u_i + v_j <= c_ij on every cell, with equality on basic
-cells, so the dual objective equals the primal one), and the flows are the
-coupling behind a Kantorovich value.
+Only the returned `Transport` holds rationals: the value total/(W*K), and,
+converted when first read, the flows f/W and the potentials (m, q/K).  The
+potentials are a dual certificate (u_i + v_j <= c_ij on every cell, with
+equality on basic cells, so the dual objective equals the primal one), and
+the flows are the coupling behind a Kantorovich value.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .errors import DomainError
 from .extvalue import INF, ExtValue
@@ -36,15 +37,33 @@ Cost = Tuple[Fraction, Fraction]
 Cell = Tuple[int, int]
 
 
-class Transport(NamedTuple):
+class Transport:
     """An optimal transport: its value (INF if every feasible flow uses a
     forbidden cell), the basic cells' flows (zero on degenerate ones), and
-    the row and column potentials u, v as big-M cost pairs."""
+    the row and column potentials u, v as big-M cost pairs.  The flows and
+    potentials are kept as the solver's scaled ints and become rationals
+    when first read."""
 
-    value: ExtValue
-    flows: Dict[Cell, Fraction]
-    u: List[Cost]
-    v: List[Cost]
+    def __init__(self, value: ExtValue, basis: Dict[Cell, int], pot: List[Tuple[int, int]],
+                 W: int, K: int, m: int):
+        self.value = value
+        self._basis, self._pot, self._W, self._K, self._m = basis, pot, W, K, m
+
+    @functools.cached_property
+    def flows(self) -> Dict[Cell, Fraction]:
+        return {c: Fraction(f, self._W) for c, f in self._basis.items()}
+
+    @functools.cached_property
+    def _potentials(self) -> List[Cost]:
+        return [(Fraction(pm), Fraction(pq, self._K)) for pm, pq in self._pot]
+
+    @property
+    def u(self) -> List[Cost]:
+        return self._potentials[:self._m]
+
+    @property
+    def v(self) -> List[Cost]:
+        return self._potentials[self._m:]
 
 
 def _edge_cell(a: int, b: int, m: int) -> Cell:
@@ -93,9 +112,7 @@ def min_cost_transport(
     big = sum(f * costs[i][j][0] for (i, j), f in basis.items())
     total = sum(f * costs[i][j][1] for (i, j), f in basis.items())
     value = INF if big > 0 else ExtValue(Fraction(total, W * K))
-    flows = {c: Fraction(f, W) for c, f in basis.items()}
-    pot = [(Fraction(pm), Fraction(pq, K)) for pm, pq in pot]
-    return Transport(value, flows, pot[:m], pot[m:])
+    return Transport(value, basis, pot, W, K, m)
 
 
 def _northwest_corner(a: List[int], b: List[int]) -> Dict[Cell, int]:

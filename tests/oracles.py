@@ -3,13 +3,19 @@
 The transport oracle enumerates every spanning-tree basic feasible solution
 of the transport polytope and takes the minimum, solving each tree by leaf
 elimination.  It shares no code with the production simplex, and neither
-does the checker of a transport's dual certificate."""
+does the checker of a transport's dual certificate.
 
+The equation oracle checks one axiom instance at a time, evaluating both
+sides at every assignment for that instance alone."""
+
+import itertools
 from collections import defaultdict
 from fractions import Fraction
 from itertools import combinations
+from typing import Optional
 
 from quantalg.extvalue import ExtValue, INF
+from quantalg.modelcheck import CheckEntry, Counterexample
 
 
 def enumerate_transport(supplies, demands, cost):
@@ -50,7 +56,8 @@ def check_transport(supplies, demands, cost, plan):
     big = [[(Fraction(1), Fraction(0)) if c.is_inf else (Fraction(0), c.rational)
             for c in row] for row in cost]
     flows = plan.flows
-    assert all(f >= 0 for f in flows.values())
+    assert all(type(f) is Fraction and f >= 0 for f in flows.values())
+    assert all(type(x) is Fraction for pot in (plan.u, plan.v) for p in pot for x in p)
     assert all(0 <= i < m and 0 <= j < n for i, j in flows)
     for i in range(m):
         assert sum(f for (r, _), f in flows.items() if r == i) == supplies[i]
@@ -169,3 +176,51 @@ def psi_reference(T, d, mode, space=None):
                 val = ext_max(*parts)
             table[(u, v)] = val
     return PseudoMetric(T.states, table)
+
+
+def check_equation_reference(alg, ax, origin=""):
+    """For every assignment: premises within their thresholds imply the
+    conclusion within the bound, with the thresholds set to the actual
+    premise distances when the axiom carries a continuous bound function."""
+    entry = CheckEntry("axiom", ax.label, origin, True)
+    variables = ax.variables()
+    pts = alg.carrier.points
+    for values in itertools.product(pts, repeat=len(variables)):
+        assignment = dict(zip(variables, values))
+        lhs = alg.evaluate(ax.lhs, assignment)
+        rhs = alg.evaluate(ax.rhs, assignment)
+        if lhs is None or rhs is None:
+            entry.skipped += 1
+            continue
+        entry.checked += 1
+        got = alg.carrier.d(lhs, rhs)
+        violation = _equation_violation(alg, ax, assignment, got)
+        if violation is not None:
+            entry.passed = False
+            entry.counterexample = Counterexample(assignment, violation)
+            return entry
+    return entry
+
+
+def _equation_violation(alg, ax, assignment, got) -> Optional[str]:
+    if not ax.premises:
+        if got > ax.bound:
+            return f"d(lhs, rhs) = {got} > {ax.bound}"
+        return None
+    premise_dists = [
+        alg.carrier.d(assignment[x], assignment[y]) for x, y, _ in ax.premises]
+    # The given instance.
+    eps = [e for _, _, e in ax.premises]
+    if all(pd <= e for pd, e in zip(premise_dists, eps)) and got > ax.bound:
+        return f"premises hold at {[str(e) for e in eps]} but d = {got} > {ax.bound}"
+    if ax.bound_fn is None:
+        return None
+    # The tightest thresholds are the premise distances themselves (bound_fn
+    # is monotone, so they dominate every other choice).
+    if any(pd.is_inf for pd in premise_dists):
+        return None  # no rational threshold admits this premise
+    bound = ax.bound_fn(*premise_dists)
+    if got > bound:
+        return (f"premises hold at {[str(e) for e in premise_dists]} "
+                f"but d = {got} > {bound}")
+    return None

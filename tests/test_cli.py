@@ -97,6 +97,75 @@ def test_check_model_verb(tmp_path, capsys):
     assert "RESULT: pass" in capsys.readouterr().out
 
 
+# A writer algebra over {z,o} x {x,y} whose unit write moves zx to zy: its
+# Diff[z,o] instances fail at one assignment with different details, the
+# given threshold for some and the tight one for others.
+_WRITER_MUTANT_REPORT = """\
+algebra A:
+FAIL  -  nonexpansive wr(z) (checked 3, skipped 0)
+      at {'args': ('zx',), "args'": ('ox',)}: d(zy,ox) = 2 > 1
+pass  -  nonexpansive wr(o) (checked 16, skipped 0)
+FAIL  -  Zero (checked 1, skipped 0)
+      at {'x': 'zx'}: d(lhs, rhs) = 1 > 0
+pass  -  Mult[z,z] (checked 4, skipped 0)
+pass  -  Mult[z,o] (checked 4, skipped 0)
+FAIL  -  Mult[o,z] (checked 1, skipped 0)
+      at {'x': 'zx'}: d(lhs, rhs) = 1 > 0
+pass  -  Mult[o,o] (checked 4, skipped 0)
+FAIL  -  Diff[z,z] (checked 3, skipped 0)
+      at {'x1': 'zx', 'y1': 'ox'}: premises hold at ['1'] but d = 2 > 1
+FAIL  -  Diff[z,z] (checked 3, skipped 0)
+      at {'x1': 'zx', 'y1': 'ox'}: premises hold at ['1'] but d = 2 > 1
+FAIL  -  Diff[z,z] (checked 3, skipped 0)
+      at {'x1': 'zx', 'y1': 'ox'}: premises hold at ['1'] but d = 2 > 1
+FAIL  -  Diff[z,z] (checked 3, skipped 0)
+      at {'x1': 'zx', 'y1': 'ox'}: premises hold at ['1'] but d = 2 > 1
+FAIL  -  Diff[z,o] (checked 1, skipped 0)
+      at {'x1': 'zx', 'y1': 'zx'}: premises hold at ['0'] but d = 2 > 1
+FAIL  -  Diff[z,o] (checked 1, skipped 0)
+      at {'x1': 'zx', 'y1': 'zx'}: premises hold at ['1/2'] but d = 2 > 3/2
+FAIL  -  Diff[z,o] (checked 1, skipped 0)
+      at {'x1': 'zx', 'y1': 'zx'}: premises hold at ['0'] but d = 2 > 1
+FAIL  -  Diff[z,o] (checked 1, skipped 0)
+      at {'x1': 'zx', 'y1': 'zx'}: premises hold at ['0'] but d = 2 > 1
+FAIL  -  Diff[o,z] (checked 1, skipped 0)
+      at {'x1': 'zx', 'y1': 'zx'}: premises hold at ['0'] but d = 2 > 1
+FAIL  -  Diff[o,z] (checked 1, skipped 0)
+      at {'x1': 'zx', 'y1': 'zx'}: premises hold at ['1/2'] but d = 2 > 3/2
+FAIL  -  Diff[o,z] (checked 1, skipped 0)
+      at {'x1': 'zx', 'y1': 'zx'}: premises hold at ['0'] but d = 2 > 1
+FAIL  -  Diff[o,z] (checked 1, skipped 0)
+      at {'x1': 'zx', 'y1': 'zx'}: premises hold at ['0'] but d = 2 > 1
+pass  -  Diff[o,o] (checked 16, skipped 0)
+pass  -  Diff[o,o] (checked 16, skipped 0)
+pass  -  Diff[o,o] (checked 16, skipped 0)
+pass  -  Diff[o,o] (checked 16, skipped 0)
+note: continuity rule not checked: distances on a finite carrier are attained
+RESULT: FAIL
+"""
+
+
+def test_check_model_verbose_pins_each_instance_failure(tmp_path, capsys):
+    (tmp_path / "W.space").write_text(
+        "space W { points: zx, zy, ox, oy;\n"
+        "  d(zx,zy) = 1; d(zx,ox) = 1; d(zx,oy) = 2; d(zy,ox) = 2; d(zy,oy) = 1;"
+        " d(ox,oy) = 1; }\n")
+    (tmp_path / "M.monoid").write_text(
+        "monoid M { elements: z, o; unit = z; mult(z,z) = z; mult(z,o) = o;\n"
+        "  mult(o,z) = o; mult(o,o) = o; d(z,o) = 1; }\n")
+    (tmp_path / "A.alg").write_text(
+        "algebra A {\n"
+        "  carrier: W;\n"
+        "  op wr(z): (zx) -> zy; (zy) -> zy; (ox) -> ox; (oy) -> oy;\n"
+        "  op wr(o): (zx) -> ox; (zy) -> oy; (ox) -> ox; (oy) -> oy;\n"
+        "}\n")
+    code = main(["check-model", "--theory", "writer{M}", "--space", str(tmp_path / "W.space"),
+                 "--monoid", str(tmp_path / "M.monoid"), "--epsilons", "0,1/2,1,2",
+                 "--verbose", str(tmp_path / "A.alg")])
+    assert code == 1
+    assert capsys.readouterr().out == _WRITER_MUTANT_REPORT
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.term"
     bad.write_text("conv(1/2, x")

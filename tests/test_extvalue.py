@@ -1,9 +1,11 @@
+import operator
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from quantalg.extvalue import INF, ONE, ZERO, ExtValue, UndefinedProduct, ext, ext_max, ext_sum
+from quantalg.extvalue import (INF, ONE, ZERO, Affine, ExtValue, UndefinedProduct, ext,
+                               ext_max, ext_sum)
 
 rationals = st.fractions(min_value=0, max_value=100, max_denominator=64)
 values = st.one_of(rationals.map(ExtValue), st.just(INF))
@@ -38,6 +40,41 @@ def test_total_order_with_inf_top():
     assert INF <= INF
     assert max(ext(2), INF) == INF
     assert sorted([INF, ZERO, ext(1)]) == [ZERO, ext(1), INF]
+
+
+# An operand of each type the comparisons take, with its place in the
+# reference order: None for INF (the top), else its rational.
+operands = st.one_of(
+    values.map(lambda v: (v, None if v.is_inf else v.rational)),
+    rationals.map(lambda q: (Affine(q, q, {}), q)),
+    rationals.map(lambda q: (q, q)),
+    st.integers(0, 100).map(lambda k: (k, Fraction(k))))
+COMPARISONS = (operator.lt, operator.le, operator.gt, operator.ge, operator.eq, operator.ne)
+
+
+def _reference_key(q):
+    return (1, 0) if q is None else (0, q)
+
+
+@given(values, operands, st.booleans())
+def test_comparisons_follow_the_reference_order(a, other, flip):
+    sides = [(a, _reference_key(None if a.is_inf else a.rational)),
+             (other[0], _reference_key(other[1]))]
+    (x, kx), (y, ky) = sides[::-1] if flip else sides
+    for op in COMPARISONS:
+        assert op(x, y) == op(kx, ky), (op, x, y)
+
+
+@given(values, st.integers(max_value=-1))
+def test_comparisons_with_other_operands(a, negative):
+    assert not a == "1"
+    assert a != "1"
+    assert not a == None  # noqa: E711
+    for op in COMPARISONS:
+        with pytest.raises(ValueError):
+            op(a, negative)
+        with pytest.raises(ValueError):
+            op(negative, a)
 
 
 def test_truncation():

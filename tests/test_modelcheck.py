@@ -1,13 +1,15 @@
+import collections
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from quantalg import (INF, AxiomInstance, Bary, BOUNDED, Exc, FinMetricSpace,
-                      FiniteAlgebra, FuncVal, ONE_POINT, ParamPool, Reader, Semi,
-                      Sum, TableMonoid, Tensor, VarLeaf, Writer, apply_operation,
-                      axioms, check_equation, check_nonexpansive, check_theory,
+from quantalg import (INF, AxiomInstance, Bary, BOUNDED, Contract, Exc, ExtValue,
+                      FinMetricSpace, FiniteAlgebra, FuncVal, ONE_POINT, ParamPool,
+                      Reader, Semi, Sum, TableMonoid, Tensor, VarLeaf, Writer,
+                      apply_operation, axiom_groups, axioms, check_equation,
+                      check_nonexpansive, check_theory,
                       distribution_model, denote_with_plan, ext, free_model,
                       layer_plan, make_set, markov_process_theory, parse_algebras,
                       parse_spaces, powerset_model, reader_model,
@@ -15,6 +17,7 @@ from quantalg import (INF, AxiomInstance, Bary, BOUNDED, Exc, FinMetricSpace,
 from quantalg.terms import Var, conv, empty_op, next_op, read, union_op, write
 
 from helpers import random_term
+from oracles import check_equation_reference
 
 C12 = Fraction(1, 2)
 X2 = FinMetricSpace(["p", "q"], {("p", "q"): ext(1)})
@@ -95,11 +98,11 @@ def test_check_equation_monotone_in_bound():
     model = powerset_model(X2)
     ax = axioms(Semi(), POOL)
     s4 = next(a for a in ax if a.label == "S4")
-    assert check_equation(model, s4).passed
+    assert check_equation(model, [s4])[0].passed
     looser = AxiomInstance("S4+", s4.premises, s4.lhs, s4.rhs,
                            s4.bound + ext(1),
                            lambda *e: s4.bound_fn(*e) + ext(1))
-    assert check_equation(model, looser).passed
+    assert check_equation(model, [looser])[0].passed
 
 
 def test_commutation_passes_on_pointwise_lifted_model():
@@ -283,14 +286,14 @@ def test_tight_instance_accepted_iff_all_looser_accepted():
     broken = FiniteAlgebra(model.carrier, bad)
     mult = next(a for a in axioms(Writer(mon), POOL)
                 if a.label == "Mult[o,o]")
-    tight = check_equation(broken, mult)
+    [tight] = check_equation(broken, [mult])
     assert not tight.passed
     slightly_looser = AxiomInstance(
         "Mult~", mult.premises, mult.lhs, mult.rhs, mult.bound + ext("1/2"))
-    assert not check_equation(broken, slightly_looser).passed
+    assert not check_equation(broken, [slightly_looser])[0].passed
     beyond_witness = AxiomInstance(
         "Mult~~", mult.premises, mult.lhs, mult.rhs, mult.bound + ext(2))
-    assert check_equation(broken, beyond_witness).passed
+    assert check_equation(broken, [beyond_witness])[0].passed
 
 
 def test_builtin_models_pin_point_names_distances_and_tables():
@@ -335,3 +338,119 @@ def test_builtin_models_pin_point_names_distances_and_tables():
     assert list(W.interp[write("o")].items()) == [
         (("(z,p)",), "(o,p)"), (("(z,q)",), "(o,q)"),
         (("(o,p)",), "(o,p)"), (("(o,q)",), "(o,q)")]
+
+
+def _verdict(entry):
+    cx = entry.counterexample
+    return (entry.origin, entry.label, entry.passed, entry.checked, entry.skipped,
+            cx and cx.assignment, cx and cx.detail)
+
+
+def _assert_matches_reference(alg, th, pool):
+    """check_theory's axiom entries, instance by instance, against the
+    one-instance oracle; returns them."""
+    got = [_verdict(e) for e in check_theory(alg, th, pool).entries if e.kind == "axiom"]
+    want = [_verdict(check_equation_reference(alg, ax, origin))
+            for origin, _, group in axiom_groups(th, pool) for ax in group]
+    assert got == want
+    return got
+
+
+def _builtin_models():
+    mon = two_point_monoid()
+    return [(powerset_model(X2), Semi()),
+            (distribution_model(X2, 4, [C12]), Bary()),
+            (reader_model(X2, ("i1", "i2")), Reader(("i1", "i2"))),
+            (writer_model(mon, X2), Writer(mon))]
+
+
+def test_shared_loop_matches_reference_on_builtin_models_and_mutants():
+    rng = random.Random(11)
+    for model, th in _builtin_models():
+        assert all(v[2] for v in _assert_matches_reference(model, th, POOL))
+        interp = {op: dict(t) for op, t in model.interp.items()}
+        op = rng.choice([o for o in sorted(interp, key=str) if interp[o]])
+        key = rng.choice(sorted(interp[op]))
+        interp[op][key] = rng.choice([p for p in model.carrier.points
+                                      if p != interp[op][key]])
+        mutant = FiniteAlgebra(model.carrier, interp, name="mutant")
+        assert not all(v[2] for v in _assert_matches_reference(mutant, th, POOL))
+
+
+def test_shared_loop_matches_reference_on_partial_tables():
+    rng = random.Random(12)
+    for model, th in _builtin_models():
+        for _ in range(3):
+            interp = {op: {a: b for a, b in t.items() if rng.random() < 0.7}
+                      for op, t in model.interp.items()}
+            alg = FiniteAlgebra(model.carrier, interp)
+            verdicts = _assert_matches_reference(alg, th, POOL)
+            assert any(v[4] for v in verdicts)  # some assignments were skipped
+            # a passing non-expansiveness check sees every pair of defined
+            # images, and skips an undefined first image once
+            n = len(model.carrier.points)
+            for op, table in interp.items():
+                e = check_nonexpansive(alg, op)
+                if e.passed:
+                    k, rest = len(table), n ** op.arity - len(table)
+                    assert (e.checked, e.skipped) == (k * k, rest + k * rest)
+
+
+def test_shared_loop_matches_reference_on_tensor_and_contraction():
+    rng = random.Random(13)
+    mon = two_point_monoid()
+    pts = X2.points
+    step = next_op("step", C12)
+    cases = [(Tensor(Reader(("i1", "i2")), Writer(mon)), [write("z"), write("o"), read(2)]),
+             (Sum(Contract("step", C12), Semi()), [step, union_op(), empty_op()])]
+    for th, ops in cases:
+        for _ in range(6):
+            interp = {op: {args: rng.choice(pts)
+                           for args in itertools.product(pts, repeat=op.arity)}
+                      for op in ops}
+            verdicts = _assert_matches_reference(FiniteAlgebra(X2, interp), th, POOL)
+            assert any(v[0].endswith(".com") for v in verdicts) == isinstance(th, Tensor)
+
+
+def test_shared_loop_keeps_each_instance_bound_and_both_violations():
+    # one group: the IB and Diff instances at their tight bound and at bounds
+    # above and below bound_fn(eps)
+    mon = two_point_monoid()
+    broken = writer_model(mon, X2)
+    broken.interp[write("z")][("(z,p)",)] = "(z,q)"
+    cases = [(distribution_model(X2, 4, [C12]), Bary(), f"IB[{C12}]"),
+             (broken, Writer(mon), "Diff[z,o]")]
+    forms = set()
+    for model, th, label in cases:
+        schema = [ax for ax in axioms(th, POOL) if ax.label == label]
+        group = list(schema)
+        for shift in (ext("1/2"), ext(1)):
+            group += [AxiomInstance(ax.label, ax.premises, ax.lhs, ax.rhs,
+                                    ax.bound + shift, ax.bound_fn) for ax in schema]
+            group += [AxiomInstance(ax.label, ax.premises, ax.lhs, ax.rhs,
+                                    ExtValue(ax.bound.rational - shift.rational), ax.bound_fn)
+                      for ax in schema if ax.bound >= shift]
+        got = check_equation(model, group, "o")
+        assert [_verdict(e) for e in got] == [
+            _verdict(check_equation_reference(model, ax, "o")) for ax in group]
+        for ax, e in zip(group, got):
+            if not e.passed:
+                forms.add(e.counterexample.detail.endswith(f"> {ax.bound}"))
+    assert forms == {True, False}  # the given-threshold and the tight violation
+
+
+def test_each_schema_side_is_evaluated_once_per_assignment(monkeypatch):
+    model = distribution_model(X2, 4, [C12])
+    calls = collections.Counter()
+    evaluate = FiniteAlgebra.evaluate
+
+    def counting(self, t, assignment):
+        calls[t] += 1
+        return evaluate(self, t, assignment)
+
+    monkeypatch.setattr(FiniteAlgebra, "evaluate", counting)
+    assert check_theory(model, Bary(), POOL).passed
+    ib = [ax for ax in axioms(Bary(), POOL) if ax.label.startswith("IB")]
+    assert len(ib) == 16
+    n = len(model.carrier.points)
+    assert calls[ib[0].lhs] == calls[ib[0].rhs] == n ** 4
