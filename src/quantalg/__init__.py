@@ -4,9 +4,8 @@ Combines equational theories of probabilistic choice, nondeterminism,
 exceptions, reading, writing, and contractive steps by sum and tensor;
 computes the induced free-monad distance between effectful terms; solves
 discounted bisimilarity metrics of finite Markov processes, labelled Markov
-processes, Mealy machines, and MDPs, exactly by policy iteration or within
-a certified tolerance by Banach iteration; and checks finite models against
-theory axioms.
+processes, Mealy machines, and MDPs, exactly by Kleene and policy
+iteration; and checks finite models against theory axioms.
 """
 
 from .bisim import (Certificate, Coalgebra, PseudoMetric, approx_term,

@@ -1,5 +1,5 @@
 """Finite coalgebras of composed theories, the discounted bisimilarity-metric
-operator, certified fixed-point solving, and the term/coalgebra bridge.
+operator, exact fixed-point solving, and the term/coalgebra bridge.
 
 A state's behaviour is a one-step value of the theory's layer plan whose
 guards hold the successor states, so the bisimilarity-metric operator is
@@ -18,7 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import count
+from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
 
 from .errors import DivergentGround, DomainError, UnsupportedShape
 from .extvalue import INF, ZERO, Affine, ExtValue, ext_max
@@ -151,101 +152,56 @@ def psi_step(C: Coalgebra, d: PseudoMetric, mode: str = BOUNDED,
 
 @dataclass
 class Certificate:
-    """Machine-readable convergence evidence for the fixed-point solver.
+    """Machine-readable evidence for the fixed-point solver.
 
     `iterations` counts evaluations of Psi: the Kleene iterates d_1 .. d_k,
     then every evaluation policy iteration made, up to the final check.
-    `exact` means that d passed the test Psi(d) == d, so that `residual`,
-    ||Psi(d) - d||, is 0.  Policy iteration answers only so, with
-    `a_priori_bound` 0 too.  Kleene iteration's `a_priori_bound` bounds
-    ||d - d*|| by c^k/(1-c) * `initial_gap`, or by its a-posteriori form
-    while that is infinite."""
+    Every answer d has passed the exact test Psi(d) == d, so `exact` is
+    True and `a_priori_bound` and `residual` (||Psi(d) - d||) are 0."""
 
     iterations: int
     c: Fraction
     mode: str
-    tol: Fraction
-    initial_gap: ExtValue
-    a_priori_bound: ExtValue
-    residual: ExtValue
-    exact: bool
+    a_priori_bound: ClassVar[ExtValue] = ZERO
+    residual: ClassVar[ExtValue] = ZERO
+    exact: ClassVar[bool] = True
 
     def as_record(self) -> dict:
-        return {k: v if isinstance(v, (bool, int)) else str(v)
-                for k, v in vars(self).items()}
+        return {"iterations": self.iterations, "c": str(self.c), "mode": self.mode,
+                "a_priori_bound": str(self.a_priori_bound),
+                "residual": str(self.residual), "exact": self.exact}
 
 
-def solve_bisim(C: Coalgebra, tol, mode: str = BOUNDED
-                ) -> Tuple[PseudoMetric, Certificate]:
-    """The bisimilarity metric of C, exactly or within tol in the sup norm.
+def solve_bisim(C: Coalgebra, mode: str = BOUNDED) -> Tuple[PseudoMetric, Certificate]:
+    """The bisimilarity metric of C, exactly.
 
-    Psi is applied once to the zero metric.  If the system is cyclic and
-    ||Psi(0)|| is finite, exact policy iteration (`_policy_iteration`) finds
-    the fixed point itself.  Otherwise Psi is iterated from 0 (Kleene) until
-    the a-priori Banach bound c^k/(1-c) * ||Psi(0)|| drops below tol, or the
-    iterate is an exact fixed point; the returned d_k satisfies
-    ||d_k - d*|| <= tol.  On an acyclic system the iterate is exact after at
-    most height + 1 steps.
-
-    In bounded mode ||Psi(0)|| can be infinite (an infinite monoid distance,
-    or a Hausdorff distance to the empty set); while the bound is infinite
-    it is replaced by the a-posteriori bound c/(1-c) * ||d_k - d_{k-1}||.
-    That is finite once the set of infinite pairs has stopped growing, and
-    from then on Psi is a c-contraction on the remaining pairs.  A cyclic
-    system then leaves Kleene iteration for policy iteration from d_k, which
-    keeps the infinite pairs and solves the rest exactly.
+    Psi is iterated from the zero metric (Kleene) until an iterate equals
+    the one before it; an acyclic system gets there in at most height + 1
+    steps.  A cyclic system leaves at the first iterate d_k whose infinite
+    pairs are those of d_{k-1}, which is d_1 = Psi(0) when ||Psi(0)|| is
+    finite, for exact policy iteration from d_k (`_policy_iteration`): the
+    infinite pairs stay as they are, and Psi is a c-contraction on the
+    others.  In bounded mode ||Psi(0)|| can be infinite (an infinite monoid
+    distance, or a Hausdorff distance to the empty set); in extended mode an
+    infinite pair of Psi(0) raises DivergentGround.
     """
-    tol = Fraction(tol)
-    if tol <= 0:
-        raise DomainError("tol must be positive")
-    d0 = PseudoMetric(C.states)
-    d1 = psi_step(C, d0, mode)
-    gap = d1.sup_diff(d0)
-    if mode == EXTENDED and gap.is_inf:
-        bad = next(k for k, v in d1.pairs() if v.is_inf)
-        raise DivergentGround(
-            f"extended-mode ground distance is infinite on pair {bad}")
-    if d1 == d0:
-        cert = Certificate(1, C.c, mode, tol, gap, ZERO, ZERO, True)
-        return d0, cert
-    if gap.is_inf or not _cyclic(C):
-        return _kleene(C, d1, tol, gap, mode)
-    d, evaluations = _policy_iteration(C, d1, mode)
-    return d, Certificate(1 + evaluations, C.c, mode, tol, gap, ZERO, ZERO, True)
-
-
-def _kleene(C: Coalgebra, d: PseudoMetric, tol: Fraction, gap: ExtValue,
-            mode: str) -> Tuple[PseudoMetric, Certificate]:
-    """Iterate Psi from d = Psi(0) under the Banach bound (see solve_bisim),
-    or, on a cyclic system, until the bound is finite and policy iteration
-    takes over."""
-    shrink = C.c / (1 - C.c)
-    k = 1
-    bound = gap.scaled(shrink)
-    exact = False
-    while bound > ExtValue(tol):
+    if mode not in (BOUNDED, EXTENDED):
+        raise DomainError(f"unknown mode {mode!r}")
+    cyclic = _cyclic(C)
+    d = PseudoMetric(C.states)
+    for k in count(1):
         d_next = psi_step(C, d, mode)
-        k += 1
         if d_next == d:
-            d = d_next
-            bound = ZERO
-            exact = True
-            break
-        if bound.is_inf:
-            bound = d_next.sup_diff(d).scaled(shrink)
-            if not bound.is_inf and _cyclic(C):
-                d, evaluations = _policy_iteration(C, d_next, mode)
-                return d, Certificate(k + evaluations, C.c, mode, tol, gap, ZERO, ZERO, True)
-        else:
-            bound = bound.scaled(C.c)
+            return d, Certificate(k, C.c, mode)
+        if k == 1 and mode == EXTENDED:
+            bad = next((p for p, v in d_next.pairs() if v.is_inf), None)
+            if bad is not None:
+                raise DivergentGround(
+                    f"extended-mode ground distance is infinite on pair {bad}")
+        if cyclic and not d_next.sup_diff(d).is_inf:
+            d, evaluations = _policy_iteration(C, d_next, mode)
+            return d, Certificate(k + evaluations, C.c, mode)
         d = d_next
-    if exact:
-        residual = ZERO
-    else:
-        residual = psi_step(C, d, mode).sup_diff(d)
-        if residual == ZERO:
-            exact = True
-    return d, Certificate(k, C.c, mode, tol, gap, bound, residual, exact)
 
 
 def _cyclic(C: Coalgebra) -> bool:

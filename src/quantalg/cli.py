@@ -74,7 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sp, theory=False, mode_default=BOUNDED)
     sp.add_argument("file")
     sp.add_argument("--tol", type=_positive_rational, default=Fraction(1, 1000),
-                    help="guaranteed sup-norm tolerance")
+                    help="accepted and not used: every answer is exact")
     sp.set_defaults(handler=_cmd_bisim)
 
     sp = sub.add_parser("unfold", help="convert a term to a coalgebra file")
@@ -170,7 +170,7 @@ def _cmd_bisim(args) -> int:
     out_records = []
     for name in sorted(systems):
         C = systems[name]
-        metric, cert = solve_bisim(C, args.tol, args.mode)
+        metric, cert = solve_bisim(C, args.mode)
         if args.format == "record":
             out_records.append({
                 "system": name,

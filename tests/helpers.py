@@ -298,3 +298,34 @@ def random_cyclic_table(rng: random.Random, kind: str, mode: str, space,
         else [Fraction(k, 2) for k in range(5)]
     return Table("mealy", c, names, {k: (rng.choice(states), rng.choice(outputs))
                                      for k in keys}, labels, monoid)
+
+
+def random_acyclic_table(rng: random.Random, kind: str, space,
+                         monoid=RATIONAL_LINE, n: int = 4,
+                         c: Fraction = Fraction(1, 2)) -> Table:
+    """A random table in which each row targets only later states, leaf(x)
+    points of the space and, for mp and lmp, bot, so that the system is
+    acyclic: s_k reaches s_j only if j > k."""
+    names = [f"s{k}" for k in range(n)]
+    leaves = [leaf(x) for x in space.points]
+    labels = ("a", "b")
+
+    def targets(k):
+        return [st(s) for s in names[k + 1:]] + leaves \
+            + ([BOT] if kind in ("mp", "lmp") else [])
+
+    if kind == "mp":
+        return Table("mp", c, names, {s: random_dist(rng, targets(k), 6)
+                                      for k, s in enumerate(names)})
+    keys = [(s, a, k) for k, s in enumerate(names) for a in labels]
+    if kind == "lmp":
+        return Table("lmp", c, names, {(s, a): random_dist(rng, targets(k), 6)
+                                       for s, a, k in keys}, labels)
+    if kind == "mdp":
+        return Table("mdp", c, names, {(s, a): FinDist.from_pairs(
+            ((t, Fraction(rng.randint(0, 4), 2)), w)
+            for t, w in random_dist(rng, targets(k), 6).items) for s, a, k in keys}, labels)
+    outputs = list(monoid.elements) if monoid is not RATIONAL_LINE \
+        else [Fraction(k, 2) for k in range(5)]
+    return Table("mealy", c, names, {(s, a): (rng.choice(targets(k)), rng.choice(outputs))
+                                     for s, a, k in keys}, labels, monoid)

@@ -123,20 +123,19 @@ def test_acceptance_3_metric_laws():
                 d12 = term_dist(ts[1], ts[2], th, X, mode)
                 d02 = term_dist(ts[0], ts[2], th, X, mode)
                 assert d02 <= d01 + d12
-    tol = Fraction(1, 1000)
     for kind in ("mp", "lmp", "mealy", "mdp"):
         for _ in range(5):
             C = random_coalgebra(rng, kind, 4)
-            d, _ = solve_bisim(C, tol, BOUNDED)
-            slack = ext(3 * tol)
+            d, _ = solve_bisim(C, BOUNDED)
+            assert psi_step(C, d, BOUNDED) == d
             for u in C.states:
                 assert d.d(u, u) == ZERO
                 for v in C.states:
                     assert d.d(u, v) == d.d(v, u)
                     for w in C.states:
-                        assert d.d(u, w) <= d.d(u, v) + d.d(v, w) + slack
+                        assert d.d(u, w) <= d.d(u, v) + d.d(v, w)
     print("\nACCEPTANCE 3 PASS: zero diagonal, symmetry, triangle hold "
-          "(solver within 3*tol)")
+          "(solver answers exact fixed points)")
 
 
 def test_acceptance_4_markov_chain_reproduction():
@@ -174,12 +173,12 @@ def test_acceptance_5_term_bisimilarity_correspondence():
         Ct, rt = unfold_term(t, th)
         Cs, rs = unfold_term(s, th)
         U = disjoint_union(Ct, Cs)
-        d, cert = solve_bisim(U, Fraction(1, 10**12), BOUNDED)
+        d, cert = solve_bisim(U, BOUNDED)
         assert cert.exact, "acyclic systems must hit the fixed point exactly"
         assert cert.iterations <= 6
         assert d.d(f"a.{rt}", f"b.{rs}") == term_dist(t, s, th, None, BOUNDED)
         try:
-            d_ext, cert_ext = solve_bisim(U, Fraction(1, 10**12), EXTENDED)
+            d_ext, cert_ext = solve_bisim(U, EXTENDED)
         except DivergentGround:
             continue  # supports are not mode-compatible
         extended_checked += 1
@@ -199,36 +198,31 @@ def test_acceptance_6_closed_form_fixed_points():
         " mp mp { c = 1/2; state u: 1/2 -> u, 1/2 -> bot;"
         " state v: 1/4 -> v, 3/4 -> bot; }")
     mealy, mp = systems["mealy"], systems["mp"]
-    for tol in (Fraction(1, 10), Fraction(1, 1000), Fraction(1, 10**7)):
-        d, cert = solve_bisim(mealy, tol, BOUNDED)
-        assert abs(d.d("p", "q").rational - 2) <= tol
-    tol = Fraction(1, 10**9)
-    d, _ = solve_bisim(mp, tol, BOUNDED)
-    assert abs(d.d("u", "v").rational - Fraction(2, 7)) <= tol
+    d, _ = solve_bisim(mealy, BOUNDED)
+    assert d.d("p", "q") == ext(2)
+    d, _ = solve_bisim(mp, BOUNDED)
+    assert d.d("u", "v") == ext("2/7")
     # value-iteration cross-check of the hand-derived 2/7
     it = PseudoMetric(mp.states)
     for _ in range(60):
         it = psi_step(mp, it, BOUNDED)
     assert abs(it.d("u", "v").rational - Fraction(2, 7)) <= Fraction(1, 2**55)
-    print("\nACCEPTANCE 6 PASS: Mealy p/q converges to 2 and MP u/v to 2/7 "
-          "at every tolerance")
+    print("\nACCEPTANCE 6 PASS: Mealy p/q is exactly 2 and MP u/v exactly 2/7")
 
 
 def test_acceptance_7_banach_certificates():
     rng = random.Random(707)
-    tol = Fraction(1, 200)
     total = 0
     for kind in ("mp", "lmp", "mealy", "mdp"):
         for _ in range(50):
             c = rng.choice([Fraction(1, 2), Fraction(1, 3), Fraction(3, 4)])
             C = random_coalgebra(rng, kind, rng.randint(2, 4), c=c)
-            d, cert = solve_bisim(C, tol, BOUNDED)
-            residual = psi_step(C, d, BOUNDED).sup_diff(d)
-            assert residual == cert.residual
-            assert residual <= ext(tol * (1 - C.c) / C.c)
+            d, cert = solve_bisim(C, BOUNDED)
+            assert psi_step(C, d, BOUNDED) == d
+            assert cert.exact and cert.residual == ZERO == cert.a_priori_bound
             total += 1
     assert total == 200
-    print("\nACCEPTANCE 7 PASS: residual <= tol*(1-c)/c on 200 random "
+    print("\nACCEPTANCE 7 PASS: Psi(d) == d, residual 0, on 200 random "
           "systems across all four kinds")
 
 
