@@ -11,11 +11,23 @@ that admits the assignment; this suffices because satisfaction is monotone
 in the thresholds.
 
 The instances of one schema (equal sides, premise variables and bound
-function) share one loop over the assignments, which evaluates the sides,
-the premise distances and that tight bound once per assignment.  Each
-instance keeps its own verdict and its own `checked`/`skipped` counts, up
-to its first counterexample, and its own test at its given thresholds: its
-bound need not be the bound function's value there.
+function) share one loop over the assignments, in `itertools.product`
+order.  Each instance keeps its own verdict and its own `checked`/`skipped`
+counts, up to its first counterexample, and its own test at its given
+thresholds: its bound need not be the bound function's value there.
+
+The loop compares ints.  The carrier's distances are scaled once to ints
+(`FinMetricSpace.scaled`: D[i][j] = L * d for L the lcm of the finite
+denominators, and a sentinel above every finite sum for inf).  A threshold
+or bound e becomes floor(L * e), which is exact: an int x exceeds L * e iff
+it exceeds its floor.  The tight bound is computed once per tuple of premise
+distances.  Each subterm of a side is tabulated over its own variables, so
+a subterm with k distinct variables reads its op table n^k times on an
+n-point carrier, not once per assignment of the schema's m variables (n^m
+times).  ExtValues are rebuilt only to print a counterexample.  Every int
+test decides what the ExtValue test decided, so the verdicts, counts,
+counterexamples and output are those of the one-assignment-at-a-time loop
+(`tests/oracles.py::check_equation_reference`).
 
 The built-in models are finite carriers inside the free models of the
 theories (`free_model`): sets with the Hausdorff metric, a grid of
@@ -30,17 +42,19 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import getitem, gt, le
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import DomainError
-from .extvalue import ZERO, ext_max
+from .extvalue import ExtValue, ext_max
 from .lexing import TokenStream
 from .semantics import (DistVal, ExcLeaf, FuncVal, Guard, PairVal, SemValue, SetVal,
                         VarLeaf, apply_operation, make_dist, make_set,
                         sem_dist_with_plan)
-from .spaces import FinMetricSpace
+from .spaces import FinMetricSpace, ScaledMetric
 from .terms import (OpSym, Term, Var, conv, empty_op, next_op, raise_, read,
                     union_op, write)
+from .terms import variables as term_vars
 from .theories import (AxiomInstance, Bary, ParamPool, Reader, Semi, TableMonoid,
                        TheoryExpr, Writer, axiom_groups, instantiate_generators,
                        layer_plan)
@@ -61,21 +75,6 @@ class FiniteAlgebra:
         if table is None:
             return None
         return table.get(args)
-
-    def evaluate(self, t: Term, assignment: Dict[str, str]) -> Optional[str]:
-        """Homomorphic interpretation; None when a lookup is undefined."""
-        if isinstance(t, Var):
-            value = assignment.get(t.name)
-            if value is None:
-                raise DomainError(f"unassigned variable {t.name}")
-            return value
-        args = []
-        for a in t.args:
-            v = self.evaluate(a, assignment)
-            if v is None:
-                return None
-            args.append(v)
-        return self.lookup(t.op, tuple(args))
 
     def validate_closure(self):
         """Every defined entry must land in the carrier with the right arity."""
@@ -117,41 +116,120 @@ class Report:
     def failures(self) -> List[CheckEntry]:
         return [e for e in self.entries if not e.passed]
 
-    def subreport(self, origin_prefix: str) -> "Report":
-        return Report([e for e in self.entries if e.origin.startswith(origin_prefix)],
-                      list(self.notes))
-
 
 def check_nonexpansive(alg: FiniteAlgebra, op: OpSym, origin: str = "") -> CheckEntry:
     """Exhaustively check d(f(a), f(b)) <= c * max_i d(a_i, b_i), where c is
-    the contraction factor of a `next` operation and 1 otherwise."""
-    factor = op.param[1] if op.kind == "next" else None
-    n = op.arity
+    the contraction factor of a `next` operation and 1 otherwise.  Distances
+    are the carrier's scaled ints, so the test is got * den(c) > spread *
+    num(c); an infinite spread bounds nothing."""
+    factor = op.param[1] if op.kind == "next" else Fraction(1)
+    num, den = factor.numerator, factor.denominator
+    sc = alg.carrier.scaled
+    D, index = sc.D, sc.index
     entry = CheckEntry("nonexpansive", f"nonexpansive {op}", origin, True)
-    d = alg.carrier.d
-    images = [(vec, alg.lookup(op, vec))
-              for vec in itertools.product(alg.carrier.points, repeat=n)]
-    for avec, fa in images:
+    vecs = list(itertools.product(alg.carrier.points, repeat=op.arity))
+    images = [alg.lookup(op, vec) for vec in vecs]
+    defined = [pos for pos, fb in enumerate(images) if fb is not None]
+    # the defined images, and the column of each argument, as point indices
+    fbs = [index[images[pos]] for pos in defined]
+    cols = list(zip(*([index[x] for x in vecs[pos]] for pos in defined)))
+    for avec, fa in zip(vecs, images):
         if fa is None:
             entry.skipped += 1
             continue
-        for bvec, fb in images:
-            if fb is None:
-                entry.skipped += 1
-                continue
-            entry.checked += 1
-            spread = ext_max(*(d(x, y) for x, y in zip(avec, bvec))) if n else ZERO
-            if spread.is_inf:
-                continue  # an infinite spread bounds nothing
-            allowed = spread if factor is None else spread.scaled(factor)
-            got = d(fa, fb)
-            if got > allowed:
-                entry.passed = False
-                entry.counterexample = Counterexample(
-                    {"args": avec, "args'": bvec},
-                    f"d({fa},{fb}) = {got} > {allowed}")
-                return entry
+        rows = [D[index[x]] for x in avec]
+        gots = list(map(den.__mul__, map(D[index[fa]].__getitem__, fbs)))
+        # b can fail only where got * den beats every argument's distance * num
+        ranks = range(len(defined))
+        for row, col in zip(rows, cols):
+            ranks = [r for r in ranks if gots[r] > row[col[r]] * num]
+        for rank in ranks:
+            spread = max((row[col[rank]] for row, col in zip(rows, cols)), default=0)
+            if spread < sc.inf and gots[rank] > spread * num:
+                break
+        else:
+            entry.checked += len(defined)
+            entry.skipped += len(vecs) - len(defined)
+            continue
+        # the b's met before the failing one: rank defined, the rest not
+        bvec, fb = vecs[defined[rank]], images[defined[rank]]
+        entry.checked += rank + 1
+        entry.skipped += defined[rank] - rank
+        spread = ext_max(*map(alg.carrier.d, avec, bvec))
+        entry.passed = False
+        entry.counterexample = Counterexample(
+            {"args": avec, "args'": bvec},
+            f"d({fa},{fb}) = {alg.carrier.d(fa, fb)} > {spread.scaled(factor)}")
+        return entry
     return entry
+
+
+# The most assignments judged at once: a schema with more is judged in
+# blocks of its inner variables, so that no table outgrows a block.
+_BLOCK = 1 << 16
+
+
+def _tabulate(alg: FiniteAlgebra, t: Term, order: Sequence[str], fixed: Dict[str, int],
+              cache: Dict[Term, tuple]) -> Tuple[Tuple[str, ...], List[Optional[str]]]:
+    """The values of t at every assignment of its own variables, those of
+    `order` it has, enumerated as `itertools.product` would; a variable in
+    `fixed` is the point of that index.  Each op table is read once per
+    value of the subterm's own variables, and a subterm free of `fixed`
+    variables once for all blocks (`cache`).  None marks an undefined
+    lookup."""
+    if isinstance(t, Var):
+        if t.name in fixed:
+            return (), [alg.carrier.points[fixed[t.name]]]
+        return (t.name,), list(alg.carrier.points)
+    if t in cache:
+        return cache[t]
+    table = alg.interp.get(t.op, {})
+    parts = [_tabulate(alg, a, order, fixed, cache) for a in t.args]
+    own = tuple(v for v in order if any(v in vs for vs, _ in parts))
+    n = len(alg.carrier.points)
+    args = zip(*(_spread(values, vs, own, n) for vs, values in parts)) if parts else [()]
+    out = own, list(map(table.get, args))
+    if fixed.keys().isdisjoint(term_vars(t)):
+        cache[t] = out
+    return out
+
+
+def _spread(values: List, own: Sequence[str], order: Sequence[str], n: int) -> List:
+    """A table over the variables `own` (a subsequence of `order`), read at
+    every assignment of `order` in `itertools.product` order."""
+    if tuple(own) == tuple(order):
+        return values
+    strides = {v: n ** k for k, v in enumerate(reversed(own))}
+    index = [0]
+    for v in reversed(order):  # innermost variable first
+        s = strides.get(v)
+        index = index * n if s is None else [i + j for i in range(0, n * s, s) for j in index]
+    return list(map(values.__getitem__, index))
+
+
+def _distances(Dx: List[List[int]], a: tuple, b: tuple, order: Sequence[str],
+               n: int) -> List[int]:
+    """Dx[x][y] for tables a and b of point indices, at every assignment of
+    `order`."""
+    own = tuple(v for v in order if v in a[0] or v in b[0])
+    xs, ys = (_spread(values, vs, own, n) for vs, values in (a, b))
+    return _spread(list(map(getitem, map(Dx.__getitem__, xs), ys)), own, order, n)
+
+
+class _TightBounds(dict):
+    """floor(L * bound_fn(premise distances)) for each tuple of scaled
+    premise distances, computed once; inf if a distance is inf, since no
+    rational threshold admits an infinite one."""
+
+    def __init__(self, bound_fn, sc: ScaledMetric):
+        super().__init__()
+        self.bound_fn, self.sc = bound_fn, sc
+
+    def __missing__(self, pds: tuple) -> int:
+        sc = self.sc
+        self[pds] = bound = sc.inf if sc.inf in pds else sc.floor(
+            self.bound_fn(*(ExtValue(Fraction(pd, sc.scale)) for pd in pds)))
+        return bound
 
 
 def check_equation(alg: FiniteAlgebra, group: Sequence[AxiomInstance],
@@ -163,50 +241,91 @@ def check_equation(alg: FiniteAlgebra, group: Sequence[AxiomInstance],
     An instance leaves the loop at its first counterexample."""
     first = group[0]
     entries = [CheckEntry("axiom", ax.label, origin, True) for ax in group]
-    live = [(ax, entry, [e for _, _, e in ax.premises]) for ax, entry in zip(group, entries)]
     variables = first.variables()
-    pairs = [(x, y) for x, y, _ in first.premises]
-    d = alg.carrier.d
-    for values in itertools.product(alg.carrier.points, repeat=len(variables)):
-        assignment = dict(zip(variables, values))
-        lhs = alg.evaluate(first.lhs, assignment)
-        rhs = alg.evaluate(first.rhs, assignment)
-        if lhs is None or rhs is None:
-            for _, entry, _ in live:
-                entry.skipped += 1
-            continue
-        got = d(lhs, rhs)
-        premise_dists = [d(assignment[x], assignment[y]) for x, y in pairs]
-        # The tightest thresholds are the premise distances themselves
-        # (bound_fn is monotone, so they dominate every other choice); no
-        # rational threshold admits an infinite one.  `tight` is kept only
-        # when got exceeds it.
-        tight = None
-        if pairs and first.bound_fn is not None and not any(
-                pd.is_inf for pd in premise_dists):
-            tight = first.bound_fn(*premise_dists)
-            if not got > tight:
-                tight = None
-        failed = False
-        for ax, entry, eps in live:
-            entry.checked += 1
-            if got > ax.bound and all(pd <= e for pd, e in zip(premise_dists, eps)):
-                # The given instance, whose bound need not be bound_fn(eps).
-                detail = (f"premises hold at {[str(e) for e in eps]} but d = {got} > {ax.bound}"
-                          if pairs else f"d(lhs, rhs) = {got} > {ax.bound}")
-            elif tight is not None:
-                detail = (f"premises hold at {[str(e) for e in premise_dists]} "
-                          f"but d = {got} > {tight}")
-            else:
-                continue
-            entry.passed = False
-            entry.counterexample = Counterexample(assignment, detail)
-            failed = True
-        if failed:
-            live = [t for t in live if t[1].passed]
-            if not live:
-                break
+    points, sc = alg.carrier.points, alg.carrier.scaled
+    n = len(points)
+    # Sides are tables of point indices, n where undefined; Dx is D with a
+    # row and column of -1 at n, so got is -1 where a side is undefined.
+    index = {**sc.index, None: n}
+    Dx = [row + [-1] for row in sc.D] + [[-1] * (n + 1)]
+    live = sorted(((ax, entry, sc.floor(ax.bound), [sc.floor(e) for _, _, e in ax.premises])
+                   for ax, entry in zip(group, entries)), key=lambda t: t[2])
+    tight = None
+    if first.premises and first.bound_fn is not None:
+        tight = _TightBounds(first.bound_fn, sc)
+    split = next(k for k in range(len(variables) + 1) if n ** (len(variables) - k) <= _BLOCK)
+    outer, inner = variables[:split], variables[split:]
+    cache: Dict[Term, tuple] = {}
+    checked = skipped = 0
+    for block in itertools.product(range(n), repeat=split):
+        fixed, base = dict(zip(outer, block)), checked + skipped
+        sides = [(own, list(map(index.__getitem__, values)))
+                 for own, values in (_tabulate(alg, side, inner, fixed, cache)
+                                     for side in (first.lhs, first.rhs))]
+        gots = _distances(Dx, *sides, inner, n)
+        var_tables = {v: ((), [fixed[v]]) if v in fixed else ((v,), list(range(n)))
+                      for v in variables}
+        pdss = zip(*(_distances(Dx, var_tables[x], var_tables[y], inner, n)
+                     for x, y, _ in first.premises)) if first.premises else itertools.repeat(())
+        # An assignment can fail an instance only where got exceeds the
+        # least bound or the tight one: the tightest thresholds are the
+        # premise distances themselves (bound_fn is monotone, so they
+        # dominate every other choice).
+        least = itertools.repeat(live[0][2])
+        if tight is not None:
+            pdss, ahead = itertools.tee(pdss)
+            least = map(min, map(tight.__getitem__, ahead), least)
+        for pos, pds in itertools.compress(zip(itertools.count(), pdss), map(gt, gots, least)):
+            got = gots[pos]
+            over = tight is not None and got > tight[pds]
+            failed = False
+            for ax, entry, bound, eps in live:  # by increasing bound
+                if got > bound and all(map(le, pds, eps)):
+                    at_tight = False  # the given instance, whose bound need not be bound_fn(eps)
+                elif over:
+                    at_tight = True
+                elif got <= bound:
+                    break  # nor can a later instance fail here
+                else:
+                    continue
+                entry.passed = False
+                entry.skipped = skipped + gots[:pos].count(-1)
+                entry.checked = base + pos + 1 - entry.skipped
+                lhs, rhs = (points[_spread(values, own, inner, n)[pos]] for own, values in sides)
+                entry.counterexample = _counterexample(alg, ax, base + pos, lhs, rhs, at_tight)
+                failed = True
+            if failed:
+                live = [t for t in live if t[1].passed]
+                if not live:
+                    return entries
+        undefined = gots.count(-1)
+        checked, skipped = checked + len(gots) - undefined, skipped + undefined
+    for _, entry, _, _ in live:
+        entry.checked, entry.skipped = checked, skipped
     return entries
+
+
+def _counterexample(alg: FiniteAlgebra, ax: AxiomInstance, pos: int, lhs: str, rhs: str,
+                    at_tight: bool) -> Counterexample:
+    """The violation at the pos-th assignment, whose sides are lhs and rhs,
+    in ExtValues: at the given thresholds, or at the premise distances."""
+    d, points, values = alg.carrier.d, alg.carrier.points, []
+    variables = ax.variables()
+    for _ in variables:
+        pos, r = divmod(pos, len(points))
+        values.append(points[r])
+    assignment = dict(zip(variables, reversed(values)))
+    got = d(lhs, rhs)
+    if at_tight:
+        premise_dists = [d(assignment[x], assignment[y]) for x, y, _ in ax.premises]
+        detail = (f"premises hold at {[str(e) for e in premise_dists]} "
+                  f"but d = {got} > {ax.bound_fn(*premise_dists)}")
+    elif ax.premises:
+        detail = (f"premises hold at {[str(e) for _, _, e in ax.premises]} "
+                  f"but d = {got} > {ax.bound}")
+    else:
+        detail = f"d(lhs, rhs) = {got} > {ax.bound}"
+    return Counterexample(assignment, detail)
 
 
 def check_theory(alg: FiniteAlgebra, th: TheoryExpr, params: ParamPool) -> Report:

@@ -9,12 +9,37 @@ these kernels."""
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Mapping, Optional, Sequence, Tuple
+import math
+from functools import cached_property
+from typing import (Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 from .errors import DomainError
 from .extvalue import INF, ZERO, Affine, ExtValue, ext_max, ext_sum
 from .lexing import TokenStream
 from .transport import min_cost_transport
+
+
+class ScaledMetric(NamedTuple):
+    """The distances of a finite space as ints, for exhaustive checks that
+    compare them many times: `D[i][j]` is `scale * d(p_i, p_j)` for the
+    points in `index` order, where `scale` is the lcm of the finite
+    distances' denominators, and `inf` (an infinite distance) is above the
+    sum of any two finite entries."""
+
+    index: Dict[str, int]
+    scale: int
+    D: List[List[int]]
+    inf: int
+
+    def floor(self, e: ExtValue) -> int:
+        """The int bound that an entry x satisfies (x <= it) iff x <= e: an
+        int is at most scale * e iff it is at most its floor, and the floor
+        is capped below `inf` so that only `inf` exceeds a finite e."""
+        if e.is_inf:
+            return self.inf
+        q = e.rational
+        return min(q.numerator * self.scale // q.denominator, self.inf - 1)
 
 
 class FinMetricSpace:
@@ -33,7 +58,7 @@ class FinMetricSpace:
             if p not in index or q not in index:
                 raise DomainError(f"distance given for unknown point pair ({p}, {q})")
             self._d[(p, q)] = v
-            self._d[(q, p)] = v
+            self._d.setdefault((q, p), v)  # a (q, p) given apart stays: validate sees it
         for p in self.points:
             self._d[(p, p)] = ZERO
         for p in self.points:
@@ -48,21 +73,34 @@ class FinMetricSpace:
         except KeyError:
             raise DomainError(f"point pair ({p}, {q}) outside the space") from None
 
+    @cached_property
+    def scaled(self) -> ScaledMetric:
+        """The distances as ints (`ScaledMetric`), computed once."""
+        pts = self.points
+        finite = [v.rational for v in self._d.values() if not v.is_inf]
+        scale = math.lcm(*(q.denominator for q in finite))
+        inf = 2 * max(q.numerator * (scale // q.denominator) for q in finite) + 1
+        D = [[inf if v.is_inf else v.rational.numerator * (scale // v.rational.denominator)
+              for v in (self._d[(p, q)] for q in pts)] for p in pts]
+        return ScaledMetric({p: i for i, p in enumerate(pts)}, scale, D, inf)
+
     def validate(self):
         pts = self.points
-        for p in pts:
-            for q in pts:
-                dpq = self._d[(p, q)]
-                if dpq != self._d[(q, p)]:
+        D = self.scaled.D
+        for i, p in enumerate(pts):
+            for j, q in enumerate(pts):
+                if D[i][j] != D[j][i]:
                     raise DomainError(f"asymmetric distance at ({p}, {q})")
-                if p != q and dpq == ZERO:
+                if i != j and D[i][j] == 0:
                     raise DomainError(f"zero distance between distinct points {p}, {q}")
-        for p in pts:
-            for q in pts:
-                for r in pts:
-                    if self._d[(p, r)] > self._d[(p, q)] + self._d[(q, r)]:
+        # inf is above any sum of two finite entries, so the int test is exact
+        for i, p in enumerate(pts):
+            for j, q in enumerate(pts):
+                dpq, Dq = D[i][j], D[j]
+                for k, dpr in enumerate(D[i]):
+                    if dpr > dpq + Dq[k]:
                         raise DomainError(
-                            f"triangle inequality fails at ({p}, {q}, {r})"
+                            f"triangle inequality fails at ({p}, {q}, {pts[k]})"
                         )
 
     def with_entry(self, p: str, q: str, value: ExtValue) -> "FinMetricSpace":
@@ -129,8 +167,9 @@ def hausdorff_general(U: Iterable, V: Iterable,
 def parse_spaces(text: str, source: str = "<space>") -> Dict[str, FinMetricSpace]:
     """Parse `space NAME { points: p, q; d(p,q) = 1/2; ... }` blocks.
 
-    Unspecified off-diagonal pairs default to INF; entries are symmetrized
-    and the result is validated.
+    Unspecified off-diagonal pairs default to INF; an entry holds both ways,
+    a pair given both ways with two values is rejected as asymmetric, and
+    the result is validated.
     """
     ts = TokenStream(text, source)
     spaces: Dict[str, FinMetricSpace] = {}

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, Optional, Tuple, Union
+from typing import Iterator, Mapping, Tuple, Union
 
+from .errors import DomainError
 from .lexing import TokenStream
 
 MonoidElement = Union[Fraction, str]
@@ -165,21 +166,33 @@ def format_term(t: Term) -> str:
 def parse_term(text: str, theory=None, source: str = "<term>") -> Term:
     """Parse the term surface grammar.
 
-    With a theory, `next` takes the name and factor of its only contractive
-    operator; without one, or with several contractive operators, `next`
-    stays unresolved.  Whether each operation is in the theory (`rd` of the
+    With a theory, each contractive operator is written by its name, as in
+    `step(x)`, and `next` stands for the theory's only one; with several,
+    `next` is ambiguous and a DomainError.  Without a theory, `next` stays
+    unresolved.  Whether each operation is in the theory (`rd` of the
     reader's arity among them) is decided when the term is denoted: an
     operation outside it is a DomainError there.
     """
+    from .theories import Contract, atoms
+
+    contracts = {} if theory is None else {
+        a.name: next_op(a.name, a.c) for a in atoms(theory) if isinstance(a, Contract)}
+    if len(contracts) == 1:
+        only, = contracts.values()
+        contracts["next"] = only
     ts = TokenStream(text, source)
-    t = _parse_term(ts, theory)
+    t = _parse_term(ts, contracts)
     ts.expect_eof()
     return t
 
 
-def _parse_term(ts: TokenStream, theory) -> Term:
+def _parse_term(ts: TokenStream, contracts: Mapping[str, OpSym]) -> Term:
     tok = ts.next()
     if tok.kind == "ident" and tok.text not in _KEYWORDS:
+        if tok.text in contracts and ts.accept("("):
+            a = _parse_term(ts, contracts)
+            ts.expect(")")
+            return App(contracts[tok.text], (a,))
         return Var(tok.text)
     if tok.text == "empty":
         return App(empty_op(), ())
@@ -194,49 +207,39 @@ def _parse_term(ts: TokenStream, theory) -> Term:
         if not (0 <= e <= 1):
             raise ts.error(f"conv weight {e} outside [0,1]", tok)
         ts.expect(",")
-        a = _parse_term(ts, theory)
+        a = _parse_term(ts, contracts)
         ts.expect(",")
-        b = _parse_term(ts, theory)
+        b = _parse_term(ts, contracts)
         ts.expect(")")
         return App(conv(e), (a, b))
     if tok.text == "union":
         ts.expect("(")
-        a = _parse_term(ts, theory)
+        a = _parse_term(ts, contracts)
         ts.expect(",")
-        b = _parse_term(ts, theory)
+        b = _parse_term(ts, contracts)
         ts.expect(")")
         return App(union_op(), (a, b))
     if tok.text == "rd":
         ts.expect("(")
-        args = [_parse_term(ts, theory)]
+        args = [_parse_term(ts, contracts)]
         while ts.accept(","):
-            args.append(_parse_term(ts, theory))
+            args.append(_parse_term(ts, contracts))
         ts.expect(")")
         return App(read(len(args)), tuple(args))
     if tok.text == "wr":
         ts.expect("(")
         alpha = ts.expect_element()
         ts.expect(",")
-        a = _parse_term(ts, theory)
+        a = _parse_term(ts, contracts)
         ts.expect(")")
         return App(write(alpha), (a,))
     if tok.text == "next":
         ts.expect("(")
-        a = _parse_term(ts, theory)
+        a = _parse_term(ts, contracts)
         ts.expect(")")
-        op = next_op()
-        if theory is not None:
-            resolved = _contract_op(theory)
-            if resolved is not None:
-                op = resolved
-        return App(op, (a,))
+        if "next" not in contracts and len(contracts) > 1:
+            raise DomainError(
+                f"{ts.source}:{tok.line}: next is ambiguous among the contractive "
+                f"operators {', '.join(contracts)}; write one by its name")
+        return App(contracts.get("next", next_op()), (a,))
     raise ts.error(f"expected a term, found {tok.text or 'end of input'!r}", tok)
-
-
-def _contract_op(theory) -> Optional[OpSym]:
-    from .theories import atoms, Contract
-
-    contracts = [a for a in atoms(theory) if isinstance(a, Contract)]
-    if len(contracts) == 1:
-        return next_op(contracts[0].name, contracts[0].c)
-    return None

@@ -6,7 +6,10 @@ elimination.  It shares no code with the production simplex, and neither
 does the checker of a transport's dual certificate.
 
 The equation oracle checks one axiom instance at a time, evaluating both
-sides at every assignment for that instance alone."""
+sides at every assignment for that instance alone, and the
+non-expansiveness oracle compares every pair of argument vectors; both
+compare the carrier's ExtValue distances, where the model checker compares
+scaled ints."""
 
 import itertools
 from collections import defaultdict
@@ -14,8 +17,10 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional
 
-from quantalg.extvalue import ExtValue, INF
+from quantalg.errors import DomainError
+from quantalg.extvalue import ExtValue, INF, ZERO, ext_max
 from quantalg.modelcheck import CheckEntry, Counterexample
+from quantalg.terms import Var
 
 
 def enumerate_transport(supplies, demands, cost):
@@ -137,7 +142,7 @@ def psi_reference(T, d, mode, space=None):
     at 1, and targets of different sorts are 1 (bounded) or inf (extended)
     apart."""
     from quantalg.bisim import PseudoMetric
-    from quantalg.extvalue import ONE, ext_max
+    from quantalg.extvalue import ONE
     from quantalg.spaces import kantorovich_general
 
     def cap(x):
@@ -178,6 +183,56 @@ def psi_reference(T, d, mode, space=None):
     return PseudoMetric(T.states, table)
 
 
+def evaluate(alg, t, assignment):
+    """Homomorphic interpretation of t in alg; None when a lookup is
+    undefined."""
+    if isinstance(t, Var):
+        value = assignment.get(t.name)
+        if value is None:
+            raise DomainError(f"unassigned variable {t.name}")
+        return value
+    args = []
+    for a in t.args:
+        v = evaluate(alg, a, assignment)
+        if v is None:
+            return None
+        args.append(v)
+    return alg.lookup(t.op, tuple(args))
+
+
+def check_nonexpansive_reference(alg, op, origin=""):
+    """Exhaustively check d(f(a), f(b)) <= c * max_i d(a_i, b_i), where c is
+    the contraction factor of a `next` operation and 1 otherwise, on the
+    carrier's ExtValue distances."""
+    factor = op.param[1] if op.kind == "next" else None
+    n = op.arity
+    entry = CheckEntry("nonexpansive", f"nonexpansive {op}", origin, True)
+    d = alg.carrier.d
+    images = [(vec, alg.lookup(op, vec))
+              for vec in itertools.product(alg.carrier.points, repeat=n)]
+    for avec, fa in images:
+        if fa is None:
+            entry.skipped += 1
+            continue
+        for bvec, fb in images:
+            if fb is None:
+                entry.skipped += 1
+                continue
+            entry.checked += 1
+            spread = ext_max(*(d(x, y) for x, y in zip(avec, bvec))) if n else ZERO
+            if spread.is_inf:
+                continue  # an infinite spread bounds nothing
+            allowed = spread if factor is None else spread.scaled(factor)
+            got = d(fa, fb)
+            if got > allowed:
+                entry.passed = False
+                entry.counterexample = Counterexample(
+                    {"args": avec, "args'": bvec},
+                    f"d({fa},{fb}) = {got} > {allowed}")
+                return entry
+    return entry
+
+
 def check_equation_reference(alg, ax, origin=""):
     """For every assignment: premises within their thresholds imply the
     conclusion within the bound, with the thresholds set to the actual
@@ -187,8 +242,8 @@ def check_equation_reference(alg, ax, origin=""):
     pts = alg.carrier.points
     for values in itertools.product(pts, repeat=len(variables)):
         assignment = dict(zip(variables, values))
-        lhs = alg.evaluate(ax.lhs, assignment)
-        rhs = alg.evaluate(ax.rhs, assignment)
+        lhs = evaluate(alg, ax.lhs, assignment)
+        rhs = evaluate(alg, ax.rhs, assignment)
         if lhs is None or rhs is None:
             entry.skipped += 1
             continue
@@ -224,3 +279,26 @@ def _equation_violation(alg, ax, assignment, got) -> Optional[str]:
         return (f"premises hold at {[str(e) for e in premise_dists]} "
                 f"but d = {got} > {bound}")
     return None
+
+
+def check_theory_reference(alg, th, params):
+    """check_theory's report, entry by entry, from the two oracles above."""
+    from quantalg.modelcheck import Report
+    from quantalg.theories import axiom_groups, instantiate_generators
+
+    report = Report()
+    alg.validate_closure()
+    for op in instantiate_generators(th, params):
+        if op not in alg.interp:
+            report.entries.append(CheckEntry(
+                "table", f"table for {op}", "", False,
+                Counterexample({}, "no interpretation table")))
+    for origin, atom, group in axiom_groups(th, params):
+        if atom is not None:
+            report.entries.extend(
+                check_nonexpansive_reference(alg, op, origin)
+                for op in instantiate_generators(atom, params) if op in alg.interp)
+        report.entries.extend(check_equation_reference(alg, ax, origin) for ax in group)
+    report.notes.append(
+        "continuity rule not checked: distances on a finite carrier are attained")
+    return report

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -459,3 +460,96 @@ def test_parser_is_built_once_and_reused_across_calls(files, capsys):
     assert shared == fresh
     assert [code for code, _, _ in shared] == [0, 2, 0, 0]
     assert shared[0][1] == "1/2\n" and shared[3][1] == "1 (1.00)\n"
+
+
+TWO_CONTRACTIONS = "sum(sum(sum(bary, exc{1}), contr{a, 1/2}), contr{b, 1/3})"
+
+
+@pytest.mark.parametrize("mode", ["extended", "bounded"])
+def test_two_contractions_are_written_by_name(mode, capsys):
+    from quantalg import parse_theory, term_dist
+    from quantalg.terms import app, conv, next_op, raise_
+
+    th = parse_theory(TWO_CONTRACTIONS)
+    star = app(raise_("*"))
+    a, b = next_op("a", "1/2"), next_op("b", "1/3")
+    cases = [("a(raise(*))", "raise(*)", app(a, star), star),
+             ("b(a(raise(*)))", "a(b(raise(*)))", app(b, app(a, star)), app(a, app(b, star))),
+             ("conv(1/2, a(raise(*)), b(raise(*)))", "b(raise(*))",
+              app(conv("1/2"), app(a, star), app(b, star)), app(b, star))]
+    for left, right, t, s in cases:
+        assert main(["dist", "--theory", TWO_CONTRACTIONS, "--mode", mode,
+                     "--inline", left, right]) == 0
+        assert capsys.readouterr().out == f"{term_dist(t, s, th, None, mode)}\n"
+
+
+def test_next_is_ambiguous_under_two_contractions(capsys):
+    code = main(["dist", "--theory", TWO_CONTRACTIONS, "--inline", "next(raise(*))",
+                 "raise(*)"])
+    assert code == 1
+    assert "next is ambiguous among the contractive operators a, b" in capsys.readouterr().err
+    # one contraction: `next` and its name are the same operation
+    one = "sum(sum(bary, exc{1}), contr{step, 1/2})"
+    assert main(["dist", "--theory", one, "--inline", "next(raise(*))",
+                 "step(raise(*))"]) == 0
+    assert capsys.readouterr().out == "0\n"
+
+
+def _huge_space_files(tmp_path):
+    """Five points at distance 1 + 1/q apart for ten distinct primes q of
+    151 digits, and a sixth point infinitely far from them; the tables are
+    drawn at random over the six points."""
+    import random
+
+    from sympy import nextprime
+
+    rng = random.Random(5)
+    pts = ["a", "b", "c", "d", "e", "f"]
+    q = 10 ** 150
+    lines = []
+    for i, p in enumerate(pts[:5]):
+        for r in pts[i + 1:5]:
+            q = nextprime(q)
+            lines.append(f"d({p},{r}) = {q + 1}/{q};")
+    (tmp_path / "H.space").write_text(
+        "space H { points: " + ", ".join(pts) + ";\n  " + "\n  ".join(lines) + "\n}\n")
+    entries = []
+    for spec, arity in (("union", 2), ("empty", 0), ("next(f, 1/2)", 1)):
+        entries.append(f"  op {spec}:")
+        for args in itertools.product(pts, repeat=arity):
+            lhs = "(" + ", ".join(args) + ") " if args else ""
+            entries.append(f"    {lhs}-> {rng.choice(pts)};")
+    (tmp_path / "A.alg").write_text(
+        "algebra A {\n  carrier: H;\n" + "\n".join(entries) + "\n}\n")
+
+
+def test_check_model_on_huge_coprime_denominators_matches_the_oracles(tmp_path, capsys):
+    from quantalg import ParamPool, format_report, parse_algebras, parse_spaces, parse_theory
+    from oracles import check_theory_reference
+
+    _huge_space_files(tmp_path)
+    theory = "sum(semi, contr{f, 1/2})"
+    code = main(["check-model", "--verbose", "--theory", theory, "--space",
+                 str(tmp_path / "H.space"), "--epsilons", "0,1,2", str(tmp_path / "A.alg")])
+    out = capsys.readouterr().out
+    spaces = parse_spaces((tmp_path / "H.space").read_text())
+    assert spaces["H"].scaled.scale > 10 ** 1500
+    alg = parse_algebras((tmp_path / "A.alg").read_text(), spaces)["A"]
+    report = check_theory_reference(alg, parse_theory(theory), ParamPool.make(epsilons=[0, 1, 2]))
+    assert out == "algebra A:\n" + format_report(report, verbose=True)
+    assert code == (0 if report.passed else 1)
+    assert "FAIL" in out and "inf" in out
+
+
+@pytest.mark.parametrize("distances, message", [
+    ("d(p,q) = 0;", "zero distance between distinct points p, q"),
+    ("d(p,q) = 1; d(q,r) = 1; d(p,r) = 3;", "triangle inequality fails at (p, q, r)"),
+    # d(p,r) = inf: the sum of the two largest finite distances stays below it
+    ("d(p,q) = 2; d(q,r) = 2;", "triangle inequality fails at (p, q, r)"),
+    ("d(p,q) = 1; d(q,p) = 2;", "asymmetric distance at (p, q)"),
+])
+def test_malformed_metric_exits_1_with_its_message(distances, message, tmp_path, capsys):
+    (tmp_path / "S.space").write_text(f"space S {{ points: p, q, r; {distances} }}\n")
+    assert main(["dist", "--theory", "bary", "--space", str(tmp_path / "S.space"),
+                 "--inline", "p", "q"]) == 1
+    assert capsys.readouterr().err == f"error: {tmp_path / 'S.space'}: space S: {message}\n"

@@ -1,4 +1,3 @@
-import collections
 import itertools
 import random
 from fractions import Fraction
@@ -8,7 +7,7 @@ import pytest
 from quantalg import (INF, AxiomInstance, Bary, BOUNDED, Contract, Exc, ExtValue,
                       FinMetricSpace, FiniteAlgebra, FuncVal, ONE_POINT, ParamPool,
                       Reader, Semi, Sum, TableMonoid, Tensor, VarLeaf, Writer,
-                      apply_operation, axiom_groups, axioms, check_equation,
+                      apply_operation, axioms, check_equation,
                       check_nonexpansive, check_theory,
                       distribution_model, denote_with_plan, ext, free_model,
                       layer_plan, make_set, markov_process_theory, parse_algebras,
@@ -17,7 +16,8 @@ from quantalg import (INF, AxiomInstance, Bary, BOUNDED, Contract, Exc, ExtValue
 from quantalg.terms import Var, conv, empty_op, next_op, read, union_op, write
 
 from helpers import random_term
-from oracles import check_equation_reference
+from oracles import (check_equation_reference, check_nonexpansive_reference,
+                     check_theory_reference)
 
 C12 = Fraction(1, 2)
 X2 = FinMetricSpace(["p", "q"], {("p", "q"): ext(1)})
@@ -260,12 +260,11 @@ def test_sum_report_decomposes_into_component_reports():
     th = Sum(Semi(), Exc(ONE_POINT))
     report = check_theory(alg, th, ParamPool.make(epsilons=[1]))
     assert report.passed
-    left = report.subreport("L")
-    right = report.subreport("R")
-    assert {e.label for e in left.entries} >= {"S0", "S1", "S2", "S3"}
-    assert all(e.label.startswith(("Exc", "nonexpansive raise"))
-               for e in right.entries)
-    assert len(left.entries) + len(right.entries) == len(report.entries)
+    left = [e for e in report.entries if e.origin.startswith("L")]
+    right = [e for e in report.entries if e.origin.startswith("R")]
+    assert {e.label for e in left} >= {"S0", "S1", "S2", "S3"}
+    assert all(e.label.startswith(("Exc", "nonexpansive raise")) for e in right)
+    assert len(left) + len(right) == len(report.entries)
 
 
 def test_half_integer_distribution_model_passes_b2():
@@ -347,12 +346,11 @@ def _verdict(entry):
 
 
 def _assert_matches_reference(alg, th, pool):
-    """check_theory's axiom entries, instance by instance, against the
-    one-instance oracle; returns them."""
-    got = [_verdict(e) for e in check_theory(alg, th, pool).entries if e.kind == "axiom"]
-    want = [_verdict(check_equation_reference(alg, ax, origin))
-            for origin, _, group in axiom_groups(th, pool) for ax in group]
-    assert got == want
+    """check_theory's entries, one by one, against the report the oracles
+    give (one axiom instance, one pair of argument vectors at a time);
+    returns them."""
+    got = [_verdict(e) for e in check_theory(alg, th, pool).entries]
+    assert got == [_verdict(e) for e in check_theory_reference(alg, th, pool).entries]
     return got
 
 
@@ -397,19 +395,43 @@ def test_shared_loop_matches_reference_on_partial_tables():
 
 
 def test_shared_loop_matches_reference_on_tensor_and_contraction():
+    # on X2 and on a carrier whose one pair is infinitely far apart
     rng = random.Random(13)
     mon = two_point_monoid()
-    pts = X2.points
     step = next_op("step", C12)
     cases = [(Tensor(Reader(("i1", "i2")), Writer(mon)), [write("z"), write("o"), read(2)]),
              (Sum(Contract("step", C12), Semi()), [step, union_op(), empty_op()])]
-    for th, ops in cases:
-        for _ in range(6):
-            interp = {op: {args: rng.choice(pts)
-                           for args in itertools.product(pts, repeat=op.arity)}
-                      for op in ops}
-            verdicts = _assert_matches_reference(FiniteAlgebra(X2, interp), th, POOL)
-            assert any(v[0].endswith(".com") for v in verdicts) == isinstance(th, Tensor)
+    for X in (X2, FinMetricSpace(["p", "q"], {})):
+        for th, ops in cases:
+            for _ in range(6):
+                interp = {op: {args: rng.choice(X.points)
+                               for args in itertools.product(X.points, repeat=op.arity)}
+                          for op in ops}
+                verdicts = _assert_matches_reference(FiniteAlgebra(X, interp), th, POOL)
+                assert any(v[0].endswith(".com") for v in verdicts) == isinstance(th, Tensor)
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_judging_in_blocks_matches_reference(block, monkeypatch):
+    # a schema with more than _BLOCK assignments is judged in blocks of its
+    # inner variables, with the outer ones fixed
+    from quantalg import modelcheck
+
+    monkeypatch.setattr(modelcheck, "_BLOCK", block)
+    rng = random.Random(14)
+    late = 0  # failures past the first assignment
+    for model, th in _builtin_models():
+        for _ in range(3):
+            # a partial mutant: some entries dropped, one moved
+            interp = {op: {a: b for a, b in t.items() if rng.random() < 0.8}
+                      for op, t in model.interp.items()}
+            op = rng.choice([o for o in sorted(interp, key=str) if interp[o]])
+            key = rng.choice(sorted(interp[op]))
+            interp[op][key] = rng.choice([p for p in model.carrier.points
+                                          if p != interp[op][key]])
+            verdicts = _assert_matches_reference(FiniteAlgebra(model.carrier, interp), th, POOL)
+            late += sum(1 for v in verdicts if v[5] is not None and v[3] + v[4] > 1)
+    assert late > 10
 
 
 def test_shared_loop_keeps_each_instance_bound_and_both_violations():
@@ -439,18 +461,59 @@ def test_shared_loop_keeps_each_instance_bound_and_both_violations():
     assert forms == {True, False}  # the given-threshold and the tight violation
 
 
-def test_each_schema_side_is_evaluated_once_per_assignment(monkeypatch):
+class _CountingTable(dict):
+    """An op table that counts its reads."""
+
+    def __init__(self, table, reads):
+        super().__init__(table)
+        self.reads = reads
+
+    def get(self, key, default=None):
+        self.reads[0] += 1
+        return super().get(key, default)
+
+
+def _table_reads(model, group):
+    reads = [0]
+    alg = FiniteAlgebra(model.carrier, {op: _CountingTable(t, reads)
+                                        for op, t in model.interp.items()})
+    assert all(e.passed for e in check_equation(alg, group))
+    return reads[0]
+
+
+def test_each_subterm_table_is_read_once_per_value_of_its_variables():
+    # a subterm with k distinct variables reads its op table n^k times,
+    # whatever the schema's number of variables
     model = distribution_model(X2, 4, [C12])
-    calls = collections.Counter()
-    evaluate = FiniteAlgebra.evaluate
-
-    def counting(self, t, assignment):
-        calls[t] += 1
-        return evaluate(self, t, assignment)
-
-    monkeypatch.setattr(FiniteAlgebra, "evaluate", counting)
-    assert check_theory(model, Bary(), POOL).passed
-    ib = [ax for ax in axioms(Bary(), POOL) if ax.label.startswith("IB")]
-    assert len(ib) == 16
     n = len(model.carrier.points)
-    assert calls[ib[0].lhs] == calls[ib[0].rhs] == n ** 4
+    assert n == 5
+    ib = [ax for ax in axioms(Bary(), POOL) if ax.label == f"IB[{C12}]"]
+    assert len(ib) == 16 and len(ib[0].variables()) == 4
+    assert _table_reads(model, ib) == 2 * n ** 2  # 25 per side, not 625
+    X3 = FinMetricSpace(["x", "y", "z"], {("x", "y"): ext(1), ("y", "z"): ext(C12),
+                                          ("x", "z"): ext(Fraction(3, 2))})
+    reader = reader_model(X3, ("i1", "i2"))
+    n = len(reader.carrier.points)
+    assert n == 9
+    diag = [ax for ax in axioms(Reader(("i1", "i2")), POOL) if ax.label == "Diag"]
+    # rd(x0_0, x1_1), then rd(rd(x0_0, x0_1), rd(x1_0, x1_1)): the outer
+    # read over four variables, each inner one over two
+    assert _table_reads(reader, diag) == n ** 2 + (n ** 4 + 2 * n ** 2)
+
+
+def test_nonexpansive_counterexample_counts_only_the_pairs_met_before_it():
+    # p, q, r on a line; q's image is undefined under f, p's under g
+    X = FinMetricSpace(["p", "q", "r"], {("p", "q"): ext(1), ("q", "r"): ext(1),
+                                         ("p", "r"): ext(2)})
+    f, g = next_op("f", C12), next_op("g", C12)
+    alg = FiniteAlgebra(X, {f: {("p",): "p", ("r",): "r"},
+                            g: {("q",): "q", ("r",): "p"}})
+    for op, counts, detail in (
+            # at a = p: b = p checked, b = q skipped, b = r fails
+            (f, (2, 1), "d(p,r) = 2 > 1"),
+            # a = p skipped; at a = q: b = p skipped, b = q checked, b = r fails
+            (g, (2, 2), "d(q,p) = 1 > 1/2")):
+        got = check_nonexpansive(alg, op)
+        assert _verdict(got) == _verdict(check_nonexpansive_reference(alg, op))
+        assert (got.passed, (got.checked, got.skipped)) == (False, counts)
+        assert got.counterexample.detail == detail
