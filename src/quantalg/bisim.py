@@ -444,19 +444,13 @@ def _union_chain(terms: List[Term]) -> Term:
 # ---------------------------------------------------------------------------
 # Text format
 
-def _kind_theory(ts: TokenStream, kind_tok, c: Fraction, monoids) -> TheoryExpr:
+def _kind_theory(ts: TokenStream, kind: str, c: Fraction, monoids) -> TheoryExpr:
     """The composed theory a text-format kind names, reading the kind's
     header lines (actions or inputs, and a Mealy machine's monoid)."""
-    kind = kind_tok.text
     if kind == "mp":
         return markov_process_theory(c)
-    if kind not in ("lmp", "mealy", "mdp"):
-        raise ts.error(f"expected mp/lmp/mealy/mdp, found {kind!r}", kind_tok)
-    ts.expect("inputs" if kind == "mealy" else "actions")
-    ts.expect(":")
-    labels = [ts.expect_ident().text]
-    while ts.accept(","):
-        labels.append(ts.expect_ident().text)
+    ts.expect("inputs" if kind == "mealy" else "actions", ":")
+    labels = ts.expect_list(lambda: ts.expect_ident().text)
     ts.expect(";")
     if kind != "mealy":
         return (labelled_mp_theory if kind == "lmp" else mdp_theory)(labels, c)
@@ -502,20 +496,15 @@ def parse_coalgebras(text: str, monoids: Optional[Dict[str, Monoid]] = None,
     `leaf(x)`.  A state or a `state u on i` row given twice is a parse
     error."""
     ts = TokenStream(text, source)
-    out: Dict[str, Coalgebra] = {}
-    while not ts.at(""):
-        kind_tok = ts.expect_ident()
-        name = ts.expect_ident().text
-        for tok in ("{", "c", "="):
-            ts.expect(tok)
+
+    def system(kind: str, name: str) -> Coalgebra:
+        ts.expect("c", "=")
         c = ts.expect_rational()
         ts.expect(";")
-        try:
-            plan = layer_plan(_kind_theory(ts, kind_tok, c, monoids))
-            out[name] = _parse_rows(ts, plan, space, name)
-        except DomainError as exc:
-            raise DomainError(f"{source}: system {name}: {exc}") from None
-    return out
+        plan = layer_plan(_kind_theory(ts, kind, c, monoids))
+        return _parse_rows(ts, plan, space, name)
+
+    return ts.blocks("system", ("mp", "lmp", "mealy", "mdp"), system)
 
 
 def _parse_rows(ts: TokenStream, plan: LayerPlan, space, name: str) -> Coalgebra:
@@ -542,11 +531,11 @@ def _parse_rows(ts: TokenStream, plan: LayerPlan, space, name: str) -> Coalgebra
             targets[state] = None
             return Guard(guard.name, guard.c, StateLeaf(state))
         if layers[0][0] == "dist":
-            pairs = []
-            while not pairs or ts.accept(","):
+            def weighted():
                 w = ts.expect_rational()
                 ts.expect("->")
-                pairs.append((cell(layers[1:]), w))
+                return cell(layers[1:]), w
+            pairs = ts.expect_list(weighted)
             mass = sum(w for _, w in pairs)
             if mass != 1:
                 raise DomainError(f"row {key!r} has mass {mass}, expected 1")
@@ -560,7 +549,7 @@ def _parse_rows(ts: TokenStream, plan: LayerPlan, space, name: str) -> Coalgebra
             raise DomainError(f"output {alpha!r} outside the monoid")
         return PairVal(alpha, inner)
 
-    while not ts.accept("}"):
+    while not ts.at("}"):
         ts.expect("state")
         tok = ts.expect_ident()
         key = tok.text

@@ -46,12 +46,11 @@ def _build_parser() -> argparse.ArgumentParser:
         description="exact distances for quantitative algebraic effects")
     sub = p.add_subparsers(required=True)
 
-    def common(sp, space=True, theory=True, mode_default=EXTENDED):
+    def common(sp, theory=True, mode_default=EXTENDED):
         if theory:
             sp.add_argument("--theory", required=True,
                             help="theory expression, e.g. 'sum(sum(bary, exc{1}), contr{next, 1/2})'")
-        if space:
-            sp.add_argument("--space", help="space file; ground metric for variables")
+        sp.add_argument("--space", help="space file; ground metric for variables")
         sp.add_argument("--monoid", help="monoid file for writer theories")
         sp.add_argument("--mode", choices=[EXTENDED, BOUNDED], default=mode_default)
         sp.add_argument("--format", choices=["text", "record"], default="text")
@@ -110,7 +109,7 @@ def _positive_rational(text: str) -> Fraction:
     return q
 
 
-def _load_context(args, need_theory=True):
+def _load_context(args):
     spaces = {}
     space = None
     if getattr(args, "space", None):
@@ -121,7 +120,7 @@ def _load_context(args, need_theory=True):
     if getattr(args, "monoid", None):
         monoids = parse_monoids(Path(args.monoid).read_text(), args.monoid)
     theory = None
-    if need_theory and getattr(args, "theory", None):
+    if getattr(args, "theory", None):
         theory = parse_theory(args.theory, spaces, monoids, "--theory")
     return theory, space, spaces, monoids
 
@@ -134,9 +133,12 @@ def _read_term(arg: str, inline: bool, theory, source_hint: str):
 
 
 def _render(value: ExtValue, args) -> str:
+    """The value, and with --decimal N also its rational rounded half to
+    even to N places (with no decimal point when N is 0)."""
     text = str(value)
     if args.decimal is not None and not value.is_inf:
-        text += f" ({float(value.rational):.{args.decimal}f})"
+        whole, frac = divmod(round(value.rational * 10 ** args.decimal), 10 ** args.decimal)
+        text += f" ({whole}.{frac:0{args.decimal}d})" if args.decimal else f" ({whole})"
     return text
 
 
@@ -165,7 +167,7 @@ def _cmd_normalize(args) -> int:
 
 
 def _cmd_bisim(args) -> int:
-    _, space, _, monoids = _load_context(args, need_theory=False)
+    _, space, _, monoids = _load_context(args)
     systems = parse_coalgebras(Path(args.file).read_text(), monoids, space, args.file)
     out_records = []
     for name in sorted(systems):

@@ -1,13 +1,15 @@
-"""Tiny shared tokenizer for the engine's text formats."""
+"""The shared front end of the six text formats: a tokenizer (one
+`re.finditer` pass; a token's line is counted only when an error names it)
+and the rules every format reads through it, such as comma lists
+(`expect_list`) and files of `KEYWORD NAME { ... }` blocks (`blocks`)."""
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Union
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, TypeVar, Union
 
-from .errors import ParseError
+from .errors import DomainError, ParseError
 from .extvalue import INF, ExtValue
 
 _TOKEN_RE = re.compile(
@@ -17,37 +19,37 @@ _TOKEN_RE = re.compile(
   | (?P<num>\d+(?:/\d+)?)
   | (?P<ident>[A-Za-z_][A-Za-z0-9_.']*)
   | (?P<punct>[(){},;:=@*\[\]<>|+-])
+  | (?P<bad>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 _ZERO_DENOMINATOR = re.compile(r"\d+/0+")
 
+T = TypeVar("T")
 
-@dataclass
-class Token:
+
+class Token(NamedTuple):
     kind: str  # 'num' | 'ident' | 'punct' | 'arrow' | 'eof'
     text: str
-    line: int
+    pos: int  # offset in the text; TokenStream.line gives its line
 
 
 class TokenStream:
     def __init__(self, text: str, source: str = "<input>"):
         self.source = source
-        self.tokens: List[Token] = []
-        line = 1
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN_RE.match(text, pos)
-            if m is None:
-                raise ParseError(f"unexpected character {text[pos]!r}", source, line)
-            line += text.count("\n", pos, m.end())
-            if m.lastgroup == "num" and _ZERO_DENOMINATOR.fullmatch(m.group()):
-                raise ParseError(f"zero denominator in {m.group()!r}", source, line)
-            if m.lastgroup != "ws":
-                self.tokens.append(Token(m.lastgroup, m.group(), line))
-            pos = m.end()
-        self.tokens.append(Token("eof", "", line))
+        self.text = text
+        self.tokens: List[Token] = [Token(m.lastgroup, m.group(), m.start())
+                                    for m in _TOKEN_RE.finditer(text) if m.lastgroup != "ws"]
+        for tok in self.tokens:
+            if tok.kind == "bad":
+                raise self.error(f"unexpected character {tok.text!r}", tok)
+            if tok.kind == "num" and _ZERO_DENOMINATOR.fullmatch(tok.text):
+                raise self.error(f"zero denominator in {tok.text!r}", tok)
+        self.tokens.append(Token("eof", "", len(text)))
         self.i = 0
+
+    def line(self, tok: Token) -> int:
+        return self.text.count("\n", 0, tok.pos) + 1
 
     def peek(self) -> Token:
         return self.tokens[self.i]
@@ -59,14 +61,14 @@ class TokenStream:
         return tok
 
     def error(self, message: str, tok: Optional[Token] = None) -> ParseError:
-        tok = tok or self.peek()
-        return ParseError(message, self.source, tok.line)
+        return ParseError(message, self.source, self.line(tok or self.peek()))
 
-    def expect(self, text: str) -> Token:
-        tok = self.next()
-        if tok.text != text:
-            raise self.error(f"expected {text!r}, found {tok.text or 'end of input'!r}", tok)
-        return tok
+    def expect(self, *texts: str):
+        """The tokens `texts`, in order."""
+        for text in texts:
+            tok = self.next()
+            if tok.text != text:
+                raise self.error(f"expected {text!r}, found {tok.text or 'end of input'!r}", tok)
 
     def expect_ident(self) -> Token:
         tok = self.next()
@@ -118,3 +120,33 @@ class TokenStream:
         tok = self.peek()
         if tok.kind != "eof":
             raise self.error(f"trailing input starting at {tok.text!r}", tok)
+
+    def expect_list(self, item: Callable[[], T]) -> List[T]:
+        """One or more `item()`s separated by commas; no trailing comma."""
+        items = [item()]
+        while self.accept(","):
+            items.append(item())
+        return items
+
+    def blocks(self, what: str, keywords: Sequence[str],
+               body: Callable[[str, str], T]) -> Dict[str, T]:
+        """NAME -> `body(KEYWORD, NAME)` for the `KEYWORD NAME { ... }` blocks
+        that fill the input, where the body reads between the braces; a NAME
+        given twice is a ParseError, and a body's DomainError is prefixed with
+        `SOURCE: what NAME:`."""
+        out: Dict[str, T] = {}
+        while not self.at(""):
+            kw = self.next()
+            if kw.text not in keywords:
+                raise self.error(f"expected {'/'.join(keywords)}, found {kw.text!r}", kw)
+            tok = self.expect_ident()
+            name = tok.text
+            if name in out:
+                raise self.error(f"duplicate {what} {name!r}", tok)
+            self.expect("{")
+            try:
+                out[name] = body(kw.text, name)
+            except DomainError as exc:
+                raise DomainError(f"{self.source}: {what} {name}: {exc}") from None
+            self.expect("}")
+        return out

@@ -52,8 +52,7 @@ from .semantics import (DistVal, ExcLeaf, FuncVal, Guard, PairVal, SemValue, Set
                         VarLeaf, apply_operation, make_dist, make_set,
                         sem_dist_with_plan)
 from .spaces import FinMetricSpace, ScaledMetric
-from .terms import (OpSym, Term, Var, conv, empty_op, next_op, raise_, read,
-                    union_op, write)
+from .terms import OpSym, Term, Var, empty_op, next_op, parse_parameter, read, union_op
 from .terms import variables as term_vars
 from .theories import (AxiomInstance, Bary, ParamPool, Reader, Semi, TableMonoid,
                        TheoryExpr, Writer, axiom_groups, instantiate_generators,
@@ -461,13 +460,9 @@ def parse_algebras(text: str, spaces: Dict[str, FinMetricSpace],
                    source: str = "<algebra>") -> Dict[str, FiniteAlgebra]:
     """Parse `algebra NAME { carrier: SPACE; op conv(1/2): (p,q) -> r; ... }`."""
     ts = TokenStream(text, source)
-    out: Dict[str, FiniteAlgebra] = {}
-    while not ts.at(""):
-        ts.expect("algebra")
-        name = ts.expect_ident().text
-        ts.expect("{")
-        ts.expect("carrier")
-        ts.expect(":")
+
+    def algebra(kind: str, name: str) -> FiniteAlgebra:
+        ts.expect("carrier", ":")
         ref = ts.expect_ident().text
         if ref not in spaces:
             raise ts.error(f"unknown space {ref!r}")
@@ -475,7 +470,7 @@ def parse_algebras(text: str, spaces: Dict[str, FinMetricSpace],
         ts.expect(";")
         interp: Dict[OpSym, Table] = {}
         current: Optional[OpSym] = None
-        while not ts.accept("}"):
+        while not ts.at("}"):
             if ts.accept("op"):
                 current = _parse_opspec(ts)
                 interp.setdefault(current, {})
@@ -485,13 +480,9 @@ def parse_algebras(text: str, spaces: Dict[str, FinMetricSpace],
                 raise ts.error("table entry before any `op` header")
             args: Tuple[str, ...] = ()
             if ts.accept("("):
-                names = []
                 if not ts.at(")"):
-                    names.append(ts.expect_label("carrier point"))
-                    while ts.accept(","):
-                        names.append(ts.expect_label("carrier point"))
+                    args = tuple(ts.expect_list(lambda: ts.expect_label("carrier point")))
                 ts.expect(")")
-                args = tuple(names)
             ts.expect("->")
             outp = ts.expect_label("carrier point")
             ts.expect(";")
@@ -499,12 +490,10 @@ def parse_algebras(text: str, spaces: Dict[str, FinMetricSpace],
                 raise ts.error(f"{current} entry has arity {len(args)}")
             interp[current][args] = outp
         alg = FiniteAlgebra(carrier, interp, name=name)
-        try:
-            alg.validate_closure()
-        except DomainError as exc:
-            raise DomainError(f"{source}: algebra {name}: {exc}") from None
-        out[name] = alg
-    return out
+        alg.validate_closure()
+        return alg
+
+    return ts.blocks("algebra", ("algebra",), algebra)
 
 
 def _parse_opspec(ts: TokenStream) -> OpSym:
@@ -517,26 +506,19 @@ def _parse_opspec(ts: TokenStream) -> OpSym:
     if name not in ("conv", "raise", "rd", "wr", "next"):
         raise ts.error(f"unknown operation {name!r}", tok)
     ts.expect("(")
-    if name == "conv":
-        e = ts.expect_rational()
-        if not 0 <= e <= 1:
-            raise ts.error(f"conv weight {e} outside [0,1]", tok)
-        op = conv(e)
-    elif name == "raise":
-        op = raise_(ts.expect_label("exception label"))
-    elif name == "rd":
+    if name == "rd":
         n = ts.expect_rational()
         if n.denominator != 1 or n < 1:
             raise ts.error(f"rd arity {n} is not a positive integer", tok)
         op = read(int(n))
-    elif name == "wr":
-        op = write(ts.expect_element())
-    else:
+    elif name == "next":
         opname = ts.expect_ident().text
         ts.expect(",")
         c = ts.expect_rational()
         if not 0 < c < 1:
             raise ts.error(f"contraction factor {c} outside (0,1)", tok)
         op = next_op(opname, c)
+    else:
+        op = parse_parameter(ts, tok)
     ts.expect(")")
     return op

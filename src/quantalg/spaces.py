@@ -60,8 +60,7 @@ class FinMetricSpace:
             self._d[(p, q)] = v
             self._d.setdefault((q, p), v)  # a (q, p) given apart stays: validate sees it
         for p in self.points:
-            self._d[(p, p)] = ZERO
-        for p in self.points:
+            self._d.setdefault((p, p), ZERO)  # a given d(p, p) stays: validate sees it
             for q in self.points:
                 self._d.setdefault((p, q), INF)
         if validate:
@@ -88,6 +87,8 @@ class FinMetricSpace:
         pts = self.points
         D = self.scaled.D
         for i, p in enumerate(pts):
+            if D[i][i]:
+                raise DomainError(f"nonzero self-distance at {p}")
             for j, q in enumerate(pts):
                 if D[i][j] != D[j][i]:
                     raise DomainError(f"asymmetric distance at ({p}, {q})")
@@ -169,34 +170,23 @@ def parse_spaces(text: str, source: str = "<space>") -> Dict[str, FinMetricSpace
 
     Unspecified off-diagonal pairs default to INF; an entry holds both ways,
     a pair given both ways with two values is rejected as asymmetric, and
-    the result is validated.
+    the result is validated; a malformed metric is a DomainError.
     """
     ts = TokenStream(text, source)
-    spaces: Dict[str, FinMetricSpace] = {}
-    while not ts.at(""):
-        ts.expect("space")
-        name = ts.expect_ident().text
-        ts.expect("{")
-        ts.expect("points")
-        ts.expect(":")
-        points = [ts.expect_label("point id")]
-        while ts.accept(","):
-            points.append(ts.expect_label("point id"))
+
+    def space(kind: str, name: str) -> FinMetricSpace:
+        ts.expect("points", ":")
+        points = ts.expect_list(lambda: ts.expect_label("point id"))
         ts.expect(";")
         dist = {}
-        while not ts.accept("}"):
-            ts.expect("d")
-            ts.expect("(")
+        while not ts.at("}"):
+            ts.expect("d", "(")
             p = ts.expect_label("point id")
             ts.expect(",")
             q = ts.expect_label("point id")
-            ts.expect(")")
-            ts.expect("=")
+            ts.expect(")", "=")
             dist[(p, q)] = ts.expect_ext()
             ts.expect(";")
-        try:
-            spaces[name] = FinMetricSpace(points, dist)
-        except DomainError as exc:
-            # malformed metrics are domain errors, not parse errors
-            raise DomainError(f"{source}: space {name}: {exc}") from None
-    return spaces
+        return FinMetricSpace(points, dist)
+
+    return ts.blocks("space", ("space",), space)

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Iterator, Mapping, Tuple, Union
 
 from .errors import DomainError
-from .lexing import TokenStream
+from .lexing import Token, TokenStream
 
 MonoidElement = Union[Fraction, str]
 
@@ -159,7 +159,7 @@ def format_term(t: Term) -> str:
     if op.kind == "write":
         return f"wr({op.param}, {format_term(t.args[0])})"
     if op.kind == "next":
-        return f"next({format_term(t.args[0])})"
+        return f"{op.param[0]}({format_term(t.args[0])})"
     raise ValueError(f"cannot format {op!r}")
 
 
@@ -196,22 +196,15 @@ def _parse_term(ts: TokenStream, contracts: Mapping[str, OpSym]) -> Term:
         return Var(tok.text)
     if tok.text == "empty":
         return App(empty_op(), ())
-    if tok.text == "raise":
+    if tok.text in ("conv", "raise", "wr"):
         ts.expect("(")
-        lbl = ts.expect_label("exception label")
+        op = parse_parameter(ts, tok)
+        args = []
+        for _ in range(op.arity):
+            ts.expect(",")
+            args.append(_parse_term(ts, contracts))
         ts.expect(")")
-        return App(raise_(lbl), ())
-    if tok.text == "conv":
-        ts.expect("(")
-        e = ts.expect_rational()
-        if not (0 <= e <= 1):
-            raise ts.error(f"conv weight {e} outside [0,1]", tok)
-        ts.expect(",")
-        a = _parse_term(ts, contracts)
-        ts.expect(",")
-        b = _parse_term(ts, contracts)
-        ts.expect(")")
-        return App(conv(e), (a, b))
+        return App(op, tuple(args))
     if tok.text == "union":
         ts.expect("(")
         a = _parse_term(ts, contracts)
@@ -226,20 +219,27 @@ def _parse_term(ts: TokenStream, contracts: Mapping[str, OpSym]) -> Term:
             args.append(_parse_term(ts, contracts))
         ts.expect(")")
         return App(read(len(args)), tuple(args))
-    if tok.text == "wr":
-        ts.expect("(")
-        alpha = ts.expect_element()
-        ts.expect(",")
-        a = _parse_term(ts, contracts)
-        ts.expect(")")
-        return App(write(alpha), (a,))
     if tok.text == "next":
         ts.expect("(")
         a = _parse_term(ts, contracts)
         ts.expect(")")
         if "next" not in contracts and len(contracts) > 1:
             raise DomainError(
-                f"{ts.source}:{tok.line}: next is ambiguous among the contractive "
+                f"{ts.source}:{ts.line(tok)}: next is ambiguous among the contractive "
                 f"operators {', '.join(contracts)}; write one by its name")
         return App(contracts.get("next", next_op()), (a,))
     raise ts.error(f"expected a term, found {tok.text or 'end of input'!r}", tok)
+
+
+def parse_parameter(ts: TokenStream, tok: Token) -> OpSym:
+    """The operation of the family `tok` names (conv, raise or wr), reading
+    its parameter: a conv weight, which must lie in [0,1], an exception
+    label, or a monoid element."""
+    if tok.text == "conv":
+        e = ts.expect_rational()
+        if not 0 <= e <= 1:
+            raise ts.error(f"conv weight {e} outside [0,1]", tok)
+        return conv(e)
+    if tok.text == "raise":
+        return raise_(ts.expect_label("exception label"))
+    return write(ts.expect_element())

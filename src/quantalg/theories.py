@@ -644,24 +644,16 @@ def _parse_theory(ts: TokenStream, spaces, monoids) -> TheoryExpr:
         return Semi()
     if name == "exc":
         ts.expect("{")
-        labels = []
-        while not ts.at("}"):
-            labels.append(ts.expect_label("exception label"))
-            if not ts.at("}"):
-                ts.expect(",")
+        labels = ts.expect_list(lambda: ts.expect_label("exception label"))
         ts.expect("}")
         if labels in (["1"], ["*"]):
             return Exc(ONE_POINT)
         if len(labels) == 1 and labels[0] in spaces:
             return Exc(spaces[labels[0]])
-        if not labels:
-            raise ts.error("exception space needs at least one label", tok)
         return Exc(discrete(labels))
     if name == "reader":
         ts.expect("{")
-        inputs = [ts.expect_ident().text]
-        while ts.accept(","):
-            inputs.append(ts.expect_ident().text)
+        inputs = ts.expect_list(lambda: ts.expect_ident().text)
         ts.expect("}")
         return Reader(tuple(inputs))
     if name == "writer":
@@ -693,31 +685,23 @@ def _parse_theory(ts: TokenStream, spaces, monoids) -> TheoryExpr:
 def parse_monoids(text: str, source: str = "<monoid>") -> Dict[str, Monoid]:
     """Parse `monoid NAME { elements: a, b; unit = a; mult(a,b) = c; d(a,b) = 1; }`."""
     ts = TokenStream(text, source)
-    out: Dict[str, Monoid] = {}
-    while not ts.at(""):
-        ts.expect("monoid")
-        name = ts.expect_ident().text
-        ts.expect("{")
-        ts.expect("elements")
-        ts.expect(":")
-        elements = [ts.expect_ident().text]
-        while ts.accept(","):
-            elements.append(ts.expect_ident().text)
+
+    def monoid(kind: str, name: str) -> Monoid:
+        ts.expect("elements", ":")
+        elements = ts.expect_list(lambda: ts.expect_ident().text)
         ts.expect(";")
-        ts.expect("unit")
-        ts.expect("=")
+        ts.expect("unit", "=")
         unit = ts.expect_ident().text
         ts.expect(";")
         table: Dict[Tuple[str, str], str] = {}
         dist: Dict[Tuple[str, str], ExtValue] = {}
-        while not ts.accept("}"):
+        while not ts.at("}"):
             what = ts.expect_ident().text
             ts.expect("(")
             a = ts.expect_ident().text
             ts.expect(",")
             b = ts.expect_ident().text
-            ts.expect(")")
-            ts.expect("=")
+            ts.expect(")", "=")
             if what == "mult":
                 table[(a, b)] = ts.expect_ident().text
             elif what == "d":
@@ -725,6 +709,6 @@ def parse_monoids(text: str, source: str = "<monoid>") -> Dict[str, Monoid]:
             else:
                 raise ts.error(f"expected mult or d, found {what!r}")
             ts.expect(";")
-        space = FinMetricSpace(elements, dist)
-        out[name] = TableMonoid(space, unit, table)
-    return out
+        return TableMonoid(FinMetricSpace(elements, dist), unit, table)
+
+    return ts.blocks("monoid", ("monoid",), monoid)

@@ -246,6 +246,24 @@ _HOSTILE = {
                            "--inline", "wr(m, empty)"], {}, 1),
     "term rd(x) under reader{a,b}": (["dist", "--theory", "tensor(bary, reader{a,b})",
                                       "--inline", "rd(x)", "x"], {}, 1),
+    "theory exc{a,}": (["dist", "--theory", "sum(bary, exc{a,})", "--inline", "x", "x"], {}, 2),
+    "space d(p,p) = 1": (["dist", "--theory", "bary", "--space", "{d}/B.space",
+                          "--inline", "p", "q"],
+                         {"B.space": "space B { points: p, q; d(p,q) = 1; d(p,p) = 1; }"}, 1),
+    "space S twice": (["dist", "--theory", "bary", "--space", "{d}/B.space", "--inline", "p", "q"],
+                      {"B.space": "space S { points: p, q; d(p,q) = 1; }\n"
+                                  "space S { points: r; }"}, 2),
+    "monoid M twice": (["normalize", "--theory", "writer{M}", "--monoid", "{d}/M.monoid",
+                        "--inline", "x"], {"M.monoid": 2 * (_MONOID % "1")}, 2),
+    "monoid unit outside": (["normalize", "--theory", "writer{M}", "--monoid", "{d}/M.monoid",
+                             "--inline", "x"],
+                            {"M.monoid": (_MONOID % "1").replace("unit = z", "unit = y")}, 1),
+    "algebra A twice": (["check-model", "--theory", "bary", "--space", "{d}/S.space",
+                         "--weights", "1/2", "{d}/A.alg"],
+                        {"A.alg": 2 * (_ALGEBRA % "conv(1/2): (p, p) -> p")}, 2),
+    "coalgebra P twice": (["bisim", "{d}/C.coalg"], {"C.coalg": (
+        "mp P { c = 1/2; state u: 1 -> u; }\nlmp P { c = 1/2; actions: a; state u on a: 1 -> u; }")},
+        2),
 }
 
 
@@ -302,6 +320,27 @@ def test_decimal_rendering_flag(files, capsys):
                  "--inline", "--decimal", "3", "conv(1/2, x, y)", "y"])
     assert code == 0
     assert capsys.readouterr().out.strip() == "1/2 (0.500)"
+
+
+def test_monoid_domain_error_names_the_monoid(tmp_path, capsys):
+    (tmp_path / "M.monoid").write_text((_MONOID % "1").replace("unit = z", "unit = y"))
+    assert main(["normalize", "--theory", "writer{M}", "--monoid", str(tmp_path / "M.monoid"),
+                 "--inline", "x"]) == 1
+    assert capsys.readouterr().err == \
+        f"error: {tmp_path / 'M.monoid'}: monoid M: monoid unit outside the carrier\n"
+
+
+@pytest.mark.parametrize("distance, digits, shown", [
+    ("5/2", "0", "2"),
+    ("1/8", "2", "0.12"),  # an exact tie goes to the even digit
+    ("2/3", "30", "0." + 29 * "6" + "7"),
+    (str(10 ** 400), "3", f"{10 ** 400}.000"),
+], ids=["5/2", "1/8", "2/3", "10^400"])
+def test_decimal_rendering_is_exact(distance, digits, shown, tmp_path, capsys):
+    (tmp_path / "S.space").write_text(f"space S {{ points: p, q; d(p,q) = {distance}; }}\n")
+    assert main(["dist", "--theory", "bary", "--space", str(tmp_path / "S.space"),
+                 "--decimal", digits, "--inline", "p", "q"]) == 0
+    assert capsys.readouterr().out == f"{distance} ({shown})\n"
 
 
 def test_console_script_installed():

@@ -1,0 +1,105 @@
+"""The shared front end of the six text formats: the tokenizer's error lines,
+and random edits of one ordinary file per format, which each parser must
+either read or reject with a QuantAlgError."""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from quantalg import (ParseError, parse_algebras, parse_coalgebras, parse_monoids,
+                      parse_spaces, parse_term, parse_theory)
+from quantalg.errors import QuantAlgError
+from quantalg.lexing import TokenStream
+
+SPACE = """\
+space S { points: p, q, r;
+  d(p,q) = 1/2; d(q,r) = 1; d(p,r) = 3/2; }
+"""
+MONOID = """\
+monoid M { elements: z, a; unit = z;
+  mult(z,z) = z; mult(z,a) = a; mult(a,z) = a; mult(a,a) = a;
+  d(z,a) = 1; }
+"""
+ALGEBRA = """\
+algebra A {
+  carrier: S;
+  op conv(1/2): (p, p) -> p; (p, q) -> q; (q, p) -> q; (q, q) -> q;
+  op rd(2): (p, q) -> p;
+  op wr(z): (p) -> q;
+  op raise(*): -> r;
+  op next(n, 1/2): (r) -> p;
+}
+"""
+COALGEBRA = """\
+mp P { c = 1/2; state u: 1/2 -> u, 1/2 -> bot; state v: 1 -> leaf(p); }
+mealy Y { c = 1/3; inputs: i, j; monoid: M;
+  state s on i -> (s, a); state s on j -> (t, z);
+  state t on i -> (t, z); state t on j -> (s, a); }
+mdp D { c = 9/10; actions: a;
+  state x on a: 1/4 -> (x, 1), 3/4 -> (y, 1/2);
+  state y on a: 1 -> (y, 0); }
+"""
+THEORY = ("sum(tensor(tensor(bary, writer{M}), reader{i, j}),"
+          " sum(sum(exc{S}, contr{n, 1/2}), contr{m, 1/3}))")
+TERM = "conv(1/3, rd(n(x), wr(a, raise(p))), m(conv(1, y, raise(q))))"
+
+_SPACES = parse_spaces(SPACE)
+_MONOIDS = parse_monoids(MONOID)
+_THEORY = parse_theory(THEORY, _SPACES, _MONOIDS)
+
+FORMATS = {
+    "term": (TERM, lambda text: parse_term(text, _THEORY)),
+    "theory": (THEORY, lambda text: parse_theory(text, _SPACES, _MONOIDS)),
+    "space": (SPACE, parse_spaces),
+    "monoid": (MONOID, parse_monoids),
+    "algebra": (ALGEBRA, lambda text: parse_algebras(text, _SPACES)),
+    "coalgebra": (COALGEBRA, lambda text: parse_coalgebras(text, _MONOIDS, _SPACES["S"])),
+}
+
+# What an edit inserts: single characters, odd ones included, and words of
+# the formats.
+PIECES = st.one_of(
+    st.sampled_from(list("(){},;:=-*/#\n 0123456789pqrxyzaijs_.'$é\t")),
+    st.sampled_from(["->", "inf", "bot", "leaf", "state", "on", "space", "monoid", "algebra",
+                     "mp", "lmp", "mealy", "mdp", "op", "next", "rd", "wr", "conv", "raise",
+                     "union", "empty", "exc{", "1/0", "0", "2/3", "d(p,p) = 1;"]))
+
+
+@st.composite
+def edited(draw, text):
+    """`text` with one to four random insertions, deletions or replacements."""
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(text)))
+        cut = draw(st.integers(0, 3))
+        text = text[:at] + draw(st.one_of(st.just(""), PIECES)) + text[at + cut:]
+    return text
+
+
+def test_the_ordinary_files_parse():
+    for text, parse in FORMATS.values():
+        parse(text)
+
+
+@pytest.mark.parametrize("fmt", sorted(FORMATS))
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_an_edited_file_is_read_or_rejected_with_a_quantalg_error(fmt, data):
+    text, parse = FORMATS[fmt]
+    try:
+        parse(data.draw(edited(text)))
+    except QuantAlgError:
+        pass
+
+
+@pytest.mark.parametrize("text, message", [
+    ("x\n\n  $", "<input>:3: unexpected character '$'"),
+    ("a # $ in a comment\n1/00", "<input>:2: zero denominator in '1/00'"),
+])
+def test_the_tokenizer_reports_the_first_bad_token_with_its_line(text, message):
+    with pytest.raises(ParseError) as e:
+        TokenStream(text)
+    assert str(e.value) == message
+
+
+def test_a_token_line_is_counted_from_its_offset():
+    ts = TokenStream("a\n# b\n\n  c d")
+    assert [(t.text, ts.line(t)) for t in ts.tokens] == [("a", 1), ("c", 4), ("d", 4), ("", 4)]

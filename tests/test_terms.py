@@ -2,10 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from quantalg import (App, Bary, Var, app, bind, conv, denote, format_term,
-                      markov_process_theory, next_op, parse_term, raise_,
-                      read, write)
+                      markov_process_theory, next_op, parse_term, parse_theory,
+                      raise_, read, write)
 from quantalg.errors import DomainError, ParseError
 
 MP = markov_process_theory(Fraction(1, 2))
@@ -104,3 +105,18 @@ def test_well_formed_preserved_by_bind():
         sigma = {v: random_term(rng, MP, X, 2) for v in X}
         denote(t, MP)
         denote(bind(t, sigma), MP)
+
+
+@pytest.mark.parametrize("theory", [
+    "sum(sum(bary, exc{1}), contr{step, 1/2})",
+    "sum(sum(sum(bary, exc{1}), contr{a, 1/2}), contr{b, 1/3})",
+    "sum(tensor(tensor(semi, writer{q}), reader{i, j}),"
+    " sum(sum(exc{e, f}, contr{a, 1/2}), contr{b, 1/3}))",
+])
+@given(rng=st.randoms(use_true_random=False), depth=st.integers(0, 4))
+def test_format_term_round_trips_under_named_contractions(theory, rng, depth):
+    from helpers import random_term
+
+    th = parse_theory(theory)
+    t = random_term(rng, th, ["x", "y"], depth)
+    assert parse_term(format_term(t), th) == t
