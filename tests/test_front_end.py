@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from quantalg import (ParseError, parse_algebras, parse_coalgebras, parse_monoids,
                       parse_spaces, parse_term, parse_theory)
+from quantalg.cli import main
 from quantalg.errors import QuantAlgError
 from quantalg.lexing import TokenStream
 
@@ -103,3 +104,42 @@ def test_the_tokenizer_reports_the_first_bad_token_with_its_line(text, message):
 def test_a_token_line_is_counted_from_its_offset():
     ts = TokenStream("a\n# b\n\n  c d")
     assert [(t.text, ts.line(t)) for t in ts.tokens] == [("a", 1), ("c", 4), ("d", 4), ("", 4)]
+
+
+_MP_THEORY = "sum(sum(bary, exc{1}), contr{next, 1/2})"
+
+
+@pytest.mark.parametrize("kind, text, message", [
+    ("term", "union(x)", "term-1:2: expected ',', found ')'"),
+    ("term", "union(x, y, z)", "term-1:2: expected ')', found ','"),
+    ("term", "rd()", "term-1:2: expected a term, found ')'"),
+    ("term", "rd(x,)", "term-1:2: expected a term, found ')'"),
+    ("term", "conv(1/2, x)", "term-1:2: expected ',', found ')'"),
+    ("term", "conv(2, x, y)", "term-1:2: conv weight 2 outside [0,1]"),
+    ("term", "raise()", "term-1:2: expected exception label, found ')'"),
+    ("term", "wr(x)", "term-1:2: expected ',', found ')'"),
+    ("term", "empty(x)", "term-1:2: trailing input starting at '('"),
+    ("term", "next()", "term-1:2: expected a term, found ')'"),
+    ("term", "next(x, y)", "term-1:2: expected ')', found ','"),
+    ("term", ")", "term-1:2: expected a term, found ')'"),
+    ("term", "", "term-1:2: expected a term, found 'end of input'"),
+    ("op", "op foo:", "A.alg:3: unknown operation 'foo'"),
+    ("op", "op rd(0):", "A.alg:3: rd arity 0 is not a positive integer"),
+    ("op", "op rd(1/2):", "A.alg:3: rd arity 1/2 is not a positive integer"),
+    ("op", "op next(n, 1):", "A.alg:3: contraction factor 1 outside (0,1)"),
+    ("op", "op union(", "A.alg:3: expected ':', found '('"),
+])
+def test_a_malformed_operation_is_a_parse_error_at_its_line(kind, text, message, tmp_path,
+                                                             capsys):
+    """The first error of a malformed form of each family, in a term (on
+    its second line) and in an algebra file's `op` header (on line 3)."""
+    if kind == "term":
+        argv = ["dist", "--theory", _MP_THEORY, "--inline", "\n" + text, "x"]
+    else:
+        (tmp_path / "S.space").write_text("space S { points: p, q; d(p,q) = 1; }\n")
+        (tmp_path / "A.alg").write_text(f"algebra A {{\n  carrier: S;\n  {text}\n}}\n")
+        argv = ["check-model", "--theory", "bary", "--space", str(tmp_path / "S.space"),
+                str(tmp_path / "A.alg")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.replace(str(tmp_path) + "/", "")
+    assert err == f"parse error: {message}\n"

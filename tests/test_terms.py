@@ -4,9 +4,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from quantalg import (App, Bary, Var, app, bind, conv, denote, format_term,
-                      markov_process_theory, next_op, parse_term, parse_theory,
-                      raise_, read, write)
+from quantalg import (App, Bary, ParamPool, Var, app, axioms, bind, conv, denote,
+                      format_term, markov_process_theory, next_op, parse_term,
+                      parse_theory, raise_, read, write)
+from quantalg.terms import empty_op, union_op
 from quantalg.errors import DomainError, ParseError
 
 MP = markov_process_theory(Fraction(1, 2))
@@ -22,6 +23,26 @@ def test_opsym_arities():
         conv(Fraction(3, 2))
     with pytest.raises(ValueError):
         App(read(2), (Var("x"),))
+
+
+def test_each_family_prints_as_before():
+    x, y, z = Var("x"), Var("y"), Var("z")
+    cases = [
+        (conv(Fraction(1, 2)), (x, y), "conv(1/2)", "conv(1/2, x, y)"),
+        (raise_("*"), (), "raise(*)", "raise(*)"),
+        (union_op(), (x, y), "union", "union(x, y)"),
+        (empty_op(), (), "empty", "empty"),
+        (read(3), (x, y, z), "rd", "rd(x, y, z)"),
+        (write("z"), (x,), "wr(z)", "wr(z, x)"),
+        (write(Fraction(-1, 2)), (x,), "wr(-1/2)", "wr(-1/2, x)"),
+        (next_op(), (x,), "next", "next(x)"),
+        (next_op("step", Fraction(1, 3)), (x,), "step", "step(x)"),
+    ]
+    for op, args, symbol, term in cases:
+        assert (str(op), format_term(App(op, args))) == (symbol, term)
+    labels = {ax.label for ax in axioms(parse_theory("tensor(bary, reader{i, j})"),
+                                        ParamPool.make(weights=["1/2"]))}
+    assert "Com[conv(1/2),rd]" in labels
 
 
 def test_parse_and_format_round_trip():
