@@ -15,6 +15,7 @@ termination point `bot` (`ExcLeaf("*")`) or a ground point `leaf(x)`
 
 from __future__ import annotations
 
+import graphlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -205,25 +206,16 @@ def solve_bisim(C: Coalgebra, mode: str = BOUNDED) -> Tuple[PseudoMetric, Certif
 
 
 def _cyclic(C: Coalgebra) -> bool:
-    """Whether some state reaches itself: states are peeled off the successor
-    graph once nothing leads to them, and a cycle is what remains."""
+    """Whether some state reaches itself."""
     succ: Dict[str, List[str]] = {}
     for s in C.states:
         succ[s] = out = []
         map_guards(C.step[s], lambda leaf, out=out: out.append(leaf.name) or leaf)
-    preds = dict.fromkeys(C.states, 0)
-    for targets in succ.values():
-        for t in targets:
-            preds[t] += 1
-    free = [s for s, n in preds.items() if n == 0]
-    peeled = 0
-    while free:
-        peeled += 1
-        for t in succ[free.pop()]:
-            preds[t] -= 1
-            if preds[t] == 0:
-                free.append(t)
-    return peeled < len(C.states)
+    try:
+        graphlib.TopologicalSorter(succ).prepare()
+    except graphlib.CycleError:
+        return True
+    return False
 
 
 class MaxStrategy:
@@ -344,8 +336,7 @@ def solve_affine(system: Dict[object, Tuple[Fraction, Dict[object, Fraction]]]
 # Terms to coalgebras
 
 def unfold_term(t: Term, th: TheoryExpr,
-                space: Optional[FinMetricSpace] = None,
-                name: str = "unfolded") -> Tuple[Coalgebra, str]:
+                space: Optional[FinMetricSpace] = None) -> Tuple[Coalgebra, str]:
     """Guard-closure of the term's denotation as a finite coalgebra.
 
     Each guard's inner value becomes a state, numbered in the order the
@@ -367,17 +358,16 @@ def unfold_term(t: Term, th: TheoryExpr,
     step = {}
     for value in order:  # grows while it is walked
         step[names[value].name] = map_guards(value, visit)
-    C = Coalgebra(plan, [names[v].name for v in order], step, space, name)
+    C = Coalgebra(plan, [names[v].name for v in order], step, space, "unfolded")
     return C, names[root].name
 
 
-def disjoint_union(A: Coalgebra, B: Coalgebra,
-                   tags: Tuple[str, str] = ("a", "b")) -> Coalgebra:
-    """Tag and merge two systems over the same plan."""
+def disjoint_union(A: Coalgebra, B: Coalgebra) -> Coalgebra:
+    """Merge two systems over the same plan, A's states tagged `a.`, B's `b.`."""
     if A.plan != B.plan:
         raise DomainError("cannot union systems of different shapes")
     step: Dict[str, SemValue] = {}
-    for side, tag in ((A, tags[0]), (B, tags[1])):
+    for side, tag in ((A, "a"), (B, "b")):
         for s in side.states:
             step[f"{tag}.{s}"] = map_guards(
                 side.step[s], lambda st, tag=tag: StateLeaf(f"{tag}.{st.name}"))

@@ -17,6 +17,7 @@ from pathlib import Path
 from .bisim import format_coalgebra, parse_coalgebras, solve_bisim, unfold_term
 from .errors import ParseError, QuantAlgError
 from .extvalue import ExtValue
+from .lexing import MAX_DIGITS
 from .modelcheck import check_theory, format_report, parse_algebras
 from .semantics import BOUNDED, EXTENDED, denote, format_value, term_dist
 from .spaces import parse_spaces
@@ -96,6 +97,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _digits(text: str) -> int:
     if not text.isdecimal():
         raise argparse.ArgumentTypeError(f"not a digit count: {text!r}")
+    if int(text) > MAX_DIGITS:
+        raise argparse.ArgumentTypeError(f"more than {MAX_DIGITS} places: {text}")
     return int(text)
 
 

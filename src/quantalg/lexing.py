@@ -24,6 +24,10 @@ _TOKEN_RE = re.compile(
     re.VERBOSE | re.DOTALL,
 )
 _ZERO_DENOMINATOR = re.compile(r"\d+/0+")
+# The most digits a numeral's numerator or denominator, or a --decimal
+# rendering, may have: Python's guard against hostile input converts no int
+# of more than 4300 digits to or from text.
+MAX_DIGITS = 4000
 
 T = TypeVar("T")
 
@@ -43,8 +47,11 @@ class TokenStream:
         for tok in self.tokens:
             if tok.kind == "bad":
                 raise self.error(f"unexpected character {tok.text!r}", tok)
-            if tok.kind == "num" and _ZERO_DENOMINATOR.fullmatch(tok.text):
-                raise self.error(f"zero denominator in {tok.text!r}", tok)
+            if tok.kind == "num":
+                if len(tok.text) > MAX_DIGITS and max(map(len, tok.text.split("/"))) > MAX_DIGITS:
+                    raise self.error(f"numeral of more than {MAX_DIGITS} digits", tok)
+                if _ZERO_DENOMINATOR.fullmatch(tok.text):
+                    raise self.error(f"zero denominator in {tok.text!r}", tok)
         self.tokens.append(Token("eof", "", len(text)))
         self.i = 0
 

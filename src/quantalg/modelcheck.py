@@ -52,7 +52,8 @@ from .semantics import (DistVal, ExcLeaf, FuncVal, Guard, PairVal, SemValue, Set
                         VarLeaf, apply_operation, make_dist, make_set,
                         sem_dist_with_plan)
 from .spaces import FinMetricSpace, ScaledMetric
-from .terms import OpSym, Term, Var, empty_op, next_op, parse_parameter, read, union_op
+from .terms import (FAMILIES, KIND_OF_WORD, OpSym, Term, Var, next_op, parse_parameter,
+                    read)
 from .terms import variables as term_vars
 from .theories import (AxiomInstance, Bary, ParamPool, Reader, Semi, TableMonoid,
                        TheoryExpr, Writer, axiom_groups, instantiate_generators,
@@ -67,7 +68,6 @@ class FiniteAlgebra:
 
     carrier: FinMetricSpace
     interp: Dict[OpSym, Table]
-    name: str = "algebra"
 
     def lookup(self, op: OpSym, args: Tuple[str, ...]) -> Optional[str]:
         table = self.interp.get(op)
@@ -395,7 +395,7 @@ def point_name(v: SemValue) -> str:
 
 
 def free_model(atom: TheoryExpr, X: FinMetricSpace, values: Sequence[SemValue],
-               params: ParamPool = ParamPool(), name: str = "free") -> FiniteAlgebra:
+               params: ParamPool = ParamPool()) -> FiniteAlgebra:
     """The finite part of the free model of `atom` over X that the carrier
     `values` cuts out: the free monad's distance (sem_dist, extended mode),
     and for each generator every result that lands in the carrier, so the
@@ -415,7 +415,7 @@ def free_model(atom: TheoryExpr, X: FinMetricSpace, values: Sequence[SemValue],
             if out is not None:
                 table[tuple(ids[a] for a in args)] = out
         interp[op] = table
-    return FiniteAlgebra(carrier, interp, name=name)
+    return FiniteAlgebra(carrier, interp)
 
 
 def powerset_model(X: FinMetricSpace) -> FiniteAlgebra:
@@ -423,7 +423,7 @@ def powerset_model(X: FinMetricSpace) -> FiniteAlgebra:
     pts = X.points
     return free_model(Semi(), X, [
         make_set(VarLeaf(p) for k, p in enumerate(pts) if mask >> k & 1)
-        for mask in range(1 << len(pts))], name="powerset")
+        for mask in range(1 << len(pts))])
 
 
 def distribution_model(X: FinMetricSpace, denominator: int,
@@ -434,8 +434,7 @@ def distribution_model(X: FinMetricSpace, denominator: int,
     grid = [make_dist((VarLeaf(p), Fraction(k, denominator)) for p, k in zip(X.points, ks))
             for ks in itertools.product(range(denominator + 1), repeat=len(X.points))
             if sum(ks) == denominator]
-    return free_model(Bary(), X, grid, ParamPool.make(weights=weights),
-                      name=f"distributions/{denominator}")
+    return free_model(Bary(), X, grid, ParamPool.make(weights=weights))
 
 
 def reader_model(X: FinMetricSpace, inputs: Sequence[str]) -> FiniteAlgebra:
@@ -443,14 +442,13 @@ def reader_model(X: FinMetricSpace, inputs: Sequence[str]) -> FiniteAlgebra:
     inputs = tuple(inputs)
     return free_model(Reader(inputs), X, [
         FuncVal(tuple(zip(inputs, map(VarLeaf, f))))
-        for f in itertools.product(X.points, repeat=len(inputs))], name="reader")
+        for f in itertools.product(X.points, repeat=len(inputs))])
 
 
 def writer_model(monoid: TableMonoid, X: FinMetricSpace) -> FiniteAlgebra:
     """The product monoid-carrier x X with sum metric; writes multiply."""
     return free_model(Writer(monoid), X, [
-        PairVal(alpha, VarLeaf(x)) for alpha in monoid.elements for x in X.points],
-        name="writer")
+        PairVal(alpha, VarLeaf(x)) for alpha in monoid.elements for x in X.points])
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +487,7 @@ def parse_algebras(text: str, spaces: Dict[str, FinMetricSpace],
             if len(args) != current.arity:
                 raise ts.error(f"{current} entry has arity {len(args)}")
             interp[current][args] = outp
-        alg = FiniteAlgebra(carrier, interp, name=name)
+        alg = FiniteAlgebra(carrier, interp)
         alg.validate_closure()
         return alg
 
@@ -497,21 +495,20 @@ def parse_algebras(text: str, spaces: Dict[str, FinMetricSpace],
 
 
 def _parse_opspec(ts: TokenStream) -> OpSym:
+    """A family's word, then its parameter in parentheses if it has one."""
     tok = ts.expect_ident()
-    name = tok.text
-    if name == "union":
-        return union_op()
-    if name == "empty":
-        return empty_op()
-    if name not in ("conv", "raise", "rd", "wr", "next"):
-        raise ts.error(f"unknown operation {name!r}", tok)
+    kind = KIND_OF_WORD.get(tok.text)
+    if kind is None:
+        raise ts.error(f"unknown operation {tok.text!r}", tok)
+    if not (FAMILIES[kind].param or kind in ("read", "next")):
+        return OpSym(kind)
     ts.expect("(")
-    if name == "rd":
+    if kind == "read":
         n = ts.expect_rational()
         if n.denominator != 1 or n < 1:
             raise ts.error(f"rd arity {n} is not a positive integer", tok)
         op = read(int(n))
-    elif name == "next":
+    elif kind == "next":
         opname = ts.expect_ident().text
         ts.expect(",")
         c = ts.expect_rational()

@@ -28,7 +28,7 @@ from typing import Callable, Dict, Optional, Tuple
 from .errors import DomainError
 from .extvalue import INF, ONE, ZERO, ExtValue, ext_max
 from .spaces import FinMetricSpace, hausdorff_general, kantorovich_general
-from .terms import Term, Var
+from .terms import FAMILIES, Term, Var
 from .theories import LayerPlan, TheoryExpr, layer_plan
 
 EXTENDED = "extended"
@@ -148,11 +148,7 @@ def make_dist(pairs) -> DistVal:
 
 
 def make_set(values) -> SetVal:
-    seen = []
-    for v in values:
-        if v not in seen:
-            seen.append(v)
-    return SetVal(tuple(sorted(seen, key=canon_key)))
+    return SetVal(tuple(sorted(dict.fromkeys(values), key=canon_key)))
 
 
 def map_guards(v: SemValue, f: Callable[[SemValue], SemValue]) -> SemValue:
@@ -186,10 +182,6 @@ def denote_with_plan(t: Term, plan: LayerPlan) -> SemValue:
     return apply_operation(plan, t.op, args)
 
 
-# the layer each operation other than raise and next acts at
-_HOME = {"conv": "dist", "union": "set", "empty": "set", "read": "func", "write": "pair"}
-
-
 def apply_operation(plan: LayerPlan, op, args) -> SemValue:
     """The free algebra's interpretation of one operation on values.  An
     operation outside the plan's theory is a DomainError (see _check_member)."""
@@ -198,7 +190,7 @@ def apply_operation(plan: LayerPlan, op, args) -> SemValue:
         return _eta(plan.layers, ExcLeaf(op.param))
     if op.kind == "next":
         return _eta(plan.layers, Guard(*op.param, args[0]))
-    return _apply(plan.layers, _HOME[op.kind], op, list(args))
+    return _apply(plan.layers, FAMILIES[op.kind].home, op, list(args))
 
 
 def _check_member(plan: LayerPlan, op) -> None:
@@ -211,7 +203,8 @@ def _check_member(plan: LayerPlan, op) -> None:
     elif op.kind == "next":
         ok = any(op.param == (g.name, g.c) for g in plan.guards)
     else:
-        home = next((layer for layer in plan.layers if layer[0] == _HOME[op.kind]), None)
+        target = FAMILIES[op.kind].home
+        home = next((layer for layer in plan.layers if layer[0] == target), None)
         ok = (home is not None and (op.kind != "read" or op.param == len(home[1]))
               and (op.kind != "write" or home[1].contains(op.param)))
     if not ok:
@@ -439,8 +432,9 @@ def format_value(v: SemValue) -> str:
         return v.name
     if isinstance(v, ExcLeaf):
         return v.label
-    if isinstance(v, Guard):
-        return f"Guard({format_value(v.inner)})"
+    if isinstance(v, Guard):  # a guard of `next` prints unnamed
+        tag = "" if v.name == "next" else f"[{v.name}]"
+        return f"Guard{tag}({format_value(v.inner)})"
     if isinstance(v, DistVal):
         inner = ", ".join(f"{format_value(x)}: {w}" for x, w in v.items)
         return "Dist{" + inner + "}"

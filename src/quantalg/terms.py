@@ -9,16 +9,30 @@ denoted (`semantics.apply_operation`), not here.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, Tuple, Union
+from typing import Iterable, Iterator, Mapping, Tuple, Union
 
 from .errors import DomainError
 from .lexing import Token, TokenStream
 
 MonoidElement = Union[Fraction, str]
 
-_ARITY_BY_KIND = {"conv": 2, "raise": 0, "union": 2, "empty": 0, "write": 1, "next": 1}
+# Each family by its OpSym kind: its word in terms and `op` headers, arity
+# (None for rd: one argument per reader input), whether a parameter is written
+# first, and the layer it acts at (None for raise and next: at a leaf).
+Family = namedtuple("Family", "word arity param home")
+FAMILIES = {
+    "conv": Family("conv", 2, True, "dist"),
+    "raise": Family("raise", 0, True, None),
+    "union": Family("union", 2, False, "set"),
+    "empty": Family("empty", 0, False, "set"),
+    "read": Family("rd", None, False, "func"),
+    "write": Family("wr", 1, True, "pair"),
+    "next": Family("next", 1, False, None),
+}
+KIND_OF_WORD = {f.word: kind for kind, f in FAMILIES.items()}
 
 
 @dataclass(frozen=True)
@@ -36,28 +50,23 @@ class OpSym:
         elif self.kind == "read":
             if not isinstance(self.param, int) or self.param < 1:
                 raise ValueError("read arity must be a positive integer")
-        elif self.kind not in _ARITY_BY_KIND:
+        elif self.kind not in FAMILIES:
             raise ValueError(f"unknown operation family {self.kind!r}")
 
     @property
     def arity(self) -> int:
-        if self.kind == "read":
-            return self.param
-        return _ARITY_BY_KIND[self.kind]
+        n = FAMILIES[self.kind].arity
+        return self.param if n is None else n
 
     def __str__(self) -> str:
-        if self.kind == "conv":
-            return f"conv({self.param})"
-        if self.kind == "raise":
-            return f"raise({self.param})"
-        if self.kind == "read":
-            return "rd"
-        if self.kind == "write":
-            return f"wr({self.param})"
-        if self.kind == "next":
-            name, c = self.param
-            return str(name)
-        return self.kind
+        return self.written(())
+
+    def written(self, args: Iterable[str]) -> str:
+        """The symbol as a term writes it around the argument texts `args`."""
+        family = FAMILIES[self.kind]
+        parts = [str(self.param), *args] if family.param else list(args)
+        head = self.param[0] if self.kind == "next" else family.word
+        return f"{head}({', '.join(parts)})" if parts else head
 
 
 def conv(e) -> OpSym:
@@ -137,30 +146,10 @@ def bind(t: Term, sigma: Mapping[str, Term]) -> Term:
     return App(t.op, tuple(bind(a, sigma) for a in t.args))
 
 
-_KEYWORDS = {"raise", "empty", "conv", "union", "rd", "wr", "next"}
-
-
 def format_term(t: Term) -> str:
     if isinstance(t, Var):
         return t.name
-    op = t.op
-    if op.kind == "raise":
-        return f"raise({op.param})"
-    if op.kind == "empty":
-        return "empty"
-    if op.kind == "conv":
-        a, b = t.args
-        return f"conv({op.param}, {format_term(a)}, {format_term(b)})"
-    if op.kind == "union":
-        a, b = t.args
-        return f"union({format_term(a)}, {format_term(b)})"
-    if op.kind == "read":
-        return "rd(" + ", ".join(format_term(a) for a in t.args) + ")"
-    if op.kind == "write":
-        return f"wr({op.param}, {format_term(t.args[0])})"
-    if op.kind == "next":
-        return f"{op.param[0]}({format_term(t.args[0])})"
-    raise ValueError(f"cannot format {op!r}")
+    return t.op.written(map(format_term, t.args))
 
 
 def parse_term(text: str, theory=None, source: str = "<term>") -> Term:
@@ -187,48 +176,40 @@ def parse_term(text: str, theory=None, source: str = "<term>") -> Term:
 
 
 def _parse_term(ts: TokenStream, contracts: Mapping[str, OpSym]) -> Term:
+    # One frame per nesting level: a helper frame would lower the depth at
+    # which a nested term exhausts the recursion limit.
     tok = ts.next()
-    if tok.kind == "ident" and tok.text not in _KEYWORDS:
+    kind = KIND_OF_WORD.get(tok.text)
+    if kind is None:
+        if tok.kind != "ident":
+            raise ts.error(f"expected a term, found {tok.text or 'end of input'!r}", tok)
         if tok.text in contracts and ts.accept("("):
             a = _parse_term(ts, contracts)
             ts.expect(")")
             return App(contracts[tok.text], (a,))
         return Var(tok.text)
-    if tok.text == "empty":
+    if kind == "empty":
         return App(empty_op(), ())
-    if tok.text in ("conv", "raise", "wr"):
-        ts.expect("(")
-        op = parse_parameter(ts, tok)
-        args = []
-        for _ in range(op.arity):
+    family = FAMILIES[kind]
+    ts.expect("(")
+    op = parse_parameter(ts, tok) if family.param else None
+    args = [] if family.param else [_parse_term(ts, contracts)]
+    while len(args) != family.arity:
+        if family.arity is not None:
             ts.expect(",")
-            args.append(_parse_term(ts, contracts))
-        ts.expect(")")
-        return App(op, tuple(args))
-    if tok.text == "union":
-        ts.expect("(")
-        a = _parse_term(ts, contracts)
-        ts.expect(",")
-        b = _parse_term(ts, contracts)
-        ts.expect(")")
-        return App(union_op(), (a, b))
-    if tok.text == "rd":
-        ts.expect("(")
-        args = [_parse_term(ts, contracts)]
-        while ts.accept(","):
-            args.append(_parse_term(ts, contracts))
-        ts.expect(")")
-        return App(read(len(args)), tuple(args))
-    if tok.text == "next":
-        ts.expect("(")
-        a = _parse_term(ts, contracts)
-        ts.expect(")")
+        elif not ts.accept(","):
+            break
+        args.append(_parse_term(ts, contracts))
+    ts.expect(")")
+    if kind == "next":
         if "next" not in contracts and len(contracts) > 1:
             raise DomainError(
                 f"{ts.source}:{ts.line(tok)}: next is ambiguous among the contractive "
                 f"operators {', '.join(contracts)}; write one by its name")
-        return App(contracts.get("next", next_op()), (a,))
-    raise ts.error(f"expected a term, found {tok.text or 'end of input'!r}", tok)
+        op = contracts.get("next", next_op())
+    elif op is None:
+        op = read(len(args)) if kind == "read" else OpSym(kind)
+    return App(op, tuple(args))
 
 
 def parse_parameter(ts: TokenStream, tok: Token) -> OpSym:

@@ -204,13 +204,8 @@ class AxiomInstance:
     bound_fn: Optional[Callable[..., ExtValue]] = None
 
     def variables(self) -> Tuple[str, ...]:
-        seen: List[str] = []
-        names = [v for pair in self.premises for v in pair[:2]]
-        names += list(term_vars(self.lhs)) + list(term_vars(self.rhs))
-        for n in names:
-            if n not in seen:
-                seen.append(n)
-        return tuple(seen)
+        return tuple(dict.fromkeys([*(v for pair in self.premises for v in pair[:2]),
+                                    *term_vars(self.lhs), *term_vars(self.rhs)]))
 
 
 @dataclass(frozen=True)
@@ -429,14 +424,8 @@ def instantiate_generators(th: TheoryExpr, params: ParamPool) -> List[OpSym]:
         elif isinstance(atom, Writer):
             mon = atom.monoid
             base = _writer_pool(mon, params)
-            closed = list(base)
-            for a in base:
-                for b in base:
-                    p = mon.mult(a, b)
-                    if p not in closed:
-                        closed.append(p)
-            if mon.unit not in closed:
-                closed.append(mon.unit)
+            closed = dict.fromkeys([*base, *(mon.mult(a, b) for a in base for b in base),
+                                    mon.unit])
             ops.extend(write(a) for a in closed)
         elif isinstance(atom, Contract):
             ops.append(next_op(atom.name, atom.c))
@@ -454,23 +443,12 @@ def _writer_pool(mon: Monoid, params: ParamPool) -> Tuple[MonoidElement, ...]:
 
 def conv_weight_closure(weights: Sequence[Fraction]) -> List[Fraction]:
     """Pool weights plus the weights SC/SA/B1 instances derive from them."""
-    out: List[Fraction] = []
-
-    def add(e: Fraction):
-        if e not in out:
-            out.append(e)
-
-    for e in weights:
-        add(e)
-    add(Fraction(1))
-    for e in list(out):
-        add(1 - e)
-    snapshot = [e for e in out if e < 1]
-    for e in snapshot:
-        for e2 in snapshot:
-            add(e * e2)
-            add((e2 - e * e2) / (1 - e * e2))
-    return out
+    out = dict.fromkeys([*weights, Fraction(1)])
+    out.update(dict.fromkeys([1 - e for e in out]))
+    below = [e for e in out if e < 1]
+    out.update(dict.fromkeys(w for e in below for e2 in below
+                             for w in (e * e2, (e2 - e * e2) / (1 - e * e2))))
+    return list(out)
 
 
 def _commutation(f: OpSym, g: OpSym) -> AxiomInstance:

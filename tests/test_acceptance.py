@@ -256,7 +256,7 @@ def test_acceptance_8_model_checker_positives_and_negatives():
             old = interp[op][key]
             interp[op][key] = rng.choice(
                 [p for p in model.carrier.points if p != old])
-            mutated = FiniteAlgebra(model.carrier, interp, name=f"{name}-mut")
+            mutated = FiniteAlgebra(model.carrier, interp)
             bad = check_theory(mutated, th, pool)
             if not bad.passed:
                 assert bad.failures()[0].counterexample is not None

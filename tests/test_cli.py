@@ -221,6 +221,13 @@ _HOSTILE = {
                   {"C.coalg": "mp P { c = 1/2; state u: 1 -> u; }"}, 2),
     "--decimal -3": (["dist", "--theory", "bary", "--decimal", "-3", "--inline", "x", "x"],
                      {}, 2),
+    "--decimal 4001": (["dist", "--theory", "bary", "--decimal", "4001", "--inline", "x", "x"],
+                       {}, 2),
+    "--decimal 5000": (["dist", "--theory", MP_THEORY, "--mode", "bounded", "--decimal", "5000",
+                        "--inline", "conv(1/3, raise(*), next(raise(*)))", "raise(*)"], {}, 2),
+    "term numeral of 5001 digits": (["dist", "--theory", MP_THEORY, "--inline",
+                                     f"conv(1/1{'0' * 5000}, raise(*), next(raise(*)))",
+                                     "raise(*)"], {}, 2),
     "--weights 2": (["check-model", "--theory", "bary", "--space", "{d}/S.space",
                      "--weights", "2", "{d}/A.alg"],
                     {"A.alg": _ALGEBRA % "conv(1/2): (p, p) -> p"}, 1),

@@ -94,11 +94,17 @@ def test_an_edited_file_is_read_or_rejected_with_a_quantalg_error(fmt, data):
 @pytest.mark.parametrize("text, message", [
     ("x\n\n  $", "<input>:3: unexpected character '$'"),
     ("a # $ in a comment\n1/00", "<input>:2: zero denominator in '1/00'"),
+    ("x\n1/1" + "0" * 4000, "<input>:2: numeral of more than 4000 digits"),
 ])
 def test_the_tokenizer_reports_the_first_bad_token_with_its_line(text, message):
     with pytest.raises(ParseError) as e:
         TokenStream(text)
     assert str(e.value) == message
+
+
+def test_a_numeral_part_may_have_4000_digits():
+    big = "9" * 4000
+    assert parse_term(f"conv({big}/{big}, x, y)").op.param == 1
 
 
 def test_a_token_line_is_counted_from_its_offset():

@@ -86,7 +86,7 @@ def test_broken_writer_table_caught_by_mult():
     table = dict(bad[write("o")])
     table[("(o,p)",)] = "(z,p)"  # o*o should stay o
     bad[write("o")] = table
-    broken = FiniteAlgebra(model.carrier, bad, name="broken-writer")
+    broken = FiniteAlgebra(model.carrier, bad)
     report = check_theory(broken, Writer(mon), POOL)
     assert not report.passed
     labels = {e.label for e in report.failures()}
@@ -112,7 +112,7 @@ def test_commutation_passes_on_pointwise_lifted_model():
     values = [FuncVal(tuple(zip(inputs, f)))
               for f in itertools.product(subsets, repeat=len(inputs))]
     th = Tensor(Semi(), Reader(inputs))
-    alg = free_model(th, X2, values, name="lifted")
+    alg = free_model(th, X2, values)
     # the carrier is closed under every operation
     assert [len(t) for t in alg.interp.values()] == [16 * 16, 1, 16 * 16]
     report = check_theory(alg, th, ParamPool.make(epsilons=[1]))
@@ -171,7 +171,7 @@ def test_free_algebra_is_a_model():
                 t[tuple(ids[a] for a in args)] = ids[out]
         interp[op] = t
     interp[raise_("*")] = {(): ids[values[0]]}
-    alg = FiniteAlgebra(carrier, interp, name="term-model")
+    alg = FiniteAlgebra(carrier, interp)
     pool = ParamPool.make(weights=[C12], epsilons=[0, "1/2", 1])
     report = check_theory(alg, th, pool)
     assert report.passed
@@ -205,7 +205,7 @@ def test_mutations_are_caught():
             old = interp[op][key]
             alternatives = [p for p in model.carrier.points if p != old]
             interp[op][key] = rng.choice(alternatives)
-            mutated = FiniteAlgebra(model.carrier, interp, name=f"{name}-mut")
+            mutated = FiniteAlgebra(model.carrier, interp)
             report = check_theory(mutated, th, POOL)
             if not report.passed:
                 caught += 1
@@ -256,7 +256,7 @@ def test_sum_report_decomposes_into_component_reports():
     from quantalg.terms import raise_
 
     interp[raise_("*")] = {(): "{}"}
-    alg = FiniteAlgebra(model.carrier, interp, name="pointed-powerset")
+    alg = FiniteAlgebra(model.carrier, interp)
     th = Sum(Semi(), Exc(ONE_POINT))
     report = check_theory(alg, th, ParamPool.make(epsilons=[1]))
     assert report.passed
@@ -371,7 +371,7 @@ def test_shared_loop_matches_reference_on_builtin_models_and_mutants():
         key = rng.choice(sorted(interp[op]))
         interp[op][key] = rng.choice([p for p in model.carrier.points
                                       if p != interp[op][key]])
-        mutant = FiniteAlgebra(model.carrier, interp, name="mutant")
+        mutant = FiniteAlgebra(model.carrier, interp)
         assert not all(v[2] for v in _assert_matches_reference(mutant, th, POOL))
 
 

@@ -8,7 +8,7 @@ from quantalg import (BOUNDED, Bary, DistVal, EXTENDED, ExcLeaf, FinMetricSpace,
                       SetVal, Sum, VarLeaf, Writer, bind, denote,
                       denote_with_plan, ext, format_value, labelled_mp_theory,
                       layer_plan, make_dist, markov_process_theory, mdp_theory,
-                      mealy_theory, parse_term, sem_dist, term_dist)
+                      mealy_theory, parse_term, parse_theory, sem_dist, term_dist)
 from quantalg.errors import DomainError
 from quantalg.extvalue import INF, ZERO
 from quantalg.terms import (App, Var, conv, empty_op, next_op, raise_, read,
@@ -39,6 +39,14 @@ def test_denote_writer_multiplies():
     v = denote(parse_term("wr(2, wr(3, x))"), Writer(RATIONAL_LINE))
     assert v == PairVal(Fraction(5), VarLeaf("x"))
     assert format_value(v) == "Pair(5, x)"
+
+
+def test_two_guard_names_give_two_normal_forms():
+    th = parse_theory("sum(sum(sum(bary, exc{1}), contr{a, 1/2}), contr{b, 1/3})")
+    forms = [format_value(denote(parse_term(f"{g}(raise(*))", th), th)) for g in "ab"]
+    assert forms == ["Dist{Guard[a](Dist{*: 1}): 1}", "Dist{Guard[b](Dist{*: 1}): 1}"]
+    v = denote(parse_term("next(raise(*))", MP), MP)
+    assert format_value(v) == "Dist{Guard(Dist{*: 1}): 1}"
 
 
 def test_denote_reader_eta_expansion():

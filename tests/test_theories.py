@@ -202,6 +202,11 @@ def test_generator_instantiation_closes_derived_weights():
     assert C12 in weights and Fraction(1) in weights
     assert Fraction(1, 4) in weights  # product from skew associativity
     assert Fraction(1, 3) in weights  # derived inner weight
+    # first occurrences in order, a repeated pool entry once
+    ops = instantiate_generators(Bary(), ParamPool.make(weights=[C12, C12]))
+    assert [op.param for op in ops] == [C12, 1, 0, Fraction(1, 4), Fraction(1, 3)]
+    ops = instantiate_generators(Writer(RATIONAL_LINE), ParamPool.make(monoid_elems=["1", "1"]))
+    assert ops == [write(Fraction(1)), write(Fraction(2)), write(Fraction(0))]
 
 
 def test_monoid_validation():
