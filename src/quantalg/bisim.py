@@ -4,13 +4,14 @@ operator, exact fixed-point solving, and the term/coalgebra bridge.
 A state's behaviour is a one-step value of the theory's layer plan whose
 guards hold the successor states, so the bisimilarity-metric operator is
 the term distance on one-step values with c times the current iterate
-between successor states.  Markov processes, labelled Markov processes,
-Mealy machines and MDPs are the plans of `markov_process_theory`,
-`labelled_mp_theory`, `mealy_theory` and `mdp_theory`; they are also the
-four kinds of the text format, which reads each row straight into a
-one-step value and writes it back from one.  A target there is a state, the
-termination point `bot` (`ExcLeaf("*")`) or a ground point `leaf(x)`
-(`VarLeaf(x)`).
+between successor states: a pair graph built once per system and mode,
+evaluated at each iterate (`Coalgebra.pair_graph`).  Markov processes,
+labelled Markov processes, Mealy machines and MDPs are the plans of
+`markov_process_theory`, `labelled_mp_theory`, `mealy_theory` and
+`mdp_theory`; they are also the four kinds of the text format, which reads
+each row straight into a one-step value and writes it back from one.  A
+target there is a state, the termination point `bot` (`ExcLeaf("*")`) or a
+ground point `leaf(x)` (`VarLeaf(x)`).
 """
 
 from __future__ import annotations
@@ -26,9 +27,8 @@ from .errors import DivergentGround, DomainError, UnsupportedShape
 from .extvalue import INF, ZERO, Affine, ExtValue, ext_max
 from .lexing import TokenStream
 from .semantics import (BOUNDED, EXTENDED, DistVal, ExcLeaf, FuncVal, Guard,
-                        PairVal, SemValue, SetVal, StateLeaf, VarLeaf,
-                        denote_with_plan, make_dist, map_guards,
-                        sem_dist_with_plan)
+                        PairGraph, PairVal, SemValue, SetVal, StateLeaf, VarLeaf,
+                        denote_with_plan, make_dist, map_guards, plan_graph)
 from .spaces import FinMetricSpace
 from .terms import (App, Term, Var, app, conv, empty_op, next_op, raise_,
                     read, union_op, write)
@@ -45,7 +45,7 @@ class Coalgebra:
     guard holds a `StateLeaf` naming the successor state.  The discount
     factor `c` is the contractive operator's.  The text format's kinds are
     four such plans; its `bot` is `ExcLeaf("*")` and its `leaf(x)` is
-    `VarLeaf(x)`.
+    `VarLeaf(x)`.  `pairs` lists the state pairs (u, v), u before v.
     """
 
     def __init__(self, plan: LayerPlan, states: Sequence[str],
@@ -64,6 +64,16 @@ class Coalgebra:
         self.step = dict(step)
         self.space = space
         self.name = name
+        self.pairs = [(u, v) for i, u in enumerate(self.states) for v in self.states[i + 1:]]
+        self._graphs: Dict[str, PairGraph] = {}
+
+    def pair_graph(self, mode: str) -> PairGraph:
+        """Psi's pair graph in `mode`: the distance kernel compiled over the
+        one-step values of each of `pairs`, built once and kept."""
+        if mode not in self._graphs:
+            steps = [(self.step[u], self.step[v]) for u, v in self.pairs]
+            self._graphs[mode] = plan_graph(self.plan, steps, self.space, mode)
+        return self._graphs[mode]
 
     @property
     def inputs(self) -> Optional[Tuple[str, ...]]:
@@ -141,14 +151,9 @@ def psi_step(C: Coalgebra, d: PseudoMetric, mode: str = BOUNDED,
     With a strategy, the strategy chooses at the maximising nodes and each
     distance is an `Affine` value: its form in the state-pair unknowns is
     the policy that realises it at d."""
-    memo: dict = {}
     state_dist, pick = (d.d, None) if strategy is None else (d.unknown, strategy.pick)
-    table: Dict[Tuple[str, str], ExtValue] = {}
-    for i, u in enumerate(C.states):
-        for v in C.states[i + 1:]:
-            table[(u, v)] = sem_dist_with_plan(C.step[u], C.step[v], C.plan,
-                                               C.space, mode, memo, state_dist, pick)
-    return PseudoMetric(C.states, table)
+    values = C.pair_graph(mode).evaluate(state_dist, pick)
+    return PseudoMetric(C.states, dict(zip(C.pairs, values)))
 
 
 @dataclass
@@ -222,16 +227,16 @@ class MaxStrategy:
     """The maximising side's choices in Psi, for Hoffman and Karp's strategy
     iteration: a candidate index at each maximising node (an input of two
     function values, a Hausdorff candidate of two set values), keyed by the
-    node's pair of values.  While `improving`, a node moves to its first
-    largest candidate, but only where that is strictly larger than its
-    current choice; otherwise every node keeps its choice, and Psi under
-    the strategy is a minimum of affine forms."""
+    node's slot in the system's pair graph.  While `improving`, a node moves
+    to its first largest candidate, but only where that is strictly larger
+    than its current choice; otherwise every node keeps its choice, and Psi
+    under the strategy is a minimum of affine forms."""
 
     def __init__(self):
-        self.choice: Dict[tuple, int] = {}
+        self.choice: Dict[int, int] = {}
         self.improving = True
 
-    def pick(self, node: tuple, candidates: list) -> ExtValue:
+    def pick(self, node: int, candidates: list) -> ExtValue:
         k = self.choice.get(node)
         if k is None or self.improving:
             best = ext_max(*candidates)

@@ -28,6 +28,11 @@ from .theories import ParamPool, parse_monoids, parse_theory
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # Input numerals are capped at MAX_DIGITS, but an exact result may exceed
+    # the digits Python turns into text by default: lift that limit meanwhile.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
         return args.handler(args)
     except ParseError as exc:
@@ -36,6 +41,9 @@ def main(argv=None) -> int:
     except QuantAlgError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 @functools.cache

@@ -32,8 +32,8 @@ class ExtValue:
         if isinstance(value, str) and value.strip() == "inf":
             self._q = None
             return
-        q = Fraction(value)
-        if q < 0:
+        q = value if type(value) is Fraction else Fraction(value)
+        if q.numerator < 0:
             raise ValueError(f"ExtValue must be nonnegative, got {q}")
         self._q = q
 
@@ -55,7 +55,7 @@ class ExtValue:
 
     def scaled(self, c: Rationalish) -> "ExtValue":
         """Scale by an exact rational c >= 0.  0 * inf is rejected."""
-        c = Fraction(c)
+        c = c if type(c) is Fraction else Fraction(c)
         if c < 0:
             raise ValueError("scale factor must be nonnegative")
         if self._q is None:
@@ -141,7 +141,7 @@ class Affine(ExtValue):
     __radd__ = __add__
 
     def scaled(self, c: Rationalish) -> "Affine":
-        c = Fraction(c)
+        c = c if type(c) is Fraction else Fraction(c)
         if c < 0:
             raise ValueError("scale factor must be nonnegative")
         return Affine(self._q * c, self.const * c,

@@ -49,8 +49,7 @@ from .errors import DomainError
 from .extvalue import ExtValue, ext_max
 from .lexing import TokenStream
 from .semantics import (DistVal, ExcLeaf, FuncVal, Guard, PairVal, SemValue, SetVal,
-                        VarLeaf, apply_operation, make_dist, make_set,
-                        sem_dist_with_plan)
+                        VarLeaf, apply_operation, make_dist, make_set, plan_graph)
 from .spaces import FinMetricSpace, ScaledMetric
 from .terms import (FAMILIES, KIND_OF_WORD, OpSym, Term, Var, next_op, parse_parameter,
                     read)
@@ -403,9 +402,9 @@ def free_model(atom: TheoryExpr, X: FinMetricSpace, values: Sequence[SemValue],
     plan = layer_plan(atom)
     points = [point_name(v) for v in values]
     ids = dict(zip(values, points))
-    memo: dict = {}
-    dist = {(ids[v], ids[w]): sem_dist_with_plan(v, w, plan, X, memo=memo)
-            for v in values for w in values}
+    pairs = [(v, w) for v in values for w in values]
+    dist = {(ids[v], ids[w]): d
+            for (v, w), d in zip(pairs, plan_graph(plan, pairs, X).evaluate())}
     carrier = FinMetricSpace(points, dist, validate=False)
     interp: Dict[OpSym, Table] = {}
     for op in instantiate_generators(atom, params):

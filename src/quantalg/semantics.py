@@ -11,23 +11,24 @@ monoid distance plus inner distance for pairs, c times the inner distance
 for guards, and the coproduct rule across leaf kinds (infinite in extended
 mode, truncated to 1 in bounded mode).
 
-When the caller's state distances are `extvalue.Affine` values, every
-distance comes with the affine form in the state-pair unknowns that realises
-it: the optimal coupling's flows, whether a bounded-mode cap binds, and the
-chosen input, Hausdorff point and nearest point.  A caller may also choose
-at the maximising nodes (function values and Hausdorff distances) itself.
+The kernel is built once and evaluated many times: a `PairGraph` walks the
+pair recursion once, and each evaluation only does arithmetic, for the state
+distances it is given.  When these are `extvalue.Affine` values, every
+distance comes with the affine form in the state-pair unknowns that
+realises it: the optimal coupling's flows, whether a bounded-mode cap binds,
+and the chosen input, Hausdorff point and nearest point, unless the caller
+chooses at these maximising nodes itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .errors import DomainError
 from .extvalue import INF, ONE, ZERO, ExtValue, ext_max
-from .spaces import FinMetricSpace, hausdorff_general, kantorovich_general
+from .spaces import FinMetricSpace, hausdorff_candidates, kantorovich_matrix
 from .terms import FAMILIES, Term, Var
 from .theories import LayerPlan, TheoryExpr, layer_plan
 
@@ -292,69 +293,65 @@ def _apply_here(layer, op, args) -> SemValue:
 
 def sem_dist(v: SemValue, w: SemValue, space: Optional[FinMetricSpace] = None,
              mode: str = EXTENDED, exc_space: Optional[FinMetricSpace] = None,
-             pair_monoid=None, _memo: Optional[dict] = None,
-             state_dist: Optional[Callable[[str, str], ExtValue]] = None,
-             max_pick: Optional[Callable[[tuple, list], ExtValue]] = None) -> ExtValue:
+             pair_monoid=None) -> ExtValue:
     """Distance between two values of the same layer plan.
 
     Free variables are interpreted in `space`; exception labels in
-    `exc_space`; pair components over a table monoid need `pair_monoid`;
-    state leaves (one-step values of a coalgebra) in `state_dist`, uncapped.
+    `exc_space`; pair components over a table monoid need `pair_monoid`.
     Bounded mode truncates ground distances at 1 (leaves and the ground fed
     to each distribution/set layer), matching the supremum over nonexpansive
     1-bounded dual functions.
-
-    A maximising node, the distance of two function values (the largest
-    over inputs) or of two set values (the largest of the Hausdorff
-    candidates), is the first largest of its candidates, or
-    `max_pick((a, b), candidates)` for the node's pair of values (a, b) if
-    given.
     """
-    if mode not in (EXTENDED, BOUNDED):
-        raise DomainError(f"unknown mode {mode!r}")
-    memo = _memo if _memo is not None else {}
-    return _Kernel(space, mode == BOUNDED, exc_space, pair_monoid, state_dist,
-                   max_pick, memo).rec(v, w)
+    return PairGraph([(v, w)], space, mode, exc_space, pair_monoid).evaluate()[0]
 
 
-class _Kernel:
-    """The ground data and memo of one sem_dist call.  An object rather than
-    mutually recursive closures, so that no reference cycle keeps the memo
-    alive after the call returns."""
+# Node kinds of a PairGraph: each op is (kind, slot, *data), children-first.
+_STATE, _GUARD, _PAIR, _FUNC, _KANT, _HAUS = range(6)
 
-    def __init__(self, space, bounded, exc_space, pair_monoid, state_dist,
-                 max_pick, memo):
-        self.space = space
-        self.bounded = bounded
-        self.exc_space = exc_space
-        self.pair_monoid = pair_monoid
-        self.state_dist = state_dist
-        self.max_pick = max_pick
-        self.memo = memo
+
+class PairGraph:
+    """The distance kernel compiled over a list of root value pairs.
+
+    One walk of the pair recursion gives each pair of values it meets a
+    slot; equal pairs share the slot of ZERO, and mirrored pairs share one.
+    A slot holds a constant of the walk (leaf, coproduct and monoid
+    distances) or the result of an op on earlier slots: a state pair's
+    distance, c times a guard's inner distance, a monoid distance plus the
+    inner distance, the largest over a function's inputs, Kantorovich over
+    a cost matrix, or Hausdorff over its row and column slots."""
+
+    def __init__(self, pairs, space: Optional[FinMetricSpace] = None,
+                 mode: str = EXTENDED, exc_space: Optional[FinMetricSpace] = None,
+                 pair_monoid=None):
+        if mode not in (EXTENDED, BOUNDED):
+            raise DomainError(f"unknown mode {mode!r}")
+        self.space, self.exc_space, self.pair_monoid = space, exc_space, pair_monoid
+        self.bounded = mode == BOUNDED
         # leaves of different kinds are `top` apart (the coproduct rule), and
         # bounded mode truncates ground distances at it
-        self.top = ONE if bounded else INF
+        self.top = ONE if self.bounded else INF
+        self.values: List[Optional[ExtValue]] = [ZERO]  # constants; None for an op's slot
+        self.ops: list = []
+        self._slots: Dict[Tuple[SemValue, SemValue], int] = {}
+        self.roots = [self._slot(a, b) for a, b in pairs]
+        del self._slots
 
-    def rec(self, a: SemValue, b: SemValue) -> ExtValue:
-        if a == b:
-            return ZERO
-        memo = self.memo
-        hit = memo.get((a, b))
-        if hit is None:
-            hit = self._dist(a, b)
-            memo[(a, b)] = hit
-            memo[(b, a)] = hit
-        return hit
+    def _slot(self, a: SemValue, b: SemValue) -> int:
+        if a._hash == b._hash and a == b:  # stored hashes spare most deep compares
+            return 0
+        k = self._slots.get((a, b))
+        if k is None:
+            node, k = self._node(a, b), len(self.values)
+            const = isinstance(node, ExtValue)
+            self.values.append(node if const else None)
+            if not const:
+                self.ops.append((node[0], k) + node[1:])
+            self._slots[(a, b)] = self._slots[(b, a)] = k
+        return k
 
-    def capped(self, a: SemValue, b: SemValue) -> ExtValue:
-        return self.rec(a, b).truncated(ONE)
-
-    def largest(self, a: SemValue, b: SemValue, candidates: list) -> ExtValue:
-        if self.max_pick is None:
-            return ext_max(*candidates)
-        return self.max_pick((a, b), candidates)
-
-    def _dist(self, a: SemValue, b: SemValue) -> ExtValue:
+    def _node(self, a: SemValue, b: SemValue):
+        """The distance of a and b as a constant, or as an op (kind, *data)
+        on the slots of their children."""
         kind = type(a)
         if kind is not type(b):
             leaves = (VarLeaf, ExcLeaf, Guard, StateLeaf)
@@ -365,24 +362,21 @@ class _Kernel:
         if kind is Guard:
             if a.name != b.name:
                 return self.top
-            return self.rec(a.inner, b.inner).scaled(a.c)
+            return _GUARD, self._slot(a.inner, b.inner), a.c
         if kind is StateLeaf:
-            if self.state_dist is None:
-                raise DomainError(f"states {a.name}, {b.name} need a state metric")
-            return self.state_dist(a.name, b.name)
+            return _STATE, a.name, b.name
         if kind is DistVal:
-            return kantorovich_general(a, b, self.capped if self.bounded else self.rec)
+            cells = [[self._slot(x, y) for y, _ in b.items] for x, _ in a.items]
+            return _KANT, [w for _, w in a.items], [w for _, w in b.items], cells
         if kind is SetVal:
-            return hausdorff_general(a.items, b.items,
-                                     self.capped if self.bounded else self.rec,
-                                     pick=partial(self.largest, a, b))
+            rows = [[self._slot(x, y) for y in b.items] for x in a.items]
+            return _HAUS, rows, [[self._slot(y, x) for x in a.items] for y in b.items]
         if kind is FuncVal:
             if [i for i, _ in a.items] != [i for i, _ in b.items]:
                 raise DomainError("function values over different input sets")
-            return self.largest(a, b, [self.rec(x, y)
-                                       for (_, x), (_, y) in zip(a.items, b.items)])
+            return _FUNC, [self._slot(x, y) for (_, x), (_, y) in zip(a.items, b.items)]
         if kind is PairVal:
-            return self._alpha_dist(a.alpha, b.alpha) + self.rec(a.inner, b.inner)
+            return _PAIR, self._alpha_dist(a.alpha, b.alpha), self._slot(a.inner, b.inner)
         if kind is VarLeaf:
             if self.space is None:
                 raise DomainError(f"variables {a.name}, {b.name} need a ground space")
@@ -398,6 +392,47 @@ class _Kernel:
             raise DomainError("table-monoid pair values need the plan's monoid")
         return self.pair_monoid.dist(x, y)
 
+    def evaluate(self, state_dist: Optional[Callable[[str, str], ExtValue]] = None,
+                 max_pick: Optional[Callable[[int, list], ExtValue]] = None
+                 ) -> List[ExtValue]:
+        """The roots' distances, with `state_dist(u, v)` between state leaves
+        (uncapped).  A maximising node (function or set values) is the first
+        largest of its candidates, or `max_pick(slot, candidates)` if given."""
+        bounded = self.bounded
+        val = list(self.values)
+
+        def ground(slots):  # the ground of a distribution or set layer
+            if bounded:
+                return [[val[k].truncated(ONE) for k in row] for row in slots]
+            return [[val[k] for k in row] for row in slots]
+
+        for op in self.ops:
+            kind = op[0]
+            if kind == _GUARD:
+                out = val[op[2]].scaled(op[3])
+            elif kind == _STATE:
+                if state_dist is None:
+                    raise DomainError(f"states {op[2]}, {op[3]} need a state metric")
+                out = state_dist(op[2], op[3])
+            elif kind == _PAIR:
+                out = op[2] + val[op[3]]
+            elif kind == _KANT:
+                out = kantorovich_matrix(op[2], op[3], ground(op[4]))
+            else:
+                candidates = [val[k] for k in op[2]] if kind == _FUNC \
+                    else hausdorff_candidates(ground(op[2]), ground(op[3]))
+                out = ext_max(*candidates) if max_pick is None \
+                    else max_pick(op[1], candidates)
+            val[op[1]] = out
+        return [val[k] for k in self.roots]
+
+
+def plan_graph(plan: LayerPlan, pairs, space: Optional[FinMetricSpace] = None,
+               mode: str = EXTENDED) -> PairGraph:
+    """The PairGraph of value pairs of `plan`, over its exceptions and monoid."""
+    mon = next((layer[1] for layer in plan.layers if layer[0] == "pair"), None)
+    return PairGraph(pairs, space, mode, plan.exc_space, mon)
+
 
 def term_dist(t: Term, s: Term, th: TheoryExpr,
               space: Optional[FinMetricSpace] = None,
@@ -411,17 +446,8 @@ def term_dist(t: Term, s: Term, th: TheoryExpr,
 
 def sem_dist_with_plan(v: SemValue, w: SemValue, plan: LayerPlan,
                        space: Optional[FinMetricSpace] = None,
-                       mode: str = EXTENDED,
-                       memo: Optional[dict] = None,
-                       state_dist: Optional[Callable[[str, str], ExtValue]] = None,
-                       max_pick: Optional[Callable[[tuple, list], ExtValue]] = None
-                       ) -> ExtValue:
-    mon = None
-    for layer in plan.layers:
-        if layer[0] == "pair":
-            mon = layer[1]
-    return sem_dist(v, w, space, mode, plan.exc_space, pair_monoid=mon,
-                    _memo=memo, state_dist=state_dist, max_pick=max_pick)
+                       mode: str = EXTENDED) -> ExtValue:
+    return plan_graph(plan, [(v, w)], space, mode).evaluate()[0]
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from typing import (Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence,
-                    Tuple)
+from typing import Callable, Dict, Iterable, List, Mapping, NamedTuple, Sequence, Tuple
 
 from .errors import DomainError
 from .extvalue import INF, ZERO, Affine, ExtValue, ext_max, ext_sum
@@ -132,37 +131,39 @@ def kantorovich_general(mu, nu, ground: Callable[[object, object], ExtValue]) ->
     mu and nu are anything with `.items`, a tuple of (point, positive weight)
     pairs, such as a semantic DistVal.  The transport checks that their
     masses are equal.  Zero-mass cells never touch the ground function, so an
-    infinite ground never multiplies a zero weight.  If ground distances
-    carry affine forms (`extvalue.Affine`), the result is the optimal
-    coupling's flow-weighted sum of them, which carries its form.
+    infinite ground never multiplies a zero weight.  See `kantorovich_matrix`
+    for ground distances with affine forms.
     """
     cost = [[ground(a, b) for b, _ in nu.items] for a, _ in mu.items]
-    plan = min_cost_transport([w for _, w in mu.items], [w for _, w in nu.items], cost)
+    return kantorovich_matrix([w for _, w in mu.items], [w for _, w in nu.items], cost)
+
+
+def kantorovich_matrix(supplies: Sequence, demands: Sequence,
+                       cost: List[List[ExtValue]]) -> ExtValue:
+    """The Kantorovich distance from its cost matrix.  If ground distances
+    carry affine forms (`extvalue.Affine`), the result is the optimal
+    coupling's flow-weighted sum of them, which carries its form."""
+    plan = min_cost_transport(supplies, demands, cost)
     if plan.value.is_inf or not any(isinstance(c, Affine) for row in cost for c in row):
         return plan.value
     return ext_sum(cost[i][j].scaled(f) for (i, j), f in plan.flows.items() if f)
 
 
 def hausdorff_general(U: Iterable, V: Iterable,
-                      ground: Callable[[object, object], ExtValue],
-                      pick: Optional[Callable[[list], ExtValue]] = None) -> ExtValue:
+                      ground: Callable[[object, object], ExtValue]) -> ExtValue:
     """Hausdorff distance of two finite sets; inf over an empty set is INF.
-
-    The distance is the largest of the candidates: each point's distance to
-    its nearest point of the other set, U's points first.  `pick` chooses
-    from that list instead (default: the first largest)."""
+    It is the first largest of the candidates (`hausdorff_candidates`)."""
     U, V = list(U), list(V)
+    return ext_max(*hausdorff_candidates([[ground(a, b) for b in V] for a in U],
+                                         [[ground(b, a) for a in U] for b in V]))
 
-    def nearest(a, B):
-        best = INF
-        for b in B:
-            d = ground(a, b)
-            if d < best:
-                best = d
-        return best
 
-    candidates = [nearest(a, V) for a in U] + [nearest(b, U) for b in V]
-    return ext_max(*candidates) if pick is None else pick(candidates)
+def hausdorff_candidates(rows: List[List[ExtValue]],
+                         cols: List[List[ExtValue]]) -> List[ExtValue]:
+    """Each point's distance to its nearest point of the other set (INF if
+    that set is empty), U's points first, from rows[i][j] = d(U_i, V_j) and
+    cols[j][i] = d(V_j, U_i): with U empty the rows hold no columns."""
+    return [min(ds, default=INF) for ds in rows + cols]
 
 
 def parse_spaces(text: str, source: str = "<space>") -> Dict[str, FinMetricSpace]:

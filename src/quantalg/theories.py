@@ -433,8 +433,8 @@ def instantiate_generators(th: TheoryExpr, params: ParamPool) -> List[OpSym]:
 
 
 def _writer_pool(mon: Monoid, params: ParamPool) -> Tuple[MonoidElement, ...]:
-    """The pool's monoid elements, by default a table monoid's carrier."""
-    alphas = tuple(params.monoid_elems or (mon.elements or ()))
+    """The pool's monoid elements, each once; by default a table monoid's carrier."""
+    alphas = tuple(dict.fromkeys(params.monoid_elems or (mon.elements or ())))
     for a in alphas:
         if not mon.contains(a):
             raise DomainError(f"monoid element {a!r} outside the writer monoid")

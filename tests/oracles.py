@@ -1,5 +1,8 @@
 """Independent oracles used to freeze expected values.
 
+The value-distance oracle is the pair recursion that the engine compiles
+into a pair graph, run directly.
+
 The transport oracle enumerates every spanning-tree basic feasible solution
 of the transport polytope and takes the minimum, solving each tree by leaf
 elimination.  It shares no code with the production simplex, and neither
@@ -181,6 +184,95 @@ def psi_reference(T, d, mode, space=None):
                 val = ext_max(*parts)
             table[(u, v)] = val
     return PseudoMetric(T.states, table)
+
+
+def sem_dist_reference(v, w, space=None, mode="extended", exc_space=None, pair_monoid=None,
+                       memo=None, state_dist=None, max_pick=None):
+    """The value distance by the pair recursion itself, memoised on pairs of
+    values (and on their mirrors) in `memo`, which calls may share: what
+    `semantics.PairGraph` compiles.  `state_dist` gives state leaves their
+    distances, and `max_pick((a, b), candidates)` chooses at the maximising
+    node of the values a and b."""
+    from quantalg.extvalue import ONE
+    from quantalg.semantics import (DistVal, ExcLeaf, FuncVal, Guard, PairVal, SetVal,
+                                    StateLeaf, VarLeaf)
+    from quantalg.spaces import hausdorff_candidates, kantorovich_general
+
+    memo = {} if memo is None else memo
+    bounded = mode == "bounded"
+    top = ONE if bounded else INF  # the coproduct rule, and bounded mode's cap
+
+    def rec(a, b):
+        if a == b:
+            return ZERO
+        hit = memo.get((a, b))
+        if hit is None:
+            hit = memo[(a, b)] = memo[(b, a)] = dist(a, b)
+        return hit
+
+    def ground(a, b):
+        return rec(a, b).truncated(ONE) if bounded else rec(a, b)
+
+    def largest(a, b, candidates):
+        return ext_max(*candidates) if max_pick is None else max_pick((a, b), candidates)
+
+    def dist(a, b):
+        if type(a) is not type(b):
+            leaves = (VarLeaf, ExcLeaf, Guard, StateLeaf)
+            if isinstance(a, leaves) and isinstance(b, leaves):
+                return top
+            raise DomainError(f"shape mismatch: {type(a).__name__} vs {type(b).__name__}")
+        if isinstance(a, Guard):
+            return top if a.name != b.name else rec(a.inner, b.inner).scaled(a.c)
+        if isinstance(a, StateLeaf):
+            if state_dist is None:
+                raise DomainError(f"states {a.name}, {b.name} need a state metric")
+            return state_dist(a.name, b.name)
+        if isinstance(a, DistVal):
+            return kantorovich_general(a, b, ground)
+        if isinstance(a, SetVal):
+            return largest(a, b, hausdorff_candidates(
+                [[ground(x, y) for y in b.items] for x in a.items],
+                [[ground(y, x) for x in a.items] for y in b.items]))
+        if isinstance(a, FuncVal):
+            if [i for i, _ in a.items] != [i for i, _ in b.items]:
+                raise DomainError("function values over different input sets")
+            return largest(a, b, [rec(x, y) for (_, x), (_, y) in zip(a.items, b.items)])
+        if isinstance(a, PairVal):
+            if isinstance(a.alpha, Fraction) and isinstance(b.alpha, Fraction):
+                alpha = ExtValue(abs(a.alpha - b.alpha))
+            elif pair_monoid is None:
+                raise DomainError("table-monoid pair values need the plan's monoid")
+            else:
+                alpha = pair_monoid.dist(a.alpha, b.alpha)
+            return alpha + rec(a.inner, b.inner)
+        if isinstance(a, VarLeaf):
+            if space is None:
+                raise DomainError(f"variables {a.name}, {b.name} need a ground space")
+            return space.d(a.name, b.name).truncated(top)
+        if exc_space is None:
+            return top
+        return exc_space.d(a.label, b.label).truncated(top)
+
+    return rec(v, w)
+
+
+def psi_kernel_reference(C, d, mode, strategy=None):
+    """Psi on C by `sem_dist_reference` over its one-step values, one memo
+    shared by all pairs; with a strategy (bisim.MaxStrategy), the strategy
+    chooses at each maximising node, keyed by its pair of values, and the
+    state distances are d's unknowns."""
+    from quantalg.bisim import PseudoMetric
+
+    state_dist, pick = (d.d, None) if strategy is None else (d.unknown, strategy.pick)
+    memo = {}
+    table = {}
+    for i, u in enumerate(C.states):
+        for v in C.states[i + 1:]:
+            table[(u, v)] = sem_dist_reference(
+                C.step[u], C.step[v], C.space, mode, C.plan.exc_space, C.monoid,
+                memo, state_dist, pick)
+    return PseudoMetric(C.states, table)
 
 
 def evaluate(alg, t, assignment):

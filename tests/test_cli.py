@@ -1,5 +1,6 @@
 import itertools
 import json
+import sys
 
 import pytest
 
@@ -149,7 +150,7 @@ RESULT: FAIL
 """
 
 
-def test_check_model_verbose_pins_each_instance_failure(tmp_path, capsys):
+def _writer_mutant_files(tmp_path):
     (tmp_path / "W.space").write_text(
         "space W { points: zx, zy, ox, oy;\n"
         "  d(zx,zy) = 1; d(zx,ox) = 1; d(zx,oy) = 2; d(zy,ox) = 2; d(zy,oy) = 1;"
@@ -163,11 +164,28 @@ def test_check_model_verbose_pins_each_instance_failure(tmp_path, capsys):
         "  op wr(z): (zx) -> zy; (zy) -> zy; (ox) -> ox; (oy) -> oy;\n"
         "  op wr(o): (zx) -> ox; (zy) -> oy; (ox) -> ox; (oy) -> oy;\n"
         "}\n")
-    code = main(["check-model", "--theory", "writer{M}", "--space", str(tmp_path / "W.space"),
-                 "--monoid", str(tmp_path / "M.monoid"), "--epsilons", "0,1/2,1,2",
-                 "--verbose", str(tmp_path / "A.alg")])
+    return ["check-model", "--theory", "writer{M}", "--space", str(tmp_path / "W.space"),
+            "--monoid", str(tmp_path / "M.monoid"), "--epsilons", "0,1/2,1,2",
+            "--verbose", str(tmp_path / "A.alg")]
+
+
+def test_check_model_verbose_pins_each_instance_failure(tmp_path, capsys):
+    code = main(_writer_mutant_files(tmp_path))
     assert code == 1
     assert capsys.readouterr().out == _WRITER_MUTANT_REPORT
+
+
+def test_repeated_elems_list_each_writer_instance_once(tmp_path, capsys):
+    argv = _writer_mutant_files(tmp_path)
+    reports = []
+    for elems in ("z", "z,z", "z,z,z"):
+        assert main(argv + ["--elems", elems]) == 1
+        reports.append(capsys.readouterr().out)
+    assert reports[1] == reports[2] == reports[0]
+    lines = reports[0].splitlines()
+    # one Mult instance per element pair, one Diff instance per pair and threshold
+    assert sum("Mult[z,z]" in line for line in lines) == 1
+    assert sum("Diff[z,z]" in line for line in lines) == 4
 
 
 def test_parse_error_exit_code(tmp_path, capsys):
@@ -286,6 +304,20 @@ def test_hostile_input_exits_cleanly(case, tmp_path):
     except SystemExit as exc:  # argparse rejects the option value
         got = exc.code
     assert got == code
+
+
+def test_normalize_prints_weights_longer_than_the_int_text_limit(capsys):
+    # 1/10^2999 twice: the inner weights have 5999-digit denominators,
+    # written out here without converting an int to text
+    limit = sys.get_int_max_str_digits()
+    w = "1/1" + "0" * 2999
+    code = main(["normalize", "--theory", "bary", "--inline", f"conv({w}, x, conv({w}, y, z))"])
+    assert code == 0
+    den = "1" + "0" * 5998
+    assert capsys.readouterr().out == (
+        f"Dist{{x: {w}, y: {'9' * 2999}/{den}, "
+        f"z: {'9' * 2998}8{'0' * 2998}1/{den}}}\n")
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_ill_formed_term_rejected(capsys):

@@ -4,11 +4,16 @@ operator of tests/oracles.py applied to the table the test drew."""
 import random
 from fractions import Fraction
 
-from quantalg import (BOUNDED, EXTENDED, FinMetricSpace, PseudoMetric,
-                      RATIONAL_LINE, TableMonoid, ext, psi_step)
+from quantalg import (BOUNDED, EXTENDED, Coalgebra, FinMetricSpace, Guard, PairVal,
+                      PseudoMetric, RATIONAL_LINE, StateLeaf, TableMonoid, ext,
+                      layer_plan, make_set, parse_theory, psi_step, solve_bisim)
+from quantalg import bisim
+from quantalg.bisim import MaxStrategy, _solve_policy
+from quantalg.extvalue import Affine
 
-from helpers import BOT, FinDist, Table, leaf, random_space, st, table_coalgebra
-from oracles import psi_reference
+from helpers import (BOT, FinDist, Table, leaf, random_cyclic_table, random_space, st,
+                     table_coalgebra)
+from oracles import psi_kernel_reference, psi_reference
 
 INF_MONOID = TableMonoid(
     FinMetricSpace(["e", "a", "b"], {("e", "b"): ext(1)}), "e",
@@ -67,3 +72,63 @@ def test_psi_matches_per_kind_reference_on_kleene_iterates():
                     got = psi_step(C, d, mode)
                     assert got == psi_reference(T, d, mode, space), (kind, mode)
                     d = got
+
+
+def _set_system(rng, c):
+    """A random cyclic system of sets of (output, successor) cells."""
+    plan = layer_plan(parse_theory(f"sum(tensor(semi, writer{{q}}), contr{{next, {c}}})"))
+    states = [f"s{k}" for k in range(3)]
+    return Coalgebra(plan, states, {s: make_set(
+        PairVal(Fraction(rng.randint(0, 4), 4), Guard("next", c, StateLeaf(rng.choice(states))))
+        for _ in range(rng.randint(1, 3))) for s in states})
+
+
+def _form(x):
+    return (x.const, x.coef) if isinstance(x, Affine) else str(x)
+
+
+def test_policy_forms_match_the_recursive_reference():
+    # Psi under a max strategy: the pair graph's strategy keyed by slot, the
+    # reference's own keyed by pairs of values, through rounds of policy
+    # iteration that alternate improving and holding the strategy
+    rng = random.Random(97)
+    systems = []
+    for kind in ("mp", "lmp", "mdp", "mealy"):
+        for mode in (BOUNDED, EXTENDED):
+            for _ in range(3):
+                space = random_space(rng, ["x", "y"], max_den=4)
+                T = random_cyclic_table(rng, kind, mode, space, n=rng.randint(2, 4))
+                systems.append((table_coalgebra(T, space), mode))
+    systems += [(_set_system(rng, Fraction(1, 2)), mode) for mode in (BOUNDED, EXTENDED)
+                for _ in range(3)]
+    affine = 0
+    for C, mode in systems:
+        d = psi_step(C, PseudoMetric(C.states), mode)
+        mine, theirs = MaxStrategy(), MaxStrategy()
+        for rnd in range(4):
+            got = psi_step(C, d, mode, mine)
+            want = psi_kernel_reference(C, d, mode, theirs)
+            assert [(k, _form(x)) for k, x in got.pairs()] \
+                == [(k, _form(x)) for k, x in want.pairs()], (C.plan, mode, rnd)
+            affine += sum(isinstance(x, Affine) and bool(x.coef) for _, x in got.pairs())
+            d = _solve_policy(got)
+            mine.improving = theirs.improving = rnd % 2 == 1
+    assert affine > 200, affine
+
+
+def test_solve_bisim_builds_the_pair_graph_once_per_mode(monkeypatch):
+    built = []
+
+    def counting(plan, pairs, space=None, mode=EXTENDED):
+        built.append(mode)
+        return plan_graph(plan, pairs, space, mode)
+
+    plan_graph = bisim.plan_graph
+    monkeypatch.setattr(bisim, "plan_graph", counting)
+    rng = random.Random(5)
+    space = random_space(rng, ["x", "y"], max_den=4)
+    C = table_coalgebra(random_cyclic_table(rng, "lmp", EXTENDED, space, n=4), space)
+    d, cert = solve_bisim(C, BOUNDED)
+    assert cert.iterations > 3 and built == [BOUNDED]
+    solve_bisim(C, EXTENDED)
+    assert solve_bisim(C, BOUNDED)[0] == d and built == [BOUNDED, EXTENDED]

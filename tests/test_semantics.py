@@ -3,19 +3,20 @@ from fractions import Fraction
 
 import pytest
 
-from quantalg import (BOUNDED, Bary, DistVal, EXTENDED, ExcLeaf, FinMetricSpace,
+from quantalg import (BOUNDED, Bary, DistVal, EXTENDED, Exc, ExcLeaf, FinMetricSpace,
                       FuncVal, Guard, PairVal, RATIONAL_LINE, Reader, Semi,
                       SetVal, Sum, VarLeaf, Writer, bind, denote,
                       denote_with_plan, ext, format_value, labelled_mp_theory,
-                      layer_plan, make_dist, markov_process_theory, mdp_theory,
-                      mealy_theory, parse_term, parse_theory, sem_dist, term_dist)
+                      layer_plan, make_dist, make_set, markov_process_theory, mdp_theory,
+                      mealy_theory, parse_term, parse_theory, sem_dist,
+                      sem_dist_with_plan, term_dist)
 from quantalg.errors import DomainError
 from quantalg.extvalue import INF, ZERO
 from quantalg.terms import (App, Var, conv, empty_op, next_op, raise_, read,
                             union_op, write)
 
 from helpers import random_space, random_term, theory_shapes
-from oracles import enumerate_transport
+from oracles import enumerate_transport, sem_dist_reference
 
 C12 = Fraction(1, 2)
 MP = markov_process_theory(C12)
@@ -124,6 +125,47 @@ def test_sem_dist_exception_metric():
 def test_sem_dist_coproduct_rule_and_modes():
     assert sem_dist(VarLeaf("x"), ExcLeaf("*"), XY, EXTENDED) == INF
     assert sem_dist(VarLeaf("x"), ExcLeaf("*"), XY, BOUNDED) == ext(1)
+
+
+def test_empty_set_against_a_nonempty_set_in_both_orders():
+    # every point of the nonempty side has no nearest point: one INF
+    # candidate, whichever side is empty
+    from quantalg.semantics import PairGraph
+
+    empty, full = SetVal(()), make_set([VarLeaf("x"), VarLeaf("y")])
+    for mode in (EXTENDED, BOUNDED):
+        for pair in ((empty, full), (full, empty)):
+            seen = []
+            graph = PairGraph([pair], XY, mode)
+            assert graph.evaluate(max_pick=lambda k, c: seen.append(c) or c[0]) == [INF]
+            assert seen == [[INF, INF]]
+            assert sem_dist(*pair, XY, mode) == INF
+
+
+def test_sem_dist_matches_the_recursive_reference_on_every_shape():
+    # the compiled pair graph against the pair recursion it compiles, on
+    # random terms of every shape layer_plan accepts, in both modes
+    rng = random.Random(31)
+    compared = 0
+    for th in theory_shapes(2):
+        try:
+            plan = layer_plan(th)
+        except DomainError:
+            continue
+        mon = next((layer[1] for layer in plan.layers if layer[0] == "pair"), None)
+        X = random_space(rng, ["x", "y"], max_den=4, inf_prob=0.2)
+        depth = 0 if isinstance(th, Exc) else 3  # exc{1} alone has no operation
+        for _ in range(3):
+            try:
+                v, w = (denote_with_plan(random_term(rng, th, ["x", "y"], depth), plan)
+                        for _ in range(2))
+            except DomainError:
+                continue
+            for mode in (EXTENDED, BOUNDED):
+                want = sem_dist_reference(v, w, X, mode, plan.exc_space, mon)
+                assert sem_dist_with_plan(v, w, plan, X, mode) == want, (th, mode)
+                compared += 1
+    assert compared > 600, compared
 
 
 def test_sem_dist_shape_mismatch_raises():
