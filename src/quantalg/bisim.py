@@ -5,8 +5,9 @@ A state's behaviour is a one-step value of the theory's layer plan whose
 guards hold the successor states, so the bisimilarity-metric operator is
 the term distance on one-step values with c times the current iterate
 between successor states: a pair graph built once per system and mode,
-evaluated at each iterate (`Coalgebra.pair_graph`).  Markov processes,
-labelled Markov processes, Mealy machines and MDPs are the plans of
+evaluated at each iterate, and policy iteration reads its policies off it
+(`Coalgebra.pair_graph`, `PairGraph.policy`).  Markov processes, labelled
+Markov processes, Mealy machines and MDPs are the plans of
 `markov_process_theory`, `labelled_mp_theory`, `mealy_theory` and
 `mdp_theory`; they are also the four kinds of the text format, which reads
 each row straight into a one-step value and writes it back from one.  A
@@ -24,7 +25,7 @@ from itertools import count
 from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
 
 from .errors import DivergentGround, DomainError, UnsupportedShape
-from .extvalue import INF, ZERO, Affine, ExtValue, ext_max
+from .extvalue import INF, ZERO, ExtValue, ext_max
 from .lexing import TokenStream
 from .semantics import (BOUNDED, EXTENDED, DistVal, ExcLeaf, FuncVal, Guard,
                         PairGraph, PairVal, SemValue, SetVal, StateLeaf, VarLeaf,
@@ -110,15 +111,6 @@ class PseudoMetric:
             return ZERO
         return self._t[self._key(u, v)]
 
-    def unknown(self, u: str, v: str) -> ExtValue:
-        """d(u, v) as an `Affine` value whose form is the pair's unknown, or
-        INF if d(u, v) is infinite."""
-        if u == v:
-            return ZERO
-        k = self._key(u, v)
-        val = self._t[k]
-        return val if val.is_inf else Affine(val.rational, Fraction(0), {k: Fraction(1)})
-
     def pairs(self):
         return sorted(self._t.items())
 
@@ -148,11 +140,9 @@ def psi_step(C: Coalgebra, d: PseudoMetric, mode: str = BOUNDED,
     """One application of the bisimilarity-metric operator: the term distance
     between the states' one-step values, with d between successor states.
 
-    With a strategy, the strategy chooses at the maximising nodes and each
-    distance is an `Affine` value: its form in the state-pair unknowns is
-    the policy that realises it at d."""
-    state_dist, pick = (d.d, None) if strategy is None else (d.unknown, strategy.pick)
-    values = C.pair_graph(mode).evaluate(state_dist, pick)
+    With a strategy, the strategy chooses at the maximising nodes and keeps
+    the choices that `PairGraph.policy` reads the policy off."""
+    values = C.pair_graph(mode).evaluate(d.d, strategy)
     return PseudoMetric(C.states, dict(zip(C.pairs, values)))
 
 
@@ -230,7 +220,8 @@ class MaxStrategy:
     node's slot in the system's pair graph.  While `improving`, a node moves
     to its first largest candidate, but only where that is strictly larger
     than its current choice; otherwise every node keeps its choice, and Psi
-    under the strategy is a minimum of affine forms."""
+    under the strategy is a minimum of affine forms.  An evaluation under
+    the strategy leaves its `values` and `plans` here (`PairGraph.evaluate`)."""
 
     def __init__(self):
         self.choice: Dict[int, int] = {}
@@ -253,15 +244,15 @@ def _policy_iteration(C: Coalgebra, d: PseudoMetric, mode: str
 
     A round improves the max strategy at d, then solves the min side with
     the strategy fixed, by policy iteration: the policy (the affine forms
-    psi_step reports) is solved exactly as d = b + M d, and Psi under the
-    strategy is evaluated at the solution, until it returns d itself.  The
-    min side's values fall strictly from one solve to the next, and the
-    strategies' fixed points rise strictly from one round to the next, so
-    neither a policy nor a strategy comes back and both loops end.  A plan
-    with no distribution or set layer has no minimising node: Psi under a
-    fixed strategy is affine, and one solve is its fixed point.  A round
-    ends with the check psi_step(C, d, mode) == d, and d is the answer once
-    it holds."""
+    behind Psi under the strategy at d, `PairGraph.policy`) is solved
+    exactly as d = b + M d, and Psi under the strategy is evaluated at the
+    solution, until it returns d itself.  The min side's values fall
+    strictly from one solve to the next, and the strategies' fixed points
+    rise strictly from one round to the next, so neither a policy nor a
+    strategy comes back and both loops end.  A plan with no distribution or
+    set layer has no minimising node: Psi under a fixed strategy is affine,
+    and one solve is its fixed point.  A round ends with the check
+    psi_step(C, d, mode) == d, and d is the answer once it holds."""
     affine = not any(layer[0] in ("dist", "set") for layer in C.plan.layers)
     strategy = MaxStrategy()
     evaluations = 0
@@ -269,7 +260,8 @@ def _policy_iteration(C: Coalgebra, d: PseudoMetric, mode: str
         policy = psi_step(C, d, mode, strategy)
         evaluations += 1
         if policy != d:
-            d = _solve_policy(policy)
+            forms = C.pair_graph(mode).policy(strategy, policy._key)
+            d = _solve_policy(policy, dict(zip(C.pairs, forms)))
             strategy.improving = affine
             continue
         evaluations += 1
@@ -278,12 +270,11 @@ def _policy_iteration(C: Coalgebra, d: PseudoMetric, mode: str
         strategy.improving = True
 
 
-def _solve_policy(policy: PseudoMetric) -> PseudoMetric:
-    """The metric d with d = the policy's forms at d.  Infinite pairs are
-    copied through; no finite form reads them."""
+def _solve_policy(policy: PseudoMetric, forms: dict) -> PseudoMetric:
+    """The metric d with d = forms[pair] at d on the policy's finite pairs.
+    Infinite pairs are copied through; no finite form reads them."""
     table = dict(policy.pairs())
-    system = {k: (v.const, v.coef) if isinstance(v, Affine) else (v.rational, {})
-              for k, v in table.items() if not v.is_inf}
+    system = {k: forms[k] for k, v in table.items() if not v.is_inf}
     table.update((k, ExtValue(x)) for k, x in solve_affine(system).items())
     return PseudoMetric(policy.states, table)
 

@@ -120,16 +120,27 @@ def _positive_rational(text: str) -> Fraction:
     return q
 
 
+def _read_file(path: str) -> str:
+    """A named file's text: an unreadable file is an error (exit 1), and one
+    that is not UTF-8 a parse error (exit 2)."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text: {exc.reason} at byte {exc.start}", path) from None
+    except OSError as exc:
+        raise QuantAlgError(f"cannot read {path}: {exc.strerror or exc}") from None
+
+
 def _load_context(args):
     spaces = {}
     space = None
     if getattr(args, "space", None):
-        spaces = parse_spaces(Path(args.space).read_text(), args.space)
+        spaces = parse_spaces(_read_file(args.space), args.space)
         if len(spaces) == 1:
             space = next(iter(spaces.values()))
     monoids = {}
     if getattr(args, "monoid", None):
-        monoids = parse_monoids(Path(args.monoid).read_text(), args.monoid)
+        monoids = parse_monoids(_read_file(args.monoid), args.monoid)
     theory = None
     if getattr(args, "theory", None):
         theory = parse_theory(args.theory, spaces, monoids, "--theory")
@@ -139,8 +150,7 @@ def _load_context(args):
 def _read_term(arg: str, inline: bool, theory, source_hint: str):
     if inline:
         return parse_term(arg, theory, source_hint)
-    text = Path(arg).read_text()
-    return parse_term(text, theory, arg)
+    return parse_term(_read_file(arg), theory, arg)
 
 
 def _render(value: ExtValue, args) -> str:
@@ -179,7 +189,7 @@ def _cmd_normalize(args) -> int:
 
 def _cmd_bisim(args) -> int:
     _, space, _, monoids = _load_context(args)
-    systems = parse_coalgebras(Path(args.file).read_text(), monoids, space, args.file)
+    systems = parse_coalgebras(_read_file(args.file), monoids, space, args.file)
     out_records = []
     for name in sorted(systems):
         C = systems[name]
@@ -214,7 +224,7 @@ def _cmd_unfold(args) -> int:
 
 def _cmd_check_model(args) -> int:
     theory, space, spaces, _ = _load_context(args)
-    algebras = parse_algebras(Path(args.file).read_text(), spaces, args.file)
+    algebras = parse_algebras(_read_file(args.file), spaces, args.file)
     pool = ParamPool.make(
         weights=[w for w in args.weights.split(",") if w],
         epsilons=[e for e in args.epsilons.split(",") if e],

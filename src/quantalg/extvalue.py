@@ -112,42 +112,6 @@ def ext(value: Union[Rationalish, ExtValue, None]) -> ExtValue:
     return ExtValue(value)
 
 
-class Affine(ExtValue):
-    """A finite ExtValue together with an affine form `const + sum of
-    coef[k] * x_k` in opaque unknowns x that equals it at the current x.
-    Sums and positive scalings carry the form along (the reflected sum too,
-    which Python tries first for a subclass), so a computation written with
-    ExtValue operations, maxima and minima reports the form behind its
-    result; comparisons see the value only."""
-
-    __slots__ = ("const", "coef")
-
-    def __init__(self, value: Fraction, const: Fraction, coef: dict):
-        self._q = value
-        self.const = const
-        self.coef = coef  # never mutated once built
-
-    def __add__(self, other: ExtValue) -> ExtValue:
-        other = _coerce(other)
-        if other._q is None:
-            return INF
-        if not isinstance(other, Affine):
-            return Affine(self._q + other._q, self.const + other._q, self.coef)
-        coef = dict(self.coef)
-        for k, w in other.coef.items():
-            coef[k] = coef.get(k, 0) + w
-        return Affine(self._q + other._q, self.const + other.const, coef)
-
-    __radd__ = __add__
-
-    def scaled(self, c: Rationalish) -> "Affine":
-        c = c if type(c) is Fraction else Fraction(c)
-        if c < 0:
-            raise ValueError("scale factor must be nonnegative")
-        return Affine(self._q * c, self.const * c,
-                      {k: w * c for k, w in self.coef.items()})
-
-
 def ext_max(*values: ExtValue) -> ExtValue:
     """The first largest of the values (ZERO if there are none)."""
     out = values[0] if values else ZERO

@@ -13,24 +13,25 @@ mode, truncated to 1 in bounded mode).
 
 The kernel is built once and evaluated many times: a `PairGraph` walks the
 pair recursion once, and each evaluation only does arithmetic, for the state
-distances it is given.  When these are `extvalue.Affine` values, every
-distance comes with the affine form in the state-pair unknowns that
-realises it: the optimal coupling's flows, whether a bounded-mode cap binds,
-and the chosen input, Hausdorff point and nearest point, unless the caller
-chooses at these maximising nodes itself.
+distances it is given.  An evaluation under a strategy, which chooses at the
+maximising nodes, leaves its slot values and optimal couplings with the
+strategy, and `PairGraph.policy` reads off them the affine form in the
+state-pair distances that realises each distance.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .errors import DomainError
 from .extvalue import INF, ONE, ZERO, ExtValue, ext_max
-from .spaces import FinMetricSpace, hausdorff_candidates, kantorovich_matrix
+from .spaces import FinMetricSpace, hausdorff_candidates
 from .terms import FAMILIES, Term, Var
 from .theories import LayerPlan, TheoryExpr, layer_plan
+from .transport import min_cost_transport
 
 EXTENDED = "extended"
 BOUNDED = "bounded"
@@ -326,12 +327,11 @@ class PairGraph:
         if mode not in (EXTENDED, BOUNDED):
             raise DomainError(f"unknown mode {mode!r}")
         self.space, self.exc_space, self.pair_monoid = space, exc_space, pair_monoid
-        self.bounded = mode == BOUNDED
         # leaves of different kinds are `top` apart (the coproduct rule), and
-        # bounded mode truncates ground distances at it
-        self.top = ONE if self.bounded else INF
+        # ground distances are truncated at it: at 1 in bounded mode
+        self.top = ONE if mode == BOUNDED else INF
         self.values: List[Optional[ExtValue]] = [ZERO]  # constants; None for an op's slot
-        self.ops: list = []
+        self.ops: Dict[int, tuple] = {}  # an op slot's op, children first
         self._slots: Dict[Tuple[SemValue, SemValue], int] = {}
         self.roots = [self._slot(a, b) for a, b in pairs]
         del self._slots
@@ -345,7 +345,7 @@ class PairGraph:
             const = isinstance(node, ExtValue)
             self.values.append(node if const else None)
             if not const:
-                self.ops.append((node[0], k) + node[1:])
+                self.ops[k] = (node[0], k) + node[1:]
             self._slots[(a, b)] = self._slots[(b, a)] = k
         return k
 
@@ -393,20 +393,18 @@ class PairGraph:
         return self.pair_monoid.dist(x, y)
 
     def evaluate(self, state_dist: Optional[Callable[[str, str], ExtValue]] = None,
-                 max_pick: Optional[Callable[[int, list], ExtValue]] = None
-                 ) -> List[ExtValue]:
+                 strategy=None) -> List[ExtValue]:
         """The roots' distances, with `state_dist(u, v)` between state leaves
         (uncapped).  A maximising node (function or set values) is the first
-        largest of its candidates, or `max_pick(slot, candidates)` if given."""
-        bounded = self.bounded
-        val = list(self.values)
+        largest of its candidates, or `strategy.pick(slot, candidates)` under
+        a strategy, which then keeps the slot values as `values` and each
+        Kantorovich slot's optimal transport in `plans` (see `policy`)."""
+        top, val, plans = self.top, list(self.values), {}
 
         def ground(slots):  # the ground of a distribution or set layer
-            if bounded:
-                return [[val[k].truncated(ONE) for k in row] for row in slots]
-            return [[val[k] for k in row] for row in slots]
+            return [[val[k].truncated(top) for k in row] for row in slots]
 
-        for op in self.ops:
+        for op in self.ops.values():
             kind = op[0]
             if kind == _GUARD:
                 out = val[op[2]].scaled(op[3])
@@ -417,14 +415,62 @@ class PairGraph:
             elif kind == _PAIR:
                 out = op[2] + val[op[3]]
             elif kind == _KANT:
-                out = kantorovich_matrix(op[2], op[3], ground(op[4]))
+                plan = min_cost_transport(op[2], op[3], ground(op[4]))
+                out = plan.value
+                if strategy is not None:
+                    plans[op[1]] = plan
             else:
                 candidates = [val[k] for k in op[2]] if kind == _FUNC \
                     else hausdorff_candidates(ground(op[2]), ground(op[3]))
-                out = ext_max(*candidates) if max_pick is None \
-                    else max_pick(op[1], candidates)
+                out = ext_max(*candidates) if strategy is None \
+                    else strategy.pick(op[1], candidates)
             val[op[1]] = out
+        if strategy is not None:
+            strategy.values, strategy.plans = val, plans
         return [val[k] for k in self.roots]
+
+    def policy(self, strategy, unknown: Callable[[str, str], object]) -> list:
+        """The affine form (b, {unknown(u, v): coefficient}) in the state-pair
+        distances of each root's distance at the strategy's last evaluation,
+        None if it is infinite, read off that evaluation's choices: the chosen
+        candidate, a Hausdorff candidate's first nearest point, a coupling's
+        flows, and the constant 1 for a bounded-mode cell above 1."""
+        val, choice, plans = strategy.values, strategy.choice, strategy.plans
+
+        def ground(k):  # a cell's form as a distribution or set layer sees it
+            return (Fraction(1), {}) if val[k] > self.top else form(k)
+
+        @functools.cache
+        def form(k):  # k's value is finite, and so are those of the slots it reads
+            op = self.ops.get(k)
+            if op is None:
+                return val[k].rational, {}
+            kind = op[0]
+            if kind == _STATE:
+                return Fraction(0), {unknown(op[2], op[3]): Fraction(1)}
+            if kind == _GUARD:
+                b, coef = form(op[2])
+                return b * op[3], {j: w * op[3] for j, w in coef.items()}
+            if kind == _PAIR:
+                b, coef = form(op[3])
+                return op[2].rational + b, coef
+            if kind == _FUNC:
+                return form(op[2][choice[k]])
+            if kind == _HAUS:
+                cells = (op[2] + op[3])[choice[k]]
+                return ground(min(cells, key=lambda j: val[j].truncated(self.top)))
+            b, coef = Fraction(0), {}
+            for (i, j), f in plans[k].flows.items():
+                if f:
+                    fb, fcoef = ground(op[4][i][j])
+                    b += f * fb
+                    for u, w in fcoef.items():
+                        coef[u] = coef.get(u, 0) + f * w
+            return b, coef
+
+        forms = [None if val[k].is_inf else form(k) for k in self.roots]
+        del form  # it calls itself: free it and its memo now, not at a collection
+        return forms
 
 
 def plan_graph(plan: LayerPlan, pairs, space: Optional[FinMetricSpace] = None,

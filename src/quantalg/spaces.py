@@ -4,8 +4,8 @@ Kantorovich distance on finitely supported distributions.
 
 Products, function spaces, subsets and distributions over a space are not
 built here: they are carriers inside the free models (see
-`modelcheck.free_model`), whose distances `semantics.sem_dist` computes with
-these kernels."""
+`modelcheck.free_model`), whose distances `semantics.PairGraph` computes from
+the same two pieces: `hausdorff_candidates` and `transport.min_cost_transport`."""
 
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from functools import cached_property
 from typing import Callable, Dict, Iterable, List, Mapping, NamedTuple, Sequence, Tuple
 
 from .errors import DomainError
-from .extvalue import INF, ZERO, Affine, ExtValue, ext_max, ext_sum
+from .extvalue import INF, ZERO, ExtValue, ext_max
 from .lexing import TokenStream
 from .transport import min_cost_transport
 
@@ -131,22 +131,10 @@ def kantorovich_general(mu, nu, ground: Callable[[object, object], ExtValue]) ->
     mu and nu are anything with `.items`, a tuple of (point, positive weight)
     pairs, such as a semantic DistVal.  The transport checks that their
     masses are equal.  Zero-mass cells never touch the ground function, so an
-    infinite ground never multiplies a zero weight.  See `kantorovich_matrix`
-    for ground distances with affine forms.
+    infinite ground never multiplies a zero weight.
     """
     cost = [[ground(a, b) for b, _ in nu.items] for a, _ in mu.items]
-    return kantorovich_matrix([w for _, w in mu.items], [w for _, w in nu.items], cost)
-
-
-def kantorovich_matrix(supplies: Sequence, demands: Sequence,
-                       cost: List[List[ExtValue]]) -> ExtValue:
-    """The Kantorovich distance from its cost matrix.  If ground distances
-    carry affine forms (`extvalue.Affine`), the result is the optimal
-    coupling's flow-weighted sum of them, which carries its form."""
-    plan = min_cost_transport(supplies, demands, cost)
-    if plan.value.is_inf or not any(isinstance(c, Affine) for row in cost for c in row):
-        return plan.value
-    return ext_sum(cost[i][j].scaled(f) for (i, j), f in plan.flows.items() if f)
+    return min_cost_transport([w for _, w in mu.items], [w for _, w in nu.items], cost).value
 
 
 def hausdorff_general(U: Iterable, V: Iterable,

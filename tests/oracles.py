@@ -1,7 +1,10 @@
 """Independent oracles used to freeze expected values.
 
 The value-distance oracle is the pair recursion that the engine compiles
-into a pair graph, run directly.
+into a pair graph, run directly.  Under a max strategy it runs on `Affine`
+values, whose arithmetic carries each distance's affine form in the
+state-pair unknowns along: the forms come out of the recursion itself, where
+the engine reads them off the pair graph's recorded choices.
 
 The transport oracle enumerates every spanning-tree basic feasible solution
 of the transport polytope and takes the minimum, solving each tree by leaf
@@ -21,7 +24,7 @@ from itertools import combinations
 from typing import Optional
 
 from quantalg.errors import DomainError
-from quantalg.extvalue import ExtValue, INF, ZERO, ext_max
+from quantalg.extvalue import ExtValue, INF, ZERO, _coerce, ext_max, ext_sum
 from quantalg.modelcheck import CheckEntry, Counterexample
 from quantalg.terms import Var
 
@@ -135,6 +138,73 @@ def _solve_tree(subset, supplies, demands):
     return flows
 
 
+class Affine(ExtValue):
+    """A finite ExtValue together with an affine form `const + sum of
+    coef[k] * x_k` in opaque unknowns x that equals it at the current x.
+    Sums and positive scalings carry the form along (the reflected sum too,
+    which Python tries first for a subclass), so a computation written with
+    ExtValue operations, maxima and minima reports the form behind its
+    result; comparisons see the value only."""
+
+    __slots__ = ("const", "coef")
+
+    def __init__(self, value: Fraction, const: Fraction, coef: dict):
+        self._q = value
+        self.const = const
+        self.coef = coef  # never mutated once built
+
+    def __add__(self, other: ExtValue) -> ExtValue:
+        other = _coerce(other)
+        if other._q is None:
+            return INF
+        if not isinstance(other, Affine):
+            return Affine(self._q + other._q, self.const + other._q, self.coef)
+        coef = dict(self.coef)
+        for k, w in other.coef.items():
+            coef[k] = coef.get(k, 0) + w
+        return Affine(self._q + other._q, self.const + other.const, coef)
+
+    __radd__ = __add__
+
+    def scaled(self, c) -> "Affine":
+        c = c if type(c) is Fraction else Fraction(c)
+        if c < 0:
+            raise ValueError("scale factor must be nonnegative")
+        return Affine(self._q * c, self.const * c,
+                      {k: w * c for k, w in self.coef.items()})
+
+
+def form(x):
+    """The affine form (b, {unknown: coefficient}) of a distance the
+    reference computed, None if it is infinite."""
+    if isinstance(x, Affine):
+        return x.const, x.coef
+    return None if x.is_inf else (x.rational, {})
+
+
+def unknowns(d):
+    """State distances for the reference: d(u, v) as an `Affine` value whose
+    form is the pair's unknown (its key in d), or INF if it is infinite."""
+    def state_dist(u, v):
+        val = d.d(u, v)
+        if u == v or val.is_inf:
+            return val
+        return Affine(val.rational, Fraction(0), {d._key(u, v): Fraction(1)})
+    return state_dist
+
+
+def kantorovich_reference(mu, nu, ground):
+    """The Kantorovich distance as the optimal coupling's flow-weighted sum
+    of ground distances, which carries their forms if they are `Affine`."""
+    from quantalg.transport import min_cost_transport
+
+    cost = [[ground(a, b) for b, _ in nu.items] for a, _ in mu.items]
+    plan = min_cost_transport([w for _, w in mu.items], [w for _, w in nu.items], cost)
+    if plan.value.is_inf:
+        return INF
+    return ext_sum(cost[i][j].scaled(f) for (i, j), f in plan.flows.items() if f)
+
+
 def psi_reference(T, d, mode, space=None):
     """The bisimilarity-metric operator written out per coalgebra kind over
     the table a test drew (tests/helpers.py `Table`): Kantorovich over
@@ -196,7 +266,7 @@ def sem_dist_reference(v, w, space=None, mode="extended", exc_space=None, pair_m
     from quantalg.extvalue import ONE
     from quantalg.semantics import (DistVal, ExcLeaf, FuncVal, Guard, PairVal, SetVal,
                                     StateLeaf, VarLeaf)
-    from quantalg.spaces import hausdorff_candidates, kantorovich_general
+    from quantalg.spaces import hausdorff_candidates
 
     memo = {} if memo is None else memo
     bounded = mode == "bounded"
@@ -229,7 +299,7 @@ def sem_dist_reference(v, w, space=None, mode="extended", exc_space=None, pair_m
                 raise DomainError(f"states {a.name}, {b.name} need a state metric")
             return state_dist(a.name, b.name)
         if isinstance(a, DistVal):
-            return kantorovich_general(a, b, ground)
+            return kantorovich_reference(a, b, ground)
         if isinstance(a, SetVal):
             return largest(a, b, hausdorff_candidates(
                 [[ground(x, y) for y in b.items] for x in a.items],
@@ -261,10 +331,11 @@ def psi_kernel_reference(C, d, mode, strategy=None):
     """Psi on C by `sem_dist_reference` over its one-step values, one memo
     shared by all pairs; with a strategy (bisim.MaxStrategy), the strategy
     chooses at each maximising node, keyed by its pair of values, and the
-    state distances are d's unknowns."""
+    state distances are d's `unknowns`, so every finite distance is an
+    `Affine` value or a constant."""
     from quantalg.bisim import PseudoMetric
 
-    state_dist, pick = (d.d, None) if strategy is None else (d.unknown, strategy.pick)
+    state_dist, pick = (d.d, None) if strategy is None else (unknowns(d), strategy.pick)
     memo = {}
     table = {}
     for i, u in enumerate(C.states):

@@ -289,6 +289,18 @@ _HOSTILE = {
     "coalgebra P twice": (["bisim", "{d}/C.coalg"], {"C.coalg": (
         "mp P { c = 1/2; state u: 1 -> u; }\nlmp P { c = 1/2; actions: a; state u on a: 1 -> u; }")},
         2),
+    "missing coalgebra file": (["bisim", "{d}/none.coalg"], {}, 1),
+    "missing term file": (["dist", "--theory", "bary", "{d}/none.term", "{d}/none.term"], {}, 1),
+    "missing space file": (["dist", "--theory", "bary", "--space", "{d}/none.space",
+                            "--inline", "x", "x"], {}, 1),
+    "missing monoid file": (["normalize", "--theory", "writer{M}", "--monoid", "{d}/none.monoid",
+                             "--inline", "x"], {}, 1),
+    "missing algebra file": (["check-model", "--theory", "bary", "{d}/none.alg"], {}, 1),
+    "coalgebra file a directory": (["bisim", "{d}"], {}, 1),
+    "coalgebra file not UTF-8": (["bisim", "{d}/C.coalg"],
+                                 {"C.coalg": b"mp P { c = 1/2; state u: 1 -> \xff; }"}, 2),
+    "term file not UTF-8": (["dist", "--theory", "bary", "{d}/T.term", "x"],
+                            {"T.term": b"conv(1/2, x, \xe9)"}, 2),
 }
 
 
@@ -297,7 +309,10 @@ def test_hostile_input_exits_cleanly(case, tmp_path):
     argv, files, code = _HOSTILE[case]
     files = {"S.space": "space S { points: p, q; d(p,q) = 1; }\n", **files}
     for name, text in files.items():
-        (tmp_path / name).write_text(text)
+        if isinstance(text, bytes):
+            (tmp_path / name).write_bytes(text)
+        else:
+            (tmp_path / name).write_text(text)
     argv = [a.replace("{d}", str(tmp_path)) for a in argv]
     try:
         got = main(argv)

@@ -6,14 +6,14 @@ from fractions import Fraction
 
 from quantalg import (BOUNDED, EXTENDED, Coalgebra, FinMetricSpace, Guard, PairVal,
                       PseudoMetric, RATIONAL_LINE, StateLeaf, TableMonoid, ext,
-                      layer_plan, make_set, parse_theory, psi_step, solve_bisim)
+                      layer_plan, make_set, parse_coalgebras, parse_theory, psi_step,
+                      solve_bisim)
 from quantalg import bisim
 from quantalg.bisim import MaxStrategy, _solve_policy
-from quantalg.extvalue import Affine
 
 from helpers import (BOT, FinDist, Table, leaf, random_cyclic_table, random_space, st,
                      table_coalgebra)
-from oracles import psi_kernel_reference, psi_reference
+from oracles import form, psi_kernel_reference, psi_reference
 
 INF_MONOID = TableMonoid(
     FinMetricSpace(["e", "a", "b"], {("e", "b"): ext(1)}), "e",
@@ -74,23 +74,34 @@ def test_psi_matches_per_kind_reference_on_kleene_iterates():
                     d = got
 
 
+def _set_plan(c):
+    return layer_plan(parse_theory(f"sum(tensor(semi, writer{{q}}), contr{{next, {c}}})"))
+
+
 def _set_system(rng, c):
     """A random cyclic system of sets of (output, successor) cells."""
-    plan = layer_plan(parse_theory(f"sum(tensor(semi, writer{{q}}), contr{{next, {c}}})"))
     states = [f"s{k}" for k in range(3)]
-    return Coalgebra(plan, states, {s: make_set(
+    return Coalgebra(_set_plan(c), states, {s: make_set(
         PairVal(Fraction(rng.randint(0, 4), 4), Guard("next", c, StateLeaf(rng.choice(states))))
         for _ in range(rng.randint(1, 3))) for s in states})
 
 
-def _form(x):
-    return (x.const, x.coef) if isinstance(x, Affine) else str(x)
+def _policy_and_reference(C, d, mode, mine, theirs):
+    """Psi under each strategy at d: the graph's forms (`PairGraph.policy`)
+    and the reference's, which its Affine arithmetic carried, pair by pair."""
+    got = psi_step(C, d, mode, mine)
+    want = psi_kernel_reference(C, d, mode, theirs)
+    assert got == want, (C.plan, mode)
+    forms = C.pair_graph(mode).policy(mine, d._key)
+    return got, list(zip(C.pairs, forms)), [(k, form(want.d(*k))) for k in C.pairs]
 
 
 def test_policy_forms_match_the_recursive_reference():
     # Psi under a max strategy: the pair graph's strategy keyed by slot, the
     # reference's own keyed by pairs of values, through rounds of policy
-    # iteration that alternate improving and holding the strategy
+    # iteration that alternate improving and holding the strategy; the forms
+    # the graph reads off its recorded choices equal, exactly, the forms the
+    # reference's Affine arithmetic carries through the pair recursion
     rng = random.Random(97)
     systems = []
     for kind in ("mp", "lmp", "mdp", "mealy"):
@@ -106,14 +117,51 @@ def test_policy_forms_match_the_recursive_reference():
         d = psi_step(C, PseudoMetric(C.states), mode)
         mine, theirs = MaxStrategy(), MaxStrategy()
         for rnd in range(4):
-            got = psi_step(C, d, mode, mine)
-            want = psi_kernel_reference(C, d, mode, theirs)
-            assert [(k, _form(x)) for k, x in got.pairs()] \
-                == [(k, _form(x)) for k, x in want.pairs()], (C.plan, mode, rnd)
-            affine += sum(isinstance(x, Affine) and bool(x.coef) for _, x in got.pairs())
-            d = _solve_policy(got)
+            got, forms, want = _policy_and_reference(C, d, mode, mine, theirs)
+            assert forms == want, (C.plan, mode, rnd)
+            affine += sum(f is not None and bool(f[1]) for _, f in forms)
+            d = _solve_policy(got, dict(forms))
             mine.improving = theirs.improving = rnd % 2 == 1
     assert affine > 200, affine
+
+
+def test_policy_follows_the_strategy_between_equal_inputs():
+    # input j wins at d = 0 and ties with input i at d(s, t) = 1/2: the held
+    # choice is j, whose form is the constant 1/4, though i's value is equal
+    C = parse_coalgebras(
+        "mealy M { c = 1/2; inputs: i, j; state s on i -> (t, 0); state s on j -> (s, 1/4);"
+        " state t on i -> (s, 0); state t on j -> (s, 0); }")["M"]
+    for mode in (BOUNDED, EXTENDED):
+        mine, theirs = MaxStrategy(), MaxStrategy()
+        psi_step(C, PseudoMetric(C.states), mode, mine)
+        psi_kernel_reference(C, PseudoMetric(C.states), mode, theirs)
+        assert list(mine.choice.values()) == [1]
+        mine.improving = theirs.improving = False
+        d = PseudoMetric(C.states, {("s", "t"): ext("1/2")})
+        got, forms, want = _policy_and_reference(C, d, mode, mine, theirs)
+        assert got.d("s", "t") == ext("1/4")
+        assert forms == want == [(("s", "t"), (Fraction(1, 4), {}))]
+
+
+def test_policy_takes_the_first_nearest_point_next_to_a_capped_cell():
+    # bounded mode, d(s, t) = 1: s's one cell is exactly 1 from one of t's
+    # cells (form 1/2 + d(s, t)/2) and 3/2, capped to the constant 1, from
+    # the other; the first of the two in t's canonical order is the nearest
+    c = Fraction(1, 2)
+
+    def cell(out, succ):
+        return PairVal(Fraction(out), Guard("next", c, StateLeaf(succ)))
+
+    exact = (Fraction(1, 2), {("s", "t"): Fraction(1, 2)})
+    cases = [((cell(0, "s"),), (cell("1/2", "t"), cell("3/2", "s")), exact),
+             ((cell(1, "s"),), (cell(0, "t"), cell("3/2", "t")), (Fraction(1), {}))]
+    d = PseudoMetric(["s", "t"], {("s", "t"): ext(1)})
+    for s_cells, t_cells, nearest in cases:
+        C = Coalgebra(_set_plan(c), ["s", "t"],
+                      {"s": make_set(s_cells), "t": make_set(t_cells)})
+        got, forms, want = _policy_and_reference(C, d, BOUNDED, MaxStrategy(), MaxStrategy())
+        assert got.d("s", "t") == ext(1)
+        assert forms == want == [(("s", "t"), nearest)]
 
 
 def test_solve_bisim_builds_the_pair_graph_once_per_mode(monkeypatch):

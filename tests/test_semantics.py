@@ -130,6 +130,8 @@ def test_sem_dist_coproduct_rule_and_modes():
 def test_empty_set_against_a_nonempty_set_in_both_orders():
     # every point of the nonempty side has no nearest point: one INF
     # candidate, whichever side is empty
+    from types import SimpleNamespace
+
     from quantalg.semantics import PairGraph
 
     empty, full = SetVal(()), make_set([VarLeaf("x"), VarLeaf("y")])
@@ -137,7 +139,8 @@ def test_empty_set_against_a_nonempty_set_in_both_orders():
         for pair in ((empty, full), (full, empty)):
             seen = []
             graph = PairGraph([pair], XY, mode)
-            assert graph.evaluate(max_pick=lambda k, c: seen.append(c) or c[0]) == [INF]
+            first = SimpleNamespace(pick=lambda k, c: seen.append(c) or c[0])
+            assert graph.evaluate(strategy=first) == [INF]
             assert seen == [[INF, INF]]
             assert sem_dist(*pair, XY, mode) == INF
 

@@ -28,3 +28,25 @@ def test_source_has_no_float_and_imports_only_the_standard_library():
                     if top != "quantalg" and top not in sys.stdlib_module_names:
                         found.append(f"{where}: import of {module}")
     assert found == []
+
+
+def test_only_the_cli_reader_reads_files():
+    # one reader (`cli._read_file`) turns an unreadable or non-UTF-8 file
+    # into exit code 1 or 2; a read anywhere else could escape as a traceback
+    found, in_reader = [], 0
+    for path in sorted(Path(quantalg.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        reader = {id(node) for f in ast.walk(tree)
+                  if isinstance(f, ast.FunctionDef) and path.name == "cli.py"
+                  and f.name == "_read_file" for node in ast.walk(f)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in ("open", "read_text", "read_bytes"):
+                if id(node) in reader:
+                    in_reader += 1
+                else:
+                    found.append(f"{path.name}:{node.lineno}: {name}() call")
+    assert found == [] and in_reader == 1, (found, in_reader)
