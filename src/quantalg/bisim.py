@@ -25,7 +25,7 @@ from itertools import count
 from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
 
 from .errors import DivergentGround, DomainError, UnsupportedShape
-from .extvalue import INF, ZERO, ExtValue, ext_max
+from .extvalue import INF, ZERO, ExtValue
 from .lexing import TokenStream
 from .semantics import (BOUNDED, EXTENDED, DistVal, ExcLeaf, FuncVal, Guard,
                         PairGraph, PairVal, SemValue, SetVal, StateLeaf, VarLeaf,
@@ -122,9 +122,8 @@ class PseudoMetric:
                 if val != o:
                     return INF
                 continue
-            gap = ExtValue(abs(val.rational - o.rational))
-            if gap > worst:
-                worst = gap
+            (a, b), (c, e) = val.ratio, o.ratio
+            worst = max(worst, ExtValue(abs(a * e - c * b), b * e))
         return worst
 
     def __eq__(self, other):
@@ -230,10 +229,9 @@ class MaxStrategy:
     def pick(self, node: int, candidates: list) -> ExtValue:
         k = self.choice.get(node)
         if k is None or self.improving:
-            best = ext_max(*candidates)
-            if k is None or candidates[k] < best:
-                k = candidates.index(best)
-                self.choice[node] = k
+            best = max(range(len(candidates)), key=candidates.__getitem__)  # the first largest
+            if k is None or candidates[k] < candidates[best]:
+                k = self.choice[node] = best
         return candidates[k]
 
 
@@ -260,8 +258,8 @@ def _policy_iteration(C: Coalgebra, d: PseudoMetric, mode: str
         policy = psi_step(C, d, mode, strategy)
         evaluations += 1
         if policy != d:
-            forms = C.pair_graph(mode).policy(strategy, policy._key)
-            d = _solve_policy(policy, dict(zip(C.pairs, forms)))
+            rows = C.pair_graph(mode).policy(strategy, policy._key)
+            d = _solve_policy(policy, dict(zip(C.pairs, rows)))
             strategy.improving = affine
             continue
         evaluations += 1
@@ -270,35 +268,35 @@ def _policy_iteration(C: Coalgebra, d: PseudoMetric, mode: str
         strategy.improving = True
 
 
-def _solve_policy(policy: PseudoMetric, forms: dict) -> PseudoMetric:
-    """The metric d with d = forms[pair] at d on the policy's finite pairs.
-    Infinite pairs are copied through; no finite form reads them."""
+def _solve_policy(policy: PseudoMetric, rows: dict) -> PseudoMetric:
+    """The metric d with d = rows[pair] at d on the policy's finite pairs.
+    Infinite pairs are copied through; no finite row reads them."""
     table = dict(policy.pairs())
-    system = {k: forms[k] for k, v in table.items() if not v.is_inf}
-    table.update((k, ExtValue(x)) for k, x in solve_affine(system).items())
+    system = {k: rows[k] for k, v in table.items() if not v.is_inf}
+    table.update((k, ExtValue(n, d)) for k, (n, d) in solve_affine(system).items())
     return PseudoMetric(policy.states, table)
 
 
-def solve_affine(system: Dict[object, Tuple[Fraction, Dict[object, Fraction]]]
-                 ) -> Dict[object, Fraction]:
-    """The x with x_k = b_k + sum_j M_kj x_j for every row k -> (b_k, {j: M_kj}),
-    where M is nonnegative and each row sums to less than 1.
+def solve_affine(system: Dict[object, Tuple[int, int, Dict[object, int]]]
+                 ) -> Dict[object, Tuple[int, int]]:
+    """The x with D_k x_k = b_k + sum_j c_kj x_j for every integer row
+    k -> (D_k, b_k, {j: c_kj}) of `PairGraph.policy`, where c >= 0 and each
+    row's c sum to less than D_k, as the ints (n, d > 0) with x_k = n/d.
 
-    Exact sparse Gauss-Jordan elimination on (I - M) x = b, pivoting on the
-    diagonal in row order: I - M is strictly diagonally dominant by rows and
-    elimination keeps it so, so no pivot is zero.  Each row is a dict of its
-    nonzero entries, scaled to integers and divided by the gcd of its entries
-    after every update, so that no operation reduces a fraction.  Each
-    column keeps the set of rows it is nonzero in.
+    Exact sparse Gauss-Jordan elimination on D_k x_k - sum_j c_kj x_j = b_k,
+    pivoting on the diagonal in row order: the system is strictly diagonally
+    dominant by rows and elimination keeps it so, so no pivot is zero.  Each
+    row is a dict of its nonzero entries, divided by their gcd when read and
+    after every update; each column keeps the set of rows it is nonzero in.
     """
     rows: Dict[object, Dict[object, int]] = {}
     rhs: Dict[object, int] = {}
     cols: Dict[object, set] = {k: set() for k in system}
-    for k, (b, coef) in system.items():
+    for k, (D, b, coef) in system.items():
         row = {j: -w for j, w in coef.items() if w}
-        row[k] = 1 + row.get(k, 0)
-        scale = math.lcm(b.denominator, *(w.denominator for w in row.values()))
-        rows[k], rhs[k] = {j: int(w * scale) for j, w in row.items()}, int(b * scale)
+        row[k] = D + row.get(k, 0)
+        g = math.gcd(b, *row.values())
+        rows[k], rhs[k] = {j: w // g for j, w in row.items()}, b // g
         for j in row:
             cols[j].add(k)
     for p, prow in rows.items():
@@ -325,7 +323,7 @@ def solve_affine(system: Dict[object, Tuple[Fraction, Dict[object, Fraction]]]
                 for j in row:
                     row[j] //= g
                 rhs[r] //= g
-    return {k: Fraction(rhs[k], rows[k][k]) for k in system}
+    return {k: (rhs[k], rows[k][k]) for k in system}
 
 
 # ---------------------------------------------------------------------------

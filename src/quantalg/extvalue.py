@@ -1,14 +1,18 @@
 """Exact nonnegative rationals extended with infinity.
 
-All distances and equation indices in the engine are values of this type.
-Arithmetic never rounds; infinity is absorbing for addition and positive
-scaling, and 0 * inf is a hard error instead of a convention.
+All distances and equation indices in the engine are values of this type, a
+reduced pair of ints (n, d): n/d with d > 0, or infinity as (1, 0).
+Arithmetic is exact on the ints (only the constructor and `rational` meet
+`Fraction`); infinity is absorbing for addition and positive scaling, and
+0 * inf is a hard error instead of a convention.
 """
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
-from typing import Union
+from math import gcd
+from typing import Optional, Tuple, Union
 
 Rationalish = Union[int, str, Fraction]
 
@@ -18,51 +22,68 @@ class UndefinedProduct(ArithmeticError):
 
 
 class ExtValue:
-    """A nonnegative exact rational, or infinity (the top element)."""
+    """A nonnegative exact rational, or infinity (the top element).
+    `ExtValue(n, d)` is n/d for ints n >= 0 and d > 0."""
 
-    __slots__ = ("_q",)
+    __slots__ = ("_n", "_d")
 
-    def __init__(self, value: Union[Rationalish, "ExtValue", None]):
-        if isinstance(value, ExtValue):
-            self._q = value._q
-            return
-        if value is None:
-            self._q = None  # infinity
-            return
-        if isinstance(value, str) and value.strip() == "inf":
-            self._q = None
-            return
-        q = value if type(value) is Fraction else Fraction(value)
-        if q.numerator < 0:
-            raise ValueError(f"ExtValue must be nonnegative, got {q}")
-        self._q = q
+    def __init__(self, value: Union[Rationalish, "ExtValue", None],
+                 denominator: Optional[int] = None):
+        if denominator is not None:
+            if value < 0 or denominator <= 0:
+                raise ValueError(f"ExtValue needs n >= 0 and d > 0, got {value}/{denominator}")
+            g = gcd(value, denominator)
+            self._n, self._d = value // g, denominator // g
+        elif isinstance(value, ExtValue):
+            self._n, self._d = value._n, value._d
+        elif value is None or (isinstance(value, str) and value.strip() == "inf"):
+            self._n, self._d = 1, 0
+        else:
+            q = value if type(value) in (int, Fraction) else Fraction(value)
+            if q < 0:
+                raise ValueError(f"ExtValue must be nonnegative, got {q}")
+            self._n, self._d = q.numerator, q.denominator
 
     @property
     def is_inf(self) -> bool:
-        return self._q is None
+        return not self._d
+
+    @property
+    def ratio(self) -> Tuple[int, int]:
+        """The reduced pair (n, d) of ints; (1, 0) for infinity."""
+        return self._n, self._d
 
     @property
     def rational(self) -> Fraction:
-        if self._q is None:
+        if not self._d:
             raise ValueError("infinite ExtValue has no rational part")
-        return self._q
+        return Fraction(self._n, self._d)
 
     def __add__(self, other: "ExtValue") -> "ExtValue":
-        other = _coerce(other)
-        if self._q is None or other._q is None:
+        if type(other) is not ExtValue:
+            other = _coerce(other)
+        na, da, nb, db = self._n, self._d, other._n, other._d
+        if not (da and db):
             return INF
-        return ExtValue(self._q + other._q)
+        g = gcd(da, db)  # Fraction's sum: reduce by what the denominators share
+        if g == 1:
+            return _make(na * db + da * nb, da * db)
+        s = da // g
+        t = na * (db // g) + nb * s
+        g = gcd(t, g)
+        return _make(t // g, s * (db // g))
 
     def scaled(self, c: Rationalish) -> "ExtValue":
         """Scale by an exact rational c >= 0.  0 * inf is rejected."""
-        c = c if type(c) is Fraction else Fraction(c)
-        if c < 0:
+        nc, dc = (c if type(c) in (int, Fraction) else Fraction(c)).as_integer_ratio()
+        if nc < 0:
             raise ValueError("scale factor must be nonnegative")
-        if self._q is None:
-            if c == 0:
+        if not self._d:
+            if not nc:
                 raise UndefinedProduct("0 * inf is undefined")
             return INF
-        return ExtValue(self._q * c)
+        g1, g2 = gcd(self._n, dc), gcd(nc, self._d)
+        return _make((self._n // g1) * (nc // g2), (self._d // g2) * (dc // g1))
 
     def truncated(self, cap: "ExtValue") -> "ExtValue":
         return self if self <= cap else cap
@@ -72,30 +93,42 @@ class ExtValue:
             if not isinstance(other, (ExtValue, int, Fraction)):
                 return NotImplemented
             other = _coerce(other)
-        return self._q == other._q
+        return self._n == other._n and self._d == other._d
 
     def __lt__(self, other) -> bool:
-        b = (other if type(other) is ExtValue else _coerce(other))._q
-        return self._q is not None and (b is None or self._q < b)
+        b = other if type(other) is ExtValue else _coerce(other)
+        return self._d != 0 and (not b._d or self._n * b._d < b._n * self._d)
 
     def __le__(self, other) -> bool:
-        b = (other if type(other) is ExtValue else _coerce(other))._q
-        return b is None or (self._q is not None and self._q <= b)
+        b = other if type(other) is ExtValue else _coerce(other)
+        return not b._d or (self._d != 0 and self._n * b._d <= b._n * self._d)
 
     def __gt__(self, other) -> bool:
-        return not self <= other
+        b = other if type(other) is ExtValue else _coerce(other)
+        return b._d != 0 and (not self._d or b._n * self._d < self._n * b._d)
 
     def __ge__(self, other) -> bool:
-        return not self < other
+        b = other if type(other) is ExtValue else _coerce(other)
+        return not self._d or (b._d != 0 and b._n * self._d <= self._n * b._d)
 
-    def __hash__(self) -> int:
-        return hash(self._q)
+    def __hash__(self) -> int:  # Fraction's, so equal ints and Fractions hash alike
+        try:
+            return hash(hash(self._n) * pow(self._d, -1, sys.hash_info.modulus))
+        except ValueError:  # no inverse: infinity, or d a multiple of the modulus
+            return sys.hash_info.inf
 
     def __repr__(self) -> str:
         return f"ExtValue({str(self)!r})"
 
     def __str__(self) -> str:
-        return "inf" if self._q is None else str(self._q)
+        return "inf" if not self._d else f"{self._n}/{self._d}" if self._d > 1 else str(self._n)
+
+
+def _make(n: int, d: int) -> ExtValue:
+    """n/d for coprime ints n >= 0 and d > 0, unchecked."""
+    v = object.__new__(ExtValue)
+    v._n, v._d = n, d
+    return v
 
 
 def _coerce(x) -> ExtValue:

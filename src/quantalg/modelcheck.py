@@ -226,7 +226,7 @@ class _TightBounds(dict):
     def __missing__(self, pds: tuple) -> int:
         sc = self.sc
         self[pds] = bound = sc.inf if sc.inf in pds else sc.floor(
-            self.bound_fn(*(ExtValue(Fraction(pd, sc.scale)) for pd in pds)))
+            self.bound_fn(*(ExtValue(pd, sc.scale) for pd in pds)))
         return bound
 
 

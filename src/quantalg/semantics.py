@@ -16,7 +16,7 @@ pair recursion once, and each evaluation only does arithmetic, for the state
 distances it is given.  An evaluation under a strategy, which chooses at the
 maximising nodes, leaves its slot values and optimal couplings with the
 strategy, and `PairGraph.policy` reads off them the affine form in the
-state-pair distances that realises each distance.
+state-pair distances that realises each distance, as a row of ints.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .errors import DomainError
@@ -430,43 +431,50 @@ class PairGraph:
         return [val[k] for k in self.roots]
 
     def policy(self, strategy, unknown: Callable[[str, str], object]) -> list:
-        """The affine form (b, {unknown(u, v): coefficient}) in the state-pair
-        distances of each root's distance at the strategy's last evaluation,
+        """Each root's distance at the strategy's last evaluation as an integer
+        row (D, b, {unknown(u, v): c}), the affine form (b + sum c * d(u, v))/D,
         None if it is infinite, read off that evaluation's choices: the chosen
         candidate, a Hausdorff candidate's first nearest point, a coupling's
-        flows, and the constant 1 for a bounded-mode cell above 1."""
+        integer flows (the row divided by its gcd), and 1 for a capped cell."""
         val, choice, plans = strategy.values, strategy.choice, strategy.plans
 
-        def ground(k):  # a cell's form as a distribution or set layer sees it
-            return (Fraction(1), {}) if val[k] > self.top else form(k)
+        def ground(k):  # a cell's row as a distribution or set layer sees it
+            return (1, 1, {}) if val[k] > self.top else form(k)
 
         @functools.cache
         def form(k):  # k's value is finite, and so are those of the slots it reads
             op = self.ops.get(k)
             if op is None:
-                return val[k].rational, {}
+                n, d = val[k].ratio
+                return d, n, {}
             kind = op[0]
             if kind == _STATE:
-                return Fraction(0), {unknown(op[2], op[3]): Fraction(1)}
+                return 1, 0, {unknown(op[2], op[3]): 1}
             if kind == _GUARD:
-                b, coef = form(op[2])
-                return b * op[3], {j: w * op[3] for j, w in coef.items()}
-            if kind == _PAIR:
-                b, coef = form(op[3])
-                return op[2].rational + b, coef
+                D, b, coef = form(op[2])
+                n, d = op[3].numerator, op[3].denominator
+                return D * d, b * n, {j: w * n for j, w in coef.items()}
+            if kind == _PAIR:  # b/D + n/d over the lcm of D and d
+                D, b, coef = form(op[3])
+                n, d = op[2].ratio
+                s = d // gcd(D, d)
+                return D * s, b * s + n * (D * s // d), {j: w * s for j, w in coef.items()}
             if kind == _FUNC:
                 return form(op[2][choice[k]])
             if kind == _HAUS:
                 cells = (op[2] + op[3])[choice[k]]
                 return ground(min(cells, key=lambda j: val[j].truncated(self.top)))
-            b, coef = Fraction(0), {}
-            for (i, j), f in plans[k].flows.items():
-                if f:
-                    fb, fcoef = ground(op[4][i][j])
-                    b += f * fb
-                    for u, w in fcoef.items():
-                        coef[u] = coef.get(u, 0) + f * w
-            return b, coef
+            plan = plans[k]
+            cells = [(f, ground(op[4][i][j])) for (i, j), f in plan.basis.items() if f]
+            L = lcm(*(D for _, (D, _, _) in cells))
+            b, coef = 0, {}
+            for f, (D, fb, fcoef) in cells:
+                s = f * (L // D)
+                b += s * fb
+                for u, w in fcoef.items():
+                    coef[u] = coef.get(u, 0) + s * w
+            g = gcd(L * plan.W, b, *coef.values())
+            return L * plan.W // g, b // g, {u: w // g for u, w in coef.items()}
 
         forms = [None if val[k].is_inf else form(k) for k in self.roots]
         del form  # it calls itself: free it and its memo now, not at a collection

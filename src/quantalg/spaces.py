@@ -35,10 +35,8 @@ class ScaledMetric(NamedTuple):
         """The int bound that an entry x satisfies (x <= it) iff x <= e: an
         int is at most scale * e iff it is at most its floor, and the floor
         is capped below `inf` so that only `inf` exceeds a finite e."""
-        if e.is_inf:
-            return self.inf
-        q = e.rational
-        return min(q.numerator * self.scale // q.denominator, self.inf - 1)
+        n, d = e.ratio
+        return min(n * self.scale // d, self.inf - 1) if d else self.inf
 
 
 class FinMetricSpace:
@@ -75,11 +73,11 @@ class FinMetricSpace:
     def scaled(self) -> ScaledMetric:
         """The distances as ints (`ScaledMetric`), computed once."""
         pts = self.points
-        finite = [v.rational for v in self._d.values() if not v.is_inf]
-        scale = math.lcm(*(q.denominator for q in finite))
-        inf = 2 * max(q.numerator * (scale // q.denominator) for q in finite) + 1
-        D = [[inf if v.is_inf else v.rational.numerator * (scale // v.rational.denominator)
-              for v in (self._d[(p, q)] for q in pts)] for p in pts]
+        ratios = {k: v.ratio for k, v in self._d.items()}
+        scale = math.lcm(*(d for _, d in ratios.values() if d))
+        inf = 2 * max(n * (scale // d) for n, d in ratios.values() if d) + 1
+        D = [[n * (scale // d) if d else inf for n, d in (ratios[(p, q)] for q in pts)]
+             for p in pts]
         return ScaledMetric({p: i for i, p in enumerate(pts)}, scale, D, inf)
 
     def validate(self):

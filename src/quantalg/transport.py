@@ -42,16 +42,16 @@ class Transport:
     forbidden cell), the basic cells' flows (zero on degenerate ones), and
     the row and column potentials u, v as big-M cost pairs.  The flows and
     potentials are kept as the solver's scaled ints and become rationals
-    when first read."""
+    when first read: `basis` maps each basic cell to W times its flow."""
 
     def __init__(self, value: ExtValue, basis: Dict[Cell, int], pot: List[Tuple[int, int]],
                  W: int, K: int, m: int):
-        self.value = value
-        self._basis, self._pot, self._W, self._K, self._m = basis, pot, W, K, m
+        self.value, self.basis, self.W = value, basis, W
+        self._pot, self._K, self._m = pot, K, m
 
     @functools.cached_property
     def flows(self) -> Dict[Cell, Fraction]:
-        return {c: Fraction(f, self._W) for c, f in self._basis.items()}
+        return {c: Fraction(f, self.W) for c, f in self.basis.items()}
 
     @functools.cached_property
     def _potentials(self) -> List[Cost]:
@@ -95,9 +95,9 @@ def min_cost_transport(
     if sum(mass[:m]) != sum(mass[m:]):
         raise DomainError(f"mass mismatch: supply {sum(supplies)} vs demand {sum(demands)}")
 
-    finite, K = _scaled([c.rational for row in cost for c in row if not c.is_inf])
-    it = iter(finite)
-    costs = [[(1, 0) if c.is_inf else (0, next(it)) for c in row] for row in cost]
+    ratios = [[c.ratio for c in row] for row in cost]
+    K = math.lcm(*(d for row in ratios for _, d in row if d))
+    costs = [[(0, n * (K // d)) if d else (1, 0) for n, d in row] for row in ratios]
     basis = _northwest_corner(mass[:m], mass[m:])
     if m == 1 or n == 1:
         # Every cell is basic, so the northwest corner is the only feasible
@@ -111,7 +111,7 @@ def min_cost_transport(
 
     big = sum(f * costs[i][j][0] for (i, j), f in basis.items())
     total = sum(f * costs[i][j][1] for (i, j), f in basis.items())
-    value = INF if big > 0 else ExtValue(Fraction(total, W * K))
+    value = INF if big > 0 else ExtValue(total, W * K)
     return Transport(value, basis, pot, W, K, m)
 
 

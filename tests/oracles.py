@@ -144,25 +144,28 @@ class Affine(ExtValue):
     Sums and positive scalings carry the form along (the reflected sum too,
     which Python tries first for a subclass), so a computation written with
     ExtValue operations, maxima and minima reports the form behind its
-    result; comparisons see the value only."""
+    result; comparisons see the value only.  The value goes through
+    ExtValue's public constructor and is read back as `rational`, so the
+    form's arithmetic is Fraction's, independent of ExtValue's."""
 
     __slots__ = ("const", "coef")
 
     def __init__(self, value: Fraction, const: Fraction, coef: dict):
-        self._q = value
+        super().__init__(value)
         self.const = const
         self.coef = coef  # never mutated once built
 
     def __add__(self, other: ExtValue) -> ExtValue:
         other = _coerce(other)
-        if other._q is None:
+        if other.is_inf:
             return INF
+        value = self.rational + other.rational
         if not isinstance(other, Affine):
-            return Affine(self._q + other._q, self.const + other._q, self.coef)
+            return Affine(value, self.const + other.rational, self.coef)
         coef = dict(self.coef)
         for k, w in other.coef.items():
             coef[k] = coef.get(k, 0) + w
-        return Affine(self._q + other._q, self.const + other.const, coef)
+        return Affine(value, self.const + other.const, coef)
 
     __radd__ = __add__
 
@@ -170,7 +173,7 @@ class Affine(ExtValue):
         c = c if type(c) is Fraction else Fraction(c)
         if c < 0:
             raise ValueError("scale factor must be nonnegative")
-        return Affine(self._q * c, self.const * c,
+        return Affine(self.rational * c, self.const * c,
                       {k: w * c for k, w in self.coef.items()})
 
 

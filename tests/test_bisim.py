@@ -446,9 +446,10 @@ def test_policy_iteration_after_the_infinite_pairs_are_fixed():
 
 
 def test_solve_affine_matches_sympy_lu_solve():
-    # (I - M) x = b against sympy's LU solve, on random sparse rows, on
-    # block-triangular systems (a row reads its own block and later ones
-    # only) and on near-singular ones (every row of M sums to 1 - 1/1000).
+    # (I - M) x = b, given as integer rows, against sympy's LU solve, on
+    # random sparse rows, on block-triangular systems (a row reads its own
+    # block and later ones only) and on near-singular ones (every row of M
+    # sums to 1 - 1/1000).
     sympy = pytest.importorskip("sympy")
     from quantalg.bisim import solve_affine
 
@@ -466,14 +467,20 @@ def test_solve_affine_matches_sympy_lu_solve():
     def check(c, P):
         n = len(P)
         b = [Fraction(rng.randint(0, 12), rng.randint(1, 4)) for _ in range(n)]
-        got = solve_affine({i: (b[i], {j: c * P[i][j] for j in range(n) if P[i][j]})
-                            for i in range(n)})
+        system = {}  # x_i = b_i + sum_j cP_ij x_j as an integer row over its lcm D
+        for i in range(n):
+            coef = {j: c * P[i][j] for j in range(n) if P[i][j]}
+            D = math.lcm(b[i].denominator, *(w.denominator for w in coef.values()))
+            system[i] = (D, int(b[i] * D), {j: int(w * D) for j, w in coef.items()})
+        got = solve_affine(system)
+        assert all(type(x) is int and type(y) is int and y > 0 for x, y in got.values())
         # (I - cP) x = b with each row scaled to integers
         rows = [[int(i == j) - c * P[i][j] for j in range(n)] + [b[i]] for i in range(n)]
         rows = [[int(x * math.lcm(*(y.denominator for y in row))) for x in row]
                 for row in rows]
         want = sympy.Matrix([r[:-1] for r in rows]).LUsolve(sympy.Matrix([r[-1] for r in rows]))
-        assert [got[i] for i in range(n)] == [Fraction(int(x.p), int(x.q)) for x in want]
+        assert [Fraction(*got[i]) for i in range(n)] == [Fraction(int(x.p), int(x.q))
+                                                          for x in want]
 
     for _ in range(24):  # at most 4 columns a row, one of them i + 1
         n = rng.randint(1, 30)

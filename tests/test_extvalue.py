@@ -109,3 +109,90 @@ def test_helpers():
     assert ext_max(ext(1), ext(2), ZERO) == ext(2)
     assert ext_sum([ext("1/2"), ext("1/2")]) == ONE
     assert ext_sum([]) == ZERO
+
+
+# Every operation against the Fraction reference, on the (n, d) ints that
+# ExtValue holds: small denominators and 300-digit ones, infinity (None in
+# the reference) included.
+small = st.fractions(min_value=0, max_value=100, max_denominator=64)
+huge = st.builds(Fraction, st.integers(0, 10 ** 305), st.integers(10 ** 299, 10 ** 300))
+exact = st.one_of(small, huge)
+refs = st.one_of(exact, st.just(None))
+
+
+def _ext_of(q):
+    return INF if q is None else ExtValue(q)
+
+
+def _reduced(v, q):
+    """v holds q as its reduced pair, (1, 0) for infinity."""
+    return v.ratio == ((1, 0) if q is None else (q.numerator, q.denominator))
+
+
+@given(refs)
+def test_representation_is_the_reduced_pair(q):
+    v = _ext_of(q)
+    assert _reduced(v, q) and v.is_inf == (q is None)
+    assert str(v) == ("inf" if q is None else str(q))
+    if q is None:
+        with pytest.raises(ValueError):
+            v.rational
+    else:
+        assert type(v.rational) is Fraction and v.rational == q
+        assert ExtValue(q.numerator * 6, q.denominator * 6).ratio == v.ratio
+        assert ExtValue(str(q)) == ExtValue(v) == v
+
+
+@given(refs)
+def test_hash_is_the_fraction_hash(q):
+    v = _ext_of(q)
+    if q is None:
+        assert hash(v) == hash(ExtValue("inf")) == hash(ExtValue(None))
+    else:
+        assert hash(v) == hash(q)
+        if q.denominator == 1:
+            assert hash(v) == hash(q.numerator) and v == q.numerator
+        assert len({v, q}) == 1
+
+
+@given(refs, refs)
+def test_addition_matches_fractions(p, q):
+    want = None if p is None or q is None else p + q
+    for got in (_ext_of(p) + _ext_of(q), _ext_of(p) + (q if q is not None else INF)):
+        assert _reduced(got, want) and got == _ext_of(want)
+
+
+@given(refs, st.one_of(exact, st.integers(0, 10 ** 300)))
+def test_scaling_matches_fractions(q, c):
+    v = _ext_of(q)
+    if q is None and c == 0:
+        with pytest.raises(UndefinedProduct):
+            v.scaled(c)
+        return
+    want = None if q is None else q * c
+    assert _reduced(v.scaled(c), want)
+    with pytest.raises(ValueError):
+        v.scaled(-c - 1)
+
+
+@given(refs, st.one_of(refs.map(lambda q: (_ext_of(q), q)),
+                       exact.map(lambda q: (q, q)),
+                       st.integers(0, 10 ** 300).map(lambda k: (k, Fraction(k)))),
+       st.booleans())
+def test_comparisons_and_truncation_match_fractions(q, other, flip):
+    # all six comparisons, each way round, against ExtValue, Fraction and int
+    sides = [(_ext_of(q), _reference_key(q)), (other[0], _reference_key(other[1]))]
+    (x, kx), (y, ky) = sides[::-1] if flip else sides
+    for op in COMPARISONS:
+        assert op(x, y) == op(kx, ky), (op, x, y)
+    cap = _ext_of(other[1])
+    assert _reduced(_ext_of(q).truncated(cap), q if _reference_key(q) <= _reference_key(other[1])
+                    else other[1])
+
+
+@given(st.integers(0, 10 ** 300), st.integers(1, 10 ** 300))
+def test_pair_constructor_reduces(n, d):
+    assert _reduced(ExtValue(n, d), Fraction(n, d))
+    for bad in ((-n - 1, d), (n, 0), (n, -d)):
+        with pytest.raises(ValueError):
+            ExtValue(*bad)

@@ -86,14 +86,25 @@ def _set_system(rng, c):
         for _ in range(rng.randint(1, 3))) for s in states})
 
 
+def _as_form(row):
+    """An integer row (D, b, {pair: c}) as the affine form (b/D, {pair: c/D})."""
+    if row is None:
+        return None
+    D, b, coef = row
+    return Fraction(b, D), {k: Fraction(c, D) for k, c in coef.items()}
+
+
 def _policy_and_reference(C, d, mode, mine, theirs):
-    """Psi under each strategy at d: the graph's forms (`PairGraph.policy`)
-    and the reference's, which its Affine arithmetic carried, pair by pair."""
+    """Psi under each strategy at d: the graph's integer rows
+    (`PairGraph.policy`), their affine forms, and the reference's forms,
+    which its Affine arithmetic carried, pair by pair."""
     got = psi_step(C, d, mode, mine)
     want = psi_kernel_reference(C, d, mode, theirs)
     assert got == want, (C.plan, mode)
-    forms = C.pair_graph(mode).policy(mine, d._key)
-    return got, list(zip(C.pairs, forms)), [(k, form(want.d(*k))) for k in C.pairs]
+    rows = list(zip(C.pairs, C.pair_graph(mode).policy(mine, d._key)))
+    assert all(type(x) is int for _, r in rows if r for x in (r[0], r[1], *r[2].values()))
+    return (got, rows, [(k, _as_form(r)) for k, r in rows],
+            [(k, form(want.d(*k))) for k in C.pairs])
 
 
 def test_policy_forms_match_the_recursive_reference():
@@ -117,10 +128,10 @@ def test_policy_forms_match_the_recursive_reference():
         d = psi_step(C, PseudoMetric(C.states), mode)
         mine, theirs = MaxStrategy(), MaxStrategy()
         for rnd in range(4):
-            got, forms, want = _policy_and_reference(C, d, mode, mine, theirs)
+            got, rows, forms, want = _policy_and_reference(C, d, mode, mine, theirs)
             assert forms == want, (C.plan, mode, rnd)
             affine += sum(f is not None and bool(f[1]) for _, f in forms)
-            d = _solve_policy(got, dict(forms))
+            d = _solve_policy(got, dict(rows))
             mine.improving = theirs.improving = rnd % 2 == 1
     assert affine > 200, affine
 
@@ -138,7 +149,7 @@ def test_policy_follows_the_strategy_between_equal_inputs():
         assert list(mine.choice.values()) == [1]
         mine.improving = theirs.improving = False
         d = PseudoMetric(C.states, {("s", "t"): ext("1/2")})
-        got, forms, want = _policy_and_reference(C, d, mode, mine, theirs)
+        got, _, forms, want = _policy_and_reference(C, d, mode, mine, theirs)
         assert got.d("s", "t") == ext("1/4")
         assert forms == want == [(("s", "t"), (Fraction(1, 4), {}))]
 
@@ -159,7 +170,8 @@ def test_policy_takes_the_first_nearest_point_next_to_a_capped_cell():
     for s_cells, t_cells, nearest in cases:
         C = Coalgebra(_set_plan(c), ["s", "t"],
                       {"s": make_set(s_cells), "t": make_set(t_cells)})
-        got, forms, want = _policy_and_reference(C, d, BOUNDED, MaxStrategy(), MaxStrategy())
+        got, _, forms, want = _policy_and_reference(C, d, BOUNDED, MaxStrategy(),
+                                                    MaxStrategy())
         assert got.d("s", "t") == ext(1)
         assert forms == want == [(("s", "t"), nearest)]
 

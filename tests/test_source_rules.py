@@ -50,3 +50,21 @@ def test_only_the_cli_reader_reads_files():
                 else:
                     found.append(f"{path.name}:{node.lineno}: {name}() call")
     assert found == [] and in_reader == 1, (found, in_reader)
+
+
+def test_the_hot_path_names_no_fraction():
+    # Psi's evaluation, policy reading and policy solving, and the transport
+    # under them, run on ints: a Fraction is built only at the edges
+    hot = {"semantics.py": ["PairGraph.evaluate", "PairGraph.policy"],
+           "bisim.py": ["solve_affine"], "transport.py": ["min_cost_transport"]}
+    found = []
+    for name, functions in hot.items():
+        tree = ast.parse((Path(quantalg.__file__).parent / name).read_text(), name)
+        for qualname in functions:
+            node = tree
+            for part in qualname.split("."):
+                node = next(n for n in node.body if getattr(n, "name", None) == part)
+            for n in (n for stmt in node.body for n in ast.walk(stmt)):
+                if getattr(n, "id", None) == "Fraction" or getattr(n, "attr", None) == "Fraction":
+                    found.append(f"{name}:{n.lineno}: Fraction in {qualname}")
+    assert found == []
