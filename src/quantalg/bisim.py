@@ -46,7 +46,8 @@ class Coalgebra:
     guard holds a `StateLeaf` naming the successor state.  The discount
     factor `c` is the contractive operator's.  The text format's kinds are
     four such plans; its `bot` is `ExcLeaf("*")` and its `leaf(x)` is
-    `VarLeaf(x)`.  `pairs` lists the state pairs (u, v), u before v.
+    `VarLeaf(x)`.  `pairs` lists the state pairs (u, v), u before v, in the
+    order of a `PseudoMetric`'s `values` and of Psi's unknowns.
     """
 
     def __init__(self, plan: LayerPlan, states: Sequence[str],
@@ -65,15 +66,16 @@ class Coalgebra:
         self.step = dict(step)
         self.space = space
         self.name = name
-        self.pairs = [(u, v) for i, u in enumerate(self.states) for v in self.states[i + 1:]]
+        self.pairs = _pairs(self.states)
         self._graphs: Dict[str, PairGraph] = {}
 
     def pair_graph(self, mode: str) -> PairGraph:
-        """Psi's pair graph in `mode`: the distance kernel compiled over the
-        one-step values of each of `pairs`, built once and kept."""
+        """Psi's pair graph in `mode` over the one-step values of `pairs`, its
+        state leaves numbered by `PseudoMetric.index`, built once and kept."""
         if mode not in self._graphs:
             steps = [(self.step[u], self.step[v]) for u, v in self.pairs]
-            self._graphs[mode] = plan_graph(self.plan, steps, self.space, mode)
+            self._graphs[mode] = plan_graph(self.plan, steps, self.space, mode,
+                                            PseudoMetric(self.states).index)
         return self._graphs[mode]
 
     @property
@@ -86,38 +88,39 @@ class Coalgebra:
         return next((l[1] for l in self.plan.layers if l[0] == "pair"), None)
 
 
+def _pairs(states: Sequence[str]) -> List[Tuple[str, str]]:
+    return [(u, v) for i, u in enumerate(states) for v in states[i + 1:]]
+
+
 class PseudoMetric:
-    """Symmetric state-pair table with zero diagonal."""
+    """Symmetric state-pair table with zero diagonal, held as `values`, one
+    distance per pair in `Coalgebra.pairs` order: {u, v} at `index(u, v)`."""
 
     def __init__(self, states: Sequence[str],
-                 table: Optional[Dict[Tuple[str, str], ExtValue]] = None):
+                 table: Optional[Dict[Tuple[str, str], ExtValue]] = None,
+                 values: Optional[List[ExtValue]] = None):
         self.states = tuple(states)
-        self._index = {s: k for k, s in enumerate(self.states)}
-        self._t: Dict[Tuple[str, str], ExtValue] = {}
-        for i, u in enumerate(self.states):
-            for v in self.states[i + 1:]:
-                self._t[(u, v)] = ZERO
-        if table:
-            for (u, v), val in table.items():
-                self._t[self._key(u, v)] = val
+        n = len(self.states)
+        self.values = [ZERO] * (n * (n - 1) // 2) if values is None else values
+        for (u, v), val in (table or {}).items():
+            self.values[self.index(u, v)] = val
 
-    def _key(self, u: str, v: str) -> Tuple[str, str]:
-        if u not in self._index or v not in self._index:
+    def index(self, u: str, v: str) -> int:
+        """The position of the pair {u, v} of distinct states in `values`."""
+        if u not in self.states or v not in self.states or u == v:
             raise DomainError(f"pair ({u}, {v}) outside the state set")
-        return (u, v) if self._index[u] <= self._index[v] else (v, u)
+        i, j = sorted((self.states.index(u), self.states.index(v)))
+        return i * (2 * len(self.states) - i - 1) // 2 + j - i - 1
 
     def d(self, u: str, v: str) -> ExtValue:
-        if u == v:
-            return ZERO
-        return self._t[self._key(u, v)]
+        return ZERO if u == v else self.values[self.index(u, v)]
 
     def pairs(self):
-        return sorted(self._t.items())
+        return sorted(zip(_pairs(self.states), self.values))
 
     def sup_diff(self, other: "PseudoMetric") -> ExtValue:
         worst = ZERO
-        for k, val in self._t.items():
-            o = other._t[k]
+        for val, o in zip(self.values, other.values):
             if val.is_inf or o.is_inf:
                 if val != o:
                     return INF
@@ -128,7 +131,7 @@ class PseudoMetric:
 
     def __eq__(self, other):
         return isinstance(other, PseudoMetric) and self.states == other.states \
-            and self._t == other._t
+            and self.values == other.values
 
 
 # ---------------------------------------------------------------------------
@@ -140,9 +143,9 @@ def psi_step(C: Coalgebra, d: PseudoMetric, mode: str = BOUNDED,
     between the states' one-step values, with d between successor states.
 
     With a strategy, the strategy chooses at the maximising nodes and keeps
-    the choices that `PairGraph.policy` reads the policy off."""
-    values = C.pair_graph(mode).evaluate(d.d, strategy)
-    return PseudoMetric(C.states, dict(zip(C.pairs, values)))
+    the choices that `PairGraph.policy` reads the policy off.  The graph
+    reads d's pair vector and returns Psi(d)'s, both in `C.pairs` order."""
+    return PseudoMetric(C.states, values=C.pair_graph(mode).evaluate(d.values, strategy))
 
 
 @dataclass
@@ -193,7 +196,7 @@ def solve_bisim(C: Coalgebra, mode: str = BOUNDED) -> Tuple[PseudoMetric, Certif
             if bad is not None:
                 raise DivergentGround(
                     f"extended-mode ground distance is infinite on pair {bad}")
-        if cyclic and not d_next.sup_diff(d).is_inf:
+        if cyclic and all(a.is_inf == b.is_inf for a, b in zip(d_next.values, d.values)):
             d, evaluations = _policy_iteration(C, d_next, mode)
             return d, Certificate(k + evaluations, C.c, mode)
         d = d_next
@@ -258,8 +261,7 @@ def _policy_iteration(C: Coalgebra, d: PseudoMetric, mode: str
         policy = psi_step(C, d, mode, strategy)
         evaluations += 1
         if policy != d:
-            rows = C.pair_graph(mode).policy(strategy, policy._key)
-            d = _solve_policy(policy, dict(zip(C.pairs, rows)))
+            d = _solve_policy(policy, C.pair_graph(mode).policy(strategy))
             strategy.improving = affine
             continue
         evaluations += 1
@@ -268,13 +270,13 @@ def _policy_iteration(C: Coalgebra, d: PseudoMetric, mode: str
         strategy.improving = True
 
 
-def _solve_policy(policy: PseudoMetric, rows: dict) -> PseudoMetric:
-    """The metric d with d = rows[pair] at d on the policy's finite pairs.
-    Infinite pairs are copied through; no finite row reads them."""
-    table = dict(policy.pairs())
-    system = {k: rows[k] for k, v in table.items() if not v.is_inf}
-    table.update((k, ExtValue(n, d)) for k, (n, d) in solve_affine(system).items())
-    return PseudoMetric(policy.states, table)
+def _solve_policy(policy: PseudoMetric, rows: list) -> PseudoMetric:
+    """The metric d with d = rows[k] at d (`PairGraph.policy`) on the policy's
+    finite pairs k; infinite ones (row None) are copied, and no row reads them."""
+    values = list(policy.values)
+    for k, (n, d) in solve_affine({k: r for k, r in enumerate(rows) if r}).items():
+        values[k] = ExtValue(n, d)
+    return PseudoMetric(policy.states, values=values)
 
 
 def solve_affine(system: Dict[object, Tuple[int, int, Dict[object, int]]]
@@ -307,16 +309,11 @@ def solve_affine(system: Dict[object, Tuple[int, int, Dict[object, int]]]
             f = row.pop(p)
             for j in row:
                 row[j] *= a
+            # an M-matrix: off the diagonal a*row[j] <= 0 and -f*w < 0, on it > 0; none cancels
             for j, w in prow.items():
-                if j == p:
-                    continue
-                x = row.get(j, 0) - f * w
-                if x:
-                    row[j] = x
+                if j != p:
+                    row[j] = row.get(j, 0) - f * w
                     cols[j].add(r)
-                else:
-                    del row[j]
-                    cols[j].discard(r)
             rhs[r] = a * rhs[r] - f * rhs[p]
             g = math.gcd(rhs[r], *row.values())
             if g > 1:

@@ -320,14 +320,16 @@ class PairGraph:
     distances) or the result of an op on earlier slots: a state pair's
     distance, c times a guard's inner distance, a monoid distance plus the
     inner distance, the largest over a function's inputs, Kantorovich over
-    a cost matrix, or Hausdorff over its row and column slots."""
+    a cost matrix, or Hausdorff over its row and column slots.  A state
+    pair's op holds its number `state_index(u, v)`, given at the build."""
 
     def __init__(self, pairs, space: Optional[FinMetricSpace] = None,
                  mode: str = EXTENDED, exc_space: Optional[FinMetricSpace] = None,
-                 pair_monoid=None):
+                 pair_monoid=None, state_index: Optional[Callable[[str, str], int]] = None):
         if mode not in (EXTENDED, BOUNDED):
             raise DomainError(f"unknown mode {mode!r}")
         self.space, self.exc_space, self.pair_monoid = space, exc_space, pair_monoid
+        self.state_index = state_index
         # leaves of different kinds are `top` apart (the coproduct rule), and
         # ground distances are truncated at it: at 1 in bounded mode
         self.top = ONE if mode == BOUNDED else INF
@@ -365,7 +367,9 @@ class PairGraph:
                 return self.top
             return _GUARD, self._slot(a.inner, b.inner), a.c
         if kind is StateLeaf:
-            return _STATE, a.name, b.name
+            if self.state_index is None:
+                raise DomainError(f"states {a.name}, {b.name} need a state metric")
+            return _STATE, self.state_index(a.name, b.name)
         if kind is DistVal:
             cells = [[self._slot(x, y) for y, _ in b.items] for x, _ in a.items]
             return _KANT, [w for _, w in a.items], [w for _, w in b.items], cells
@@ -393,9 +397,9 @@ class PairGraph:
             raise DomainError("table-monoid pair values need the plan's monoid")
         return self.pair_monoid.dist(x, y)
 
-    def evaluate(self, state_dist: Optional[Callable[[str, str], ExtValue]] = None,
+    def evaluate(self, states: Optional[List[ExtValue]] = None,
                  strategy=None) -> List[ExtValue]:
-        """The roots' distances, with `state_dist(u, v)` between state leaves
+        """The roots' distances, with `states[k]` between the states of pair k
         (uncapped).  A maximising node (function or set values) is the first
         largest of its candidates, or `strategy.pick(slot, candidates)` under
         a strategy, which then keeps the slot values as `values` and each
@@ -410,9 +414,7 @@ class PairGraph:
             if kind == _GUARD:
                 out = val[op[2]].scaled(op[3])
             elif kind == _STATE:
-                if state_dist is None:
-                    raise DomainError(f"states {op[2]}, {op[3]} need a state metric")
-                out = state_dist(op[2], op[3])
+                out = states[op[2]]
             elif kind == _PAIR:
                 out = op[2] + val[op[3]]
             elif kind == _KANT:
@@ -430,10 +432,10 @@ class PairGraph:
             strategy.values, strategy.plans = val, plans
         return [val[k] for k in self.roots]
 
-    def policy(self, strategy, unknown: Callable[[str, str], object]) -> list:
+    def policy(self, strategy) -> list:
         """Each root's distance at the strategy's last evaluation as an integer
-        row (D, b, {unknown(u, v): c}), the affine form (b + sum c * d(u, v))/D,
-        None if it is infinite, read off that evaluation's choices: the chosen
+        row (D, b, {k: c}), the affine form (b + sum c * states[k])/D, None if
+        it is infinite, read off that evaluation's choices: the chosen
         candidate, a Hausdorff candidate's first nearest point, a coupling's
         integer flows (the row divided by its gcd), and 1 for a capped cell."""
         val, choice, plans = strategy.values, strategy.choice, strategy.plans
@@ -449,7 +451,7 @@ class PairGraph:
                 return d, n, {}
             kind = op[0]
             if kind == _STATE:
-                return 1, 0, {unknown(op[2], op[3]): 1}
+                return 1, 0, {op[2]: 1}
             if kind == _GUARD:
                 D, b, coef = form(op[2])
                 n, d = op[3].numerator, op[3].denominator
@@ -482,10 +484,10 @@ class PairGraph:
 
 
 def plan_graph(plan: LayerPlan, pairs, space: Optional[FinMetricSpace] = None,
-               mode: str = EXTENDED) -> PairGraph:
+               mode: str = EXTENDED, state_index=None) -> PairGraph:
     """The PairGraph of value pairs of `plan`, over its exceptions and monoid."""
     mon = next((layer[1] for layer in plan.layers if layer[0] == "pair"), None)
-    return PairGraph(pairs, space, mode, plan.exc_space, mon)
+    return PairGraph(pairs, space, mode, plan.exc_space, mon, state_index)
 
 
 def term_dist(t: Term, s: Term, th: TheoryExpr,

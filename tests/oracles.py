@@ -187,12 +187,14 @@ def form(x):
 
 def unknowns(d):
     """State distances for the reference: d(u, v) as an `Affine` value whose
-    form is the pair's unknown (its key in d), or INF if it is infinite."""
+    form is the pair's unknown, named by the pair itself (u before v in d's
+    state order), or INF if it is infinite."""
     def state_dist(u, v):
         val = d.d(u, v)
         if u == v or val.is_inf:
             return val
-        return Affine(val.rational, Fraction(0), {d._key(u, v): Fraction(1)})
+        pair = (u, v) if d.states.index(u) < d.states.index(v) else (v, u)
+        return Affine(val.rational, Fraction(0), {pair: Fraction(1)})
     return state_dist
 
 

@@ -615,3 +615,49 @@ def test_deep_chain_is_solved_exactly(tmp_path, capsys):
     assert main(["bisim", "--tol", "1/1000", str(tmp_path / "chain.coalg")]) == 0
     assert capsys.readouterr().out.endswith(
         "  certificate: iterations=30 a_priori_bound=0 residual=0 exact=yes\n")
+
+
+def test_pseudometric_index_is_the_position_in_the_coalgebra_pairs():
+    # a metric's pair vector is in `Coalgebra.pairs` order, the numbering of
+    # Psi's pair graph and its policy rows; a pair off the state set or on
+    # the diagonal has no index, so a table cannot store one
+    rng = random.Random(41)
+    for _ in range(60):
+        names = rng.sample([f"q{k}" for k in range(20)], rng.randint(1, 12))
+        C = system("mp P { c = 1/2; " + " ".join(f"state {s}: 1 -> {s};" for s in names) + " }")
+        d = PseudoMetric(names)
+        assert C.states == d.states == tuple(names)
+        assert [d.index(u, v) for u, v in C.pairs] == list(range(len(d.values)))
+        assert all(d.index(u, v) == d.index(v, u) for u, v in C.pairs)
+        for u, v in [(names[0], "zz"), ("zz", names[-1]), (names[-1], names[-1])]:
+            with pytest.raises(DomainError):
+                d.index(u, v)
+    with pytest.raises(DomainError):
+        PseudoMetric(["u", "v"], {("u", "u"): ext(1)})
+
+
+def test_approx_term_over_a_set_layer_with_an_empty_set():
+    # s steps to {raise(*), next(t), next(s)} in canonical order and t to the
+    # empty set: unions chain to the right and t's behaviour is `empty`
+    from quantalg import Coalgebra, ExcLeaf, Guard, StateLeaf, make_set
+
+    th = parse_theory("sum(sum(semi, exc{1}), contr{next, 1/2})")
+    C = Coalgebra(layer_plan(th), ["s", "t"], {
+        "s": make_set([Guard("next", C12, StateLeaf("t")), Guard("next", C12, StateLeaf("s")),
+                       ExcLeaf("*")]),
+        "t": make_set([])})
+    assert approx_term(C, "t", 3) == parse_term("empty", th)
+    assert approx_term(C, "s", 0) == parse_term("raise(*)", th)
+    assert approx_term(C, "s", 2) == parse_term(
+        "union(raise(*), union(next(union(raise(*), union(next(raise(*)), next(raise(*))))),"
+        " next(empty)))", th)
+
+
+def test_format_coalgebra_needs_a_table_monoid_name():
+    S = FinMetricSpace(["z", "o"], {("z", "o"): ext(1)})
+    mon = TableMonoid(S, "z", {("z", "z"): "z", ("z", "o"): "o",
+                               ("o", "z"): "o", ("o", "o"): "o"})
+    C, _ = unfold_term(parse_term("rd(wr(o, x))", mealy_theory(["i"], mon, C12)),
+                       mealy_theory(["i"], mon, C12), FinMetricSpace(["x"], {}))
+    with pytest.raises(DomainError, match="monoid name"):
+        format_coalgebra(C)

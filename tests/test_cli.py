@@ -646,3 +646,51 @@ def test_malformed_metric_exits_1_with_its_message(distances, message, tmp_path,
     assert main(["dist", "--theory", "bary", "--space", str(tmp_path / "S.space"),
                  "--inline", "p", "q"]) == 1
     assert capsys.readouterr().err == f"error: {tmp_path / 'S.space'}: space S: {message}\n"
+
+
+SET_THEORY = "sum(sum(semi, exc{1}), contr{next, 1/2})"
+
+
+def test_normalize_prints_set_and_function_values(capsys):
+    term = "union(next(raise(*)), empty)"
+    assert main(["normalize", "--theory", SET_THEORY, "--inline", term]) == 0
+    assert capsys.readouterr().out == "Set{Guard(Set{*})}\n"
+    assert main(["normalize", "--theory", SET_THEORY, "--format", "record", "--inline", term]) == 0
+    assert json.loads(capsys.readouterr().out) == {"value": "Set{Guard(Set{*})}",
+                                                   "verb": "normalize"}
+    assert main(["normalize", "--theory", "sum(tensor(bary, reader{i, j}), contr{next, 1/2})",
+                 "--inline", "rd(x, y)"]) == 0
+    assert capsys.readouterr().out == "Func{i -> Dist{x: 1}, j -> Dist{y: 1}}\n"
+
+
+def test_check_model_record_lists_the_failures(tmp_path, capsys):
+    # A is the semilattice {p < q}; B's union projects to its first argument,
+    # which breaks commutativity (S2)
+    (tmp_path / "S.space").write_text("space S { points: p, q; d(p,q) = 1; }\n")
+    for name, pq in (("A", "q"), ("B", "p")):
+        (tmp_path / f"{name}.alg").write_text(
+            f"algebra {name} {{\n  carrier: S;\n"
+            f"  op union: (p, p) -> p; (p, q) -> {pq}; (q, p) -> q; (q, q) -> q;\n"
+            "  op empty: -> p;\n}\n")
+    argv = ["check-model", "--theory", "semi", "--space", str(tmp_path / "S.space"),
+            "--epsilons", "1", "--format", "record"]
+    assert main(argv + [str(tmp_path / "A.alg")]) == 0
+    assert json.loads(capsys.readouterr().out) == {"algebra": "A", "failures": [],
+                                                   "passed": True}
+    assert main(argv + [str(tmp_path / "B.alg")]) == 1
+    assert json.loads(capsys.readouterr().out) == {"algebra": "B", "failures": ["S2"],
+                                                   "passed": False}
+
+
+def test_unfold_rejects_a_shape_with_no_coalgebra_kind(capsys):
+    code = main(["unfold", "--theory", "sum(semi, contr{next, 1/2})", "--inline",
+                 "union(next(x), y)"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: no coalgebra kind for layer shape set\n"
+
+
+def test_dist_with_a_variable_outside_the_space_exits_1(files, capsys):
+    code = main(["dist", "--theory", "bary", "--space", str(files / "S.space"),
+                 "--inline", "z", "x"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: point pair (z, x) outside the space\n"

@@ -86,12 +86,13 @@ def _set_system(rng, c):
         for _ in range(rng.randint(1, 3))) for s in states})
 
 
-def _as_form(row):
-    """An integer row (D, b, {pair: c}) as the affine form (b/D, {pair: c/D})."""
+def _as_form(row, pairs):
+    """An integer row (D, b, {k: c}) as the affine form (b/D, {pair: c/D}),
+    with the graph's unknown k named by its state pair, `pairs[k]`."""
     if row is None:
         return None
     D, b, coef = row
-    return Fraction(b, D), {k: Fraction(c, D) for k, c in coef.items()}
+    return Fraction(b, D), {pairs[k]: Fraction(c, D) for k, c in coef.items()}
 
 
 def _policy_and_reference(C, d, mode, mine, theirs):
@@ -101,9 +102,9 @@ def _policy_and_reference(C, d, mode, mine, theirs):
     got = psi_step(C, d, mode, mine)
     want = psi_kernel_reference(C, d, mode, theirs)
     assert got == want, (C.plan, mode)
-    rows = list(zip(C.pairs, C.pair_graph(mode).policy(mine, d._key)))
-    assert all(type(x) is int for _, r in rows if r for x in (r[0], r[1], *r[2].values()))
-    return (got, rows, [(k, _as_form(r)) for k, r in rows],
+    rows = C.pair_graph(mode).policy(mine)
+    assert all(type(x) is int for r in rows if r for x in (r[0], r[1], *r[2].values()))
+    return (got, rows, [(k, _as_form(r, C.pairs)) for k, r in zip(C.pairs, rows)],
             [(k, form(want.d(*k))) for k in C.pairs])
 
 
@@ -131,7 +132,7 @@ def test_policy_forms_match_the_recursive_reference():
             got, rows, forms, want = _policy_and_reference(C, d, mode, mine, theirs)
             assert forms == want, (C.plan, mode, rnd)
             affine += sum(f is not None and bool(f[1]) for _, f in forms)
-            d = _solve_policy(got, dict(rows))
+            d = _solve_policy(got, rows)
             mine.improving = theirs.improving = rnd % 2 == 1
     assert affine > 200, affine
 
@@ -179,9 +180,9 @@ def test_policy_takes_the_first_nearest_point_next_to_a_capped_cell():
 def test_solve_bisim_builds_the_pair_graph_once_per_mode(monkeypatch):
     built = []
 
-    def counting(plan, pairs, space=None, mode=EXTENDED):
+    def counting(plan, pairs, space=None, mode=EXTENDED, state_index=None):
         built.append(mode)
-        return plan_graph(plan, pairs, space, mode)
+        return plan_graph(plan, pairs, space, mode, state_index)
 
     plan_graph = bisim.plan_graph
     monkeypatch.setattr(bisim, "plan_graph", counting)
