@@ -25,7 +25,7 @@ from itertools import count
 from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
 
 from .errors import DivergentGround, DomainError, UnsupportedShape
-from .extvalue import INF, ZERO, ExtValue
+from .extvalue import ZERO, ExtValue
 from .lexing import TokenStream
 from .semantics import (BOUNDED, EXTENDED, DistVal, ExcLeaf, FuncVal, Guard,
                         PairGraph, PairVal, SemValue, SetVal, StateLeaf, VarLeaf,
@@ -118,17 +118,6 @@ class PseudoMetric:
     def pairs(self):
         return sorted(zip(_pairs(self.states), self.values))
 
-    def sup_diff(self, other: "PseudoMetric") -> ExtValue:
-        worst = ZERO
-        for val, o in zip(self.values, other.values):
-            if val.is_inf or o.is_inf:
-                if val != o:
-                    return INF
-                continue
-            (a, b), (c, e) = val.ratio, o.ratio
-            worst = max(worst, ExtValue(abs(a * e - c * b), b * e))
-        return worst
-
     def __eq__(self, other):
         return isinstance(other, PseudoMetric) and self.states == other.states \
             and self.values == other.values
@@ -153,9 +142,11 @@ class Certificate:
     """Machine-readable evidence for the fixed-point solver.
 
     `iterations` counts evaluations of Psi: the Kleene iterates d_1 .. d_k,
-    then every evaluation policy iteration made, up to the final check.
-    Every answer d has passed the exact test Psi(d) == d, so `exact` is
-    True and `a_priori_bound` and `residual` (||Psi(d) - d||) are 0."""
+    then every evaluation policy iteration made, up to the one that
+    returned d itself, a Kleene step or an evaluation under an improving
+    strategy, which is plain Psi.  Every answer d has passed the exact test
+    Psi(d) == d, so `exact` is True and `a_priori_bound` and `residual`
+    (||Psi(d) - d||) are 0."""
 
     iterations: int
     c: Fraction
@@ -207,7 +198,19 @@ def _cyclic(C: Coalgebra) -> bool:
     succ: Dict[str, List[str]] = {}
     for s in C.states:
         succ[s] = out = []
-        map_guards(C.step[s], lambda leaf, out=out: out.append(leaf.name) or leaf)
+        todo = [C.step[s]]
+        while todo:  # the guards of s's one-step value hold its successors
+            v = todo.pop()
+            if isinstance(v, Guard):
+                out.append(v.inner.name)
+            elif isinstance(v, DistVal):
+                todo.extend(x for x, _ in v.items)
+            elif isinstance(v, FuncVal):
+                todo.extend(x for _, x in v.items)
+            elif isinstance(v, SetVal):
+                todo.extend(v.items)
+            elif isinstance(v, PairVal):
+                todo.append(v.inner)
     try:
         graphlib.TopologicalSorter(succ).prepare()
     except graphlib.CycleError:
@@ -252,22 +255,23 @@ def _policy_iteration(C: Coalgebra, d: PseudoMetric, mode: str
     rise strictly from one round to the next, so neither a policy nor a
     strategy comes back and both loops end.  A plan with no distribution or
     set layer has no minimising node: Psi under a fixed strategy is affine,
-    and one solve is its fixed point.  A round ends with the check
-    psi_step(C, d, mode) == d, and d is the answer once it holds."""
+    and one solve is its fixed point.  Under an improving strategy an
+    evaluation is plain Psi(d).  So when the held strategy returns d, one
+    improving evaluation at d serves twice: d is the answer if it returns
+    d, and otherwise it is the next round's policy."""
     affine = not any(layer[0] in ("dist", "set") for layer in C.plan.layers)
     strategy = MaxStrategy()
-    evaluations = 0
+    policy, evaluations = psi_step(C, d, mode, strategy), 1
     while True:
-        policy = psi_step(C, d, mode, strategy)
-        evaluations += 1
         if policy != d:
             d = _solve_policy(policy, C.pair_graph(mode).policy(strategy))
             strategy.improving = affine
-            continue
-        evaluations += 1
-        if psi_step(C, d, mode) == d:
+        elif strategy.improving:
             return d, evaluations
-        strategy.improving = True
+        else:
+            strategy.improving = True
+        policy = psi_step(C, d, mode, strategy)
+        evaluations += 1
 
 
 def _solve_policy(policy: PseudoMetric, rows: list) -> PseudoMetric:
@@ -285,7 +289,93 @@ def solve_affine(system: Dict[object, Tuple[int, int, Dict[object, int]]]
     k -> (D_k, b_k, {j: c_kj}) of `PairGraph.policy`, where c >= 0 and each
     row's c sum to less than D_k, as the ints (n, d > 0) with x_k = n/d.
 
-    Exact sparse Gauss-Jordan elimination on D_k x_k - sum_j c_kj x_j = b_k,
+    Block by block: the strongly connected blocks of the unknowns (row k
+    reads x_j) are solved sinks first (`_blocks`), so a block's rows read
+    only its own unknowns and solved ones.  The solved ones are substituted
+    as ints over the lcm of their denominators, which keeps the block
+    strictly diagonally dominant by rows; then a block of one row is a
+    division, and a larger one is eliminated (`_eliminate`).
+    """
+    x: Dict[object, Tuple[int, int]] = {}
+    for block in _blocks(system):
+        if len(block) > 1:
+            x.update(_eliminate({k: _substituted(system[k], x) for k in block}))
+            continue
+        k, = block  # substituted in place, as `_substituted` does without its dict
+        D, b, coef = system[k]
+        L = 1
+        for j, w in coef.items():
+            if j == k:
+                D -= w
+            else:
+                n, d = x[j]
+                s = d // math.gcd(L, d)
+                b, L = b * s + w * n * (L * s // d), L * s
+        g = math.gcd(b, D * L)
+        x[k] = b // g, D * L // g
+    return {k: x[k] for k in system}
+
+
+def _substituted(row: Tuple[int, int, Dict[object, int]], x: Dict[object, Tuple[int, int]]
+                 ) -> Tuple[int, int, Dict[object, int]]:
+    """The integer row (D, b, {j: c}) with the solved unknowns x[j] = n/d
+    moved into b, all over the lcm L of their denominators."""
+    D, b, coef = row
+    L, rest = 1, {}
+    for j, w in coef.items():
+        if j in x:
+            n, d = x[j]  # b/L + w*n/d over the lcm of L and d
+            s = d // math.gcd(L, d)
+            b, L = b * s + w * n * (L * s // d), L * s
+        else:
+            rest[j] = w
+    if L > 1:
+        return D * L, b, {j: w * L for j, w in rest.items()}
+    return D, b, rest
+
+
+def _blocks(system: Dict[object, Tuple[int, int, Dict[object, int]]]):
+    """The strongly connected blocks of the unknowns of `solve_affine`'s
+    rows, where row k reads the unknowns j of its c_kj, each yielded after
+    every block it reads (sinks first): Tarjan (1972), with an explicit
+    stack of (unknown, iterator over the unknowns it reads) in place of
+    recursion."""
+    index: Dict[object, int] = {}
+    low: Dict[object, int] = {}
+    stack: List[object] = []
+    done = set()
+    for root in system:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        work = [(root, iter(system[root][2]))]
+        while work:
+            v, reads = work[-1]
+            for w in reads:
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    work.append((w, iter(system[w][2])))
+                    break
+                if w not in done and index[w] < low[v]:  # w is on the stack
+                    low[v] = index[w]
+            else:  # v has read all its unknowns
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] == index[v]:
+                    block = [stack.pop()]
+                    while block[-1] != v:
+                        block.append(stack.pop())
+                    done.update(block)
+                    yield block
+
+
+def _eliminate(system: Dict[object, Tuple[int, int, Dict[object, int]]]
+               ) -> Dict[object, Tuple[int, int]]:
+    """`solve_affine` on rows that read only each other's unknowns, by exact
+    sparse Gauss-Jordan elimination on D_k x_k - sum_j c_kj x_j = b_k,
     pivoting on the diagonal in row order: the system is strictly diagonally
     dominant by rows and elimination keeps it so, so no pivot is zero.  Each
     row is a dict of its nonzero entries, divided by their gcd when read and

@@ -13,7 +13,8 @@ mode, truncated to 1 in bounded mode).
 
 The kernel is built once and evaluated many times: a `PairGraph` walks the
 pair recursion once, and each evaluation only does arithmetic, for the state
-distances it is given.  An evaluation under a strategy, which chooses at the
+distances it is given, with each transport started from its slot's last
+optimal basis.  An evaluation under a strategy, which chooses at the
 maximising nodes, leaves its slot values and optimal couplings with the
 strategy, and `PairGraph.policy` reads off them the affine form in the
 state-pair distances that realises each distance, as a row of ints.
@@ -32,7 +33,7 @@ from .extvalue import INF, ONE, ZERO, ExtValue, ext_max
 from .spaces import FinMetricSpace, hausdorff_candidates
 from .terms import FAMILIES, Term, Var
 from .theories import LayerPlan, TheoryExpr, layer_plan
-from .transport import min_cost_transport
+from .transport import scale_masses, solve_scaled
 
 EXTENDED = "extended"
 BOUNDED = "bounded"
@@ -321,7 +322,11 @@ class PairGraph:
     distance, c times a guard's inner distance, a monoid distance plus the
     inner distance, the largest over a function's inputs, Kantorovich over
     a cost matrix, or Hausdorff over its row and column slots.  A state
-    pair's op holds its number `state_index(u, v)`, given at the build."""
+    pair's op holds its number `state_index(u, v)`, given at the build, and
+    a Kantorovich op its masses, scaled to ints and checked at the build.
+    Each Kantorovich slot keeps its last optimal basis in `bases`, and the
+    next evaluation's transport starts from it: the masses are the same,
+    so it is still feasible, and only the costs have changed."""
 
     def __init__(self, pairs, space: Optional[FinMetricSpace] = None,
                  mode: str = EXTENDED, exc_space: Optional[FinMetricSpace] = None,
@@ -335,6 +340,7 @@ class PairGraph:
         self.top = ONE if mode == BOUNDED else INF
         self.values: List[Optional[ExtValue]] = [ZERO]  # constants; None for an op's slot
         self.ops: Dict[int, tuple] = {}  # an op slot's op, children first
+        self.bases: Dict[int, dict] = {}  # a Kantorovich slot's last optimal basis
         self._slots: Dict[Tuple[SemValue, SemValue], int] = {}
         self.roots = [self._slot(a, b) for a, b in pairs]
         del self._slots
@@ -372,7 +378,8 @@ class PairGraph:
             return _STATE, self.state_index(a.name, b.name)
         if kind is DistVal:
             cells = [[self._slot(x, y) for y, _ in b.items] for x, _ in a.items]
-            return _KANT, [w for _, w in a.items], [w for _, w in b.items], cells
+            return (_KANT, *scale_masses([w for _, w in a.items], [w for _, w in b.items]),
+                    cells)
         if kind is SetVal:
             rows = [[self._slot(x, y) for y in b.items] for x in a.items]
             return _HAUS, rows, [[self._slot(y, x) for x in a.items] for y in b.items]
@@ -391,8 +398,9 @@ class PairGraph:
         return self.exc_space.d(a.label, b.label).truncated(self.top)
 
     def _alpha_dist(self, x, y) -> ExtValue:
-        if isinstance(x, Fraction) and isinstance(y, Fraction):
-            return ExtValue(abs(x - y))
+        if isinstance(x, Fraction) and isinstance(y, Fraction):  # |x - y| on ints
+            a, b, c, e = x.numerator, x.denominator, y.numerator, y.denominator
+            return ExtValue(abs(a * e - c * b), b * e)
         if self.pair_monoid is None:
             raise DomainError("table-monoid pair values need the plan's monoid")
         return self.pair_monoid.dist(x, y)
@@ -404,7 +412,7 @@ class PairGraph:
         largest of its candidates, or `strategy.pick(slot, candidates)` under
         a strategy, which then keeps the slot values as `values` and each
         Kantorovich slot's optimal transport in `plans` (see `policy`)."""
-        top, val, plans = self.top, list(self.values), {}
+        top, val, plans, bases = self.top, list(self.values), {}, self.bases
 
         def ground(slots):  # the ground of a distribution or set layer
             return [[val[k].truncated(top) for k in row] for row in slots]
@@ -418,7 +426,8 @@ class PairGraph:
             elif kind == _PAIR:
                 out = op[2] + val[op[3]]
             elif kind == _KANT:
-                plan = min_cost_transport(op[2], op[3], ground(op[4]))
+                plan = solve_scaled(op[2], op[3], op[4], ground(op[5]), bases.get(op[1]))
+                bases[op[1]] = plan.basis
                 out = plan.value
                 if strategy is not None:
                     plans[op[1]] = plan
@@ -467,7 +476,7 @@ class PairGraph:
                 cells = (op[2] + op[3])[choice[k]]
                 return ground(min(cells, key=lambda j: val[j].truncated(self.top)))
             plan = plans[k]
-            cells = [(f, ground(op[4][i][j])) for (i, j), f in plan.basis.items() if f]
+            cells = [(f, ground(op[5][i][j])) for (i, j), f in plan.basis.items() if f]
             L = lcm(*(D for _, (D, _, _) in cells))
             b, coef = 0, {}
             for f, (D, fb, fcoef) in cells:

@@ -8,7 +8,13 @@ m-component is positive.  Pairs add componentwise and compare
 lexicographically.
 
 The solver is the primal transportation simplex on a spanning tree basis
-(a dict from basic cells to flows), started from the northwest corner.
+(a dict from basic cells to flows), started from the northwest corner or
+from a basis the caller kept: an optimum of the same masses under other
+costs is still feasible, so a caller that re-solves fixed masses under new
+costs (a Kantorovich slot of `semantics.PairGraph`) scales them once
+(`scale_masses`) and starts each solve from the last optimum
+(`solve_scaled`).
+
 Each pivot walks the basis tree once from row 0, which gives every node its
 potential (u_i + v_j = c_ij on basic cells), parent and depth; the entering
 cell is read off the potentials and the cycle off the parents.  Bland's
@@ -28,7 +34,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import DomainError
 from .extvalue import INF, ExtValue
@@ -71,10 +77,21 @@ def _edge_cell(a: int, b: int, m: int) -> Cell:
     return (a, b - m) if a < m else (b, a - m)
 
 
-def _scaled(values) -> Tuple[List[int], int]:
-    """Rationals (or ints) as ints over their least common denominator."""
-    scale = math.lcm(*(x.denominator for x in values))
-    return [x.numerator * (scale // x.denominator) for x in values], scale
+def scale_masses(supplies: Sequence[Fraction], demands: Sequence[Fraction]
+                 ) -> Tuple[List[int], List[int], int]:
+    """Supplies and demands as ints over W, the lcm of their denominators:
+    (supplies, demands, W).  They must be nonempty and positive, with equal
+    totals."""
+    m, n = len(supplies), len(demands)
+    if m == 0 or n == 0:
+        raise DomainError("transportation problem needs nonempty supports")
+    W = math.lcm(*(x.denominator for x in supplies), *(x.denominator for x in demands))
+    mass = [x.numerator * (W // x.denominator) for x in (*supplies, *demands)]
+    if min(mass) <= 0:
+        raise DomainError("supplies and demands must be positive")
+    if sum(mass[:m]) != sum(mass[m:]):
+        raise DomainError(f"mass mismatch: supply {sum(supplies)} vs demand {sum(demands)}")
+    return mass[:m], mass[m:], W
 
 
 def min_cost_transport(
@@ -82,23 +99,25 @@ def min_cost_transport(
     demands: Sequence[Fraction],
     cost: Sequence[Sequence[ExtValue]],
 ) -> Transport:
-    """Exact optimum of the transportation LP, with its basis and potentials.
+    """Exact optimum of the transportation LP, with its basis and potentials,
+    solved from the northwest corner.
 
     supplies and demands must be positive and have equal totals.
     """
-    m, n = len(supplies), len(demands)
-    if m == 0 or n == 0:
-        raise DomainError("transportation problem needs nonempty supports")
-    mass, W = _scaled(list(supplies) + list(demands))
-    if min(mass) <= 0:
-        raise DomainError("supplies and demands must be positive")
-    if sum(mass[:m]) != sum(mass[m:]):
-        raise DomainError(f"mass mismatch: supply {sum(supplies)} vs demand {sum(demands)}")
+    return solve_scaled(*scale_masses(supplies, demands), cost)
 
+
+def solve_scaled(a: List[int], b: List[int], W: int, cost: Sequence[Sequence[ExtValue]],
+                 start: Optional[Dict[Cell, int]] = None) -> Transport:
+    """`min_cost_transport` on masses already scaled by `scale_masses`,
+    started from `start` (W times the flows of a basis of these masses, such
+    as an earlier optimum's `basis` under other costs: it is primal
+    feasible), or from the northwest corner.  `start` is not changed."""
+    m, n = len(a), len(b)
     ratios = [[c.ratio for c in row] for row in cost]
     K = math.lcm(*(d for row in ratios for _, d in row if d))
     costs = [[(0, n * (K // d)) if d else (1, 0) for n, d in row] for row in ratios]
-    basis = _northwest_corner(mass[:m], mass[m:])
+    basis = _northwest_corner(list(a), list(b)) if start is None else dict(start)
     if m == 1 or n == 1:
         # Every cell is basic, so the northwest corner is the only feasible
         # flow, and the costs are potentials (with 0 on the other side).

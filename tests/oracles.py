@@ -261,6 +261,22 @@ def psi_reference(T, d, mode, space=None):
     return PseudoMetric(T.states, table)
 
 
+def sup_diff(d, e):
+    """The largest |d(u, v) - e(u, v)| over the state pairs of two metrics
+    on the same states, computed on Fractions; INF where exactly one of the
+    two is infinite."""
+    assert d.states == e.states
+    worst = ZERO
+    for (u, v), x in d.pairs():
+        y = e.d(u, v)
+        if x.is_inf or y.is_inf:
+            if x != y:
+                return INF
+            continue
+        worst = ext_max(worst, ExtValue(abs(x.rational - y.rational)))
+    return worst
+
+
 def sem_dist_reference(v, w, space=None, mode="extended", exc_space=None, pair_monoid=None,
                        memo=None, state_dist=None, max_pick=None):
     """The value distance by the pair recursion itself, memoised on pairs of

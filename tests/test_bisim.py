@@ -16,7 +16,7 @@ from quantalg.extvalue import ZERO
 from helpers import (BOT, MAX_MONOID, FinDist, Table, random_acyclic_table,
                      random_coalgebra, random_cyclic_table, random_space,
                      random_term, st, table_coalgebra, table_text)
-from oracles import psi_reference
+from oracles import psi_reference, sup_diff
 
 C12 = Fraction(1, 2)
 MP = markov_process_theory(C12)
@@ -206,8 +206,8 @@ def test_psi_monotone_and_contractive():
             p0, p1 = psi_step(C, d0, BOUNDED), psi_step(C, d1, BOUNDED)
             for (u, v), val in p0.pairs():
                 assert val <= p1.d(u, v)  # monotone
-            gap_in = d1.sup_diff(d0)
-            gap_out = p1.sup_diff(p0)
+            gap_in = sup_diff(d1, d0)
+            gap_out = sup_diff(p1, p0)
             assert gap_out <= gap_in.scaled(C.c)  # c-contractive
 
 
@@ -405,10 +405,10 @@ def test_policy_iteration_is_exact_against_the_reference_operator():
                 assert psi_reference(T, d, mode, space) == d, (kind, mode)
                 # a Kleene iterate of the reference operator within tol of d*
                 it = psi_reference(T, PseudoMetric(d.states), mode, space)
-                bound = it.sup_diff(PseudoMetric(d.states)).scaled(c / (1 - c))
+                bound = sup_diff(it, PseudoMetric(d.states)).scaled(c / (1 - c))
                 while bound > ext(tol):
                     it, bound = psi_reference(T, it, mode, space), bound.scaled(c)
-                assert d.sup_diff(it) <= ext(tol), (kind, mode)
+                assert sup_diff(d, it) <= ext(tol), (kind, mode)
 
 
 # e, a, b with `a` absorbing and infinitely far from e and b: in bounded mode
@@ -499,6 +499,79 @@ def test_solve_affine_matches_sympy_lu_solve():
         check(Fraction(999, 1000),
               [row(n, rng.sample(range(n), min(n, rng.randint(0, 3))) + [(i + 1) % n], True)
                for i in range(n)])
+
+
+def _sympy_solution(sympy, system):
+    """The solution of the integer rows D_k x_k = b_k + sum_j c_kj x_j by
+    sympy's LU solve, keyed as the system is."""
+    keys = list(system)
+    at = {k: i for i, k in enumerate(keys)}
+    A = sympy.zeros(len(keys), len(keys))
+    for k, (D, _, coef) in system.items():
+        A[at[k], at[k]] = D
+        for j, w in coef.items():
+            A[at[k], at[j]] -= w
+    x = A.LUsolve(sympy.Matrix([system[k][1] for k in keys]))
+    return {k: Fraction(int(x[at[k]].p), int(x[at[k]].q)) for k in keys}
+
+
+def test_solve_affine_by_blocks_matches_sympy():
+    # Mealy-like systems: a row reads at most one other unknown, or itself,
+    # so each component is a chain into a cycle and most blocks are single
+    # rows; and multi-row blocks with edges into chains.  The rows are keyed
+    # by state pairs and listed in a shuffled order, so a block's rows come
+    # neither together nor after the blocks they read.
+    sympy = pytest.importorskip("sympy")
+    nx = pytest.importorskip("networkx")
+    from quantalg.bisim import _blocks, solve_affine
+
+    rng = random.Random(41)
+
+    def system(n, reads):
+        keys = [(f"u{i}", f"v{i}") for i in range(n)]
+        rows = {}
+        for i in rng.sample(range(n), n):
+            D = rng.randint(2, 40)
+            coef, room = {}, D - 1  # the c of a row sum to less than D
+            for j in reads(i):
+                if room:
+                    w = rng.randint(1, room)
+                    coef[keys[j]], room = coef.get(keys[j], 0) + w, room - w
+            rows[keys[i]] = (D, rng.randint(0, 30), coef)
+        return rows
+
+    for _ in range(20):
+        n = rng.randint(1, 30)
+        succ = [rng.randrange(n) for _ in range(n)]  # a functional graph
+        cases = [system(n, lambda i: [succ[i]] if rng.random() < 0.9 else []),
+                 system(n, lambda i: [succ[i]] + rng.sample(range(n), min(n, rng.randint(0, 2))))]
+        for rows in cases:
+            got = solve_affine(rows)
+            assert list(got) == list(rows)
+            assert all(type(a) is int and type(b) is int and b > 0 and math.gcd(a, b) == 1
+                       for a, b in got.values())
+            assert {k: Fraction(*v) for k, v in got.items()} == _sympy_solution(sympy, rows)
+            graph = {k: [j for j, w in coef.items() if w] for k, (_, _, coef) in rows.items()}
+            blocks = list(_blocks(rows))
+            G = nx.DiGraph([(k, j) for k, js in graph.items() for j in js])
+            G.add_nodes_from(graph)
+            assert sorted(map(sorted, blocks)) == sorted(
+                map(sorted, nx.strongly_connected_components(G)))
+            done = set()
+            for block in blocks:  # sinks first: a block reads only itself and earlier ones
+                done.update(block)
+                assert all(j in done for k in block for j in graph[k])
+
+
+def test_solve_affine_on_a_long_chain_needs_no_recursion():
+    from quantalg.bisim import solve_affine
+
+    n = 10 ** 4  # x_i = 1 + x_{i+1}/2, x_{n-1} = 1: x_i = 2 - 2^(i+1-n)
+    rows = {i: (2, 2, {i + 1: 1}) for i in range(n - 1)}
+    rows[n - 1] = (1, 1, {})
+    got = solve_affine(rows)
+    assert [Fraction(*got[i]) for i in (0, n - 2, n - 1)] == [
+        2 - Fraction(1, 2 ** (n - 1)), Fraction(3, 2), 1]
 
 
 def test_policy_iteration_on_set_layers():

@@ -83,7 +83,7 @@ def test_deterministic_output(files, capsys):
     assert main(args) == 0
     assert capsys.readouterr().out == first
     assert json.loads(first)[0]["certificate"] == {
-        "iterations": 4, "c": "1/2", "mode": "bounded",
+        "iterations": 3, "c": "1/2", "mode": "bounded",
         "a_priori_bound": "0", "residual": "0", "exact": True}
 
 

@@ -13,7 +13,7 @@ from quantalg.bisim import MaxStrategy, _solve_policy
 
 from helpers import (BOT, FinDist, Table, leaf, random_cyclic_table, random_space, st,
                      table_coalgebra)
-from oracles import form, psi_kernel_reference, psi_reference
+from oracles import check_transport, form, psi_kernel_reference, psi_reference
 
 INF_MONOID = TableMonoid(
     FinMetricSpace(["e", "a", "b"], {("e", "b"): ext(1)}), "e",
@@ -108,12 +108,43 @@ def _policy_and_reference(C, d, mode, mine, theirs):
             [(k, form(want.d(*k))) for k in C.pairs])
 
 
+def _cold(C):
+    """C with a fresh pair graph, whose transports start cold, as the
+    reference's do; its slots are numbered as C's are."""
+    return Coalgebra(C.plan, C.states, C.step, C.space, C.name)
+
+
+def _check_warm_policy(C, d, mode, strategy, got):
+    """C's own graph, its transports warm-started from earlier rounds, after
+    an evaluation under the strategy at d that gave `got`: every form of its
+    policy is tight at d, and every coupling it read passes check_transport.
+    Returns the policy's rows."""
+    graph = C.pair_graph(mode)
+    rows = graph.policy(strategy)
+    for k, row in enumerate(rows):
+        if row is None:
+            assert got.values[k].is_inf
+            continue
+        D, b, coef = row
+        at_d = Fraction(b + sum(c * d.values[j].rational for j, c in coef.items()), D)
+        assert at_d == got.values[k].rational, (C.plan, mode, k)
+    val = strategy.values
+    for slot, plan in strategy.plans.items():
+        _, _, a, b, W, cells = graph.ops[slot]
+        cost = [[val[j].truncated(graph.top) for j in row] for row in cells]
+        check_transport([Fraction(x, W) for x in a], [Fraction(x, W) for x in b], cost, plan)
+    return rows
+
+
 def test_policy_forms_match_the_recursive_reference():
     # Psi under a max strategy: the pair graph's strategy keyed by slot, the
     # reference's own keyed by pairs of values, through rounds of policy
     # iteration that alternate improving and holding the strategy; the forms
-    # the graph reads off its recorded choices equal, exactly, the forms the
-    # reference's Affine arithmetic carries through the pair recursion
+    # a fresh graph reads off its recorded choices equal, exactly, the forms
+    # the reference's Affine arithmetic carries through the pair recursion.
+    # The system's own graph, whose transports start from the last round's
+    # couplings, may pick other optimal couplings: its values are the same,
+    # and its forms are tight at d and its couplings optimal
     rng = random.Random(97)
     systems = []
     for kind in ("mp", "lmp", "mdp", "mealy"):
@@ -124,17 +155,20 @@ def test_policy_forms_match_the_recursive_reference():
                 systems.append((table_coalgebra(T, space), mode))
     systems += [(_set_system(rng, Fraction(1, 2)), mode) for mode in (BOUNDED, EXTENDED)
                 for _ in range(3)]
-    affine = 0
+    affine = other_coupling = 0
     for C, mode in systems:
         d = psi_step(C, PseudoMetric(C.states), mode)
-        mine, theirs = MaxStrategy(), MaxStrategy()
+        mine, theirs, warm = MaxStrategy(), MaxStrategy(), MaxStrategy()
         for rnd in range(4):
-            got, rows, forms, want = _policy_and_reference(C, d, mode, mine, theirs)
+            got, rows, forms, want = _policy_and_reference(_cold(C), d, mode, mine, theirs)
             assert forms == want, (C.plan, mode, rnd)
             affine += sum(f is not None and bool(f[1]) for _, f in forms)
+            assert psi_step(C, d, mode, warm) == got
+            other_coupling += _check_warm_policy(C, d, mode, warm, got) != rows
             d = _solve_policy(got, rows)
-            mine.improving = theirs.improving = rnd % 2 == 1
+            mine.improving = theirs.improving = warm.improving = rnd % 2 == 1
     assert affine > 200, affine
+    assert other_coupling > 0, other_coupling
 
 
 def test_policy_follows_the_strategy_between_equal_inputs():

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from quantalg import (BOUNDED, Bary, DistVal, EXTENDED, Exc, ExcLeaf, FinMetricSpace,
                       FuncVal, Guard, PairVal, RATIONAL_LINE, Reader, Semi,
@@ -11,7 +12,8 @@ from quantalg import (BOUNDED, Bary, DistVal, EXTENDED, Exc, ExcLeaf, FinMetricS
                       mealy_theory, parse_term, parse_theory, sem_dist,
                       sem_dist_with_plan, term_dist)
 from quantalg.errors import DomainError
-from quantalg.extvalue import INF, ZERO
+from quantalg.extvalue import INF, ZERO, ExtValue
+from quantalg.semantics import PairGraph
 from quantalg.terms import (App, Var, conv, empty_op, next_op, raise_, read,
                             union_op, write)
 
@@ -343,3 +345,11 @@ def test_denote_is_total():
             else:
                 outcomes[True] += 1
     assert min(outcomes.values()) > 500, outcomes
+
+
+@given(st.fractions(), st.fractions())
+def test_the_distance_of_two_rational_outputs_is_their_fraction_distance(x, y):
+    # a pair layer over the rational line: |x - y| cross-multiplied on ints
+    got = PairGraph([])._alpha_dist(x, y)
+    assert got == ExtValue(abs(x - y)) and got.ratio == (abs(x - y).numerator,
+                                                         abs(x - y).denominator)

@@ -53,12 +53,13 @@ def test_only_the_cli_reader_reads_files():
 
 
 def test_the_hot_path_names_no_fraction():
-    # Psi's evaluation on the pair vector, policy reading and policy solving,
-    # and the transport under them, run on ints: a Fraction is built only at
-    # the edges
+    # Psi's evaluation on the pair vector, policy reading and policy solving
+    # block by block, and the transport under them, cold or warm, run on
+    # ints: a Fraction is built only at the edges
     hot = {"semantics.py": ["PairGraph.evaluate", "PairGraph.policy"],
-           "bisim.py": ["solve_affine", "psi_step", "_solve_policy", "PseudoMetric.index"],
-           "transport.py": ["min_cost_transport"]}
+           "bisim.py": ["solve_affine", "_substituted", "_blocks", "_eliminate", "psi_step",
+                        "_solve_policy", "PseudoMetric.index"],
+           "transport.py": ["min_cost_transport", "solve_scaled"]}
     found = []
     for name, functions in hot.items():
         tree = ast.parse((Path(quantalg.__file__).parent / name).read_text(), name)

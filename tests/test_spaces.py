@@ -3,12 +3,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from quantalg import (FinMetricSpace, discrete, hausdorff_general,
                       kantorovich_general, parse_spaces, spaces)
 from quantalg.errors import DomainError
 from quantalg.extvalue import INF, ZERO, ext
-from quantalg.transport import min_cost_transport
+from quantalg.transport import min_cost_transport, scale_masses, solve_scaled
 
 from helpers import FinDist, random_dist, random_space
 from oracles import check_transport, enumerate_transport
@@ -315,3 +316,36 @@ def test_transport_rejects_empty_nonpositive_or_unequal_masses(supplies, demands
     cost = [[ZERO] * len(demands) for _ in supplies]
     with pytest.raises(DomainError):
         min_cost_transport(supplies, demands, cost)
+
+
+@st.composite
+def _masses_and_two_costs(draw):
+    """Masses of small integer parts of one total, so that partial sums of
+    supplies and demands often meet (degenerate bases), and two cost
+    matrices with forbidden cells."""
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    total = draw(st.integers(max(m, n, 2), 10))
+
+    def parts(k):
+        cuts = sorted(draw(st.lists(st.integers(1, total - 1), min_size=k - 1,
+                                    max_size=k - 1, unique=True)))
+        return [Fraction(b - a, total) for a, b in zip([0] + cuts, cuts + [total])]
+
+    cell = st.one_of(st.just(INF), st.fractions(0, 6, max_denominator=3).map(ext))
+    costs = [[[draw(cell) for _ in range(n)] for _ in range(m)] for _ in range(2)]
+    return parts(m), parts(n), *costs
+
+
+@given(_masses_and_two_costs())
+def test_a_transport_started_from_another_optimum_is_the_cold_optimum(case):
+    # an optimal basis of the same masses under other costs is a feasible
+    # start: the warm solve reaches the cold value, with an optimal coupling
+    # and a dual certificate, and leaves the start basis as it was
+    supplies, demands, first, second = case
+    a, b, W = scale_masses(supplies, demands)
+    start = solve_scaled(a, b, W, first).basis
+    kept = dict(start)
+    warm = solve_scaled(a, b, W, second, start)
+    assert start == kept
+    cold = min_cost_transport(supplies, demands, second)
+    assert check_transport(supplies, demands, second, warm).value == cold.value
