@@ -17,12 +17,11 @@ ground point `leaf(x)` (`VarLeaf(x)`).
 
 from __future__ import annotations
 
-import graphlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
-from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
+from typing import ClassVar, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import DivergentGround, DomainError, UnsupportedShape
 from .extvalue import ZERO, ExtValue
@@ -201,7 +200,7 @@ def _cyclic(C: Coalgebra) -> bool:
         todo = [C.step[s]]
         while todo:  # the guards of s's one-step value hold its successors
             v = todo.pop()
-            if isinstance(v, Guard):
+            if isinstance(v, Guard) and v.inner.name in C.step:  # Psi rejects others
                 out.append(v.inner.name)
             elif isinstance(v, DistVal):
                 todo.extend(x for x, _ in v.items)
@@ -211,11 +210,7 @@ def _cyclic(C: Coalgebra) -> bool:
                 todo.extend(v.items)
             elif isinstance(v, PairVal):
                 todo.append(v.inner)
-    try:
-        graphlib.TopologicalSorter(succ).prepare()
-    except graphlib.CycleError:
-        return True
-    return False
+    return any(len(b) > 1 or b[0] in succ[b[0]] for b in _blocks(succ))
 
 
 class MaxStrategy:
@@ -289,128 +284,122 @@ def solve_affine(system: Dict[object, Tuple[int, int, Dict[object, int]]]
     k -> (D_k, b_k, {j: c_kj}) of `PairGraph.policy`, where c >= 0 and each
     row's c sum to less than D_k, as the ints (n, d > 0) with x_k = n/d.
 
-    Block by block: the strongly connected blocks of the unknowns (row k
-    reads x_j) are solved sinks first (`_blocks`), so a block's rows read
-    only its own unknowns and solved ones.  The solved ones are substituted
-    as ints over the lcm of their denominators, which keeps the block
-    strictly diagonally dominant by rows; then a block of one row is a
-    division, and a larger one is eliminated (`_eliminate`).
+    The strongly connected blocks of the unknowns (row k reads x_j) are
+    solved sinks first (`_blocks`), and a larger block is eliminated first
+    (`_eliminate`).  Then each row, in reverse pivot order, reads only
+    solved unknowns, and one back-substitution moves them into b as ints
+    over the lcm of their denominators and divides.
     """
     x: Dict[object, Tuple[int, int]] = {}
-    for block in _blocks(system):
-        if len(block) > 1:
-            x.update(_eliminate({k: _substituted(system[k], x) for k in block}))
-            continue
-        k, = block  # substituted in place, as `_substituted` does without its dict
-        D, b, coef = system[k]
-        L = 1
-        for j, w in coef.items():
-            if j == k:
-                D -= w
-            else:
-                n, d = x[j]
-                s = d // math.gcd(L, d)
-                b, L = b * s + w * n * (L * s // d), L * s
-        g = math.gcd(b, D * L)
-        x[k] = b // g, D * L // g
+    for block in _blocks({k: row[2] for k, row in system.items()}):
+        rows = system
+        if len(block) > 1:  # the pivots, last first, and their eliminated rows
+            block, rows = _eliminate(block, system)
+        for k in block:
+            D, b, coef = rows[k]
+            L = 1
+            for j, w in coef.items():
+                if j == k:
+                    D -= w
+                else:
+                    n, d = x[j]  # b/L + w*n/d over the lcm L*s of L and d
+                    g = math.gcd(L, d)
+                    s = d // g
+                    b, L = b * s + w * n * (L // g), L * s
+            D *= L
+            g = math.gcd(b, D)
+            x[k] = b // g, D // g
     return {k: x[k] for k in system}
 
 
-def _substituted(row: Tuple[int, int, Dict[object, int]], x: Dict[object, Tuple[int, int]]
-                 ) -> Tuple[int, int, Dict[object, int]]:
-    """The integer row (D, b, {j: c}) with the solved unknowns x[j] = n/d
-    moved into b, all over the lcm L of their denominators."""
-    D, b, coef = row
-    L, rest = 1, {}
-    for j, w in coef.items():
-        if j in x:
-            n, d = x[j]  # b/L + w*n/d over the lcm of L and d
-            s = d // math.gcd(L, d)
-            b, L = b * s + w * n * (L * s // d), L * s
-        else:
-            rest[j] = w
-    if L > 1:
-        return D * L, b, {j: w * L for j, w in rest.items()}
-    return D, b, rest
-
-
-def _blocks(system: Dict[object, Tuple[int, int, Dict[object, int]]]):
-    """The strongly connected blocks of the unknowns of `solve_affine`'s
-    rows, where row k reads the unknowns j of its c_kj, each yielded after
-    every block it reads (sinks first): Tarjan (1972), with an explicit
-    stack of (unknown, iterator over the unknowns it reads) in place of
-    recursion."""
-    index: Dict[object, int] = {}
+def _blocks(reads: Dict[object, Iterable]):
+    """The strongly connected blocks of the graph k -> j for j in reads[k],
+    each yielded after every block it reads (sinks first): Tarjan (1972),
+    with an explicit stack of (unknown, index, stack height, iterator over
+    its reads) in place of recursion; a yielded unknown's low link is lifted
+    above every index, so only unknowns on the stack lower another's."""
     low: Dict[object, int] = {}
     stack: List[object] = []
-    done = set()
-    for root in system:
-        if root in index:
+    top = len(reads)
+    for root in reads:
+        if root in low:
             continue
-        index[root] = low[root] = len(index)
+        low[root] = i = len(low)
+        work = [(root, i, 0, iter(reads[root]))]
         stack.append(root)
-        work = [(root, iter(system[root][2]))]
         while work:
-            v, reads = work[-1]
-            for w in reads:
-                if w not in index:
-                    index[w] = low[w] = len(index)
+            v, i, h, it = work[-1]
+            for w in it:
+                if w not in low:
+                    low[w] = j = len(low)
+                    work.append((w, j, len(stack), iter(reads[w])))
                     stack.append(w)
-                    work.append((w, iter(system[w][2])))
                     break
-                if w not in done and index[w] < low[v]:  # w is on the stack
-                    low[v] = index[w]
+                if low[w] < low[v]:  # w is on the stack
+                    low[v] = low[w]
             else:  # v has read all its unknowns
                 work.pop()
-                if work and low[v] < low[work[-1][0]]:
-                    low[work[-1][0]] = low[v]
-                if low[v] == index[v]:
-                    block = [stack.pop()]
-                    while block[-1] != v:
-                        block.append(stack.pop())
-                    done.update(block)
+                if low[v] == i:
+                    block = stack[h:]
+                    del stack[h:]
+                    for w in block:
+                        low[w] = top
                     yield block
+                elif low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
 
 
-def _eliminate(system: Dict[object, Tuple[int, int, Dict[object, int]]]
-               ) -> Dict[object, Tuple[int, int]]:
-    """`solve_affine` on rows that read only each other's unknowns, by exact
-    sparse Gauss-Jordan elimination on D_k x_k - sum_j c_kj x_j = b_k,
-    pivoting on the diagonal in row order: the system is strictly diagonally
-    dominant by rows and elimination keeps it so, so no pivot is zero.  Each
-    row is a dict of its nonzero entries, divided by their gcd when read and
-    after every update; each column keeps the set of rows it is nonzero in.
+def _eliminate(block: List[object], system: Dict[object, Tuple[int, int, Dict[object, int]]]
+               ) -> Tuple[List[object], Dict[object, Tuple[int, int, Dict[object, int]]]]:
+    """A block's pivots, last first, and its rows in `solve_affine`'s form,
+    by exact sparse Gaussian elimination on 0 = b_k + sum_j c_kj x_j - D_k x_k.
+    Each pivot is the unpivoted diagonal entry of least Markowitz (1957) cost
+    (r - 1)(c - 1), r the entries of its row and c the unpivoted rows of its
+    column, and only unpivoted rows are cleared, so a row keeps its entries
+    on later pivots and on earlier blocks' unknowns.  The block is strictly diagonally dominant by
+    rows and elimination keeps it so, so no pivot is zero.  A row is a dict
+    of its nonzero entries, divided by their gcd when read and after every
+    update; each unpivoted column keeps the set of unpivoted rows it is in.
     """
     rows: Dict[object, Dict[object, int]] = {}
     rhs: Dict[object, int] = {}
-    cols: Dict[object, set] = {k: set() for k in system}
-    for k, (D, b, coef) in system.items():
-        row = {j: -w for j, w in coef.items() if w}
-        row[k] = D + row.get(k, 0)
+    cols: Dict[object, set] = {k: set() for k in block}
+    for k in block:
+        D, b, coef = system[k]
+        row = {j: w for j, w in coef.items() if w}
+        row[k] = row.get(k, 0) - D
         g = math.gcd(b, *row.values())
         rows[k], rhs[k] = {j: w // g for j, w in row.items()}, b // g
         for j in row:
-            cols[j].add(k)
-    for p, prow in rows.items():
-        a = prow[p]
-        cols[p].discard(p)
-        for r in cols.pop(p):  # row r := a * row r - f * row p, which clears column p
+            if j in cols:
+                cols[j].add(k)
+    order = []
+    while cols:
+        p = min(cols, key=lambda k: (len(rows[k]) - 1) * (len(cols[k]) - 1))
+        prow = rows[p]
+        a = -prow[p]
+        for j in prow:
+            if j in cols:
+                cols[j].discard(p)
+        for r in cols.pop(p):  # row r := a * row r + f * row p, which clears column p
             row = rows[r]
             f = row.pop(p)
             for j in row:
                 row[j] *= a
-            # an M-matrix: off the diagonal a*row[j] <= 0 and -f*w < 0, on it > 0; none cancels
+            # an M-matrix: off the diagonal a*row[j] >= 0 and f*w > 0, on it < 0; none cancels
             for j, w in prow.items():
                 if j != p:
-                    row[j] = row.get(j, 0) - f * w
-                    cols[j].add(r)
-            rhs[r] = a * rhs[r] - f * rhs[p]
+                    row[j] = row.get(j, 0) + f * w
+                    if j in cols:
+                        cols[j].add(r)
+            rhs[r] = a * rhs[r] + f * rhs[p]
             g = math.gcd(rhs[r], *row.values())
             if g > 1:
                 for j in row:
                     row[j] //= g
                 rhs[r] //= g
-    return {k: (rhs[k], rows[k][k]) for k in system}
+        order.append(p)
+    return order[::-1], {p: (-rows[p].pop(p), rhs[p], rows[p]) for p in order}
 
 
 # ---------------------------------------------------------------------------

@@ -329,3 +329,30 @@ def random_acyclic_table(rng: random.Random, kind: str, space,
         else [Fraction(k, 2) for k in range(5)]
     return Table("mealy", c, names, {(s, a): (rng.choice(targets(k)), rng.choice(outputs))
                                      for s, a, k in keys}, labels, monoid)
+
+
+def dense_recipe_table(kind: str, n: int) -> Table:
+    """A system of the dense recipe, drawn from random.Random(n): n states,
+    c = 9/10, and in every row four distinct target states with weights in
+    24ths.  Every third mp row, s0, s3, ..., puts mass 1/2 on bot and the
+    other half on its targets; mdp rows (actions a and b) give each cell a
+    reward of 0, 1/4 or 1/2.  One block of each policy system holds most of
+    its unknowns, and their rows of 4-5 entries fill in under elimination."""
+    rng = random.Random(n)
+    names = [f"s{k}" for k in range(n)]
+
+    def row(bot: bool) -> list:
+        targets = rng.sample(names, 4)
+        total = 12 if bot else 24
+        cuts = [0, *sorted(rng.sample(range(1, total), 3)), total]
+        cells = [(st(t), Fraction(b - a, 24)) for t, a, b in zip(targets, cuts, cuts[1:])]
+        return cells + [(BOT, Fraction(1, 2))] if bot else cells
+
+    c = Fraction(9, 10)
+    if kind == "mp":
+        return Table("mp", c, names, {s: FinDist.from_pairs(row(k % 3 == 0))
+                                      for k, s in enumerate(names)})
+    rewards = (Fraction(0), Fraction(1, 4), Fraction(1, 2))
+    return Table("mdp", c, names, {(s, a): FinDist.from_pairs(
+        ((t, rng.choice(rewards)), w) for t, w in row(False)) for s in names for a in "ab"},
+        ("a", "b"))

@@ -13,10 +13,10 @@ from quantalg import (BOUNDED, EXTENDED, FinMetricSpace, PseudoMetric,
 from quantalg.errors import DivergentGround, DomainError
 from quantalg.extvalue import ZERO
 
-from helpers import (BOT, MAX_MONOID, FinDist, Table, random_acyclic_table,
-                     random_coalgebra, random_cyclic_table, random_space,
-                     random_term, st, table_coalgebra, table_text)
-from oracles import psi_reference, sup_diff
+from helpers import (BOT, MAX_MONOID, FinDist, Table, dense_recipe_table,
+                     random_acyclic_table, random_coalgebra, random_cyclic_table,
+                     random_space, random_term, st, table_coalgebra, table_text)
+from oracles import psi_kernel_reference, psi_reference, sup_diff
 
 C12 = Fraction(1, 2)
 MP = markov_process_theory(C12)
@@ -552,7 +552,7 @@ def test_solve_affine_by_blocks_matches_sympy():
                        for a, b in got.values())
             assert {k: Fraction(*v) for k, v in got.items()} == _sympy_solution(sympy, rows)
             graph = {k: [j for j, w in coef.items() if w] for k, (_, _, coef) in rows.items()}
-            blocks = list(_blocks(rows))
+            blocks = list(_blocks({k: coef for k, (_, _, coef) in rows.items()}))
             G = nx.DiGraph([(k, j) for k, js in graph.items() for j in js])
             G.add_nodes_from(graph)
             assert sorted(map(sorted, blocks)) == sorted(
@@ -572,6 +572,17 @@ def test_solve_affine_on_a_long_chain_needs_no_recursion():
     got = solve_affine(rows)
     assert [Fraction(*got[i]) for i in (0, n - 2, n - 1)] == [
         2 - Fraction(1, 2 ** (n - 1)), Fraction(3, 2), 1]
+
+
+@pytest.mark.parametrize("kind, n, iterations", [("mp", 16, 8), ("mdp", 8, 13),
+                                                 ("mdp", 16, 17)])
+def test_dense_recipe_reaches_the_exact_fixed_point(kind, n, iterations):
+    # policy systems with blocks of up to 116 unknowns, whose rows fill in
+    # under elimination, and answers with denominators of 160 digits and more
+    C = table_coalgebra(dense_recipe_table(kind, n))
+    d, cert = solve_bisim(C, BOUNDED)
+    assert cert.iterations == iterations
+    assert psi_kernel_reference(C, d, BOUNDED) == d
 
 
 def test_policy_iteration_on_set_layers():

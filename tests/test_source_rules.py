@@ -57,7 +57,7 @@ def test_the_hot_path_names_no_fraction():
     # block by block, and the transport under them, cold or warm, run on
     # ints: a Fraction is built only at the edges
     hot = {"semantics.py": ["PairGraph.evaluate", "PairGraph.policy"],
-           "bisim.py": ["solve_affine", "_substituted", "_blocks", "_eliminate", "psi_step",
+           "bisim.py": ["solve_affine", "_blocks", "_eliminate", "psi_step",
                         "_solve_policy", "PseudoMetric.index"],
            "transport.py": ["min_cost_transport", "solve_scaled"]}
     found = []
