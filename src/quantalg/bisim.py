@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import count
 from typing import ClassVar, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .errors import DivergentGround, DomainError, UnsupportedShape
+from .errors import DivergentGround, DomainError, QuantAlgError, UnsupportedShape
 from .extvalue import ZERO, ExtValue
 from .lexing import TokenStream
 from .semantics import (BOUNDED, EXTENDED, DistVal, ExcLeaf, FuncVal, Guard,
@@ -142,10 +142,10 @@ class Certificate:
 
     `iterations` counts evaluations of Psi: the Kleene iterates d_1 .. d_k,
     then every evaluation policy iteration made, up to the one that
-    returned d itself, a Kleene step or an evaluation under an improving
-    strategy, which is plain Psi.  Every answer d has passed the exact test
-    Psi(d) == d, so `exact` is True and `a_priori_bound` and `residual`
-    (||Psi(d) - d||) are 0."""
+    returned d itself, a Kleene step or one that is plain Psi (under an
+    improving strategy, or a held one with no choice beaten).  Every answer
+    d has passed the exact test Psi(d) == d, so `exact` is True and
+    `a_priori_bound` and `residual` (||Psi(d) - d||) are 0."""
 
     iterations: int
     c: Fraction
@@ -219,13 +219,15 @@ class MaxStrategy:
     function values, a Hausdorff candidate of two set values), keyed by the
     node's slot in the system's pair graph.  While `improving`, a node moves
     to its first largest candidate, but only where that is strictly larger
-    than its current choice; otherwise every node keeps its choice, and Psi
-    under the strategy is a minimum of affine forms.  An evaluation under
-    the strategy leaves its `values` and `plans` here (`PairGraph.evaluate`)."""
+    than its current choice; otherwise every node keeps its choice (and
+    sets `beaten` if a candidate strictly beats it), and Psi under the
+    strategy is a minimum of affine forms.  An evaluation under the
+    strategy leaves its `values` and `plans` here (`PairGraph.evaluate`)."""
 
     def __init__(self):
         self.choice: Dict[int, int] = {}
         self.improving = True
+        self.beaten = False
 
     def pick(self, node: int, candidates: list) -> ExtValue:
         k = self.choice.get(node)
@@ -233,6 +235,8 @@ class MaxStrategy:
             best = max(range(len(candidates)), key=candidates.__getitem__)  # the first largest
             if k is None or candidates[k] < candidates[best]:
                 k = self.choice[node] = best
+        elif not self.beaten and max(candidates) > candidates[k]:
+            self.beaten = True
         return candidates[k]
 
 
@@ -248,23 +252,29 @@ def _policy_iteration(C: Coalgebra, d: PseudoMetric, mode: str
     solution, until it returns d itself.  The min side's values fall
     strictly from one solve to the next, and the strategies' fixed points
     rise strictly from one round to the next, so neither a policy nor a
-    strategy comes back and both loops end.  A plan with no distribution or
-    set layer has no minimising node: Psi under a fixed strategy is affine,
-    and one solve is its fixed point.  Under an improving strategy an
-    evaluation is plain Psi(d).  So when the held strategy returns d, one
-    improving evaluation at d serves twice: d is the answer if it returns
-    d, and otherwise it is the next round's policy."""
+    strategy comes back and both loops end (a solve that does not move so
+    raises QuantAlgError).  A plan with no distribution or set layer has no
+    minimising node: Psi under a fixed strategy is affine, and one solve is
+    its fixed point.  An evaluation is plain Psi(d) under an improving
+    strategy, and under the held one if no held choice was beaten (by
+    induction over the children-first ops, the candidates are plain Psi's
+    and each held choice a largest), so one returning d is the exact test
+    Psi(d) == d; a held one that beat a choice is followed by an improving one."""
     affine = not any(layer[0] in ("dist", "set") for layer in C.plan.layers)
     strategy = MaxStrategy()
     policy, evaluations = psi_step(C, d, mode, strategy), 1
     while True:
         if policy != d:
-            d = _solve_policy(policy, C.pair_graph(mode).policy(strategy))
-            strategy.improving = affine
-        elif strategy.improving:
+            new = _solve_policy(policy, C.pair_graph(mode).policy(strategy))
+            up = strategy.improving  # an improving policy's solve rises, a held one's falls
+            if new == d or not all(x >= y if up else x <= y for x, y in zip(new.values, d.values)):
+                raise QuantAlgError(f"policy iteration on {C.name}: a solve moved the wrong way")
+            d, strategy.improving = new, affine
+        elif strategy.improving or not strategy.beaten:
             return d, evaluations
         else:
             strategy.improving = True
+        strategy.beaten = False
         policy = psi_step(C, d, mode, strategy)
         evaluations += 1
 
@@ -572,7 +582,7 @@ def _parse_rows(ts: TokenStream, plan: LayerPlan, space, name: str) -> Coalgebra
     inputs = plan.layers[0][1] if plan.layers[0][0] == "func" else None
     layers = plan.layers[1:] if inputs else plan.layers
     rows: dict = {}  # state, or (state, input) -> value
-    targets: Dict[str, None] = {}  # states named as successors, in order
+    targets: Dict[str, Guard] = {}  # states named as successors, in order, as guards
 
     def cell(layers) -> SemValue:  # reads the current row's `key`
         if not layers:
@@ -588,18 +598,20 @@ def _parse_rows(ts: TokenStream, plan: LayerPlan, space, name: str) -> Coalgebra
                     raise DomainError(f"leaf point {point!r} outside the space")
                 return VarLeaf(point)
             state = ts.expect_ident().text
-            targets[state] = None
-            return Guard(guard.name, guard.c, StateLeaf(state))
+            if state not in targets:
+                targets[state] = Guard(guard.name, guard.c, StateLeaf(state))
+            return targets[state]
         if layers[0][0] == "dist":
             def weighted():
                 w = ts.expect_rational()
                 ts.expect("->")
                 return cell(layers[1:]), w
             pairs = ts.expect_list(weighted)
-            mass = sum(w for _, w in pairs)
-            if mass != 1:
-                raise DomainError(f"row {key!r} has mass {mass}, expected 1")
-            return make_dist(pairs)
+            try:
+                return make_dist(pairs)
+            except DomainError:  # weights are never negative: the mass is not 1
+                mass = sum(w for _, w in pairs)
+                raise DomainError(f"row {key!r} has mass {mass}, expected 1") from None
         ts.expect("(")  # the pair layer
         inner = cell(layers[1:])
         ts.expect(",")

@@ -7,19 +7,23 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import itemgetter
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, TypeVar, Union
 
 from .errors import DomainError, ParseError
 from .extvalue import INF, ExtValue
 
+# A match is a token and the whitespace and comments before it; past them
+# some token matches (eof at the end), so no match backtracks into them.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+|\#[^\n]*)
-  | (?P<arrow>->)
-  | (?P<num>\d+(?:/\d+)?)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_.']*)
-  | (?P<punct>[(){},;:=@*\[\]<>|+-])
-  | (?P<bad>.)
+    (?:\s|\#[^\n]*)*
+    (?: (?P<arrow>->)
+      | (?P<num>\d+(?:/\d+)?)
+      | (?P<ident>[A-Za-z_][A-Za-z0-9_.']*)
+      | (?P<punct>[(){},;:=@*\[\]<>|+-])
+      | (?P<bad>.)
+      | (?P<eof>\Z))
     """,
     re.VERBOSE | re.DOTALL,
 )
@@ -42,17 +46,20 @@ class TokenStream:
     def __init__(self, text: str, source: str = "<input>"):
         self.source = source
         self.text = text
-        self.tokens: List[Token] = [Token(m.lastgroup, m.group(), m.start())
-                                    for m in _TOKEN_RE.finditer(text) if m.lastgroup != "ws"]
-        for tok in self.tokens:
+        new = tuple.__new__
+        self.tokens: List[Token] = [new(Token, (m.lastgroup, m[m.lastindex], m.start(m.lastindex)))
+                                    for m in _TOKEN_RE.finditer(text)]
+        if len(self.tokens) > 1 and self.tokens[-2].kind == "eof":
+            del self.tokens[-1]  # finditer's empty match at the end, after trailing blanks
+        suspect = "bad" in map(itemgetter(0), self.tokens) or len(text) > MAX_DIGITS or "/0" in text
+        for tok in self.tokens if suspect else ():
             if tok.kind == "bad":
                 raise self.error(f"unexpected character {tok.text!r}", tok)
             if tok.kind == "num":
                 if len(tok.text) > MAX_DIGITS and max(map(len, tok.text.split("/"))) > MAX_DIGITS:
                     raise self.error(f"numeral of more than {MAX_DIGITS} digits", tok)
-                if _ZERO_DENOMINATOR.fullmatch(tok.text):
+                if "/0" in tok.text and _ZERO_DENOMINATOR.fullmatch(tok.text):
                     raise self.error(f"zero denominator in {tok.text!r}", tok)
-        self.tokens.append(Token("eof", "", len(text)))
         self.i = 0
 
     def line(self, tok: Token) -> int:

@@ -14,7 +14,7 @@ mode, truncated to 1 in bounded mode).
 The kernel is built once and evaluated many times: a `PairGraph` walks the
 pair recursion once, and each evaluation only does arithmetic, for the state
 distances it is given, with each transport started from its slot's last
-optimal basis.  An evaluation under a strategy, which chooses at the
+optimal basis tree.  An evaluation under a strategy, which chooses at the
 maximising nodes, leaves its slot values and optimal couplings with the
 strategy, and `PairGraph.policy` reads off them the affine form in the
 state-pair distances that realises each distance, as a row of ints.
@@ -22,7 +22,6 @@ state-pair distances that realises each distance, as a row of ints.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -33,7 +32,7 @@ from .extvalue import INF, ONE, ZERO, ExtValue, ext_max
 from .spaces import FinMetricSpace, hausdorff_candidates
 from .terms import FAMILIES, Term, Var
 from .theories import LayerPlan, TheoryExpr, layer_plan
-from .transport import scale_masses, solve_scaled
+from .transport import Transport, scale_masses, solve_scaled
 
 EXTENDED = "extended"
 BOUNDED = "bounded"
@@ -142,7 +141,7 @@ def make_dist(pairs) -> DistVal:
             continue
         if w < 0:
             raise DomainError("negative weight")
-        acc[v] = acc.get(v, Fraction(0)) + w
+        acc[v] = acc[v] + w if v in acc else w
     if not acc:
         raise DomainError("empty distribution value")
     items = tuple(sorted(acc.items(), key=lambda kv: canon_key(kv[0])))
@@ -324,9 +323,9 @@ class PairGraph:
     a cost matrix, or Hausdorff over its row and column slots.  A state
     pair's op holds its number `state_index(u, v)`, given at the build, and
     a Kantorovich op its masses, scaled to ints and checked at the build.
-    Each Kantorovich slot keeps its last optimal basis in `bases`, and the
-    next evaluation's transport starts from it: the masses are the same,
-    so it is still feasible, and only the costs have changed."""
+    Each Kantorovich slot keeps its last optimal `Transport` in `plans`, and
+    the next evaluation's transport starts from its basis tree: the masses
+    are the same, so it is still feasible, and only the costs have changed."""
 
     def __init__(self, pairs, space: Optional[FinMetricSpace] = None,
                  mode: str = EXTENDED, exc_space: Optional[FinMetricSpace] = None,
@@ -340,7 +339,8 @@ class PairGraph:
         self.top = ONE if mode == BOUNDED else INF
         self.values: List[Optional[ExtValue]] = [ZERO]  # constants; None for an op's slot
         self.ops: Dict[int, tuple] = {}  # an op slot's op, children first
-        self.bases: Dict[int, dict] = {}  # a Kantorovich slot's last optimal basis
+        self.plans: Dict[int, Transport] = {}  # a Kantorovich slot's last optimum
+        self._forms: Dict[int, tuple] = {}  # choice-free slots' rows (see `policy`)
         self._slots: Dict[Tuple[SemValue, SemValue], int] = {}
         self.roots = [self._slot(a, b) for a, b in pairs]
         del self._slots
@@ -412,7 +412,7 @@ class PairGraph:
         largest of its candidates, or `strategy.pick(slot, candidates)` under
         a strategy, which then keeps the slot values as `values` and each
         Kantorovich slot's optimal transport in `plans` (see `policy`)."""
-        top, val, plans, bases = self.top, list(self.values), {}, self.bases
+        top, val, plans, last = self.top, list(self.values), {}, self.plans
 
         def ground(slots):  # the ground of a distribution or set layer
             return [[val[k].truncated(top) for k in row] for row in slots]
@@ -426,8 +426,8 @@ class PairGraph:
             elif kind == _PAIR:
                 out = op[2] + val[op[3]]
             elif kind == _KANT:
-                plan = solve_scaled(op[2], op[3], op[4], ground(op[5]), bases.get(op[1]))
-                bases[op[1]] = plan.basis
+                plan = last[op[1]] = solve_scaled(op[2], op[3], op[4], ground(op[5]),
+                                                  last.get(op[1]))
                 out = plan.value
                 if strategy is not None:
                     plans[op[1]] = plan
@@ -446,46 +446,57 @@ class PairGraph:
         row (D, b, {k: c}), the affine form (b + sum c * states[k])/D, None if
         it is infinite, read off that evaluation's choices: the chosen
         candidate, a Hausdorff candidate's first nearest point, a coupling's
-        integer flows (the row divided by its gcd), and 1 for a capped cell."""
-        val, choice, plans = strategy.values, strategy.choice, strategy.plans
+        integer flows (the row divided by its gcd), and 1 for a capped cell.
+        The rows of choice-free slots (constants, state pairs, and guard and
+        pair ops over such slots) are kept across calls in `_forms`, the
+        others' for one call; rows are shared, so no reader changes one."""
+        val, choice, plans, top, fixed = (strategy.values, strategy.choice, strategy.plans,
+                                          self.top, self._forms)
+        memo: Dict[int, tuple] = {}
 
         def ground(k):  # a cell's row as a distribution or set layer sees it
-            return (1, 1, {}) if val[k] > self.top else form(k)
+            return (1, 1, {}) if val[k] > top else form(k)
 
-        @functools.cache
         def form(k):  # k's value is finite, and so are those of the slots it reads
-            op = self.ops.get(k)
+            row = fixed.get(k) or memo.get(k)
+            if row is not None:
+                return row
+            op, keep = self.ops.get(k), memo
             if op is None:
                 n, d = val[k].ratio
-                return d, n, {}
-            kind = op[0]
-            if kind == _STATE:
-                return 1, 0, {op[2]: 1}
-            if kind == _GUARD:
+                row, keep = (d, n, {}), fixed
+            elif op[0] == _STATE:
+                row, keep = (1, 0, {op[2]: 1}), fixed
+            elif op[0] == _GUARD:
                 D, b, coef = form(op[2])
                 n, d = op[3].numerator, op[3].denominator
-                return D * d, b * n, {j: w * n for j, w in coef.items()}
-            if kind == _PAIR:  # b/D + n/d over the lcm of D and d
+                row = D * d, b * n, {j: w * n for j, w in coef.items()}
+                keep = fixed if op[2] in fixed else memo
+            elif op[0] == _PAIR:  # b/D + n/d over the lcm of D and d
                 D, b, coef = form(op[3])
                 n, d = op[2].ratio
                 s = d // gcd(D, d)
-                return D * s, b * s + n * (D * s // d), {j: w * s for j, w in coef.items()}
-            if kind == _FUNC:
-                return form(op[2][choice[k]])
-            if kind == _HAUS:
+                row = D * s, b * s + n * (D * s // d), {j: w * s for j, w in coef.items()}
+                keep = fixed if op[3] in fixed else memo
+            elif op[0] == _FUNC:
+                row = form(op[2][choice[k]])
+            elif op[0] == _HAUS:
                 cells = (op[2] + op[3])[choice[k]]
-                return ground(min(cells, key=lambda j: val[j].truncated(self.top)))
-            plan = plans[k]
-            cells = [(f, ground(op[5][i][j])) for (i, j), f in plan.basis.items() if f]
-            L = lcm(*(D for _, (D, _, _) in cells))
-            b, coef = 0, {}
-            for f, (D, fb, fcoef) in cells:
-                s = f * (L // D)
-                b += s * fb
-                for u, w in fcoef.items():
-                    coef[u] = coef.get(u, 0) + s * w
-            g = gcd(L * plan.W, b, *coef.values())
-            return L * plan.W // g, b // g, {u: w // g for u, w in coef.items()}
+                row = ground(min(cells, key=lambda j: val[j].truncated(top)))
+            else:
+                plan = plans[k]
+                cells = [(f, ground(op[5][i][j])) for (i, j), f in plan.basis.items() if f]
+                L = lcm(*(D for _, (D, _, _) in cells))
+                b, coef = 0, {}
+                for f, (D, fb, fcoef) in cells:
+                    s = f * (L // D)
+                    b += s * fb
+                    for u, w in fcoef.items():
+                        coef[u] = coef.get(u, 0) + s * w
+                g = gcd(L * plan.W, b, *coef.values())
+                row = L * plan.W // g, b // g, {u: w // g for u, w in coef.items()}
+            keep[k] = row
+            return row
 
         forms = [None if val[k].is_inf else form(k) for k in self.roots]
         del form  # it calls itself: free it and its memo now, not at a collection

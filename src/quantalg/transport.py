@@ -1,26 +1,30 @@
 """Exact transportation problem solver over rationals, run on integers.
 
 The masses are scaled to ints by W, the lcm of their denominators, and the
-finite costs by K, the lcm of theirs.  A cost is a "big-M" pair (m, q) of
-ints meaning m*M + q for an infinitely large M; a forbidden cell (infinite
-ground distance) costs (1, 0), and the optimum is infinite exactly when its
-m-component is positive.  Pairs add componentwise and compare
-lexicographically.
+finite costs by K, the lcm of theirs.  A forbidden cell (infinite ground
+distance) costs M = (S + 2(m+n)) * top + 1, S the scaled supply total and
+top the largest finite scaled cost, so an int m*M + q stands for the big-M
+pair (m, q), compared lexicographically, exactly: a potential (u_i + v_j =
+c_ij on basic cells, u_0 = 0) alternates the costs of a tree path of at
+most m + n - 1 cells, so its q lies within (m+n)/2 * top of 0 and, as
+M > 2(m+n) * top, decodes to one pair (`u`, `v`); a reduced cost's q lies
+within (m+n+1) * top < M of 0, so its sign is its pair's; and a coupling
+costs big*M + q with 0 <= q <= S * top < M, so the optimum is infinite
+exactly when its total reaches M.
 
 The solver is the primal transportation simplex on a spanning tree basis
 (a dict from basic cells to flows), started from the northwest corner or
-from a basis the caller kept: an optimum of the same masses under other
-costs is still feasible, so a caller that re-solves fixed masses under new
-costs (a Kantorovich slot of `semantics.PairGraph`) scales them once
-(`scale_masses`) and starts each solve from the last optimum
-(`solve_scaled`).
-
-Each pivot walks the basis tree once from row 0, which gives every node its
-potential (u_i + v_j = c_ij on basic cells), parent and depth; the entering
-cell is read off the potentials and the cycle off the parents.  Bland's
-rule on both the entering and the leaving cell prevents cycling.  Positive
-scalings keep the sign of every reduced cost and the order of the flows,
-so every pivot is the one the simplex takes on the rationals themselves.
+from a `Transport` the caller kept: an optimum of the same masses under
+other costs is still feasible, so a caller that re-solves fixed masses
+under new costs (a Kantorovich slot of `semantics.PairGraph`) scales them
+once (`scale_masses`) and starts each solve from the last optimum
+(`solve_scaled`).  A `Transport` keeps its basis tree as a walk from row 0,
+parents first: a solve sets the potentials in one pass over it, reads the
+entering cell off them and its cycle off the parents, and walks the tree
+again only after a pivot.  Bland's rule on both the entering and the
+leaving cell prevents cycling.  Positive scalings keep the sign of every
+reduced cost and the order of the flows, so every pivot is the one the
+simplex takes on the rationals themselves.
 
 Only the returned `Transport` holds rationals: the value total/(W*K), and,
 converted when first read, the flows f/W and the potentials (m, q/K).  The
@@ -34,6 +38,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import DomainError
@@ -48,12 +53,14 @@ class Transport:
     forbidden cell), the basic cells' flows (zero on degenerate ones), and
     the row and column potentials u, v as big-M cost pairs.  The flows and
     potentials are kept as the solver's scaled ints and become rationals
-    when first read: `basis` maps each basic cell to W times its flow."""
+    when first read: `basis` maps each basic cell to W times its flow, and
+    `tree` is its basis tree (None if every cell is basic).  A solve started
+    from this one shares both until it pivots, so neither ever changes."""
 
-    def __init__(self, value: ExtValue, basis: Dict[Cell, int], pot: List[Tuple[int, int]],
-                 W: int, K: int, m: int):
-        self.value, self.basis, self.W = value, basis, W
-        self._pot, self._K, self._m = pot, K, m
+    def __init__(self, value: ExtValue, basis: Dict[Cell, int], tree, pot: List[int],
+                 W: int, K: int, M: int, m: int):
+        self.value, self.basis, self.tree, self.W = value, basis, tree, W
+        self._pot, self._K, self._M, self._m = pot, K, M, m
 
     @functools.cached_property
     def flows(self) -> Dict[Cell, Fraction]:
@@ -61,7 +68,9 @@ class Transport:
 
     @functools.cached_property
     def _potentials(self) -> List[Cost]:
-        return [(Fraction(pm), Fraction(pq, self._K)) for pm, pq in self._pot]
+        h = self._M // 2
+        pairs = (divmod(p + h, self._M) for p in self._pot)
+        return [(Fraction(pm), Fraction(pq - h, self._K)) for pm, pq in pairs]
 
     @property
     def u(self) -> List[Cost]:
@@ -70,11 +79,6 @@ class Transport:
     @property
     def v(self) -> List[Cost]:
         return self._potentials[self._m:]
-
-
-def _edge_cell(a: int, b: int, m: int) -> Cell:
-    """The basic cell of the tree edge between nodes a and b."""
-    return (a, b - m) if a < m else (b, a - m)
 
 
 def scale_masses(supplies: Sequence[Fraction], demands: Sequence[Fraction]
@@ -108,30 +112,39 @@ def min_cost_transport(
 
 
 def solve_scaled(a: List[int], b: List[int], W: int, cost: Sequence[Sequence[ExtValue]],
-                 start: Optional[Dict[Cell, int]] = None) -> Transport:
+                 start: Optional[Transport] = None) -> Transport:
     """`min_cost_transport` on masses already scaled by `scale_masses`,
-    started from `start` (W times the flows of a basis of these masses, such
-    as an earlier optimum's `basis` under other costs: it is primal
-    feasible), or from the northwest corner.  `start` is not changed."""
+    started from the basis of `start` (an earlier solve of these masses,
+    under any costs: it is primal feasible), or from the northwest corner."""
     m, n = len(a), len(b)
-    ratios = [[c.ratio for c in row] for row in cost]
-    K = math.lcm(*(d for row in ratios for _, d in row if d))
-    costs = [[(0, n * (K // d)) if d else (1, 0) for n, d in row] for row in ratios]
-    basis = _northwest_corner(list(a), list(b)) if start is None else dict(start)
-    if m == 1 or n == 1:
+    flat = [c.ratio for row in cost for c in row]
+    K = math.lcm(*{d for _, d in flat if d})
+    flat = [x * (K // d) if d else -1 for x, d in flat]
+    M = (sum(a) + 2 * (m + n)) * max(0, max(flat)) + 1
+    if -1 in flat:
+        flat = [M if c < 0 else c for c in flat]
+    costs = [flat[i:i + n] for i in range(0, m * n, n)]
+    if start is None:
+        basis = _northwest_corner(list(a), list(b))
+        tree = None if m == 1 or n == 1 else _tree(basis, m, n)
+    else:
+        basis, tree = start.basis, start.tree
+    if tree is None:
         # Every cell is basic, so the northwest corner is the only feasible
         # flow, and the costs are potentials (with 0 on the other side).
-        pot = [(0, 0)] + costs[0] if m == 1 else [row[0] for row in costs] + [(0, 0)]
+        pot = [0] + costs[0] if m == 1 else [row[0] for row in costs] + [0]
     else:
-        walk = _walk(costs, basis, m, n)
-        while _pivot(costs, basis, m, n, walk):
-            walk = _walk(costs, basis, m, n)
-        pot = walk[0]
-
-    big = sum(f * costs[i][j][0] for (i, j), f in basis.items())
-    total = sum(f * costs[i][j][1] for (i, j), f in basis.items())
-    value = INF if big > 0 else ExtValue(total, W * K)
-    return Transport(value, basis, pot, W, K, m)
+        pot, entering = _entering(costs, tree, m)
+        if entering is not None:
+            basis = dict(basis)  # the start's basis stays as it was
+        while entering is not None:
+            _pivot(basis, tree, entering, m)
+            tree = _tree(basis, m, n)
+            pot, entering = _entering(costs, tree, m)
+    # the basis' cost, as its dual objective: u_i + v_j = c_ij on its cells
+    total = sum(map(mul, a, pot)) + sum(map(mul, b, pot[m:]))
+    value = INF if total >= M else ExtValue(total, W * K)
+    return Transport(value, basis, tree, pot, W, K, M, m)
 
 
 def _northwest_corner(a: List[int], b: List[int]) -> Dict[Cell, int]:
@@ -151,51 +164,46 @@ def _northwest_corner(a: List[int], b: List[int]) -> Dict[Cell, int]:
             j += 1
 
 
-def _walk(costs, basis: Dict[Cell, int], m: int, n: int):
-    """One walk of the basis tree from row 0: every node's potential
-    (u_i + v_j = c_ij on basic cells), parent and depth.  Tree nodes are rows
-    0..m-1 and columns m..m+n-1."""
+def _tree(basis: Dict[Cell, int], m: int, n: int):
+    """The basis tree walked from row 0: (walk, parent, depth), the walk a
+    list of (node, its parent, the basic cell between them), parents
+    first.  Tree nodes are rows 0..m-1 and columns m..m+n-1."""
     adj = [[] for _ in range(m + n)]
     for (i, j) in basis:
         adj[i].append(m + j)
         adj[m + j].append(i)
-    pot = [(0, 0)] + [None] * (m + n - 1)
-    parent, depth = [0] * (m + n), [0] * (m + n)
-    stack = [0]
+    parent, depth = [0] + [-1] * (m + n - 1), [0] * (m + n)
+    walk, stack = [], [0]
     while stack:
         a = stack.pop()
-        pm, pq = pot[a]
         for b in adj[a]:
-            if pot[b] is None:
-                i, j = _edge_cell(a, b, m)
-                cm, cq = costs[i][j]
-                pot[b] = (cm - pm, cq - pq)
+            if parent[b] < 0:
                 parent[b], depth[b] = a, depth[a] + 1
+                walk.append((b, a, a, b - m) if a < m else (b, a, b, a - m))
                 stack.append(b)
-    return pot, parent, depth
+    return walk, parent, depth
 
 
-def _entering(costs, pot, m: int):
-    """Bland's entering cell, the first in row-major order with a negative
-    reduced cost c_ij - u_i - v_j, or None at an optimal basis."""
-    vm, vq = zip(*pot[m:])
+def _entering(costs, tree, m: int) -> Tuple[List[int], Optional[Cell]]:
+    """The basis tree's potentials under costs (u_0 = 0, u_i + v_j = c_ij on
+    basic cells), and Bland's entering cell, the first in row-major order
+    with a negative reduced cost c_ij - u_i - v_j, or None at an optimum."""
+    pot = [0] * (len(tree[0]) + 1)
+    for b, a, i, j in tree[0]:
+        pot[b] = costs[i][j] - pot[a]
+    v = pot[m:]
     for i, row in enumerate(costs):
-        um, uq = pot[i]
-        for j, (cm, cq) in enumerate(row):
-            dm = cm - um - vm[j]
-            if dm < 0 or (dm == 0 and cq - uq < vq[j]):
-                return (i, j)
-    return None
+        u = pot[i]
+        for j, c in enumerate(row):
+            if c - u < v[j]:
+                return pot, (i, j)
+    return pot, None
 
 
-def _pivot(costs, basis: Dict[Cell, int], m: int, n: int, walk) -> bool:
-    """One simplex pivot on basis, given its walk; False when the basis is
-    already optimal."""
-    pot, parent, depth = walk
-    entering = _entering(costs, pot, m)
-    if entering is None:
-        return False
-
+def _pivot(basis: Dict[Cell, int], tree, entering: Cell, m: int) -> None:
+    """One simplex pivot on basis, whose tree is `tree`, bringing in the
+    cell `entering`."""
+    _, parent, depth = tree
     # The cycle closes entering with the tree path from its row to its column,
     # the two ends climbing to their common ancestor.
     up, down = [entering[0]], [m + entering[1]]
@@ -205,7 +213,8 @@ def _pivot(costs, basis: Dict[Cell, int], m: int, n: int, walk) -> bool:
         else:
             down.append(parent[down[-1]])
     path = up + down[-2::-1]  # entering row, ..., common ancestor, ..., entering column
-    cycle = [entering] + [_edge_cell(a, b, m) for a, b in zip(path, path[1:])]
+    cycle = [entering] + [(a, b - m) if a < m else (b, a - m)  # the edges' cells
+                          for a, b in zip(path, path[1:])]
     # Odd positions give up flow; theta is the smallest of them.
     givers = cycle[1::2]
     theta = min(basis[c] for c in givers)
@@ -214,4 +223,3 @@ def _pivot(costs, basis: Dict[Cell, int], m: int, n: int, walk) -> bool:
     for k, c in enumerate(cycle):
         basis[c] = basis[c] + theta if k % 2 == 0 else basis[c] - theta
     del basis[leaving]
-    return True

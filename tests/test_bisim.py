@@ -1,5 +1,6 @@
 import math
 import random
+import signal
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,8 @@ from quantalg import (BOUNDED, EXTENDED, FinMetricSpace, PseudoMetric,
                       layer_plan, markov_process_theory, mdp_theory, mealy_theory,
                       parse_coalgebras, parse_term, parse_theory, psi_step,
                       solve_bisim, term_dist, unfold_term)
-from quantalg.errors import DivergentGround, DomainError
+from quantalg import bisim
+from quantalg.errors import DivergentGround, DomainError, QuantAlgError
 from quantalg.extvalue import ZERO
 
 from helpers import (BOT, MAX_MONOID, FinDist, Table, dense_recipe_table,
@@ -574,8 +576,8 @@ def test_solve_affine_on_a_long_chain_needs_no_recursion():
         2 - Fraction(1, 2 ** (n - 1)), Fraction(3, 2), 1]
 
 
-@pytest.mark.parametrize("kind, n, iterations", [("mp", 16, 8), ("mdp", 8, 13),
-                                                 ("mdp", 16, 17)])
+@pytest.mark.parametrize("kind, n, iterations", [("mp", 16, 7), ("mdp", 8, 12),
+                                                 ("mdp", 16, 16)])
 def test_dense_recipe_reaches_the_exact_fixed_point(kind, n, iterations):
     # policy systems with blocks of up to 116 unknowns, whose rows fill in
     # under elimination, and answers with denominators of 160 digits and more
@@ -583,6 +585,31 @@ def test_dense_recipe_reaches_the_exact_fixed_point(kind, n, iterations):
     d, cert = solve_bisim(C, BOUNDED)
     assert cert.iterations == iterations
     assert psi_kernel_reference(C, d, BOUNDED) == d
+
+
+def test_a_solve_that_moves_the_wrong_way_is_an_error(monkeypatch):
+    # a faulty solver, whose eliminated blocks forget the unknowns of earlier
+    # blocks, gives policies that do not move d the way policy iteration
+    # needs; the check turns the endless loop this would make into an error
+    eliminate = bisim._eliminate
+
+    def dropping(block, system):
+        inside = set(block)
+        return eliminate(block, {k: (D, b, {j: c for j, c in coef.items() if j in inside})
+                                 for k, (D, b, coef) in system.items() if k in inside})
+
+    def hung(signum, frame):
+        raise TimeoutError("policy iteration did not end")
+
+    monkeypatch.setattr(bisim, "_eliminate", dropping)
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        with pytest.raises(QuantAlgError, match="a solve moved the wrong way"):
+            solve_bisim(table_coalgebra(dense_recipe_table("mp", 16)), BOUNDED)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_policy_iteration_on_set_layers():

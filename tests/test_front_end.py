@@ -9,7 +9,7 @@ from quantalg import (ParseError, parse_algebras, parse_coalgebras, parse_monoid
                       parse_spaces, parse_term, parse_theory)
 from quantalg.cli import main
 from quantalg.errors import QuantAlgError
-from quantalg.lexing import TokenStream
+from quantalg.lexing import MAX_DIGITS, TokenStream
 
 SPACE = """\
 space S { points: p, q, r;
@@ -95,11 +95,35 @@ def test_an_edited_file_is_read_or_rejected_with_a_quantalg_error(fmt, data):
     ("x\n\n  $", "<input>:3: unexpected character '$'"),
     ("a # $ in a comment\n1/00", "<input>:2: zero denominator in '1/00'"),
     ("x\n1/1" + "0" * 4000, "<input>:2: numeral of more than 4000 digits"),
+    ("1/0", "<input>:1: zero denominator in '1/0'"),
+    ("a\n3/00", "<input>:2: zero denominator in '3/00'"),
+    ("1/01 # /0\n\n" + "7" * (MAX_DIGITS + 1), "<input>:3: numeral of more than 4000 digits"),
+    ("a \t\n  \t$", "<input>:2: unexpected character '$'"),
+    ("1/0 $", "<input>:1: zero denominator in '1/0'"),
+    ("a\n$ 1/0", "<input>:2: unexpected character '$'"),
 ])
 def test_the_tokenizer_reports_the_first_bad_token_with_its_line(text, message):
     with pytest.raises(ParseError) as e:
         TokenStream(text)
     assert str(e.value) == message
+
+
+def test_whitespace_and_comments_end_in_one_eof_token():
+    # each token's match takes the whitespace and comments before it, so
+    # trailing ones go with the end of input, however long the run
+    spaces = " " * 10 ** 5
+    for text, tokens in [("a  # end", ["a"]), ("a\n\t# end", ["a"]), ("a b\n", ["a", "b"]),
+                         ("#", []), ("", []), (spaces, []), ("a" + spaces + "\nb", ["a", "b"]),
+                         (spaces + "$" + spaces, None), ("1/01 2/10", ["1/01", "2/10"])]:
+        if tokens is None:
+            with pytest.raises(ParseError) as e:
+                TokenStream(text)
+            assert str(e.value) == "<input>:1: unexpected character '$'"
+            continue
+        ts = TokenStream(text)
+        assert [t.text for t in ts.tokens] == tokens + [""]
+        eof = ts.tokens[-1]
+        assert (eof.kind, eof.pos, ts.line(eof)) == ("eof", len(text), text.count("\n") + 1)
 
 
 def test_a_numeral_part_may_have_4000_digits():

@@ -9,10 +9,12 @@ from quantalg import (BOUNDED, EXTENDED, Coalgebra, FinMetricSpace, Guard, PairV
                       layer_plan, make_set, parse_coalgebras, parse_theory, psi_step,
                       solve_bisim)
 from quantalg import bisim
+from quantalg.extvalue import ZERO
+from quantalg.semantics import FuncVal, PairGraph
 from quantalg.bisim import MaxStrategy, _solve_policy
 
-from helpers import (BOT, FinDist, Table, leaf, random_cyclic_table, random_space, st,
-                     table_coalgebra)
+from helpers import (BOT, FinDist, Table, dense_recipe_table, leaf, random_cyclic_table,
+                     random_space, st, table_coalgebra)
 from oracles import check_transport, form, psi_kernel_reference, psi_reference
 
 INF_MONOID = TableMonoid(
@@ -220,10 +222,69 @@ def test_solve_bisim_builds_the_pair_graph_once_per_mode(monkeypatch):
 
     plan_graph = bisim.plan_graph
     monkeypatch.setattr(bisim, "plan_graph", counting)
-    rng = random.Random(5)
+    rng = random.Random(8)  # a system that takes four evaluations
     space = random_space(rng, ["x", "y"], max_den=4)
     C = table_coalgebra(random_cyclic_table(rng, "lmp", EXTENDED, space, n=4), space)
     d, cert = solve_bisim(C, BOUNDED)
     assert cert.iterations > 3 and built == [BOUNDED]
     solve_bisim(C, EXTENDED)
     assert solve_bisim(C, BOUNDED)[0] == d and built == [BOUNDED, EXTENDED]
+
+
+def test_a_held_choice_is_beaten_only_by_a_strictly_larger_candidate():
+    one, half = ext(1), ext(Fraction(1, 2))
+    s = MaxStrategy()
+    assert s.pick(7, [half, one, one]) == one and s.choice == {7: 1} and not s.beaten
+    s.improving = False
+    assert s.pick(7, [one, one, half]) == one and not s.beaten  # a tie
+    assert s.pick(8, [half, one]) == one and s.choice[8] == 1 and not s.beaten  # a new node
+    assert s.pick(7, [one, half, half]) == half and s.beaten  # kept, and marked
+    assert s.choice == {7: 1, 8: 1}
+
+
+def test_a_held_evaluation_with_nothing_beaten_closes_policy_iteration(monkeypatch):
+    # the answer returned off a held evaluation, with no improving one after
+    # it, still passes the exact test Psi(d) == d of the kernel reference
+    closing = []
+
+    def recording(C, d, mode=BOUNDED, strategy=None):
+        closing.append(strategy is not None and not strategy.improving)
+        return psi_step(C, d, mode, strategy)
+
+    monkeypatch.setattr(bisim, "psi_step", recording)
+    rng = random.Random(29)
+    systems = [(table_coalgebra(dense_recipe_table("mp", 8)), BOUNDED)]
+    for kind in ("lmp", "mdp"):
+        for mode in (BOUNDED, EXTENDED):
+            for _ in range(4):
+                space = random_space(rng, ["x", "y"], max_den=4)
+                T = random_cyclic_table(rng, kind, mode, space, n=rng.randint(2, 4))
+                systems.append((table_coalgebra(T, space), mode))
+    systems += [(_set_system(rng, Fraction(1, 2)), mode) for mode in (BOUNDED, EXTENDED)
+                for _ in range(4)]
+    held = 0
+    for C, mode in systems:
+        closing.clear()
+        d, _ = solve_bisim(C, mode)
+        held += closing[-1]
+        assert psi_kernel_reference(C, d, mode) == d, (C.plan, mode)
+    assert held > len(systems) // 2, held
+
+
+def test_a_row_over_a_choice_is_read_again_at_every_policy():
+    # a guard and a pair op over a maximising node are not choice-free: when
+    # the choice moves, so do their rows
+    c, s, t, u = Fraction(1, 2), StateLeaf("s"), StateLeaf("t"), StateLeaf("u")
+
+    def value(alpha, a, b):
+        return PairVal(alpha, Guard("next", c, FuncVal((("i", a), ("j", b)))))
+
+    index = {("s", "t"): 0, ("s", "u"): 1, ("t", "u"): 2}
+    graph = PairGraph([(value(Fraction(1, 3), s, s), value(Fraction(1, 2), t, u))],
+                      state_index=lambda a, b: index[a, b])
+    strategy = MaxStrategy()
+    rows = []
+    for states in ([ext(1), ZERO, ZERO], [ZERO, ext(1), ZERO]):
+        graph.evaluate(states, strategy)
+        rows.append(graph.policy(strategy)[0])
+    assert rows == [(6, 1, {0: 3}), (6, 1, {1: 3})]  # 1/6 + d/2

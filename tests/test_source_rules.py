@@ -58,8 +58,9 @@ def test_the_hot_path_names_no_fraction():
     # ints: a Fraction is built only at the edges
     hot = {"semantics.py": ["PairGraph.evaluate", "PairGraph.policy"],
            "bisim.py": ["solve_affine", "_blocks", "_eliminate", "psi_step",
-                        "_solve_policy", "PseudoMetric.index"],
-           "transport.py": ["min_cost_transport", "solve_scaled"]}
+                        "_solve_policy", "PseudoMetric.index", "MaxStrategy.pick"],
+           "transport.py": ["min_cost_transport", "solve_scaled", "_tree", "_entering",
+                            "_pivot"]}
     found = []
     for name, functions in hot.items():
         tree = ast.parse((Path(quantalg.__file__).parent / name).read_text(), name)

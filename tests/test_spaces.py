@@ -1,3 +1,4 @@
+import copy
 import math
 import random
 from fractions import Fraction
@@ -338,14 +339,66 @@ def _masses_and_two_costs(draw):
 
 @given(_masses_and_two_costs())
 def test_a_transport_started_from_another_optimum_is_the_cold_optimum(case):
-    # an optimal basis of the same masses under other costs is a feasible
-    # start: the warm solve reaches the cold value, with an optimal coupling
-    # and a dual certificate, and leaves the start basis as it was
+    # an optimum of the same masses under other costs is a feasible start:
+    # the warm solve reaches the cold value, with an optimal coupling and a
+    # dual certificate, and leaves the start's basis and tree as they were
     supplies, demands, first, second = case
     a, b, W = scale_masses(supplies, demands)
-    start = solve_scaled(a, b, W, first).basis
-    kept = dict(start)
+    start = solve_scaled(a, b, W, first)
+    kept = copy.deepcopy((start.basis, start.tree))
     warm = solve_scaled(a, b, W, second, start)
-    assert start == kept
+    assert (start.basis, start.tree) == kept
     cold = min_cost_transport(supplies, demands, second)
     assert check_transport(supplies, demands, second, warm).value == cold.value
+
+
+@st.composite
+def _masses_and_cost_chain(draw):
+    """Masses as above and a chain of three to five cost matrices on them.
+    A matrix has random cells, or all its finite cells 0, or all of them
+    one value c, so that a coupling's finite part reaches S * top, the most
+    a finite total can be under the forbidden cost M; each may have
+    forbidden cells."""
+    supplies, demands, *_ = draw(_masses_and_two_costs())
+    m, n = len(supplies), len(demands)
+    chain = []
+    for _ in range(draw(st.integers(3, 5))):
+        flat = st.one_of(st.just(ZERO), st.fractions(1, 6, max_denominator=3).map(ext))
+        finite = draw(st.one_of(st.just(None), flat))
+        cell = st.fractions(0, 6, max_denominator=3).map(ext) if finite is None \
+            else st.just(finite)
+        cell = st.one_of(st.just(INF), cell)
+        chain.append([[draw(cell) for _ in range(n)] for _ in range(m)])
+    return supplies, demands, chain
+
+
+@given(_masses_and_cost_chain())
+def test_a_chain_of_warm_transports_keeps_the_cold_optimum(case):
+    # each solve starts from the Transport of the one before, as a
+    # Kantorovich slot's solves do over the rounds of policy iteration
+    supplies, demands, chain = case
+    a, b, W = scale_masses(supplies, demands)
+    plan = None
+    for cost in chain:
+        plan = solve_scaled(a, b, W, cost, plan)
+        cold = min_cost_transport(supplies, demands, cost)
+        assert check_transport(supplies, demands, cost, plan).value == cold.value
+
+
+def test_a_coupling_of_only_the_largest_finite_cost_stays_finite():
+    # the finite part of the total is S * top, just below M (S is 1000
+    # where the masses are in 1000ths), and the potentials decode although
+    # they sit next to forbidden cells; with every finite cost 0, top is 0
+    # and M is 1
+    c, X, half, quarter = ext(Fraction(5, 3)), INF, Fraction(1, 2), Fraction(1, 4)
+    for supplies, demands, cost, value in (
+            ([half] * 2, [quarter] * 4, [[c, c, X, X], [X, X, c, c]], c),
+            ([Fraction(1)], [Fraction(1, 3), Fraction(2, 3)], [[c, c]], c),
+            ([Fraction(1, 1000), Fraction(999, 1000)], [half] * 2, [[c, c], [c, X]], INF),
+            ([Fraction(1, 1000), Fraction(999, 1000)], [half] * 2, [[X, c], [c, c]], c),
+            ([Fraction(1, 3), Fraction(2, 3)], [Fraction(1)], [[c], [X]], INF),
+            ([half] * 2, [half] * 2, [[ZERO, X], [X, ZERO]], ZERO),
+            ([half] * 2, [half] * 2, [[X, ZERO], [ZERO, X]], ZERO),
+            ([half] * 2, [quarter, Fraction(3, 4)], [[ZERO, X], [X, ZERO]], INF)):
+        plan = min_cost_transport(supplies, demands, cost)
+        assert check_transport(supplies, demands, cost, plan).value == value
