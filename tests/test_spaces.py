@@ -320,10 +320,9 @@ def test_transport_rejects_empty_nonpositive_or_unequal_masses(supplies, demands
 
 
 @st.composite
-def _masses_and_two_costs(draw):
+def _meeting_masses(draw):
     """Masses of small integer parts of one total, so that partial sums of
-    supplies and demands often meet (degenerate bases), and two cost
-    matrices with forbidden cells."""
+    supplies and demands often meet (degenerate bases)."""
     m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
     total = draw(st.integers(max(m, n, 2), 10))
 
@@ -332,9 +331,17 @@ def _masses_and_two_costs(draw):
                                     max_size=k - 1, unique=True)))
         return [Fraction(b - a, total) for a, b in zip([0] + cuts, cuts + [total])]
 
+    return parts(m), parts(n)
+
+
+@st.composite
+def _masses_and_two_costs(draw):
+    """Masses as `_meeting_masses` draws them and two cost matrices with
+    forbidden cells."""
+    supplies, demands = draw(_meeting_masses())
     cell = st.one_of(st.just(INF), st.fractions(0, 6, max_denominator=3).map(ext))
-    costs = [[[draw(cell) for _ in range(n)] for _ in range(m)] for _ in range(2)]
-    return parts(m), parts(n), *costs
+    costs = [[[draw(cell) for _ in demands] for _ in supplies] for _ in range(2)]
+    return supplies, demands, *costs
 
 
 @given(_masses_and_two_costs())
@@ -354,12 +361,12 @@ def test_a_transport_started_from_another_optimum_is_the_cold_optimum(case):
 
 @st.composite
 def _masses_and_cost_chain(draw):
-    """Masses as above and a chain of three to five cost matrices on them.
-    A matrix has random cells, or all its finite cells 0, or all of them
-    one value c, so that a coupling's finite part reaches S * top, the most
-    a finite total can be under the forbidden cost M; each may have
-    forbidden cells."""
-    supplies, demands, *_ = draw(_masses_and_two_costs())
+    """Masses as `_meeting_masses` draws them and a chain of three to five
+    cost matrices on them.  A matrix has random cells, or all its finite
+    cells 0, or all of them one value c, so that a coupling's finite part
+    reaches S * top, the most a finite total can be under the forbidden
+    cost M; each may have forbidden cells."""
+    supplies, demands = draw(_meeting_masses())
     m, n = len(supplies), len(demands)
     chain = []
     for _ in range(draw(st.integers(3, 5))):
