@@ -173,8 +173,6 @@ def solve_bisim(C: Coalgebra, mode: str = BOUNDED) -> Tuple[PseudoMetric, Certif
     distance, or a Hausdorff distance to the empty set); in extended mode an
     infinite pair of Psi(0) raises DivergentGround.
     """
-    if mode not in (BOUNDED, EXTENDED):
-        raise DomainError(f"unknown mode {mode!r}")
     cyclic = _cyclic(C)
     d = PseudoMetric(C.states)
     for k in count(1):
@@ -514,44 +512,16 @@ def _union_chain(terms: List[Term]) -> Term:
 # ---------------------------------------------------------------------------
 # Text format
 
-def _kind_theory(ts: TokenStream, kind: str, c: Fraction, monoids) -> TheoryExpr:
-    """The composed theory a text-format kind names, reading the kind's
-    header lines (actions or inputs, and a Mealy machine's monoid)."""
-    if kind == "mp":
-        return markov_process_theory(c)
-    ts.expect("inputs" if kind == "mealy" else "actions", ":")
-    labels = ts.expect_list(lambda: ts.expect_ident().text)
-    ts.expect(";")
-    if kind != "mealy":
-        return (labelled_mp_theory if kind == "lmp" else mdp_theory)(labels, c)
-    monoid = RATIONAL_LINE
-    if ts.accept("monoid"):
-        ts.expect(":")
-        ref = ts.expect_ident().text
-        if not monoids or ref not in monoids:
-            raise ts.error(f"unknown monoid {ref!r}")
-        monoid = monoids[ref]
-        ts.expect(";")
-    return mealy_theory(labels, monoid, c)
-
-
-def _plan_kind(plan: LayerPlan) -> Optional[Tuple[str, str]]:
-    """The text-format kind naming the plan and the keyword of its function
-    layer's labels, or None if the format has none."""
-    shapes = tuple(layer[0] for layer in plan.layers)
-    exc = plan.exc_space
-    if exc is not None and tuple(exc.points) != ("*",):
-        return None
-    if shapes == ("dist",):
-        return "mp", ""
-    if shapes == ("func", "dist"):
-        return "lmp", "actions"
-    if exc is None and shapes == ("func", "pair"):
-        return "mealy", "inputs"
-    if exc is None and shapes == ("func", "dist", "pair") \
-            and isinstance(plan.layers[2][1], RationalLineMonoid):
-        return "mdp", "actions"
-    return None
+# The text format's kinds: the keyword of a kind's labels (None: it has
+# none), whether its header may name a monoid, and its theory over (labels,
+# monoid, c).  `parse_coalgebras` reads a row forward, `format_coalgebra`
+# backward.
+_KINDS = {
+    "mp": (None, False, lambda labels, monoid, c: markov_process_theory(c)),
+    "lmp": ("actions", False, lambda labels, monoid, c: labelled_mp_theory(labels, c)),
+    "mealy": ("inputs", True, mealy_theory),
+    "mdp": ("actions", False, lambda labels, monoid, c: mdp_theory(labels, c)),
+}
 
 
 def parse_coalgebras(text: str, monoids: Optional[Dict[str, Monoid]] = None,
@@ -571,10 +541,22 @@ def parse_coalgebras(text: str, monoids: Optional[Dict[str, Monoid]] = None,
         ts.expect("c", "=")
         c = ts.expect_rational()
         ts.expect(";")
-        plan = layer_plan(_kind_theory(ts, kind, c, monoids))
-        return _parse_rows(ts, plan, space, name)
+        label, names_monoid, theory = _KINDS[kind]
+        labels, monoid = (), RATIONAL_LINE
+        if label:
+            ts.expect(label, ":")
+            labels = ts.expect_list(lambda: ts.expect_ident().text)
+            ts.expect(";")
+        if names_monoid and ts.accept("monoid"):
+            ts.expect(":")
+            ref = ts.expect_ident().text
+            if not monoids or ref not in monoids:
+                raise ts.error(f"unknown monoid {ref!r}")
+            monoid = monoids[ref]
+            ts.expect(";")
+        return _parse_rows(ts, layer_plan(theory(labels, monoid, c)), space, name)
 
-    return ts.blocks("system", ("mp", "lmp", "mealy", "mdp"), system)
+    return ts.blocks("system", tuple(_KINDS), system)
 
 
 def _parse_rows(ts: TokenStream, plan: LayerPlan, space, name: str) -> Coalgebra:
@@ -654,11 +636,16 @@ def format_coalgebra(C: Coalgebra, monoid_name: Optional[str] = None) -> str:
 
     Mealy systems over a table monoid need `monoid_name`, the name the
     reader will resolve through its monoid file."""
-    shape = _plan_kind(C.plan)
-    if shape is None:
+    exc = C.plan.exc_space
+    for kind, (label, _, theory) in _KINDS.items():
+        if (label is None) != (C.inputs is None):  # labels are a function layer's inputs
+            continue
+        plan = layer_plan(theory(C.inputs, C.monoid or RATIONAL_LINE, C.c))
+        if plan.layers == C.plan.layers and (exc is None or exc == plan.exc_space):
+            break
+    else:
         raise UnsupportedShape("no coalgebra kind for layer shape "
                                + ("/".join(l[0] for l in C.plan.layers) or "leaf"))
-    kind, label = shape
     lines = [f"{kind} {C.name} {{", f"  c = {C.c};"]
     if C.inputs:
         lines.append(f"  {label}: " + ", ".join(C.inputs) + ";")

@@ -1,7 +1,8 @@
 """Command line front end.
 
 Verbs: dist, normalize, bisim, unfold, check-model.  All numeric output is
-exact rational text (p/q or inf); --decimal opts into rounded rendering.
+exact rational text (p/q or inf); the distance verbs' --decimal opts into
+rounded rendering.  A verb has only the options its handler reads.
 Exit codes: 0 success, 1 domain errors, 2 parse errors.
 """
 
@@ -55,31 +56,37 @@ def _build_parser() -> argparse.ArgumentParser:
         description="exact distances for quantitative algebraic effects")
     sub = p.add_subparsers(required=True)
 
-    def common(sp, theory=True, mode_default=EXTENDED):
+    def common(sp, theory=True):
         if theory:
             sp.add_argument("--theory", required=True,
                             help="theory expression, e.g. 'sum(sum(bary, exc{1}), contr{next, 1/2})'")
         sp.add_argument("--space", help="space file; ground metric for variables")
         sp.add_argument("--monoid", help="monoid file for writer theories")
-        sp.add_argument("--mode", choices=[EXTENDED, BOUNDED], default=mode_default)
+
+    def output(sp, mode=None):  # a verb that prints distances has a mode
         sp.add_argument("--format", choices=["text", "record"], default="text")
-        sp.add_argument("--decimal", type=_digits, metavar="DIGITS",
-                        help="also render rationals rounded to DIGITS places")
+        if mode:
+            sp.add_argument("--mode", choices=[EXTENDED, BOUNDED], default=mode)
+            sp.add_argument("--decimal", type=_digits, metavar="DIGITS",
+                            help="also render rationals rounded to DIGITS places")
 
     sp = sub.add_parser("dist", help="distance between two terms")
     common(sp)
+    output(sp, EXTENDED)
     sp.add_argument("terms", nargs=2, help="term files (or literal terms with --inline)")
     sp.add_argument("--inline", action="store_true", help="treat the term arguments as literal text")
     sp.set_defaults(handler=_cmd_dist)
 
     sp = sub.add_parser("normalize", help="canonical normal form of a term")
     common(sp)
+    output(sp)
     sp.add_argument("term")
     sp.add_argument("--inline", action="store_true")
     sp.set_defaults(handler=_cmd_normalize)
 
     sp = sub.add_parser("bisim", help="bisimilarity metric of a coalgebra file")
-    common(sp, theory=False, mode_default=BOUNDED)
+    common(sp, theory=False)
+    output(sp, BOUNDED)
     sp.add_argument("file")
     sp.add_argument("--tol", type=_positive_rational, default=Fraction(1, 1000),
                     help="accepted and not used: every answer is exact")
@@ -93,6 +100,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("check-model", help="check an algebra file against a theory")
     common(sp)
+    output(sp)
     sp.add_argument("file")
     sp.add_argument("--weights", default="", help="comma list of convex weights")
     sp.add_argument("--epsilons", default="", help="comma list of premise thresholds")
@@ -134,12 +142,12 @@ def _read_file(path: str) -> str:
 def _load_context(args):
     spaces = {}
     space = None
-    if getattr(args, "space", None):
+    if args.space:
         spaces = parse_spaces(_read_file(args.space), args.space)
         if len(spaces) == 1:
             space = next(iter(spaces.values()))
     monoids = {}
-    if getattr(args, "monoid", None):
+    if args.monoid:
         monoids = parse_monoids(_read_file(args.monoid), args.monoid)
     theory = None
     if getattr(args, "theory", None):

@@ -320,7 +320,8 @@ class PairGraph:
     distances) or the result of an op on earlier slots: a state pair's
     distance, c times a guard's inner distance, a monoid distance plus the
     inner distance, the largest over a function's inputs, Kantorovich over
-    a cost matrix, or Hausdorff over its row and column slots.  A state
+    a cost matrix, or Hausdorff over its row slots (a column is read off
+    the rows, as mirrored pairs share a slot) and column count.  A state
     pair's op holds its number `state_index(u, v)`, given at the build, and
     a Kantorovich op its masses, scaled to ints and checked at the build.
     Each Kantorovich slot keeps its last optimal `Transport` in `plans`, and
@@ -381,8 +382,7 @@ class PairGraph:
             return (_KANT, *scale_masses([w for _, w in a.items], [w for _, w in b.items]),
                     cells)
         if kind is SetVal:
-            rows = [[self._slot(x, y) for y in b.items] for x in a.items]
-            return _HAUS, rows, [[self._slot(y, x) for x in a.items] for y in b.items]
+            return _HAUS, [[self._slot(x, y) for y in b.items] for x in a.items], len(b.items)
         if kind is FuncVal:
             if [i for i, _ in a.items] != [i for i, _ in b.items]:
                 raise DomainError("function values over different input sets")
@@ -433,7 +433,7 @@ class PairGraph:
                     plans[op[1]] = plan
             else:
                 candidates = [val[k] for k in op[2]] if kind == _FUNC \
-                    else hausdorff_candidates(ground(op[2]), ground(op[3]))
+                    else hausdorff_candidates(ground(op[2]), op[3])
                 out = ext_max(*candidates) if strategy is None \
                     else strategy.pick(op[1], candidates)
             val[op[1]] = out
@@ -480,8 +480,9 @@ class PairGraph:
                 keep = fixed if op[3] in fixed else memo
             elif op[0] == _FUNC:
                 row = form(op[2][choice[k]])
-            elif op[0] == _HAUS:
-                cells = (op[2] + op[3])[choice[k]]
+            elif op[0] == _HAUS:  # a candidate's cells: a row, or a column after the rows
+                i, rows = choice[k], op[2]
+                cells = rows[i] if i < len(rows) else [r[i - len(rows)] for r in rows]
                 row = ground(min(cells, key=lambda j: val[j].truncated(top)))
             else:
                 plan = plans[k]

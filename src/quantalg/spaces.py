@@ -5,7 +5,7 @@ Kantorovich distance on finitely supported distributions.
 Products, function spaces, subsets and distributions over a space are not
 built here: they are carriers inside the free models (see
 `modelcheck.free_model`), whose distances `semantics.PairGraph` computes from
-the same two pieces: `hausdorff_candidates` and `transport.min_cost_transport`."""
+the same two pieces: `hausdorff_candidates` and `transport.solve_scaled`."""
 
 from __future__ import annotations
 
@@ -101,12 +101,6 @@ class FinMetricSpace:
                             f"triangle inequality fails at ({p}, {q}, {pts[k]})"
                         )
 
-    def with_entry(self, p: str, q: str, value: ExtValue) -> "FinMetricSpace":
-        dist = {k: v for k, v in self._d.items()}
-        dist[(p, q)] = value
-        dist[(q, p)] = value
-        return FinMetricSpace(self.points, dist)
-
     def __eq__(self, other):
         return (isinstance(other, FinMetricSpace)
                 and self.points == other.points and self._d == other._d)
@@ -139,17 +133,16 @@ def hausdorff_general(U: Iterable, V: Iterable,
                       ground: Callable[[object, object], ExtValue]) -> ExtValue:
     """Hausdorff distance of two finite sets; inf over an empty set is INF.
     It is the first largest of the candidates (`hausdorff_candidates`)."""
-    U, V = list(U), list(V)
-    return ext_max(*hausdorff_candidates([[ground(a, b) for b in V] for a in U],
-                                         [[ground(b, a) for a in U] for b in V]))
+    V = list(V)
+    return ext_max(*hausdorff_candidates([[ground(a, b) for b in V] for a in U], len(V)))
 
 
-def hausdorff_candidates(rows: List[List[ExtValue]],
-                         cols: List[List[ExtValue]]) -> List[ExtValue]:
+def hausdorff_candidates(rows: List[List[ExtValue]], n: int) -> List[ExtValue]:
     """Each point's distance to its nearest point of the other set (INF if
-    that set is empty), U's points first, from rows[i][j] = d(U_i, V_j) and
-    cols[j][i] = d(V_j, U_i): with U empty the rows hold no columns."""
-    return [min(ds, default=INF) for ds in rows + cols]
+    that set is empty), U's points first, from rows[i][j] = d(U_i, V_j) for
+    the n points of V: a distance is symmetric, so V_j's distances to U are
+    column j, and with U empty the rows hold no columns."""
+    return [min(ds, default=INF) for ds in rows + (list(zip(*rows)) if rows else [()] * n)]
 
 
 def parse_spaces(text: str, source: str = "<space>") -> Dict[str, FinMetricSpace]:

@@ -459,15 +459,8 @@ def _commutation(f: OpSym, g: OpSym) -> AxiomInstance:
         # supported combination produces this.
         raise DomainError(f"commutation of two constants {f} and {g}")
     grid = [[Var(f"x{i}_{j}") for j in range(m)] for i in range(n)]
-    lhs = App(f, tuple(App(g, tuple(grid[i])) for i in range(n))) if n else App(f, ())
-    if n == 0:
-        rhs = App(g, tuple(App(f, ()) for _ in range(m)))
-    elif m == 0:
-        lhs = App(f, tuple(App(g, ()) for _ in range(n)))
-        rhs = App(g, ())
-    else:
-        rhs = App(g, tuple(
-            App(f, tuple(grid[i][j] for i in range(n))) for j in range(m)))
+    lhs = App(f, tuple(App(g, tuple(row)) for row in grid))
+    rhs = App(g, tuple(App(f, tuple(row[j] for row in grid)) for j in range(m)))
     return AxiomInstance(f"Com[{f},{g}]", (), lhs, rhs, ZERO)
 
 

@@ -287,7 +287,6 @@ def sem_dist_reference(v, w, space=None, mode="extended", exc_space=None, pair_m
     from quantalg.extvalue import ONE
     from quantalg.semantics import (DistVal, ExcLeaf, FuncVal, Guard, PairVal, SetVal,
                                     StateLeaf, VarLeaf)
-    from quantalg.spaces import hausdorff_candidates
 
     memo = {} if memo is None else memo
     bounded = mode == "bounded"
@@ -322,9 +321,9 @@ def sem_dist_reference(v, w, space=None, mode="extended", exc_space=None, pair_m
         if isinstance(a, DistVal):
             return kantorovich_reference(a, b, ground)
         if isinstance(a, SetVal):
-            return largest(a, b, hausdorff_candidates(
-                [[ground(x, y) for y in b.items] for x in a.items],
-                [[ground(y, x) for x in a.items] for y in b.items]))
+            rows = [[ground(x, y) for y in b.items] for x in a.items]
+            cols = [[ground(y, x) for x in a.items] for y in b.items]
+            return largest(a, b, [min(ds, default=INF) for ds in rows + cols])
         if isinstance(a, FuncVal):
             if [i for i, _ in a.items] != [i for i, _ in b.items]:
                 raise DomainError("function values over different input sets")

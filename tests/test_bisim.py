@@ -667,7 +667,7 @@ def test_policy_iteration_on_set_layers():
 
 
 def test_unknown_mode_is_rejected_up_front():
-    # Psi over zero pairs never reaches sem_dist's mode check, and a stale
+    # The pair graph rejects the mode even over zero pairs, and a stale
     # positional tolerance lands in `mode`.
     one = system("mp P { c = 1/2; state u: 1 -> bot; }")
     for C in (one, mp_uv()):

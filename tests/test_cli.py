@@ -1,6 +1,8 @@
+import argparse
 import itertools
 import json
 import sys
+from types import SimpleNamespace
 
 import pytest
 
@@ -301,6 +303,16 @@ _HOSTILE = {
                                  {"C.coalg": b"mp P { c = 1/2; state u: 1 -> \xff; }"}, 2),
     "term file not UTF-8": (["dist", "--theory", "bary", "{d}/T.term", "x"],
                             {"T.term": b"conv(1/2, x, \xe9)"}, 2),
+    # a verb has only the options its handler reads: any other is unknown
+    **{f"normalize {opt}": (["normalize", "--theory", "bary", opt, value, "--inline", "x"], {}, 2)
+       for opt, value in [("--mode", "bounded"), ("--decimal", "2")]},
+    **{f"unfold {opt}": (["unfold", "--theory", MP_THEORY, opt, value, "--inline",
+                          "next(raise(*))"], {}, 2)
+       for opt, value in [("--mode", "bounded"), ("--format", "record"), ("--decimal", "2")]},
+    **{f"check-model {opt}": (["check-model", "--theory", "bary", "--space", "{d}/S.space",
+                               "--weights", "1/2", opt, value, "{d}/A.alg"],
+                              {"A.alg": _ALGEBRA % "conv(1/2): (p, p) -> p"}, 2)
+       for opt, value in [("--mode", "bounded"), ("--decimal", "2")]},
 }
 
 
@@ -555,6 +567,52 @@ def test_parser_is_built_once_and_reused_across_calls(files, capsys):
     assert shared[0][1] == "1/2\n" and shared[3][1] == "1 (1.00)\n"
 
 
+class _ReadRecorder(argparse.Namespace):
+    """Parsed options that record each public name a reader looks up."""
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            object.__getattribute__(self, "__dict__").setdefault("_reads", set()).add(name)
+        return object.__getattribute__(self, name)
+
+
+def test_each_verb_reads_every_option_it_defines(files, monkeypatch, capsys):
+    from quantalg import cli
+
+    parser = cli._build_parser()
+    verbs = next(a.choices for a in parser._actions
+                 if isinstance(a, argparse._SubParsersAction))
+    seen = {}
+
+    def parse_args(argv):
+        seen[argv[0]] = args = _ReadRecorder(**vars(parser.parse_args(argv)))
+        return args
+
+    monkeypatch.setattr(cli, "_build_parser", lambda: SimpleNamespace(parse_args=parse_args))
+    (files / "A.alg").write_text(
+        "algebra A { carrier: S;\n"
+        "  op union: (x, x) -> x; (x, y) -> y; (y, x) -> y; (y, y) -> y;\n"
+        "  op empty: -> x; }\n")
+    calls = [
+        ["dist", "--theory", "bary", "--space", str(files / "S.space"),
+         str(files / "t.term"), str(files / "s.term")],
+        ["normalize", "--theory", "writer{q}", "--inline", "wr(2, x)"],
+        ["bisim", str(files / "mealy.coalg")],
+        ["unfold", "--theory", MP_THEORY, "--inline", "next(raise(*))"],
+        ["check-model", "--theory", "semi", "--space", str(files / "S.space"),
+         "--epsilons", "1", str(files / "A.alg")],
+    ]
+    for argv in calls:
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+    assert sorted(seen) == sorted(verbs)
+    for verb, sp in verbs.items():
+        defined = {a.dest for a in sp._actions if a.dest != "help"}
+        # --tol is read by no handler (every answer is exact), and it stays:
+        # every `bisim` request of perfbench/workloads.py passes it (ROADMAP item 8)
+        assert defined - {"tol"} <= seen[verb]._reads, verb
+
+
 TWO_CONTRACTIONS = "sum(sum(sum(bary, exc{1}), contr{a, 1/2}), contr{b, 1/3})"
 
 
@@ -682,11 +740,23 @@ def test_check_model_record_lists_the_failures(tmp_path, capsys):
                                                    "passed": False}
 
 
-def test_unfold_rejects_a_shape_with_no_coalgebra_kind(capsys):
-    code = main(["unfold", "--theory", "sum(semi, contr{next, 1/2})", "--inline",
-                 "union(next(x), y)"])
+@pytest.mark.parametrize("theory, term, shape", [
+    ("sum(semi, contr{next, 1/2})", "union(next(x), y)", "set"),
+    ("sum(sum(bary, exc{a,b}), contr{next, 1/2})", "conv(1/2, raise(a), next(raise(b)))",
+     "dist"),
+    ("sum(tensor(tensor(bary, writer{M}), reader{a}), contr{next, 1/2})", "rd(wr(a, next(x)))",
+     "func/dist/pair"),
+    ("sum(sum(tensor(reader{i}, writer{q}), exc{1}), contr{next, 1/2})", "rd(next(raise(*)))",
+     "func/pair"),
+    ("sum(writer{q}, contr{next, 1/2})", "wr(1, next(x))", "pair"),
+], ids=["set", "exc{a,b} over dist", "writer{M} in an mdp", "exc{1} in a mealy",
+        "writer alone"])
+def test_unfold_rejects_a_shape_with_no_coalgebra_kind(theory, term, shape, tmp_path, capsys):
+    (tmp_path / "M.monoid").write_text(_MONOID % "1")
+    code = main(["unfold", "--theory", theory, "--monoid", str(tmp_path / "M.monoid"),
+                 "--inline", term])
     assert code == 1
-    assert capsys.readouterr().err == "error: no coalgebra kind for layer shape set\n"
+    assert capsys.readouterr().err == f"error: no coalgebra kind for layer shape {shape}\n"
 
 
 def test_dist_with_a_variable_outside_the_space_exits_1(files, capsys):

@@ -273,7 +273,8 @@ def test_monotone_in_ground_space():
         # raise one entry to its largest triangle-compatible value
         p, q = "x", "y"
         cap = min(X.d(p, r) + X.d(r, q) for r in X.points if r not in (p, q))
-        Y = X.with_entry(p, q, cap)
+        Y = FinMetricSpace(X.points, {**{(a, b): X.d(a, b) for a in X.points for b in X.points},
+                                      (p, q): cap, (q, p): cap})
         assert term_dist(t, s, MP, Y) >= before
 
 
