@@ -29,10 +29,10 @@ from .spaces import (FinMetricSpace, discrete, hausdorff_general,
 from .terms import (App, OpSym, Term, Var, app, bind, conv, empty_op,
                     format_term, next_op, parse_term, raise_, read, union_op,
                     variables, write)
-from .theories import (AxiomInstance, Bary, Contract, Exc, GuardLeaf,
-                       LayerPlan, Monoid, ONE_POINT, ParamPool, RATIONAL_LINE,
-                       Reader, Semi, Sum, TableMonoid, Tensor, TheoryExpr,
-                       Writer, atoms, axiom_groups, axioms,
+from .theories import (AxiomInstance, Bary, Contract, Exc, LayerPlan,
+                       Monoid, ONE_POINT, ParamPool, RATIONAL_LINE, Reader,
+                       Semi, Sum, TableMonoid, Tensor, TheoryExpr, Writer,
+                       atoms, axiom_groups, axioms,
                        instantiate_generators, labelled_mp_theory, layer_plan,
                        markov_process_theory, mdp_theory, mealy_theory,
                        parse_monoids, parse_theory)

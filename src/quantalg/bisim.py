@@ -219,8 +219,9 @@ class MaxStrategy:
     to its first largest candidate, but only where that is strictly larger
     than its current choice; otherwise every node keeps its choice (and
     sets `beaten` if a candidate strictly beats it), and Psi under the
-    strategy is a minimum of affine forms.  An evaluation under the
-    strategy leaves its `values` and `plans` here (`PairGraph.evaluate`)."""
+    strategy is a minimum of affine forms.  The strategy keeps only its
+    choices: the values and transports of an evaluation under it stay on the
+    pair graph, which `PairGraph.policy` reads with them."""
 
     def __init__(self):
         self.choice: Dict[int, int] = {}

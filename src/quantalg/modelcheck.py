@@ -10,11 +10,12 @@ premise threshold set to the actual premise distance, the tightest threshold
 that admits the assignment; this suffices because satisfaction is monotone
 in the thresholds.
 
-The instances of one schema (equal sides, premise variables and bound
-function) share one loop over the assignments, in `itertools.product`
-order.  Each instance keeps its own verdict and its own `checked`/`skipped`
-counts, up to its first counterexample, and its own test at its given
-thresholds: its bound need not be the bound function's value there.
+The instances of one schema (a run of consecutive instances with equal
+sides and bound function, as `theories._premised` emits them) share one
+loop over the assignments, in `itertools.product` order.  Each instance
+keeps its own verdict and its own `checked`/`skipped` counts, up to its
+first counterexample, and its own test at its given thresholds: its bound
+need not be the bound function's value there.
 
 The loop compares ints.  The carrier's distances are scaled once to ints
 (`FinMetricSpace.scaled`: D[i][j] = L * d for L the lcm of the finite
@@ -328,7 +329,9 @@ def _counterexample(alg: FiniteAlgebra, ax: AxiomInstance, pos: int, lhs: str, r
 
 def check_theory(alg: FiniteAlgebra, th: TheoryExpr, params: ParamPool) -> Report:
     """Aggregate table, non-expansiveness, and axiom checks for the theory.
-    The instances of one schema are checked together (`check_equation`)."""
+    The instances of one schema, emitted one after another with equal sides
+    and bound function (`theories._premised`), are checked together
+    (`check_equation`), in the order `axiom_groups` emits them."""
     report = Report()
     alg.validate_closure()
     for op in instantiate_generators(th, params):
@@ -341,14 +344,8 @@ def check_theory(alg: FiniteAlgebra, th: TheoryExpr, params: ParamPool) -> Repor
             for op in instantiate_generators(atom, params):
                 if op in alg.interp:
                     report.entries.append(check_nonexpansive(alg, op, origin=origin))
-        schemata: Dict[tuple, List[AxiomInstance]] = {}
-        for ax in instances:
-            key = (ax.lhs, ax.rhs, tuple(p[:2] for p in ax.premises), ax.bound_fn)
-            schemata.setdefault(key, []).append(ax)
-        verdict = {}
-        for group in schemata.values():
-            verdict.update(zip(group, check_equation(alg, group, origin)))
-        report.entries.extend(verdict[ax] for ax in instances)
+        for _, run in itertools.groupby(instances, lambda ax: (ax.lhs, ax.rhs, ax.bound_fn)):
+            report.entries.extend(check_equation(alg, list(run), origin))
     report.notes.append(
         "continuity rule not checked: distances on a finite carrier are attained")
     return report

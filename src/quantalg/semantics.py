@@ -340,6 +340,7 @@ class PairGraph:
         self.top = ONE if mode == BOUNDED else INF
         self.values: List[Optional[ExtValue]] = [ZERO]  # constants; None for an op's slot
         self.ops: Dict[int, tuple] = {}  # an op slot's op, children first
+        self.evaluated: List[ExtValue] = []  # every slot's value at the last evaluation
         self.plans: Dict[int, Transport] = {}  # a Kantorovich slot's last optimum
         self._forms: Dict[int, tuple] = {}  # choice-free slots' rows (see `policy`)
         self._slots: Dict[Tuple[SemValue, SemValue], int] = {}
@@ -410,9 +411,9 @@ class PairGraph:
         """The roots' distances, with `states[k]` between the states of pair k
         (uncapped).  A maximising node (function or set values) is the first
         largest of its candidates, or `strategy.pick(slot, candidates)` under
-        a strategy, which then keeps the slot values as `values` and each
-        Kantorovich slot's optimal transport in `plans` (see `policy`)."""
-        top, val, plans, last = self.top, list(self.values), {}, self.plans
+        a strategy.  The graph keeps every slot's value in `evaluated` and
+        each Kantorovich slot's optimal transport in `plans` (see `policy`)."""
+        top, val, plans = self.top, list(self.values), self.plans
 
         def ground(slots):  # the ground of a distribution or set layer
             return [[val[k].truncated(top) for k in row] for row in slots]
@@ -426,31 +427,30 @@ class PairGraph:
             elif kind == _PAIR:
                 out = op[2] + val[op[3]]
             elif kind == _KANT:
-                plan = last[op[1]] = solve_scaled(op[2], op[3], op[4], ground(op[5]),
-                                                  last.get(op[1]))
+                plan = plans[op[1]] = solve_scaled(op[2], op[3], op[4], ground(op[5]),
+                                                   plans.get(op[1]))
                 out = plan.value
-                if strategy is not None:
-                    plans[op[1]] = plan
             else:
                 candidates = [val[k] for k in op[2]] if kind == _FUNC \
                     else hausdorff_candidates(ground(op[2]), op[3])
                 out = ext_max(*candidates) if strategy is None \
                     else strategy.pick(op[1], candidates)
             val[op[1]] = out
-        if strategy is not None:
-            strategy.values, strategy.plans = val, plans
+        self.evaluated = val
         return [val[k] for k in self.roots]
 
     def policy(self, strategy) -> list:
-        """Each root's distance at the strategy's last evaluation as an integer
-        row (D, b, {k: c}), the affine form (b + sum c * states[k])/D, None if
-        it is infinite, read off that evaluation's choices: the chosen
-        candidate, a Hausdorff candidate's first nearest point, a coupling's
-        integer flows (the row divided by its gcd), and 1 for a capped cell.
+        """Each root's distance at the graph's last evaluation, which was under
+        the strategy, as an integer row (D, b, {k: c}), the affine form
+        (b + sum c * states[k])/D, None if it is infinite, read off that
+        evaluation's slot values and transports (`evaluated`, `plans`) and
+        the strategy's choices: the chosen candidate, a Hausdorff
+        candidate's first nearest point, a coupling's integer flows (the row
+        divided by its gcd), and 1 for a capped cell.
         The rows of choice-free slots (constants, state pairs, and guard and
         pair ops over such slots) are kept across calls in `_forms`, the
         others' for one call; rows are shared, so no reader changes one."""
-        val, choice, plans, top, fixed = (strategy.values, strategy.choice, strategy.plans,
+        val, choice, plans, top, fixed = (self.evaluated, strategy.choice, self.plans,
                                           self.top, self._forms)
         memo: Dict[int, tuple] = {}
 

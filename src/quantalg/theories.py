@@ -12,12 +12,13 @@ operations whose part of the plan exists.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .errors import DomainError, UnsupportedShape
-from .extvalue import ZERO, ExtValue, ext_sum
+from .extvalue import ZERO, ExtValue, ext_max, ext_sum
 from .lexing import TokenStream
 from .spaces import FinMetricSpace, discrete
 from .terms import (App, MonoidElement, OpSym, Term, Var, app, conv, empty_op,
@@ -132,9 +133,6 @@ class Semi(TheoryExpr):
 class Exc(TheoryExpr):
     space: FinMetricSpace
 
-    def __hash__(self):
-        return hash(("exc", self.space.points))
-
 
 @dataclass(frozen=True)
 class Reader(TheoryExpr):
@@ -192,8 +190,8 @@ class AxiomInstance:
 
     `bound_fn`, present for continuous schemata, maps the premise thresholds
     to the tight conclusion bound and is monotone in each argument.  The
-    instances of one schema share one `bound_fn` object, by which the model
-    checker groups them.
+    instances of one schema come from one `_premised` call: they share their
+    sides and one `bound_fn` object and are emitted one after another.
     """
 
     label: str
@@ -218,9 +216,10 @@ class ParamPool:
 
     @staticmethod
     def make(weights=(), epsilons=(), monoid_elems=()) -> "ParamPool":
-        """Pools from rationals or their text; weights lie in [0,1] and
-        thresholds are nonnegative, or DomainError.  A monoid element that is
-        not a rational is a table-monoid element name."""
+        """Pools from rationals or their text, each value once (so 1/2 and
+        2/4 count once); weights lie in [0,1] and thresholds are nonnegative,
+        or DomainError.  A monoid element that is not a rational is a
+        table-monoid element name."""
         def rational(a, what):
             try:
                 return Fraction(a)
@@ -233,15 +232,15 @@ class ParamPool:
             except (ValueError, ZeroDivisionError):
                 return a  # checked against the monoid by the writer axioms
 
-        weights = tuple(rational(w, "weight") for w in weights)
-        epsilons = tuple(rational(e, "threshold") for e in epsilons)
+        weights = tuple(dict.fromkeys(rational(w, "weight") for w in weights))
+        epsilons = tuple(dict.fromkeys(rational(e, "threshold") for e in epsilons))
         for w in weights:
             if not 0 <= w <= 1:
                 raise DomainError(f"weight {w} outside [0,1]")
         for e in epsilons:
             if e < 0:
                 raise DomainError(f"threshold {e} is negative")
-        return ParamPool(weights, epsilons, tuple(elem(a) for a in monoid_elems))
+        return ParamPool(weights, epsilons, tuple(dict.fromkeys(map(elem, monoid_elems))))
 
 
 def axioms(th: TheoryExpr, params: ParamPool) -> List[AxiomInstance]:
@@ -294,15 +293,7 @@ def _atom_axioms(atom: TheoryExpr, params: ParamPool) -> List[AxiomInstance]:
                         app(conv(e * e2), x, app(conv(inner), y, z)),
                         ZERO))
         for e in params.weights:
-            bound_fn = _ib_bound(e)
-            for e1 in eps:
-                for e2 in eps:
-                    out.append(AxiomInstance(
-                        f"IB[{e}]",
-                        (("x1", "y1", e1), ("x2", "y2", e2)),
-                        app(conv(e), Var("x1"), Var("x2")),
-                        app(conv(e), Var("y1"), Var("y2")),
-                        bound_fn(e1, e2), bound_fn))
+            out += _premised(f"IB[{e}]", conv(e), conv(e), _ib_bound(e), eps)
         return out
 
     if isinstance(atom, Semi):
@@ -312,14 +303,7 @@ def _atom_axioms(atom: TheoryExpr, params: ParamPool) -> List[AxiomInstance]:
         out.append(AxiomInstance("S2", (), app(u, x, y), app(u, y, x), ZERO))
         out.append(AxiomInstance(
             "S3", (), app(u, app(u, x, y), z), app(u, x, app(u, y, z)), ZERO))
-        for e1 in eps:
-            for e2 in eps:
-                out.append(AxiomInstance(
-                    "S4",
-                    (("x1", "y1", e1), ("x2", "y2", e2)),
-                    app(u, Var("x1"), Var("x2")), app(u, Var("y1"), Var("y2")),
-                    _s4_bound(e1, e2), _s4_bound))
-        return out
+        return out + _premised("S4", u, u, ext_max, eps)
 
     if isinstance(atom, Exc):
         for p in atom.space.points:
@@ -356,51 +340,34 @@ def _atom_axioms(atom: TheoryExpr, params: ParamPool) -> List[AxiomInstance]:
                     app(write(mon.mult(a, b)), x), ZERO))
         for a in alphas:
             for b in alphas:
-                bound_fn = _diff_bound(mon, a, b)
-                for e in eps:
-                    out.append(AxiomInstance(
-                        f"Diff[{a},{b}]", (("x1", "y1", e),),
-                        app(write(a), Var("x1")), app(write(b), Var("y1")),
-                        bound_fn(e), bound_fn))
+                out += _premised(f"Diff[{a},{b}]", write(a), write(b),
+                                 lambda e, base=mon.dist(a, b): base + e, eps)
         return out
 
     if isinstance(atom, Contract):
         step = next_op(atom.name, atom.c)
-        bound_fn = _lip_bound(atom.c)
-        for e in eps:
-            out.append(AxiomInstance(
-                f"Lip[{atom.name}]", (("x1", "y1", e),),
-                app(step, Var("x1")), app(step, Var("y1")),
-                bound_fn(e), bound_fn))
-        return out
+        return _premised(f"Lip[{atom.name}]", step, step, lambda e: e.scaled(atom.c), eps)
 
     raise DomainError(f"unknown atom {atom!r}")
+
+
+def _premised(label: str, f: OpSym, g: OpSym, bound_fn: Callable[..., ExtValue],
+              eps: Sequence[ExtValue]) -> List[AxiomInstance]:
+    """The schema x1 =_e1 y1, ..., xn =_en yn |- f(x1..xn) =_b g(y1..yn) for
+    n the arity of f and b = bound_fn(e1..en): one instance per tuple of
+    thresholds from eps, in `itertools.product` order, all sharing the two
+    sides and bound_fn."""
+    xs = [f"x{i}" for i in range(1, f.arity + 1)]
+    ys = [f"y{i}" for i in range(1, f.arity + 1)]
+    lhs, rhs = App(f, tuple(map(Var, xs))), App(g, tuple(map(Var, ys)))
+    return [AxiomInstance(label, tuple(zip(xs, ys, es)), lhs, rhs, bound_fn(*es), bound_fn)
+            for es in itertools.product(eps, repeat=f.arity)]
 
 
 def _ib_bound(e: Fraction):
     def bound(e1: ExtValue, e2: ExtValue) -> ExtValue:
         # a zero weight drops its part, so that 0 * inf never arises
         return ext_sum(d.scaled(w) for d, w in ((e1, e), (e2, 1 - e)) if w != 0)
-
-    return bound
-
-
-def _s4_bound(e1: ExtValue, e2: ExtValue) -> ExtValue:
-    return e1 if e1 >= e2 else e2
-
-
-def _diff_bound(mon: Monoid, a, b):
-    base = mon.dist(a, b)
-
-    def bound(e: ExtValue) -> ExtValue:
-        return base + e
-
-    return bound
-
-
-def _lip_bound(c: Fraction):
-    def bound(e: ExtValue) -> ExtValue:
-        return e.scaled(c)
 
     return bound
 
@@ -433,8 +400,8 @@ def instantiate_generators(th: TheoryExpr, params: ParamPool) -> List[OpSym]:
 
 
 def _writer_pool(mon: Monoid, params: ParamPool) -> Tuple[MonoidElement, ...]:
-    """The pool's monoid elements, each once; by default a table monoid's carrier."""
-    alphas = tuple(dict.fromkeys(params.monoid_elems or (mon.elements or ())))
+    """The pool's monoid elements; by default a table monoid's carrier."""
+    alphas = params.monoid_elems or mon.elements or ()
     for a in alphas:
         if not mon.contains(a):
             raise DomainError(f"monoid element {a!r} outside the writer monoid")
@@ -468,12 +435,6 @@ def _commutation(f: OpSym, g: OpSym) -> AxiomInstance:
 # Layer plans
 
 @dataclass(frozen=True)
-class GuardLeaf:
-    name: str
-    c: Fraction
-
-
-@dataclass(frozen=True)
 class LayerPlan:
     """Concrete description of the theory's free monad: nested layers,
     outermost first, over leaf kinds (variables, exception points, and one
@@ -486,7 +447,7 @@ class LayerPlan:
     """
 
     layers: Tuple[Tuple, ...]
-    guards: Tuple[GuardLeaf, ...]
+    guards: Tuple[Contract, ...]
     exc_space: Optional[FinMetricSpace]
 
 
@@ -548,7 +509,7 @@ def _transform(plan: LayerPlan, atom: TheoryExpr) -> LayerPlan:
     if isinstance(atom, Exc):
         return LayerPlan(layers, guards, atom.space)
     if isinstance(atom, Contract):
-        return LayerPlan(layers, guards + (GuardLeaf(atom.name, atom.c),), exc)
+        return LayerPlan(layers, guards + (atom,), exc)
     if guards:
         raise UnsupportedShape("a tensor cannot pass a contractive operator")
     if isinstance(atom, Reader):

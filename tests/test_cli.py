@@ -190,6 +190,30 @@ def test_repeated_elems_list_each_writer_instance_once(tmp_path, capsys):
     assert sum("Diff[z,z]" in line for line in lines) == 4
 
 
+@pytest.mark.parametrize("theory, pools", [
+    ("bary", ["--weights", "1/2,1/2", "--epsilons", "1,1"]),
+    ("bary", ["--weights", "1/2,2/4", "--epsilons", "1,2/2"]),
+    ("semi", ["--weights", "1/2", "--epsilons", "1,1"]),
+])
+def test_repeated_pool_entries_list_each_instance_once(theory, pools, tmp_path, capsys):
+    (tmp_path / "S.space").write_text("space S { points: p, q; d(p,q) = 1; }\n")
+    (tmp_path / "A.alg").write_text(
+        "algebra A {\n  carrier: S;\n"
+        "  op conv(1/2): (p, p) -> p; (p, q) -> q; (q, p) -> p; (q, q) -> q;\n"
+        "  op union: (p, p) -> p; (p, q) -> q; (q, p) -> q; (q, q) -> q;\n"
+        "  op empty: -> p;\n}\n")
+    argv = ["check-model", "--theory", theory, "--space", str(tmp_path / "S.space"),
+            "--verbose", str(tmp_path / "A.alg")]
+    reports = []
+    for args in (pools, ["--weights", "1/2", "--epsilons", "1"]):
+        reports.append((main(argv + args), capsys.readouterr().out))
+    assert reports[0] == reports[1]
+    lines = reports[0][1].splitlines()
+    for label in ("IB[1/2]", "SA[1/2,1/2]", "SC[1/2]") if theory == "bary" else ("S4",):
+        assert sum(line.endswith(f"  {label}") or f"  {label} (" in line
+                   for line in lines) == 1, label
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.term"
     bad.write_text("conv(1/2, x")

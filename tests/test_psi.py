@@ -130,8 +130,8 @@ def _check_warm_policy(C, d, mode, strategy, got):
         D, b, coef = row
         at_d = Fraction(b + sum(c * d.values[j].rational for j, c in coef.items()), D)
         assert at_d == got.values[k].rational, (C.plan, mode, k)
-    val = strategy.values
-    for slot, plan in strategy.plans.items():
+    val = graph.evaluated
+    for slot, plan in graph.plans.items():
         _, _, a, b, W, cells = graph.ops[slot]
         cost = [[val[j].truncated(graph.top) for j in row] for row in cells]
         check_transport([Fraction(x, W) for x in a], [Fraction(x, W) for x in b], cost, plan)

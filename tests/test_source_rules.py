@@ -72,3 +72,27 @@ def test_the_hot_path_names_no_fraction():
                 if getattr(n, "id", None) == "Fraction" or getattr(n, "attr", None) == "Fraction":
                     found.append(f"{name}:{n.lineno}: Fraction in {qualname}")
     assert found == []
+
+
+def test_premised_axiom_instances_are_built_in_one_constructor():
+    # the schema x_i =_{e_i} y_i |- f(x..) =_{b(e..)} g(y..) is written once,
+    # in `theories._premised`: any other AxiomInstance has no premises
+    found, in_constructor = [], 0
+    for path in sorted(Path(quantalg.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        constructor = {id(node) for f in ast.walk(tree)
+                       if isinstance(f, ast.FunctionDef) and path.name == "theories.py"
+                       and f.name == "_premised" for node in ast.walk(f)}
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and getattr(node.func, "id", None)
+                    == "AxiomInstance"):
+                continue
+            premises = node.args[1] if len(node.args) > 1 else next(
+                (k.value for k in node.keywords if k.arg == "premises"), None)
+            if isinstance(premises, ast.Tuple) and not premises.elts:
+                continue
+            if id(node) in constructor:
+                in_constructor += 1
+            else:
+                found.append(f"{path.name}:{node.lineno}: AxiomInstance with premises")
+    assert found == [] and in_constructor == 1, (found, in_constructor)

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -12,7 +13,7 @@ from quantalg import (Bary, Contract, Exc, FinMetricSpace, ONE_POINT,
                       parse_term, bind, term_dist)
 from quantalg.errors import DomainError, UnsupportedShape
 from quantalg.extvalue import ZERO, ext
-from quantalg.terms import conv, next_op, raise_, read, write
+from quantalg.terms import conv, format_term, next_op, raise_, read, write
 
 from helpers import random_space, random_term, theory_shapes
 
@@ -130,6 +131,129 @@ def test_bound_monotone_under_weakening():
     tight = ib.bound_fn(e1, e2)
     assert tight == ib.bound
     assert ib.bound_fn(e1 + ext(1), e2) >= tight
+
+
+# Each atom's axioms at weights (1/4, 1/2), thresholds (0, 1/2, 2) and writer
+# elements (0, 1), one line per instance: label | premises | lhs | rhs | bound.
+_PINNED_AXIOMS = {
+    "bary": """\
+B1 |  | conv(1, x, y) | x | 0
+B2[1/4] |  | conv(1/4, x, x) | x | 0
+SC[1/4] |  | conv(1/4, x, y) | conv(3/4, y, x) | 0
+B2[1/2] |  | conv(1/2, x, x) | x | 0
+SC[1/2] |  | conv(1/2, x, y) | conv(1/2, y, x) | 0
+SA[1/4,1/4] |  | conv(1/4, conv(1/4, x, y), z) | conv(1/16, x, conv(1/5, y, z)) | 0
+SA[1/4,1/2] |  | conv(1/2, conv(1/4, x, y), z) | conv(1/8, x, conv(3/7, y, z)) | 0
+SA[1/2,1/4] |  | conv(1/4, conv(1/2, x, y), z) | conv(1/8, x, conv(1/7, y, z)) | 0
+SA[1/2,1/2] |  | conv(1/2, conv(1/2, x, y), z) | conv(1/4, x, conv(1/3, y, z)) | 0
+IB[1/4] | x1 =_0 y1, x2 =_0 y2 | conv(1/4, x1, x2) | conv(1/4, y1, y2) | 0
+IB[1/4] | x1 =_0 y1, x2 =_1/2 y2 | conv(1/4, x1, x2) | conv(1/4, y1, y2) | 3/8
+IB[1/4] | x1 =_0 y1, x2 =_2 y2 | conv(1/4, x1, x2) | conv(1/4, y1, y2) | 3/2
+IB[1/4] | x1 =_1/2 y1, x2 =_0 y2 | conv(1/4, x1, x2) | conv(1/4, y1, y2) | 1/8
+IB[1/4] | x1 =_1/2 y1, x2 =_1/2 y2 | conv(1/4, x1, x2) | conv(1/4, y1, y2) | 1/2
+IB[1/4] | x1 =_1/2 y1, x2 =_2 y2 | conv(1/4, x1, x2) | conv(1/4, y1, y2) | 13/8
+IB[1/4] | x1 =_2 y1, x2 =_0 y2 | conv(1/4, x1, x2) | conv(1/4, y1, y2) | 1/2
+IB[1/4] | x1 =_2 y1, x2 =_1/2 y2 | conv(1/4, x1, x2) | conv(1/4, y1, y2) | 7/8
+IB[1/4] | x1 =_2 y1, x2 =_2 y2 | conv(1/4, x1, x2) | conv(1/4, y1, y2) | 2
+IB[1/2] | x1 =_0 y1, x2 =_0 y2 | conv(1/2, x1, x2) | conv(1/2, y1, y2) | 0
+IB[1/2] | x1 =_0 y1, x2 =_1/2 y2 | conv(1/2, x1, x2) | conv(1/2, y1, y2) | 1/4
+IB[1/2] | x1 =_0 y1, x2 =_2 y2 | conv(1/2, x1, x2) | conv(1/2, y1, y2) | 1
+IB[1/2] | x1 =_1/2 y1, x2 =_0 y2 | conv(1/2, x1, x2) | conv(1/2, y1, y2) | 1/4
+IB[1/2] | x1 =_1/2 y1, x2 =_1/2 y2 | conv(1/2, x1, x2) | conv(1/2, y1, y2) | 1/2
+IB[1/2] | x1 =_1/2 y1, x2 =_2 y2 | conv(1/2, x1, x2) | conv(1/2, y1, y2) | 5/4
+IB[1/2] | x1 =_2 y1, x2 =_0 y2 | conv(1/2, x1, x2) | conv(1/2, y1, y2) | 1
+IB[1/2] | x1 =_2 y1, x2 =_1/2 y2 | conv(1/2, x1, x2) | conv(1/2, y1, y2) | 5/4
+IB[1/2] | x1 =_2 y1, x2 =_2 y2 | conv(1/2, x1, x2) | conv(1/2, y1, y2) | 2
+""",
+    "semi": """\
+S0 |  | union(x, empty) | x | 0
+S1 |  | union(x, x) | x | 0
+S2 |  | union(x, y) | union(y, x) | 0
+S3 |  | union(union(x, y), z) | union(x, union(y, z)) | 0
+S4 | x1 =_0 y1, x2 =_0 y2 | union(x1, x2) | union(y1, y2) | 0
+S4 | x1 =_0 y1, x2 =_1/2 y2 | union(x1, x2) | union(y1, y2) | 1/2
+S4 | x1 =_0 y1, x2 =_2 y2 | union(x1, x2) | union(y1, y2) | 2
+S4 | x1 =_1/2 y1, x2 =_0 y2 | union(x1, x2) | union(y1, y2) | 1/2
+S4 | x1 =_1/2 y1, x2 =_1/2 y2 | union(x1, x2) | union(y1, y2) | 1/2
+S4 | x1 =_1/2 y1, x2 =_2 y2 | union(x1, x2) | union(y1, y2) | 2
+S4 | x1 =_2 y1, x2 =_0 y2 | union(x1, x2) | union(y1, y2) | 2
+S4 | x1 =_2 y1, x2 =_1/2 y2 | union(x1, x2) | union(y1, y2) | 2
+S4 | x1 =_2 y1, x2 =_2 y2 | union(x1, x2) | union(y1, y2) | 2
+""",
+    "writer{q}": """\
+Zero |  | x | wr(0, x) | 0
+Mult[0,0] |  | wr(0, wr(0, x)) | wr(0, x) | 0
+Mult[0,1] |  | wr(0, wr(1, x)) | wr(1, x) | 0
+Mult[1,0] |  | wr(1, wr(0, x)) | wr(1, x) | 0
+Mult[1,1] |  | wr(1, wr(1, x)) | wr(2, x) | 0
+Diff[0,0] | x1 =_0 y1 | wr(0, x1) | wr(0, y1) | 0
+Diff[0,0] | x1 =_1/2 y1 | wr(0, x1) | wr(0, y1) | 1/2
+Diff[0,0] | x1 =_2 y1 | wr(0, x1) | wr(0, y1) | 2
+Diff[0,1] | x1 =_0 y1 | wr(0, x1) | wr(1, y1) | 1
+Diff[0,1] | x1 =_1/2 y1 | wr(0, x1) | wr(1, y1) | 3/2
+Diff[0,1] | x1 =_2 y1 | wr(0, x1) | wr(1, y1) | 3
+Diff[1,0] | x1 =_0 y1 | wr(1, x1) | wr(0, y1) | 1
+Diff[1,0] | x1 =_1/2 y1 | wr(1, x1) | wr(0, y1) | 3/2
+Diff[1,0] | x1 =_2 y1 | wr(1, x1) | wr(0, y1) | 3
+Diff[1,1] | x1 =_0 y1 | wr(1, x1) | wr(1, y1) | 0
+Diff[1,1] | x1 =_1/2 y1 | wr(1, x1) | wr(1, y1) | 1/2
+Diff[1,1] | x1 =_2 y1 | wr(1, x1) | wr(1, y1) | 2
+""",
+    "contr{next, 1/2}": """\
+Lip[next] | x1 =_0 y1 | next(x1) | next(y1) | 0
+Lip[next] | x1 =_1/2 y1 | next(x1) | next(y1) | 1/4
+Lip[next] | x1 =_2 y1 | next(x1) | next(y1) | 1
+""",
+}
+
+
+@pytest.mark.parametrize("theory", sorted(_PINNED_AXIOMS))
+def test_axioms_are_pinned_in_order(theory):
+    pool = ParamPool.make(weights=["1/4", "1/2"], epsilons=["0", "1/2", "2"],
+                          monoid_elems=["0", "1"])
+    axs = axioms(parse_theory(theory), pool)
+    lines = []
+    for ax in axs:
+        premises = ", ".join(f"{x} =_{e} {y}" for x, y, e in ax.premises)
+        lines.append(f"{ax.label} | {premises} | {format_term(ax.lhs)} | "
+                     f"{format_term(ax.rhs)} | {ax.bound}")
+    assert "".join(line + "\n" for line in lines) == _PINNED_AXIOMS[theory]
+    # a continuous schema's bound is its bound function at its thresholds
+    for ax in axs:
+        if ax.premises:
+            assert ax.bound_fn(*(e for _, _, e in ax.premises)) == ax.bound, ax.label
+        else:
+            assert ax.bound_fn is None, ax.label
+
+
+def test_the_instances_of_a_schema_are_one_run():
+    # check_theory checks each run of consecutive instances with equal sides
+    # and bound function in one loop; grouping all of an atom's instances by
+    # that key finds the same groups, in the same order, also when the pools
+    # repeat a value
+    S = FinMetricSpace(["z", "o"], {("z", "o"): ext(1)})
+    mon = TableMonoid(S, "z", {("z", "z"): "z", ("z", "o"): "o",
+                               ("o", "z"): "o", ("o", "o"): "o"})
+    repeated = dict(weights=["1/4", "1/2", "2/4", "1/4", "0", "1"],
+                    epsilons=["0", "1", "2/2", "0", "1/2"])
+    pool = ParamPool.make(**repeated, monoid_elems=["0", "1", "0", "2/2"])
+    named = ParamPool.make(**repeated, monoid_elems=["z", "o", "z"])
+    E = FinMetricSpace(["e1", "e2", "e3"], {("e1", "e2"): ext("1/4")})
+    atoms = [(Bary(), pool), (Semi(), pool), (Exc(E), pool), (Exc(ONE_POINT), pool),
+             (Reader(("a", "b")), pool), (Writer(RATIONAL_LINE), pool),
+             (Writer(mon), named), (Writer(mon), ParamPool.make(epsilons=["1", "1"])),
+             (Contract("next", C12), pool)]
+
+    def key(ax):
+        return ax.lhs, ax.rhs, ax.bound_fn
+
+    for atom, params in atoms:
+        instances = axioms(atom, params)
+        grouped = {}
+        for ax in instances:
+            grouped.setdefault(key(ax), []).append(ax)
+        runs = [list(run) for _, run in itertools.groupby(instances, key)]
+        assert runs == list(grouped.values()), atom
 
 
 def test_layer_plans_of_the_four_composed_theories():
