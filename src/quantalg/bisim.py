@@ -201,7 +201,7 @@ def _cyclic(C: Coalgebra) -> bool:
             if isinstance(v, Guard) and v.inner.name in C.step:  # Psi rejects others
                 out.append(v.inner.name)
             elif isinstance(v, DistVal):
-                todo.extend(x for x, _ in v.items)
+                todo.extend(v.support)
             elif isinstance(v, FuncVal):
                 todo.extend(x for _, x in v.items)
             elif isinstance(v, SetVal):
@@ -585,15 +585,17 @@ def _parse_rows(ts: TokenStream, plan: LayerPlan, space, name: str) -> Coalgebra
                 targets[state] = Guard(guard.name, guard.c, StateLeaf(state))
             return targets[state]
         if layers[0][0] == "dist":
-            def weighted():
-                w = ts.expect_rational()
+            def weighted():  # (cell, n, d) for the weight n/d
+                n, d = ts.expect_ratio()
                 ts.expect("->")
-                return cell(layers[1:]), w
-            pairs = ts.expect_list(weighted)
+                return cell(layers[1:]), n, d
+            cells = ts.expect_list(weighted)
+            W = math.lcm(*(d for _, _, d in cells))
+            pairs = [(x, n * (W // d)) for x, n, d in cells]
             try:
-                return make_dist(pairs)
+                return make_dist(pairs, W)
             except DomainError:  # weights are never negative: the mass is not 1
-                mass = sum(w for _, w in pairs)
+                mass = ExtValue(sum(n for _, n in pairs), W)
                 raise DomainError(f"row {key!r} has mass {mass}, expected 1") from None
         ts.expect("(")  # the pair layer
         inner = cell(layers[1:])
@@ -618,6 +620,7 @@ def _parse_rows(ts: TokenStream, plan: LayerPlan, space, name: str) -> Coalgebra
         ts.expect(":" if layers[0][0] == "dist" else "->")
         rows[key] = cell(layers)
         ts.expect(";")
+    del cell  # it calls itself: free it and the values it holds now, not at a collection
     states = list(dict.fromkeys(k[0] if inputs else k for k in rows))
     if inputs:
         for key in ((s, i) for s in states for i in inputs):

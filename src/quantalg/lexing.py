@@ -8,7 +8,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from operator import itemgetter
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, TypeVar, Union
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, TypeVar, Union
 
 from .errors import DomainError, ParseError
 from .extvalue import INF, ExtValue
@@ -100,10 +100,15 @@ class TokenStream:
         return self.peek().text == text
 
     def expect_rational(self) -> Fraction:
+        return Fraction(*self.expect_ratio())
+
+    def expect_ratio(self) -> Tuple[int, int]:
+        """A rational as the ints (n, d) of its numeral n/d (d is 1 if absent)."""
         tok = self.next()
         if tok.kind != "num":
             raise self.error(f"expected rational, found {tok.text or 'end of input'!r}", tok)
-        return Fraction(tok.text)
+        n, _, d = tok.text.partition("/")
+        return int(n), int(d or 1)
 
     def expect_ext(self) -> ExtValue:
         """A rational or `inf`."""

@@ -427,7 +427,7 @@ def distribution_model(X: FinMetricSpace, denominator: int,
     """Distributions over X with weights in (1/denominator)Z, Kantorovich
     metric, and convex combination tables defined where the exact result
     stays on the grid."""
-    grid = [make_dist((VarLeaf(p), Fraction(k, denominator)) for p, k in zip(X.points, ks))
+    grid = [make_dist(zip(map(VarLeaf, X.points), ks), denominator)
             for ks in itertools.product(range(denominator + 1), repeat=len(X.points))
             if sum(ks) == denominator]
     return free_model(Bary(), X, grid, ParamPool.make(weights=weights))

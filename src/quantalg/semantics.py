@@ -14,151 +14,178 @@ mode, truncated to 1 in bounded mode).
 The kernel is built once and evaluated many times: a `PairGraph` walks the
 pair recursion once, and each evaluation only does arithmetic, for the state
 distances it is given, with each transport started from its slot's last
-optimal basis tree.  An evaluation under a strategy, which chooses at the
-maximising nodes, leaves its slot values and optimal couplings with the
-strategy, and `PairGraph.policy` reads off them the affine form in the
-state-pair distances that realises each distance, as a row of ints.
+optimal basis tree.  An evaluation, under a strategy that chooses at the
+maximising nodes or none, leaves its slot values and optimal couplings on
+the graph (`evaluated`, `plans`), and `PairGraph.policy` reads off them and
+the strategy's choices the affine form in the state-pair distances that
+realises each distance, as a row of ints.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product, starmap
 from math import gcd, lcm
+from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Tuple
+from weakref import ref as weak_ref
 
 from .errors import DomainError
 from .extvalue import INF, ONE, ZERO, ExtValue, ext_max
 from .spaces import FinMetricSpace, hausdorff_candidates
 from .terms import FAMILIES, Term, Var
 from .theories import LayerPlan, TheoryExpr, layer_plan
-from .transport import Transport, scale_masses, solve_scaled
+from .transport import Transport, solve_scaled
 
 EXTENDED = "extended"
 BOUNDED = "bounded"
 
 
 class SemValue:
-    """Immutable value of a layer plan.  Each value stores its hash when it
-    is built, from its fields' (stored) hashes, so hashing a value never
-    walks its subtree."""
+    """Immutable value of a layer plan, hash-consed (Filliâtre and Conchon):
+    building a value equal to a live one returns that one, so equal values
+    are one object, and values compare and hash by identity.  A value's
+    `key` (see `canon_key`) is built once, when it is interned, from its
+    children's keys.  The intern table holds its values weakly: a value
+    lives only while something else refers to it.  No code assigns to a
+    value's fields."""
 
-    __slots__ = ()
+    __slots__ = ("key", "__weakref__")
 
-    def __post_init__(self):
-        # vars() holds exactly the dataclass fields, in declaration order
-        object.__setattr__(self, "_hash",
-                           hash((type(self).__name__,) + tuple(vars(self).values())))
+    def __new__(cls, *fields):
+        ident = (cls, *fields)
+        entry = _interned.get(ident)
+        v = entry() if entry is not None else None
+        if v is None:
+            v = object.__new__(cls)
+            v._fill(*fields)  # the fields and the key
+            _interned[ident] = entry = _Ref(v, _forget)
+            entry.ident = ident
+        return v
 
-    def __hash__(self):
-        return self._hash
-
-
-def _value(cls):
-    """A frozen dataclass value that keeps SemValue's stored hash (left
-    alone, dataclass would install a hash over all fields, recomputed on
-    every call)."""
-    cls.__hash__ = SemValue.__hash__
-    return dataclass(frozen=True)(cls)
+    def __repr__(self):
+        return type(self).__name__ + repr(tuple(getattr(self, s) for s in self.__slots__))
 
 
-@_value
+class _Ref(weak_ref):
+    __slots__ = ("ident",)
+
+
+_interned: Dict[tuple, _Ref] = {}  # (class, *fields) -> the live value
+
+
+def _forget(dead: _Ref) -> None:  # a value died: drop its entry, unless a new value has it
+    if _interned.get(dead.ident) is dead:
+        del _interned[dead.ident]
+
+
 class VarLeaf(SemValue):
-    name: str
+    __slots__ = ("name",)
+
+    def _fill(self, name):
+        self.name, self.key = name, (0, name)
 
 
-@_value
 class ExcLeaf(SemValue):
-    label: str
+    __slots__ = ("label",)
+
+    def _fill(self, label):
+        self.label, self.key = label, (1, label)
 
 
-@_value
 class StateLeaf(SemValue):
     """A named state of a coalgebra, standing under a guard of a one-step
     value; its distances come from the caller's state metric."""
 
-    name: str
+    __slots__ = ("name",)
+
+    def _fill(self, name):
+        self.name, self.key = name, (7, name)
 
 
-@_value
 class Guard(SemValue):
-    name: str
-    c: Fraction
-    inner: SemValue
+    __slots__ = ("name", "c", "inner")
+
+    def _fill(self, name, c, inner):
+        self.name, self.c, self.inner, self.key = name, c, inner, (2, name, c, inner.key)
 
 
-@_value
 class DistVal(SemValue):
-    items: Tuple[Tuple[SemValue, Fraction], ...]  # canonical order, weights > 0
+    """A distribution: the weight of `support[i]` is `weights[i]/W`, with
+    the support in canonical order, every weight a positive int, and W the
+    lcm of the reduced weights' denominators.  `items` gives the same as
+    (value, Fraction weight) pairs."""
+
+    __slots__ = ("support", "weights", "W")
+
+    def _fill(self, support, weights, W):
+        self.support, self.weights, self.W = support, weights, W
+        self.key = 3, tuple((x.key, Fraction(n, W)) for x, n in zip(support, weights))
+
+    @property
+    def items(self) -> Tuple[Tuple[SemValue, Fraction], ...]:
+        return tuple((x, Fraction(n, self.W)) for x, n in zip(self.support, self.weights))
 
 
-@_value
 class SetVal(SemValue):
-    items: Tuple[SemValue, ...]  # canonical order, duplicate-free
+    __slots__ = ("items",)  # canonical order, duplicate-free
+
+    def _fill(self, items):
+        self.items, self.key = items, (4, tuple(x.key for x in items))
 
 
-@_value
 class FuncVal(SemValue):
-    items: Tuple[Tuple[str, SemValue], ...]  # total on the input set, in order
+    __slots__ = ("items",)  # (input, value) pairs, total on the input set, in order
+
+    def _fill(self, items):
+        self.items, self.key = items, (5, tuple((i, x.key) for i, x in items))
 
 
-@_value
 class PairVal(SemValue):
-    alpha: object
-    inner: SemValue
+    __slots__ = ("alpha", "inner")
+
+    def _fill(self, alpha, inner):
+        rank = (0, alpha) if isinstance(alpha, Fraction) else (1, str(alpha))
+        self.alpha, self.inner, self.key = alpha, inner, (6, rank, inner.key)
 
 
 def canon_key(v: SemValue):
-    """Total order on values: leaves, then guards, then composites."""
-    if isinstance(v, VarLeaf):
-        return (0, v.name)
-    if isinstance(v, ExcLeaf):
-        return (1, v.label)
-    if isinstance(v, Guard):
-        return (2, v.name, v.c, canon_key(v.inner))
-    if isinstance(v, DistVal):
-        return (3, tuple((canon_key(x), w) for x, w in v.items))
-    if isinstance(v, SetVal):
-        return (4, tuple(canon_key(x) for x in v.items))
-    if isinstance(v, FuncVal):
-        return (5, tuple((i, canon_key(x)) for i, x in v.items))
-    if isinstance(v, PairVal):
-        return (6, _alpha_key(v.alpha), canon_key(v.inner))
-    if isinstance(v, StateLeaf):
-        return (7, v.name)
-    raise TypeError(f"not a SemValue: {v!r}")
+    """Total order on values: variables, exceptions, guards, distributions,
+    sets, functions, pairs, then state leaves; each value stores its key."""
+    return v.key
 
 
-def _alpha_key(alpha):
-    return (0, alpha) if isinstance(alpha, Fraction) else (1, str(alpha))
+_key = attrgetter("key")
 
 
-def make_dist(pairs) -> DistVal:
-    """Merge duplicate support elements, drop zero weights, sort canonically."""
-    acc: Dict[SemValue, Fraction] = {}
-    for v, w in pairs:
-        if w == 0:
-            continue
-        if w < 0:
-            raise DomainError("negative weight")
-        acc[v] = acc[v] + w if v in acc else w
+def make_dist(pairs, W: int) -> DistVal:
+    """The distribution of (value, n) pairs, n an int, of weight n/W each:
+    duplicate values merge, zero weights drop, the support is sorted
+    canonically and the weights are reduced over their least denominator."""
+    acc: Dict[SemValue, int] = {}
+    for v, n in pairs:
+        if n:
+            if n < 0:
+                raise DomainError("negative weight")
+            acc[v] = acc.get(v, 0) + n
     if not acc:
         raise DomainError("empty distribution value")
-    items = tuple(sorted(acc.items(), key=lambda kv: canon_key(kv[0])))
-    if sum(w for _, w in items) != 1:
+    if sum(acc.values()) != W:
         raise DomainError("distribution weights must sum to 1")
-    return DistVal(items)
+    support = tuple(sorted(acc, key=_key))
+    g = gcd(W, *acc.values())
+    return DistVal(support, tuple(acc[v] // g for v in support), W // g)
 
 
 def make_set(values) -> SetVal:
-    return SetVal(tuple(sorted(dict.fromkeys(values), key=canon_key)))
+    return SetVal(tuple(sorted(dict.fromkeys(values), key=_key)))
 
 
 def map_guards(v: SemValue, f: Callable[[SemValue], SemValue]) -> SemValue:
     """v with each guard's inner value w replaced by f(w), rebuilt
     canonically; f meets the guards in v's item order."""
     if isinstance(v, DistVal):
-        return make_dist((map_guards(x, f), w) for x, w in v.items)
+        return make_dist(((map_guards(x, f), n) for x, n in zip(v.support, v.weights)), v.W)
     if isinstance(v, SetVal):
         return make_set(map_guards(x, f) for x in v.items)
     if isinstance(v, FuncVal):
@@ -174,8 +201,7 @@ def map_guards(v: SemValue, f: Callable[[SemValue], SemValue]) -> SemValue:
 # Denotation
 
 def denote(t: Term, th: TheoryExpr) -> SemValue:
-    plan = layer_plan(th)
-    return denote_with_plan(t, plan)
+    return denote_with_plan(t, layer_plan(th))
 
 
 def denote_with_plan(t: Term, plan: LayerPlan) -> SemValue:
@@ -221,7 +247,7 @@ def _eta(layers, leaf: SemValue) -> SemValue:
     for layer in reversed(layers):
         kind = layer[0]
         if kind == "dist":
-            v = DistVal(((v, Fraction(1)),))
+            v = DistVal((v,), (1,), 1)
         elif kind == "set":
             v = SetVal((v,))
         elif kind == "func":
@@ -249,8 +275,8 @@ def _apply(layers, target: str, op, args) -> SemValue:
         (arg,) = args  # only unary operations live under a distribution layer
         if not isinstance(arg, DistVal):
             raise DomainError("value does not match the distribution layer")
-        return make_dist(
-            (_apply(layers[1:], target, op, [v]), w) for v, w in arg.items)
+        return make_dist(((_apply(layers[1:], target, op, [v]), n)
+                          for v, n in zip(arg.support, arg.weights)), arg.W)
     if kind == "set":
         (arg,) = args
         if not isinstance(arg, SetVal):
@@ -261,12 +287,14 @@ def _apply(layers, target: str, op, args) -> SemValue:
 
 def _apply_here(layer, op, args) -> SemValue:
     if op.kind == "conv":
-        e = op.param
+        p, q = op.param.numerator, op.param.denominator
         a, b = args
         if not isinstance(a, DistVal) or not isinstance(b, DistVal):
             raise DomainError("conv applied to non-distribution values")
-        return make_dist(
-            [(v, w * e) for v, w in a.items] + [(v, w * (1 - e)) for v, w in b.items])
+        W = lcm(a.W, b.W)  # a's weights times p/q plus b's times (q - p)/q, over W * q
+        s, t = W // a.W * p, W // b.W * (q - p)
+        return make_dist([(v, n * s) for v, n in zip(a.support, a.weights)]
+                         + [(v, n * t) for v, n in zip(b.support, b.weights)], W * q)
     if op.kind == "union":
         a, b = args
         if not isinstance(a, SetVal) or not isinstance(b, SetVal):
@@ -323,7 +351,8 @@ class PairGraph:
     a cost matrix, or Hausdorff over its row slots (a column is read off
     the rows, as mirrored pairs share a slot) and column count.  A state
     pair's op holds its number `state_index(u, v)`, given at the build, and
-    a Kantorovich op its masses, scaled to ints and checked at the build.
+    a Kantorovich op its masses: the two distributions' int weights over the
+    lcm of their W's.  Values are compared, and the slots keyed, by identity.
     Each Kantorovich slot keeps its last optimal `Transport` in `plans`, and
     the next evaluation's transport starts from its basis tree: the masses
     are the same, so it is still feasible, and only the costs have changed."""
@@ -348,7 +377,7 @@ class PairGraph:
         del self._slots
 
     def _slot(self, a: SemValue, b: SemValue) -> int:
-        if a._hash == b._hash and a == b:  # stored hashes spare most deep compares
+        if a is b:  # equal values are one object
             return 0
         k = self._slots.get((a, b))
         if k is None:
@@ -378,10 +407,11 @@ class PairGraph:
             if self.state_index is None:
                 raise DomainError(f"states {a.name}, {b.name} need a state metric")
             return _STATE, self.state_index(a.name, b.name)
-        if kind is DistVal:
-            cells = [[self._slot(x, y) for y, _ in b.items] for x, _ in a.items]
-            return (_KANT, *scale_masses([w for _, w in a.items], [w for _, w in b.items]),
-                    cells)
+        if kind is DistVal:  # the masses over the lcm of the W's, as scale_masses gives them
+            W, n = lcm(a.W, b.W), len(b.support)
+            slots = list(starmap(self._slot, product(a.support, b.support)))  # no frame per level
+            return (_KANT, [k * (W // a.W) for k in a.weights], [k * (W // b.W) for k in b.weights],
+                    W, [slots[i:i + n] for i in range(0, len(slots), n)])
         if kind is SetVal:
             return _HAUS, [[self._slot(x, y) for y in b.items] for x in a.items], len(b.items)
         if kind is FuncVal:
@@ -516,8 +546,7 @@ def term_dist(t: Term, s: Term, th: TheoryExpr,
               mode: str = EXTENDED) -> ExtValue:
     """The free-monad distance between two terms: sem_dist of denotations."""
     plan = layer_plan(th)
-    v = denote_with_plan(t, plan)
-    w = denote_with_plan(s, plan)
+    v, w = denote_with_plan(t, plan), denote_with_plan(s, plan)
     return sem_dist_with_plan(v, w, plan, space, mode)
 
 

@@ -70,7 +70,7 @@ class OpSym:
 
 
 def conv(e) -> OpSym:
-    return OpSym("conv", Fraction(e))
+    return OpSym("conv", e if type(e) is Fraction else Fraction(e))
 
 
 def raise_(label: str) -> OpSym:
@@ -94,7 +94,8 @@ def write(alpha: MonoidElement) -> OpSym:
 
 
 def next_op(name: str = "next", c=None) -> OpSym:
-    return OpSym("next", (name, None if c is None else Fraction(c)))
+    # a Fraction is kept, so a term's guards share the plan's c (see semantics._check_member)
+    return OpSym("next", (name, c if c is None or type(c) is Fraction else Fraction(c)))
 
 
 class Term:
@@ -216,11 +217,11 @@ def parse_parameter(ts: TokenStream, tok: Token) -> OpSym:
     """The operation of the family `tok` names (conv, raise or wr), reading
     its parameter: a conv weight, which must lie in [0,1], an exception
     label, or a monoid element."""
-    if tok.text == "conv":
-        e = ts.expect_rational()
-        if not 0 <= e <= 1:
-            raise ts.error(f"conv weight {e} outside [0,1]", tok)
-        return conv(e)
+    if tok.text == "conv":  # n/d lies in [0,1] when n <= d: the numeral has no sign
+        n, d = ts.expect_ratio()
+        if n > d:
+            raise ts.error(f"conv weight {Fraction(n, d)} outside [0,1]", tok)
+        return conv(Fraction(n, d))
     if tok.text == "raise":
         return raise_(ts.expect_label("exception label"))
     return write(ts.expect_element())

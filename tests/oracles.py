@@ -15,7 +15,12 @@ The equation oracle checks one axiom instance at a time, evaluating both
 sides at every assignment for that instance alone, and the
 non-expansiveness oracle compares every pair of argument vectors; both
 compare the carrier's ExtValue distances, where the model checker compares
-scaled ints."""
+scaled ints.
+
+The distribution oracle builds a distribution's items on Fraction weights,
+merged and sorted by a canonical key computed afresh from each value's
+fields and `items`, where the engine holds int weights, merges by identity
+and sorts by the key each value stores when it is interned."""
 
 import itertools
 from collections import defaultdict
@@ -275,6 +280,53 @@ def sup_diff(d, e):
             continue
         worst = ext_max(worst, ExtValue(abs(x.rational - y.rational)))
     return worst
+
+
+def canon_key_reference(v):
+    """The canonical order's key of a value, recomputed from its fields:
+    variables, exceptions, guards, distributions, sets, functions, pairs,
+    then state leaves."""
+    from quantalg.semantics import (DistVal, ExcLeaf, FuncVal, Guard, PairVal, SetVal,
+                                    StateLeaf, VarLeaf)
+
+    if isinstance(v, VarLeaf):
+        return (0, v.name)
+    if isinstance(v, ExcLeaf):
+        return (1, v.label)
+    if isinstance(v, Guard):
+        return (2, v.name, v.c, canon_key_reference(v.inner))
+    if isinstance(v, DistVal):
+        return (3, tuple((canon_key_reference(x), w) for x, w in v.items))
+    if isinstance(v, SetVal):
+        return (4, tuple(canon_key_reference(x) for x in v.items))
+    if isinstance(v, FuncVal):
+        return (5, tuple((i, canon_key_reference(x)) for i, x in v.items))
+    if isinstance(v, PairVal):
+        alpha = (0, v.alpha) if isinstance(v.alpha, Fraction) else (1, str(v.alpha))
+        return (6, alpha, canon_key_reference(v.inner))
+    assert isinstance(v, StateLeaf)
+    return (7, v.name)
+
+
+def dist_items_reference(pairs):
+    """The items of the distribution of (value, Fraction weight) pairs:
+    values with equal keys (`canon_key_reference`) merged, zero weights
+    dropped, the support sorted by key.  A negative weight, an empty
+    support or a total other than 1 is the DomainError the engine raises."""
+    acc = {}  # a support element's key -> (the element, its weight)
+    for v, w in pairs:
+        if w == 0:
+            continue
+        if w < 0:
+            raise DomainError("negative weight")
+        key = canon_key_reference(v)
+        u, total = acc.get(key, (v, 0))
+        acc[key] = (u, total + w)
+    if not acc:
+        raise DomainError("empty distribution value")
+    if sum(w for _, w in acc.values()) != 1:
+        raise DomainError("distribution weights must sum to 1")
+    return tuple(acc[key] for key in sorted(acc))
 
 
 def sem_dist_reference(v, w, space=None, mode="extended", exc_space=None, pair_monoid=None,

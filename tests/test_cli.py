@@ -788,3 +788,48 @@ def test_dist_with_a_variable_outside_the_space_exits_1(files, capsys):
                  "--inline", "z", "x"])
     assert code == 1
     assert capsys.readouterr().err == "error: point pair (z, x) outside the space\n"
+
+
+@pytest.mark.parametrize("argv, out", [
+    (["dist", "--theory", MP_THEORY, "--mode", "bounded", "--space", "{d}/S.space", "--inline",
+      "conv(1/3, next(conv(1/2, x, raise(*))), next(y))",
+      "conv(1/4, next(x), conv(1/2, y, next(next(x))))"], "5/8"),
+    (["bisim", "{d}/mealy.coalg"], None)])
+def test_a_request_keeps_no_value_past_its_call(argv, out, files, monkeypatch, capsys):
+    # the intern table holds its values weakly: once a request returns, no
+    # value it built is left, and the same request again interns as many
+    import weakref
+
+    from quantalg import semantics
+
+    made = []  # a weak reference to each value interned
+
+    class Recording(semantics._Ref):
+        __slots__ = ()
+
+        def __new__(cls, value, callback):
+            made.append(weakref.ref(value))
+            return super().__new__(cls, value, callback)
+
+    monkeypatch.setattr(semantics, "_Ref", Recording)
+    argv = [a.replace("{d}", str(files)) for a in argv]
+    counts, table, outputs = [], len(semantics._interned), []
+    for _ in range(2):
+        made.clear()
+        assert main(argv) == 0
+        outputs.append(capsys.readouterr().out)
+        assert made and all(value() is None for value in made)
+        assert len(semantics._interned) == table
+        counts.append(len(made))
+    assert counts[0] == counts[1] and outputs[0] == outputs[1]
+    assert out is None or outputs[0].strip() == out
+
+
+def test_a_deep_narrow_pair_answers_with_its_closed_form(capsys):
+    # next^n(raise(*)) and next^(n+2)(raise(*)) are c^n apart in bounded mode;
+    # walking a distribution's pairs adds no frame per level, so n = 180, the
+    # depth of the benchmark's deepest pairs, answers
+    n = 180
+    t, s = ("next(" * k + "raise(*)" + ")" * k for k in (n, n + 2))
+    assert main(["dist", "--theory", MP_THEORY, "--mode", "bounded", "--inline", t, s]) == 0
+    assert capsys.readouterr().out.strip() == f"1/{2 ** n}"

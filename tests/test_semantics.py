@@ -1,14 +1,17 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, strategies as st
 
 from quantalg import (BOUNDED, Bary, DistVal, EXTENDED, Exc, ExcLeaf, FinMetricSpace,
                       FuncVal, Guard, PairVal, RATIONAL_LINE, Reader, Semi,
-                      SetVal, Sum, VarLeaf, Writer, bind, denote,
+                      SetVal, StateLeaf, Sum, VarLeaf, Writer, apply_operation, bind,
+                      canon_key, denote,
                       denote_with_plan, ext, format_value, labelled_mp_theory,
-                      layer_plan, make_dist, make_set, markov_process_theory, mdp_theory,
+                      layer_plan, make_dist, make_set, map_guards, markov_process_theory,
+                      mdp_theory,
                       mealy_theory, parse_term, parse_theory, sem_dist,
                       sem_dist_with_plan, term_dist)
 from quantalg.errors import DomainError
@@ -18,7 +21,8 @@ from quantalg.terms import (App, Var, conv, empty_op, next_op, raise_, read,
                             union_op, write)
 
 from helpers import random_space, random_term, theory_shapes
-from oracles import enumerate_transport, sem_dist_reference
+from oracles import (canon_key_reference, dist_items_reference, enumerate_transport,
+                     sem_dist_reference)
 
 C12 = Fraction(1, 2)
 MP = markov_process_theory(C12)
@@ -30,7 +34,9 @@ XY = FinMetricSpace(["x", "y"], {("x", "y"): ext(1)})
 
 
 def D(*pairs):
-    return make_dist([(v, Fraction(w)) for v, w in pairs])
+    weights = [Fraction(w) for _, w in pairs]
+    W = lcm(*(w.denominator for w in weights))
+    return make_dist([(v, int(w * W)) for (v, _), w in zip(pairs, weights)], W)
 
 
 def test_denote_merges_convex_duplicates():
@@ -354,3 +360,70 @@ def test_the_distance_of_two_rational_outputs_is_their_fraction_distance(x, y):
     got = PairGraph([])._alpha_dist(x, y)
     assert got == ExtValue(abs(x - y)) and got.ratio == (abs(x - y).numerator,
                                                          abs(x - y).denominator)
+
+
+# Values of every kind for the int distributions' tests: leaves, guards over
+# two factors, and sets, pairs, functions and distributions of values.
+_LEAVES = st.one_of(st.sampled_from("xyz").map(VarLeaf), st.sampled_from("*e").map(ExcLeaf),
+                    st.sampled_from("st").map(StateLeaf))
+
+
+def _dists(values):
+    return st.lists(st.tuples(values, st.integers(1, 3)), min_size=1, max_size=3).map(
+        lambda ps: make_dist(ps, sum(n for _, n in ps)))
+
+
+_VALUES = st.recursive(_LEAVES, lambda kids: st.one_of(
+    st.builds(Guard, st.just("next"), st.sampled_from([C12, Fraction(1, 3)]), kids),
+    st.lists(kids, max_size=3).map(make_set),
+    st.builds(PairVal, st.sampled_from([Fraction(0), C12, "m"]), kids),
+    st.lists(kids, min_size=2, max_size=2).map(lambda xs: FuncVal((("i", xs[0]), ("j", xs[1])))),
+    _dists(kids)), max_leaves=6)
+
+
+def _assert_is_reference(got, want):
+    # the items, each W the lcm of its reduced weights' denominators, and the
+    # stored keys, down to the leaves, equal to keys computed afresh
+    assert isinstance(got, DistVal) and got.items == want
+    assert got.W == lcm(*(w.denominator for _, w in want))
+    assert canon_key(got) == canon_key_reference(got)
+
+
+@given(st.lists(st.tuples(_VALUES, st.sampled_from([0, 1, 1, 2, 3, -1])), max_size=5),
+       st.one_of(st.none(), st.integers(1, 8)))
+def test_int_make_dist_is_the_fraction_reference(weighted, W):
+    # W None: the weights' total, so the mass is 1 unless every weight is 0
+    W = W or max(1, sum(n for _, n in weighted))
+    try:
+        want = dist_items_reference([(v, Fraction(n, W)) for v, n in weighted])
+    except DomainError as exc:
+        with pytest.raises(DomainError, match=f"^{exc}$"):
+            make_dist(weighted, W)
+    else:
+        _assert_is_reference(make_dist(weighted, W), want)
+
+
+@given(_dists(_VALUES), _dists(_VALUES), st.fractions(0, 1, max_denominator=12))
+def test_int_conv_is_the_fraction_reference(a, b, e):
+    got = apply_operation(layer_plan(Bary()), conv(e), [a, b])
+    want = dist_items_reference([(v, w * e) for v, w in a.items]
+                                + [(v, w * (1 - e)) for v, w in b.items])
+    _assert_is_reference(got, want)
+
+
+@given(_dists(st.one_of(_LEAVES, st.builds(Guard, st.sampled_from(["next", "g"]), st.just(C12),
+                                           _VALUES))), st.sampled_from(["x", "s", None]))
+def test_int_map_guards_is_the_fraction_reference(v, target):
+    # f sends every guard's inner value to one leaf (target None: keeps it),
+    # so guards merge; it meets the guards in item order
+    met = []
+
+    def f(inner):
+        met.append(inner)
+        return inner if target is None else VarLeaf(target)
+
+    got = map_guards(v, f)
+    assert met == [x.inner for x, _ in v.items if isinstance(x, Guard)]
+    want = dist_items_reference([(Guard(x.name, x.c, f(x.inner)) if isinstance(x, Guard)
+                                  else x, w) for x, w in v.items])
+    _assert_is_reference(got, want)
