@@ -1,32 +1,29 @@
-"""The shared front end of the six text formats: a tokenizer (one
-`re.finditer` pass; a token's line is counted only when an error names it)
-and the rules every format reads through it, such as comma lists
-(`expect_list`) and files of `KEYWORD NAME { ... }` blocks (`blocks`)."""
+"""The shared front end of the six text formats: a tokenizer (one `re.findall`
+for the token texts, a dict over the distinct ones for their kinds, running
+sums of the matched lengths for their offsets; a token's line is counted only
+when an error names it) and the rules every format reads through it, such as
+comma lists (`expect_list`) and files of `KEYWORD NAME { ... }` blocks (`blocks`)."""
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from operator import itemgetter
+from functools import partial
+from itertools import accumulate
+from operator import add
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, TypeVar, Union
 
 from .errors import DomainError, ParseError
 from .extvalue import INF, ExtValue
 
-# A match is a token and the whitespace and comments before it; past them
-# some token matches (eof at the end), so no match backtracks into them.
-_TOKEN_RE = re.compile(
-    r"""
-    (?:\s|\#[^\n]*)*
-    (?: (?P<arrow>->)
-      | (?P<num>\d+(?:/\d+)?)
-      | (?P<ident>[A-Za-z_][A-Za-z0-9_.']*)
-      | (?P<punct>[(){},;:=@*\[\]<>|+-])
-      | (?P<bad>.)
-      | (?P<eof>\Z))
-    """,
-    re.VERBOSE | re.DOTALL,
-)
+# A token's kind: the first of these to match it whole, the most common first.
+_KINDS = r"""(?P<punct>[(){},;:=@*\[\]<>|+]|-(?!>)) | (?P<ident>[A-Za-z_][A-Za-z0-9_.']*)
+             | (?P<num>\d+(?:/\d+)?) | (?P<arrow>->) | (?P<bad>.) | (?P<eof>\Z)"""
+_KIND_RE = re.compile(_KINDS, re.VERBOSE | re.DOTALL)
+# A match is the blanks and comments before a token, then the token; past
+# them some token matches (eof at the end), so no match backtracks into them.
+_TOKEN_RE = re.compile(r"((?:\s|\#[^\n]*)*)(" + re.sub(r"\?P<\w+>", "?:", _KINDS) + ")",
+                       re.VERBOSE | re.DOTALL)
 _ZERO_DENOMINATOR = re.compile(r"\d+/0+")
 # The most digits a numeral's numerator or denominator, or a --decimal
 # rendering, may have: Python's guard against hostile input converts no int
@@ -46,12 +43,16 @@ class TokenStream:
     def __init__(self, text: str, source: str = "<input>"):
         self.source = source
         self.text = text
-        new = tuple.__new__
-        self.tokens: List[Token] = [new(Token, (m.lastgroup, m[m.lastindex], m.start(m.lastindex)))
-                                    for m in _TOKEN_RE.finditer(text)]
-        if len(self.tokens) > 1 and self.tokens[-2].kind == "eof":
-            del self.tokens[-1]  # finditer's empty match at the end, after trailing blanks
-        suspect = "bad" in map(itemgetter(0), self.tokens) or len(text) > MAX_DIGITS or "/0" in text
+        found = _TOKEN_RE.findall(text)
+        if len(found) > 1 and not found[-2][1]:
+            del found[-1]  # findall's empty match at the end, after trailing blanks
+        blanks, texts = zip(*found)
+        kinds = {t: _KIND_RE.fullmatch(t).lastgroup for t in set(texts)}
+        # a token's offset: the lengths of the texts before it, and of the blanks up to it
+        offsets = map(add, accumulate(map(len, texts), initial=0), accumulate(map(len, blanks)))
+        self.tokens: List[Token] = list(map(partial(tuple.__new__, Token), zip(
+            map(kinds.__getitem__, texts), texts, offsets)))
+        suspect = "bad" in kinds.values() or len(text) > MAX_DIGITS or "/0" in text
         for tok in self.tokens if suspect else ():
             if tok.kind == "bad":
                 raise self.error(f"unexpected character {tok.text!r}", tok)

@@ -24,7 +24,7 @@ realises each distance, as a row of ints.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product, starmap
+from itertools import product, repeat, starmap
 from math import gcd, lcm
 from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Tuple
@@ -44,24 +44,31 @@ BOUNDED = "bounded"
 class SemValue:
     """Immutable value of a layer plan, hash-consed (Filliâtre and Conchon):
     building a value equal to a live one returns that one, so equal values
-    are one object, and values compare and hash by identity.  A value's
-    `key` (see `canon_key`) is built once, when it is interned, from its
-    children's keys.  The intern table holds its values weakly: a value
-    lives only while something else refers to it.  No code assigns to a
-    value's fields."""
+    are one object, and values compare and hash by identity.  The intern
+    table keys a value by its class and fields, a rational one by its ints
+    (it hashes no Fraction), and holds its values weakly: a value lives only
+    while something else refers to it.  A value's `key` (see `canon_key`) is
+    built when first read, a leaf's and a guard's when it is made.  No code
+    assigns to a value's fields."""
 
     __slots__ = ("key", "__weakref__")
 
-    def __new__(cls, *fields):
-        ident = (cls, *fields)
+    def __new__(cls, *fields, ident=None):
+        ident = ident or (cls, *fields)
         entry = _interned.get(ident)
         v = entry() if entry is not None else None
         if v is None:
             v = object.__new__(cls)
-            v._fill(*fields)  # the fields and the key
+            v._fill(*fields)
             _interned[ident] = entry = _Ref(v, _forget)
             entry.ident = ident
         return v
+
+    def __getattr__(self, name):  # an unset slot: the key, built on its first read
+        if name != "key":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self.key = key = _LAZY_KEYS[type(self)](self)
+        return key
 
     def __repr__(self):
         return type(self).__name__ + repr(tuple(getattr(self, s) for s in self.__slots__))
@@ -71,12 +78,14 @@ class _Ref(weak_ref):
     __slots__ = ("ident",)
 
 
-_interned: Dict[tuple, _Ref] = {}  # (class, *fields) -> the live value
+_interned: Dict[tuple, _Ref] = {}  # (class, *fields), a rational as its ints -> the live value
 
 
 def _forget(dead: _Ref) -> None:  # a value died: drop its entry, unless a new value has it
+    global _interned
     if _interned.get(dead.ident) is dead:
         del _interned[dead.ident]
+        _interned = _interned or {}  # an emptied dict keeps the size it reached: start anew
 
 
 class VarLeaf(SemValue):
@@ -106,7 +115,10 @@ class StateLeaf(SemValue):
 class Guard(SemValue):
     __slots__ = ("name", "c", "inner")
 
-    def _fill(self, name, c, inner):
+    def __new__(cls, name, c, inner):
+        return SemValue.__new__(cls, name, c, inner, ident=(cls, name, c.as_integer_ratio(), inner))
+
+    def _fill(self, name, c, inner):  # the key now: key recursion stops at a guard
         self.name, self.c, self.inner, self.key = name, c, inner, (2, name, c, inner.key)
 
 
@@ -120,7 +132,6 @@ class DistVal(SemValue):
 
     def _fill(self, support, weights, W):
         self.support, self.weights, self.W = support, weights, W
-        self.key = 3, tuple((x.key, Fraction(n, W)) for x, n in zip(support, weights))
 
     @property
     def items(self) -> Tuple[Tuple[SemValue, Fraction], ...]:
@@ -131,28 +142,40 @@ class SetVal(SemValue):
     __slots__ = ("items",)  # canonical order, duplicate-free
 
     def _fill(self, items):
-        self.items, self.key = items, (4, tuple(x.key for x in items))
+        self.items = items
 
 
 class FuncVal(SemValue):
     __slots__ = ("items",)  # (input, value) pairs, total on the input set, in order
 
     def _fill(self, items):
-        self.items, self.key = items, (5, tuple((i, x.key) for i, x in items))
+        self.items = items
 
 
 class PairVal(SemValue):
-    __slots__ = ("alpha", "inner")
+    __slots__ = ("alpha", "inner")  # alpha a Fraction or a table element's name
+
+    def __new__(cls, alpha, inner):
+        a = alpha if type(alpha) is str else alpha.as_integer_ratio()
+        return SemValue.__new__(cls, alpha, inner, ident=(cls, a, inner))
 
     def _fill(self, alpha, inner):
-        rank = (0, alpha) if isinstance(alpha, Fraction) else (1, str(alpha))
-        self.alpha, self.inner, self.key = alpha, inner, (6, rank, inner.key)
+        self.alpha, self.inner = alpha, inner
 
 
 def canon_key(v: SemValue):
     """Total order on values: variables, exceptions, guards, distributions,
-    sets, functions, pairs, then state leaves; each value stores its key."""
+    sets, functions, pairs, then state leaves; a value keeps its key once built."""
     return v.key
+
+
+# The keys built when first read (see SemValue), from the children's keys
+_LAZY_KEYS = {
+    DistVal: lambda v: (3, tuple((x.key, w) for x, w in v.items)),
+    SetVal: lambda v: (4, tuple(x.key for x in v.items)),
+    FuncVal: lambda v: (5, tuple((i, x.key) for i, x in v.items)),
+    PairVal: lambda v: (6, (0, v.alpha) if isinstance(v.alpha, Fraction) else (1, str(v.alpha)),
+                        v.inner.key)}
 
 
 _key = attrgetter("key")
@@ -336,7 +359,7 @@ def sem_dist(v: SemValue, w: SemValue, space: Optional[FinMetricSpace] = None,
 
 
 # Node kinds of a PairGraph: each op is (kind, slot, *data), children-first.
-_STATE, _GUARD, _PAIR, _FUNC, _KANT, _HAUS = range(6)
+_STATE, _GUARD, _PAIR, _FUNC, _KANT, _HAUS, _MEAN = range(7)
 
 
 class PairGraph:
@@ -348,14 +371,15 @@ class PairGraph:
     distances) or the result of an op on earlier slots: a state pair's
     distance, c times a guard's inner distance, a monoid distance plus the
     inner distance, the largest over a function's inputs, Kantorovich over
-    a cost matrix, or Hausdorff over its row slots (a column is read off
-    the rows, as mirrored pairs share a slot) and column count.  A state
-    pair's op holds its number `state_index(u, v)`, given at the build, and
-    a Kantorovich op its masses: the two distributions' int weights over the
-    lcm of their W's.  Values are compared, and the slots keyed, by identity.
-    Each Kantorovich slot keeps its last optimal `Transport` in `plans`, and
-    the next evaluation's transport starts from its basis tree: the masses
-    are the same, so it is still feasible, and only the costs have changed."""
+    a cost matrix, its one coupling's cost if a distribution is a point
+    mass, or Hausdorff over its row slots (a column is read off the rows,
+    as mirrored pairs share a slot) and column count.  A state pair's op
+    holds its number `state_index(u, v)`, given at the build, a Kantorovich
+    op its masses (int weights over the lcm W of the W's) and W, and a point
+    mass's op the other side's weights and W.  Values are compared, and the
+    slots keyed, by identity.  Each Kantorovich slot keeps its last optimal
+    `Transport` in `plans`, and the next evaluation's transport starts from
+    its basis tree: the masses are the same, so it is still feasible."""
 
     def __init__(self, pairs, space: Optional[FinMetricSpace] = None,
                  mode: str = EXTENDED, exc_space: Optional[FinMetricSpace] = None,
@@ -407,8 +431,12 @@ class PairGraph:
             if self.state_index is None:
                 raise DomainError(f"states {a.name}, {b.name} need a state metric")
             return _STATE, self.state_index(a.name, b.name)
-        if kind is DistVal:  # the masses over the lcm of the W's, as scale_masses gives them
-            W, n = lcm(a.W, b.W), len(b.support)
+        if kind is DistVal:  # a point mass has one coupling: the ground's mean under the other side
+            if len(b.support) == 1:
+                return _MEAN, a.weights, list(map(self._slot, a.support, repeat(b.support[0]))), a.W
+            if len(a.support) == 1:
+                return _MEAN, b.weights, list(map(self._slot, repeat(a.support[0]), b.support)), b.W
+            W, n = lcm(a.W, b.W), len(b.support)  # the masses over it, as scale_masses scales them
             slots = list(starmap(self._slot, product(a.support, b.support)))  # no frame per level
             return (_KANT, [k * (W // a.W) for k in a.weights], [k * (W // b.W) for k in b.weights],
                     W, [slots[i:i + n] for i in range(0, len(slots), n)])
@@ -460,6 +488,11 @@ class PairGraph:
                 plan = plans[op[1]] = solve_scaled(op[2], op[3], op[4], ground(op[5]),
                                                    plans.get(op[1]))
                 out = plan.value
+            elif kind == _MEAN:  # sum weight * ground / W; an infinite ground's d 0 makes K 0
+                cells = [val[k].truncated(top).ratio for k in op[3]]
+                K = lcm(*(d for _, d in cells))
+                out = ExtValue(sum(w * n * (K // d) for w, (n, d) in zip(op[2], cells)),
+                               op[4] * K) if K else INF
             else:
                 candidates = [val[k] for k in op[2]] if kind == _FUNC \
                     else hausdorff_candidates(ground(op[2]), op[3])
@@ -475,8 +508,9 @@ class PairGraph:
         (b + sum c * states[k])/D, None if it is infinite, read off that
         evaluation's slot values and transports (`evaluated`, `plans`) and
         the strategy's choices: the chosen candidate, a Hausdorff
-        candidate's first nearest point, a coupling's integer flows (the row
-        divided by its gcd), and 1 for a capped cell.
+        candidate's first nearest point, a coupling's integer flows (a
+        transport's basic ones, or a mean's weights; the row divided by its
+        gcd), and 1 for a capped cell.
         The rows of choice-free slots (constants, state pairs, and guard and
         pair ops over such slots) are kept across calls in `_forms`, the
         others' for one call; rows are shared, so no reader changes one."""
@@ -514,9 +548,9 @@ class PairGraph:
                 i, rows = choice[k], op[2]
                 cells = rows[i] if i < len(rows) else [r[i - len(rows)] for r in rows]
                 row = ground(min(cells, key=lambda j: val[j].truncated(top)))
-            else:
-                plan = plans[k]
-                cells = [(f, ground(op[5][i][j])) for (i, j), f in plan.basis.items() if f]
+            else:  # a coupling's cells: a point mass's one, or a transport's basic flows
+                cells = [(f, ground(j)) for f, j in (zip(op[2], op[3]) if op[0] == _MEAN else (
+                    (f, op[5][i][j]) for (i, j), f in plans[k].basis.items() if f))]
                 L = lcm(*(D for _, (D, _, _) in cells))
                 b, coef = 0, {}
                 for f, (D, fb, fcoef) in cells:
@@ -524,8 +558,8 @@ class PairGraph:
                     b += s * fb
                     for u, w in fcoef.items():
                         coef[u] = coef.get(u, 0) + s * w
-                g = gcd(L * plan.W, b, *coef.values())
-                row = L * plan.W // g, b // g, {u: w // g for u, w in coef.items()}
+                g = gcd(L * op[4], b, *coef.values())
+                row = L * op[4] // g, b // g, {u: w // g for u, w in coef.items()}
             keep[k] = row
             return row
 

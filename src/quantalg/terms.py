@@ -171,21 +171,21 @@ def parse_term(text: str, theory=None, source: str = "<term>") -> Term:
         only, = contracts.values()
         contracts["next"] = only
     ts = TokenStream(text, source)
-    t = _parse_term(ts, contracts)
+    t = _parse_term(ts, contracts, {})
     ts.expect_eof()
     return t
 
 
-def _parse_term(ts: TokenStream, contracts: Mapping[str, OpSym]) -> Term:
-    # One frame per nesting level: a helper frame would lower the depth at
-    # which a nested term exhausts the recursion limit.
+def _parse_term(ts: TokenStream, contracts: Mapping[str, OpSym], ops: dict) -> Term:
+    # One frame per nesting level: a helper frame would lower the depth at which
+    # a nested term exhausts the recursion limit.  `ops`: each op read, by spelling.
     tok = ts.next()
     kind = KIND_OF_WORD.get(tok.text)
     if kind is None:
         if tok.kind != "ident":
             raise ts.error(f"expected a term, found {tok.text or 'end of input'!r}", tok)
         if tok.text in contracts and ts.accept("("):
-            a = _parse_term(ts, contracts)
+            a = _parse_term(ts, contracts, ops)
             ts.expect(")")
             return App(contracts[tok.text], (a,))
         return Var(tok.text)
@@ -193,21 +193,26 @@ def _parse_term(ts: TokenStream, contracts: Mapping[str, OpSym]) -> Term:
         return App(empty_op(), ())
     family = FAMILIES[kind]
     ts.expect("(")
-    op = parse_parameter(ts, tok) if family.param else None
-    args = [] if family.param else [_parse_term(ts, contracts)]
+    spelling = (tok.text, ts.peek().text) if family.param else None
+    op = ops.get(spelling)
+    if op is not None:
+        ts.next()  # the parameter, whose spelling was read before
+    elif spelling:
+        op = ops[spelling] = parse_parameter(ts, tok)
+    args = [] if family.param else [_parse_term(ts, contracts, ops)]
     while len(args) != family.arity:
         if family.arity is not None:
             ts.expect(",")
         elif not ts.accept(","):
             break
-        args.append(_parse_term(ts, contracts))
+        args.append(_parse_term(ts, contracts, ops))
     ts.expect(")")
     if kind == "next":
         if "next" not in contracts and len(contracts) > 1:
             raise DomainError(
                 f"{ts.source}:{ts.line(tok)}: next is ambiguous among the contractive "
                 f"operators {', '.join(contracts)}; write one by its name")
-        op = contracts.get("next", next_op())
+        op = contracts["next"] if "next" in contracts else next_op()
     elif op is None:
         op = read(len(args)) if kind == "read" else OpSym(kind)
     return App(op, tuple(args))

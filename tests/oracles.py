@@ -20,16 +20,23 @@ scaled ints.
 The distribution oracle builds a distribution's items on Fraction weights,
 merged and sorted by a canonical key computed afresh from each value's
 fields and `items`, where the engine holds int weights, merges by identity
-and sorts by the key each value stores when it is interned."""
+and sorts by the key each value builds when it is first read.
+
+The tokenizer oracle is the earlier one-pass tokenizer, which builds each
+token from its `re.finditer` match object: the engine's takes the token
+texts from one `re.findall` and builds the tokens with no step per token."""
 
 import itertools
+import re
 from collections import defaultdict
 from fractions import Fraction
 from itertools import combinations
+from operator import itemgetter
 from typing import Optional
 
 from quantalg.errors import DomainError
 from quantalg.extvalue import ExtValue, INF, ZERO, _coerce, ext_max, ext_sum
+from quantalg.lexing import MAX_DIGITS, Token, TokenStream
 from quantalg.modelcheck import CheckEntry, Counterexample
 from quantalg.terms import Var
 
@@ -537,3 +544,44 @@ def check_theory_reference(alg, th, params):
     report.notes.append(
         "continuity rule not checked: distances on a finite carrier are attained")
     return report
+
+
+# A match is a token and the whitespace and comments before it; past them
+# some token matches (eof at the end), so no match backtracks into them.
+_TOKEN_RE = re.compile(
+    r"""
+    (?:\s|\#[^\n]*)*
+    (?: (?P<arrow>->)
+      | (?P<num>\d+(?:/\d+)?)
+      | (?P<ident>[A-Za-z_][A-Za-z0-9_.']*)
+      | (?P<punct>[(){},;:=@*\[\]<>|+-])
+      | (?P<bad>.)
+      | (?P<eof>\Z))
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+_ZERO_DENOMINATOR = re.compile(r"\d+/0+")
+
+
+class TokenStreamReference(TokenStream):
+    """A TokenStream whose tokens come from one `re.finditer` pass, a match
+    object per token, with the same checks in the same order."""
+
+    def __init__(self, text: str, source: str = "<input>"):
+        self.source = source
+        self.text = text
+        new = tuple.__new__
+        self.tokens = [new(Token, (m.lastgroup, m[m.lastindex], m.start(m.lastindex)))
+                       for m in _TOKEN_RE.finditer(text)]
+        if len(self.tokens) > 1 and self.tokens[-2].kind == "eof":
+            del self.tokens[-1]  # finditer's empty match at the end, after trailing blanks
+        suspect = "bad" in map(itemgetter(0), self.tokens) or len(text) > MAX_DIGITS or "/0" in text
+        for tok in self.tokens if suspect else ():
+            if tok.kind == "bad":
+                raise self.error(f"unexpected character {tok.text!r}", tok)
+            if tok.kind == "num":
+                if len(tok.text) > MAX_DIGITS and max(map(len, tok.text.split("/"))) > MAX_DIGITS:
+                    raise self.error(f"numeral of more than {MAX_DIGITS} digits", tok)
+                if "/0" in tok.text and _ZERO_DENOMINATOR.fullmatch(tok.text):
+                    raise self.error(f"zero denominator in {tok.text!r}", tok)
+        self.i = 0

@@ -825,6 +825,29 @@ def test_a_request_keeps_no_value_past_its_call(argv, out, files, monkeypatch, c
     assert out is None or outputs[0].strip() == out
 
 
+def test_the_intern_table_shrinks_once_its_last_value_dies(files, monkeypatch):
+    # a dict keeps the size it reached; the table is replaced by a fresh one
+    # when its last value dies, so a dist and a bisim request leave it small
+    from quantalg import semantics
+
+    grown = []  # the table's size as each value is interned
+
+    class Recording(semantics._Ref):
+        __slots__ = ()
+
+        def __init__(self, value, callback):
+            grown.append(len(semantics._interned))
+
+    monkeypatch.setattr(semantics, "_interned", {})  # values of other tests stay out of it
+    monkeypatch.setattr(semantics, "_Ref", Recording)
+    assert main(["dist", "--theory", MP_THEORY, "--mode", "bounded", "--space",
+                 str(files / "S.space"), "--inline", "conv(1/3, next(conv(1/2, x, raise(*))), "
+                 "next(y))", "conv(1/4, next(x), conv(1/2, y, next(next(x))))"]) == 0
+    assert main(["bisim", str(files / "mealy.coalg")]) == 0
+    assert max(grown) > 5 and semantics._interned == {}
+    assert sys.getsizeof(semantics._interned) == sys.getsizeof({})
+
+
 def test_a_deep_narrow_pair_answers_with_its_closed_form(capsys):
     # next^n(raise(*)) and next^(n+2)(raise(*)) are c^n apart in bounded mode;
     # walking a distribution's pairs adds no frame per level, so n = 180, the

@@ -4,11 +4,13 @@ operator of tests/oracles.py applied to the table the test drew."""
 import random
 from fractions import Fraction
 
+from hypothesis import assume, given, settings, strategies as hst
+
 from quantalg import (BOUNDED, EXTENDED, Coalgebra, FinMetricSpace, Guard, PairVal,
                       PseudoMetric, RATIONAL_LINE, StateLeaf, TableMonoid, ext,
                       layer_plan, make_set, parse_coalgebras, parse_theory, psi_step,
                       solve_bisim)
-from quantalg import bisim
+from quantalg import bisim, semantics
 from quantalg.extvalue import ZERO
 from quantalg.semantics import FuncVal, PairGraph
 from quantalg.bisim import MaxStrategy, _solve_policy
@@ -171,6 +173,37 @@ def test_policy_forms_match_the_recursive_reference():
             mine.improving = theirs.improving = warm.improving = rnd % 2 == 1
     assert affine > 200, affine
     assert other_coupling > 0, other_coupling
+
+
+@settings(max_examples=30, deadline=None)
+@given(hst.integers(0, 2 ** 32 - 1), hst.sampled_from(["mp", "lmp", "mdp"]),
+       hst.sampled_from([BOUNDED, EXTENDED]))
+def test_dirac_rows_keep_their_forms_tight(seed, kind, mode):
+    # a cyclic system in which some rows, the first among them, are Dirac:
+    # its graph has point-mass (mean) slots, whose rows a policy reads off
+    # their weights; from the Kleene iterate at which the infinite pairs
+    # repeat, as solve_bisim hands over, through rounds of policy iteration
+    # the forms equal the reference's, and those of the warm graph are
+    # tight at d
+    rng = random.Random(seed)
+    space = random_space(rng, ["x", "y"], max_den=4)
+    T = random_cyclic_table(rng, kind, mode, space, n=rng.randint(2, 4))
+    for k, (key, row) in enumerate(T.rows.items()):
+        if k == 0 or rng.random() < 0.5:
+            T.rows[key] = FinDist.dirac(rng.choice([x for x, _ in row.items]))
+    C = table_coalgebra(T, space)
+    d = psi_step(C, PseudoMetric(C.states), mode)
+    assume(any(op[0] == semantics._MEAN for op in C.pair_graph(mode).ops.values()))
+    while [x.is_inf for x in psi_step(C, d, mode).values] != [x.is_inf for x in d.values]:
+        d = psi_step(C, d, mode)
+    mine, theirs, warm = MaxStrategy(), MaxStrategy(), MaxStrategy()
+    for rnd in range(3):
+        got, rows, forms, want = _policy_and_reference(_cold(C), d, mode, mine, theirs)
+        assert forms == want, (C.plan, mode, rnd)
+        assert psi_step(C, d, mode, warm) == got
+        _check_warm_policy(C, d, mode, warm, got)
+        d = _solve_policy(got, rows)
+        mine.improving = theirs.improving = warm.improving = rnd % 2 == 1
 
 
 def test_policy_follows_the_strategy_between_equal_inputs():

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from math import lcm
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
@@ -15,8 +16,10 @@ from quantalg import (BOUNDED, Bary, DistVal, EXTENDED, Exc, ExcLeaf, FinMetricS
                       mealy_theory, parse_term, parse_theory, sem_dist,
                       sem_dist_with_plan, term_dist)
 from quantalg.errors import DomainError
-from quantalg.extvalue import INF, ZERO, ExtValue
-from quantalg.semantics import PairGraph
+from quantalg import semantics
+from quantalg.extvalue import INF, ONE, ZERO, ExtValue
+from quantalg.semantics import PairGraph, SemValue
+from quantalg.transport import min_cost_transport, solve_scaled
 from quantalg.terms import (App, Var, conv, empty_op, next_op, raise_, read,
                             union_op, write)
 
@@ -427,3 +430,94 @@ def test_int_map_guards_is_the_fraction_reference(v, target):
     want = dist_items_reference([(Guard(x.name, x.c, f(x.inner)) if isinstance(x, Guard)
                                   else x, w) for x, w in v.items])
     _assert_is_reference(got, want)
+
+
+_GROUND = st.one_of(st.just(INF), st.fractions(0, 3, max_denominator=6).map(ExtValue))
+
+
+@given(st.lists(st.tuples(st.integers(0, 16), st.integers(1, 5), _GROUND,
+                          st.fractions(0, 2, max_denominator=4)),
+                min_size=1, max_size=16, unique_by=lambda c: c[0]),
+       st.sampled_from([BOUNDED, EXTENDED]), st.booleans())
+def test_a_point_mass_is_the_mean_of_its_ground(cells, mode, point_first):
+    # (0, p0) against up to 16 pairs (a, p) of an output and one of the
+    # points p0..p16, at the drawn ground distances, infinite ones among
+    # them: a cell's distance a + d(p0, p) may pass the bounded cap; the one
+    # coupling's cost, with no transport kept, is exactly the value of the
+    # transport of the truncated ground; (0, p0) against itself is the zero
+    # slot
+    names = [f"p{k}" for k, _, _, _ in cells]
+    space = FinMetricSpace(["p0"] + [p for p in names if p != "p0"],
+                           {("p0", p): e for p, (_, _, e, _) in zip(names, cells) if p != "p0"},
+                           validate=False)
+    total = sum(n for _, n, _, _ in cells)
+    nu = make_dist([(PairVal(a, VarLeaf(p)), n) for p, (_, n, _, a) in zip(names, cells)], total)
+    delta = make_dist([(PairVal(Fraction(0), VarLeaf("p0")), 1)], 1)
+    graph = PairGraph([(delta, nu) if point_first else (nu, delta)], space, mode)
+    top = ONE if mode == BOUNDED else INF
+    row = [(ExtValue(x.alpha) + space.d("p0", x.inner.name)).truncated(top) for x in nu.support]
+    masses = [w for _, w in nu.items]
+    want = min_cost_transport([Fraction(1)], masses, [row]) if point_first else \
+        min_cost_transport(masses, [Fraction(1)], [[c] for c in row])
+    assert graph.evaluate()[0] == want.value and graph.plans == {}
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([BOUNDED, EXTENDED]))
+def test_sem_dist_transports_no_point_mass(seed, mode):
+    # denotations of random terms over theories with a distribution layer:
+    # no transport with one row or one column is solved; a 2 x 2 pair
+    # shows that the patched name is the one sem_dist calls
+    calls = []
+
+    def solve(a, b, W, cost, start=None):
+        assert len(a) > 1 and len(b) > 1, (a, b)
+        calls.append((a, b))
+        return solve_scaled(a, b, W, cost, start)
+
+    rng = random.Random(seed)
+    th = rng.choice([MP, LMP, MDP, Sum(Bary(), Exc(FinMetricSpace(["*"], {}))),
+                     parse_theory("tensor(bary, reader{a, b})")])
+    plan, X = layer_plan(th), random_space(rng, ["x", "y"], max_den=4)
+    with mock.patch.object(semantics, "solve_scaled", solve):
+        two = [make_dist([(VarLeaf("x"), 1), (VarLeaf("y"), 2)], 3),
+               make_dist([(VarLeaf("x"), 2), (VarLeaf("y"), 1)], 3)]
+        assert sem_dist(*two, XY) == ext("1/3") and len(calls) == 1
+        for _ in range(3):
+            t, s = (denote_with_plan(random_term(rng, th, ["x", "y"], 3), plan) for _ in "ts")
+            sem_dist_with_plan(t, s, plan, X, mode)
+
+
+def test_no_intern_key_holds_a_fraction():
+    # the intern table hashes no Fraction: after denoting terms of every
+    # shape with one guard, no key holds one at its top level (a guard's
+    # factor and a rational output are held as their ints)
+    rng = random.Random(41)
+    live, shapes = [], 0
+    for th in theory_shapes(2):
+        try:
+            plan = layer_plan(th)
+        except DomainError:
+            continue
+        if len(plan.guards) != 1:
+            continue
+        shapes += 1
+        live += [denote_with_plan(random_term(rng, th, ["x", "y"], 3), plan) for _ in range(4)]
+    assert shapes > 50 and live
+    kinds = {ident[0] for ident in semantics._interned}
+    assert Guard in kinds and PairVal in kinds, kinds
+    assert [ident for ident in semantics._interned
+            if any(isinstance(x, Fraction) for x in ident)] == []
+
+
+def test_a_value_builds_its_key_when_first_read():
+    # the key slot of an intermediate conv result stays unset until a read
+    slot = SemValue.__dict__["key"]
+    x, y, z = (D((VarLeaf(p), 1)) for p in "xyz")
+    inner = apply_operation(layer_plan(Bary()), conv(Fraction(1, 3)), [x, y])
+    outer = apply_operation(layer_plan(Bary()), conv(C12), [inner, z])
+    for v in (inner, outer):
+        with pytest.raises(AttributeError):
+            slot.__get__(v)
+    assert canon_key(outer) == canon_key_reference(outer) == slot.__get__(outer)
+    with pytest.raises(AttributeError, match="has no attribute 'weight'"):
+        outer.weight
