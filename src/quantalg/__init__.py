@@ -11,8 +11,7 @@ iteration; and checks finite models against theory axioms.
 from .bisim import (Certificate, Coalgebra, PseudoMetric, approx_term,
                     disjoint_union, format_coalgebra, parse_coalgebras,
                     psi_step, solve_bisim, unfold_term)
-from .errors import (DivergentGround, DomainError, ParseError, QuantAlgError,
-                     UnsupportedShape)
+from .errors import DomainError, ParseError, QuantAlgError, UnsupportedShape
 from .extvalue import INF, ONE, ZERO, ExtValue, ext
 from .modelcheck import (CheckEntry, Counterexample, FiniteAlgebra, Report,
                          check_equation, check_nonexpansive, check_theory,

@@ -23,10 +23,10 @@ from fractions import Fraction
 from itertools import count
 from typing import ClassVar, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .errors import DivergentGround, DomainError, QuantAlgError, UnsupportedShape
+from .errors import DomainError, QuantAlgError, UnsupportedShape
 from .extvalue import ZERO, ExtValue
 from .lexing import TokenStream
-from .semantics import (BOUNDED, EXTENDED, DistVal, ExcLeaf, FuncVal, Guard,
+from .semantics import (BOUNDED, DistVal, ExcLeaf, FuncVal, Guard,
                         PairGraph, PairVal, SemValue, SetVal, StateLeaf, VarLeaf,
                         denote_with_plan, make_dist, map_guards, plan_graph)
 from .spaces import FinMetricSpace
@@ -169,9 +169,10 @@ def solve_bisim(C: Coalgebra, mode: str = BOUNDED) -> Tuple[PseudoMetric, Certif
     pairs are those of d_{k-1}, which is d_1 = Psi(0) when ||Psi(0)|| is
     finite, for exact policy iteration from d_k (`_policy_iteration`): the
     infinite pairs stay as they are, and Psi is a c-contraction on the
-    others.  In bounded mode ||Psi(0)|| can be infinite (an infinite monoid
-    distance, or a Hausdorff distance to the empty set); in extended mode an
-    infinite pair of Psi(0) raises DivergentGround.
+    others.  ||Psi(0)|| can be infinite: in extended mode at leaves of
+    different kinds, in both modes at an infinite monoid distance or a
+    Hausdorff distance to the empty set.  Kleene from 0 gives the least
+    fixed point, so two states that only loop are at 0, not at INF.
     """
     cyclic = _cyclic(C)
     d = PseudoMetric(C.states)
@@ -179,11 +180,6 @@ def solve_bisim(C: Coalgebra, mode: str = BOUNDED) -> Tuple[PseudoMetric, Certif
         d_next = psi_step(C, d, mode)
         if d_next == d:
             return d, Certificate(k, C.c, mode)
-        if k == 1 and mode == EXTENDED:
-            bad = next((p for p, v in d_next.pairs() if v.is_inf), None)
-            if bad is not None:
-                raise DivergentGround(
-                    f"extended-mode ground distance is infinite on pair {bad}")
         if cyclic and all(a.is_inf == b.is_inf for a, b in zip(d_next.values, d.values)):
             d, evaluations = _policy_iteration(C, d_next, mode)
             return d, Certificate(k + evaluations, C.c, mode)

@@ -21,6 +21,3 @@ class DomainError(QuantAlgError):
 class UnsupportedShape(DomainError):
     """Theory expression outside the layered grammar the engine can normalize."""
 
-
-class DivergentGround(DomainError):
-    """Extended-mode fixed point solving hit an infinite ground distance."""

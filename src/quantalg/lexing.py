@@ -24,7 +24,6 @@ _KIND_RE = re.compile(_KINDS, re.VERBOSE | re.DOTALL)
 # them some token matches (eof at the end), so no match backtracks into them.
 _TOKEN_RE = re.compile(r"((?:\s|\#[^\n]*)*)(" + re.sub(r"\?P<\w+>", "?:", _KINDS) + ")",
                        re.VERBOSE | re.DOTALL)
-_ZERO_DENOMINATOR = re.compile(r"\d+/0+")
 # The most digits a numeral's numerator or denominator, or a --decimal
 # rendering, may have: Python's guard against hostile input converts no int
 # of more than 4300 digits to or from text.
@@ -52,14 +51,16 @@ class TokenStream:
         offsets = map(add, accumulate(map(len, texts), initial=0), accumulate(map(len, blanks)))
         self.tokens: List[Token] = list(map(partial(tuple.__new__, Token), zip(
             map(kinds.__getitem__, texts), texts, offsets)))
-        suspect = "bad" in kinds.values() or len(text) > MAX_DIGITS or "/0" in text
+        # an error needs a bad character, a long text, or a zero denominator (any script's digits)
+        suspect = ("bad" in kinds.values() or len(text) > MAX_DIGITS or "/0" in text
+                   or not text.isascii())
         for tok in self.tokens if suspect else ():
             if tok.kind == "bad":
                 raise self.error(f"unexpected character {tok.text!r}", tok)
             if tok.kind == "num":
                 if len(tok.text) > MAX_DIGITS and max(map(len, tok.text.split("/"))) > MAX_DIGITS:
                     raise self.error(f"numeral of more than {MAX_DIGITS} digits", tok)
-                if "/0" in tok.text and _ZERO_DENOMINATOR.fullmatch(tok.text):
+                if "/" in tok.text and not int(tok.text.partition("/")[2]):
                     raise self.error(f"zero denominator in {tok.text!r}", tok)
         self.i = 0
 

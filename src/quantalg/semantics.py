@@ -24,9 +24,9 @@ realises each distance, as a row of ints.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product, repeat, starmap
+from itertools import chain, product, repeat, starmap
 from math import gcd, lcm
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, Dict, List, Optional, Tuple
 from weakref import ref as weak_ref
 
@@ -361,6 +361,11 @@ def sem_dist(v: SemValue, w: SemValue, space: Optional[FinMetricSpace] = None,
 # Node kinds of a PairGraph: each op is (kind, slot, *data), children-first.
 _STATE, _GUARD, _PAIR, _FUNC, _KANT, _HAUS, _MEAN = range(7)
 
+# The slots an op of each kind reads
+_READS = {_STATE: lambda op: (), _GUARD: lambda op: (op[2],), _PAIR: lambda op: (op[3],),
+          _FUNC: itemgetter(2), _MEAN: itemgetter(3), _KANT: lambda op: chain.from_iterable(op[5]),
+          _HAUS: lambda op: chain.from_iterable(op[2])}
+
 
 class PairGraph:
     """The distance kernel compiled over a list of root value pairs.
@@ -379,7 +384,12 @@ class PairGraph:
     mass's op the other side's weights and W.  Values are compared, and the
     slots keyed, by identity.  Each Kantorovich slot keeps its last optimal
     `Transport` in `plans`, and the next evaluation's transport starts from
-    its basis tree: the masses are the same, so it is still feasible."""
+    its basis tree: the masses are the same, so it is still feasible.  An op
+    that is INF whatever its op slots give is folded to the constant INF as
+    it is built (`_infinite`), and then the ops that no root reads through
+    op slots are dropped.  Under a strategy an INF candidate is the first
+    largest, and `policy`'s finite rows read only finite cells, so neither
+    reads a folded slot."""
 
     def __init__(self, pairs, space: Optional[FinMetricSpace] = None,
                  mode: str = EXTENDED, exc_space: Optional[FinMetricSpace] = None,
@@ -397,8 +407,16 @@ class PairGraph:
         self.plans: Dict[int, Transport] = {}  # a Kantorovich slot's last optimum
         self._forms: Dict[int, tuple] = {}  # choice-free slots' rows (see `policy`)
         self._slots: Dict[Tuple[SemValue, SemValue], int] = {}
+        self._inf, self._folded = set(), False  # the slots of INF constants; whether one folded
         self.roots = [self._slot(a, b) for a, b in pairs]
-        del self._slots
+        if self._folded:  # keep the ops that a root reads through op slots
+            live, ops = set(self.roots), self.ops
+            for k in reversed(list(ops)):
+                if k in live:
+                    live.update(_READS[ops[k][0]](ops[k]))
+                else:
+                    del ops[k]
+        del self._slots, self._inf
 
     def _slot(self, a: SemValue, b: SemValue) -> int:
         if a is b:  # equal values are one object
@@ -406,12 +424,36 @@ class PairGraph:
         k = self._slots.get((a, b))
         if k is None:
             node, k = self._node(a, b), len(self.values)
-            const = isinstance(node, ExtValue)
-            self.values.append(node if const else None)
-            if not const:
-                self.ops[k] = (node[0], k) + node[1:]
+            if type(node) is tuple:
+                kind, op = node[0], (node[0], k) + node[1:]
+                # check only ops that read an INF constant, hold sets or an INF monoid distance
+                if (self._inf or kind == _HAUS or kind == _PAIR and node[1].is_inf) \
+                        and self._infinite(op):
+                    node, self._folded = INF, True
+                else:
+                    self.ops[k], node = op, None
+            if node is not None and node.is_inf:
+                self._inf.add(k)
+            self.values.append(node)
             self._slots[(a, b)] = self._slots[(b, a)] = k
         return k
+
+    def _infinite(self, op) -> bool:
+        """Whether op is INF whatever its op slots give: `evaluate`'s rules on
+        the INF constants it reads (a Kantorovich slot is INF when no coupling
+        avoids its INF cells: its transport over the {0, INF} ground is INF)."""
+        kind, inf, top, reads = op[0], self._inf, self.top, _READS[op[0]](op)
+        if kind == _PAIR and op[2].is_inf or kind == _HAUS and not (op[2] and op[3]):
+            return True  # an infinite monoid distance, or one empty set (two are one value)
+        if kind in (_GUARD, _PAIR, _FUNC) or kind == _MEAN and top.is_inf:
+            return not inf.isdisjoint(reads)
+        if kind in (_STATE, _MEAN) or not top.is_inf or inf.isdisjoint(reads):
+            return False  # a truncated ground, or no INF cell
+        rows = op[5] if kind == _KANT else op[2]
+        if any(map(inf.issuperset, rows)) or any(map(inf.issuperset, zip(*rows))):
+            return True  # an all-INF row or column: a point with only INF cells
+        return kind == _KANT and solve_scaled(op[2], op[3], op[4], [
+            [INF if k in inf else ZERO for k in r] for r in rows]).value.is_inf
 
     def _node(self, a: SemValue, b: SemValue):
         """The distance of a and b as a constant, or as an op (kind, *data)

@@ -13,12 +13,13 @@ costs big*M + q with 0 <= q <= S * top < M, so the optimum is infinite
 exactly when its total reaches M.
 
 The solver is the primal transportation simplex on a spanning tree basis
-(a dict from basic cells to flows), started from the northwest corner or
-from a `Transport` the caller kept: an optimum of the same masses under
-other costs is still feasible, so a caller that re-solves fixed masses
-under new costs (a Kantorovich slot of `semantics.PairGraph`) scales them
-once (`scale_masses`) and starts each solve from the last optimum
-(`solve_scaled`).  A `Transport` keeps its basis tree as a walk from row 0,
+(a dict from basic cells to flows), started from the least-cost (matrix
+minimum) basis, which fills the cheapest cells first and the forbidden ones
+last, or from a `Transport` the caller kept: an optimum of the same masses
+under other costs is still feasible, so a caller that re-solves fixed
+masses under new costs (a Kantorovich slot of `semantics.PairGraph`)
+scales them once (`scale_masses`) and starts each solve from the last
+optimum (`solve_scaled`).  A `Transport` keeps its basis tree as a walk from row 0,
 parents first: a solve sets the potentials in one pass over it, reads the
 entering cell off them and its cycle off the parents, and walks the tree
 again only after a pivot.  Bland's rule on both the entering and the
@@ -104,7 +105,7 @@ def min_cost_transport(
     cost: Sequence[Sequence[ExtValue]],
 ) -> Transport:
     """Exact optimum of the transportation LP, with its basis and potentials,
-    solved from the northwest corner.
+    solved from the least-cost start.
 
     supplies and demands must be positive and have equal totals.
     """
@@ -115,7 +116,7 @@ def solve_scaled(a: List[int], b: List[int], W: int, cost: Sequence[Sequence[Ext
                  start: Optional[Transport] = None) -> Transport:
     """`min_cost_transport` on masses already scaled by `scale_masses`,
     started from the basis of `start` (an earlier solve of these masses,
-    under any costs: it is primal feasible), or from the northwest corner."""
+    under any costs: it is primal feasible), or from the least-cost start."""
     m, n = len(a), len(b)
     flat = [c.ratio for row in cost for c in row]
     K = math.lcm(*{d for _, d in flat if d})
@@ -125,13 +126,13 @@ def solve_scaled(a: List[int], b: List[int], W: int, cost: Sequence[Sequence[Ext
         flat = [M if c < 0 else c for c in flat]
     costs = [flat[i:i + n] for i in range(0, m * n, n)]
     if start is None:
-        basis = _northwest_corner(list(a), list(b))
+        basis = _least_cost(list(a), list(b), flat)
         tree = None if m == 1 or n == 1 else _tree(basis, m, n)
     else:
         basis, tree = start.basis, start.tree
     if tree is None:
-        # Every cell is basic, so the northwest corner is the only feasible
-        # flow, and the costs are potentials (with 0 on the other side).
+        # Every cell is basic, so the start is the only feasible flow, and
+        # the costs are potentials (with 0 on the other side).
         pot = [0] + costs[0] if m == 1 else [row[0] for row in costs] + [0]
     else:
         pot, entering = _entering(costs, tree, m)
@@ -147,21 +148,27 @@ def solve_scaled(a: List[int], b: List[int], W: int, cost: Sequence[Sequence[Ext
     return Transport(value, basis, tree, pot, W, K, M, m)
 
 
-def _northwest_corner(a: List[int], b: List[int]) -> Dict[Cell, int]:
+def _least_cost(a: List[int], b: List[int], flat: List[int]) -> Dict[Cell, int]:
+    """The matrix-minimum start: cells in increasing cost (`flat`, row-major,
+    ties in that order), each of a live row and column taking all it can and
+    crossing out its row if spent and not the last, else its column; the last
+    live cell crosses out none, so the m + n - 1 cells form a spanning tree."""
     m, n = len(a), len(b)
+    rows, cols, live_rows, live_cols = [True] * m, [True] * n, m, n
     basis: Dict[Cell, int] = {}
-    i = j = 0
-    while True:
-        t = min(a[i], b[j])
-        basis[(i, j)] = t
-        a[i] -= t
-        b[j] -= t
-        if i == m - 1 and j == n - 1:
-            return basis
-        if a[i] == 0 and i < m - 1:
-            i += 1
-        else:
-            j += 1
+    for c in sorted(range(m * n), key=flat.__getitem__):
+        i, j = divmod(c, n)
+        if rows[i] and cols[j]:
+            t = min(a[i], b[j])
+            basis[(i, j)] = t
+            a[i] -= t
+            b[j] -= t
+            if a[i] == 0 and live_rows > 1:
+                rows[i], live_rows = False, live_rows - 1
+            elif live_cols > 1:
+                cols[j], live_cols = False, live_cols - 1
+            else:
+                return basis
 
 
 def _tree(basis: Dict[Cell, int], m: int, n: int):

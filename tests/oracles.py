@@ -28,10 +28,10 @@ texts from one `re.findall` and builds the tokens with no step per token."""
 
 import itertools
 import re
+import unicodedata
 from collections import defaultdict
 from fractions import Fraction
 from itertools import combinations
-from operator import itemgetter
 from typing import Optional
 
 from quantalg.errors import DomainError
@@ -560,12 +560,13 @@ _TOKEN_RE = re.compile(
     """,
     re.VERBOSE | re.DOTALL,
 )
-_ZERO_DENOMINATOR = re.compile(r"\d+/0+")
 
 
 class TokenStreamReference(TokenStream):
     """A TokenStream whose tokens come from one `re.finditer` pass, a match
-    object per token, with the same checks in the same order."""
+    object per token, with the same checks in the same order, made on every
+    token: a zero denominator is one whose digits all have the value 0, in
+    any script."""
 
     def __init__(self, text: str, source: str = "<input>"):
         self.source = source
@@ -575,13 +576,13 @@ class TokenStreamReference(TokenStream):
                        for m in _TOKEN_RE.finditer(text)]
         if len(self.tokens) > 1 and self.tokens[-2].kind == "eof":
             del self.tokens[-1]  # finditer's empty match at the end, after trailing blanks
-        suspect = "bad" in map(itemgetter(0), self.tokens) or len(text) > MAX_DIGITS or "/0" in text
-        for tok in self.tokens if suspect else ():
+        for tok in self.tokens:
             if tok.kind == "bad":
                 raise self.error(f"unexpected character {tok.text!r}", tok)
             if tok.kind == "num":
                 if len(tok.text) > MAX_DIGITS and max(map(len, tok.text.split("/"))) > MAX_DIGITS:
                     raise self.error(f"numeral of more than {MAX_DIGITS} digits", tok)
-                if "/0" in tok.text and _ZERO_DENOMINATOR.fullmatch(tok.text):
+                _, slash, den = tok.text.partition("/")
+                if slash and all(unicodedata.digit(c) == 0 for c in den):
                     raise self.error(f"zero denominator in {tok.text!r}", tok)
         self.i = 0

@@ -12,8 +12,8 @@ from quantalg import (BOUNDED, EXTENDED, FinMetricSpace, PseudoMetric,
                       parse_coalgebras, parse_term, parse_theory, psi_step,
                       solve_bisim, term_dist, unfold_term)
 from quantalg import bisim
-from quantalg.errors import DivergentGround, DomainError, QuantAlgError
-from quantalg.extvalue import ZERO
+from quantalg.errors import DomainError, QuantAlgError
+from quantalg.extvalue import INF, ZERO
 
 from helpers import (BOT, MAX_MONOID, FinDist, Table, dense_recipe_table,
                      random_acyclic_table, random_coalgebra, random_cyclic_table,
@@ -76,12 +76,26 @@ def test_bisimilar_states_get_zero():
     assert d.d("u", "v") == ZERO and cert.exact
 
 
-def test_divergent_ground_reported_in_extended_mode():
+def test_extended_mode_answers_inf_where_the_ground_diverges():
+    # termination against a state that never terminates: leaves of two
+    # kinds, at INF in extended mode and at 1 in bounded mode
     C = system("mp P { c = 1/2; state u: 1 -> bot; state v: 1 -> v; }")
-    with pytest.raises(DivergentGround):
-        solve_bisim(C, EXTENDED)
+    d, cert = solve_bisim(C, EXTENDED)
+    assert d.d("u", "v") == INF and cert.exact
+    assert psi_step(C, d, EXTENDED) == d
     d, _ = solve_bisim(C, BOUNDED)
     assert d.d("u", "v") == ext(1)
+
+
+def test_extended_mode_gives_the_least_fixed_point():
+    # INF solves d = c * d too; Kleene from 0 stops at the least solution, 0,
+    # for two states that only loop, and at INF against a state that stops
+    C = system("mp P { c = 1/2; state u: 1/2 -> u, 1/2 -> bot; state v: 1 -> v;"
+               " state w: 1 -> w; }")
+    d, cert = solve_bisim(C, EXTENDED)
+    assert d.d("v", "w") == ZERO and cert.exact
+    assert d.d("u", "v") == d.d("u", "w") == INF
+    assert psi_step(C, d, EXTENDED) == d
 
 
 def test_unfold_reproduces_four_node_chain():
@@ -576,7 +590,7 @@ def test_solve_affine_on_a_long_chain_needs_no_recursion():
         2 - Fraction(1, 2 ** (n - 1)), Fraction(3, 2), 1]
 
 
-@pytest.mark.parametrize("kind, n, iterations", [("mp", 16, 7), ("mdp", 8, 12),
+@pytest.mark.parametrize("kind, n, iterations", [("mp", 16, 6), ("mdp", 8, 12),
                                                  ("mdp", 16, 16)])
 def test_dense_recipe_reaches_the_exact_fixed_point(kind, n, iterations):
     # policy systems with blocks of up to 116 unknowns, whose rows fill in
@@ -680,12 +694,11 @@ def test_acyclic_iterations_match_an_independent_kleene_count():
     # An acyclic system is answered by Kleene iteration alone: the answer is
     # the first iterate of the reference operator equal to the one before
     # it, and `iterations` is its index.  Over ABSORBING some pairs are
-    # infinite in bounded mode; in extended mode a mismatch of sorts in
-    # Psi(0) is DivergentGround.
+    # infinite in bounded mode; in extended mode a mismatch of sorts is too.
     rng = random.Random(89)
     cases = [(kind, RATIONAL_LINE) for kind in ("mp", "lmp", "mdp", "mealy")]
     cases.append(("mealy", ABSORBING))
-    seen = {"inf": 0, "divergent": 0, "extended": 0}
+    seen = {"inf": 0, "extended inf": 0, "extended": 0}
     for kind, monoid in cases:
         for mode in (BOUNDED, EXTENDED):
             for _ in range(8):
@@ -694,16 +707,13 @@ def test_acyclic_iterations_match_an_independent_kleene_count():
                 T = random_acyclic_table(rng, kind, space, monoid, rng.randint(1, 6), c)
                 prev = PseudoMetric(T.states)
                 it, k = psi_reference(T, prev, mode, space), 1
-                if mode == EXTENDED and any(v.is_inf for _, v in it.pairs()):
-                    with pytest.raises(DivergentGround):
-                        solve_bisim(table_coalgebra(T, space), mode)
-                    seen["divergent"] += 1
-                    continue
                 while it != prev:
                     prev, it, k = it, psi_reference(T, it, mode, space), k + 1
                 d, cert = solve_bisim(table_coalgebra(T, space), mode)
                 assert (cert.iterations, d) == (k, it), (kind, mode)
-                seen["inf"] += any(v.is_inf for _, v in d.pairs())
+                inf = any(v.is_inf for _, v in d.pairs())
+                seen["inf"] += inf
+                seen["extended inf"] += inf and mode == EXTENDED
                 seen["extended"] += mode == EXTENDED
     assert min(seen.values()) >= 3, seen
 

@@ -64,6 +64,29 @@ def test_bisim_verb(files, capsys):
     assert "exact=yes" in out
 
 
+def test_extended_bisim_answers_inf_pairs(tmp_path, capsys):
+    # bot beside a state that never terminates: every pair is INF, and the
+    # answer is Psi's fixed point, not an error
+    coalg = tmp_path / "P.coalg"
+    coalg.write_text("mp P { c = 1/2; state u: 1/2 -> u, 1/2 -> bot;"
+                     " state v: 1 -> v; state w: 1 -> bot; }")
+    assert main(["bisim", "--mode", "extended", str(coalg)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == ("system P:\n  d(u,v) = inf\n  d(u,w) = inf\n  d(v,w) = inf\n"
+                            "  certificate: iterations=2 a_priori_bound=0 residual=0 exact=yes\n")
+    assert captured.err == ""
+    assert main(["bisim", "--mode", "bounded", str(coalg)]) == 0
+    assert "d(u,v) = 2/3\n  d(u,w) = 1/2\n  d(v,w) = 1\n" in capsys.readouterr().out
+
+
+def test_extended_bisim_puts_two_loops_at_zero(tmp_path, capsys):
+    # INF also solves d = c * d; the answer is the least fixed point
+    coalg = tmp_path / "L.coalg"
+    coalg.write_text("mp L { c = 1/2; state v: 1 -> v; state w: 1 -> w; }")
+    assert main(["bisim", "--mode", "extended", str(coalg)]) == 0
+    assert "  d(v,w) = 0\n" in capsys.readouterr().out
+
+
 def test_unfold_round_trip(files, tmp_path, capsys):
     code = main(["unfold", "--theory", MP_THEORY, "--inline",
                  "next(conv(1/2, raise(*), next(raise(*))))"])
@@ -252,9 +275,14 @@ _HOSTILE = {
     "coalgebra mdp reward zz": (["bisim", "{d}/C.coalg"], {"C.coalg": (
         "mdp D { c = 1/2; actions: a; state u on a: 1 -> (u, zz); }")}, 1),
     "term 1/0": (["dist", "--theory", "bary", "--inline", "conv(1/0, x, y)", "x"], {}, 2),
+    # a zero denominator in another digit script: Arabic-Indic ٠ and ٣
+    "term ٣/٠": (["dist", "--theory", "bary", "--inline", "conv(٣/٠, x, y)", "x"], {}, 2),
+    "term 1/٠": (["dist", "--theory", "bary", "--inline", "conv(1/٠, x, y)", "x"], {}, 2),
     "theory 1/0": (["dist", "--theory", "contr{next, 1/0}", "--inline", "x", "x"], {}, 2),
     "space 1/0": (["dist", "--theory", "bary", "--space", "{d}/B.space", "--inline", "p", "q"],
                   {"B.space": "space B { points: p, q; d(p,q) = 1/0; }"}, 2),
+    "space 1/٠": (["dist", "--theory", "bary", "--space", "{d}/B.space", "--inline", "p", "q"],
+                  {"B.space": "space B { points: p, q; d(p,q) = 1/٠; }"}, 2),
     "monoid 1/0": (["normalize", "--theory", "writer{M}", "--monoid", "{d}/M.monoid",
                     "--inline", "x"], {"M.monoid": _MONOID % "1/0"}, 2),
     "monoid zz": (["normalize", "--theory", "writer{M}", "--monoid", "{d}/M.monoid",

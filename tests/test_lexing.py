@@ -15,7 +15,8 @@ from oracles import TokenStreamReference
 PIECES = st.one_of(
     st.sampled_from(list("(){},;:=@*[]<>|+-/#._'$é\t\n\r 0123456789xyz٣४５")),
     st.sampled_from(["->", "- >", "\r\n", "# a comment\r\n", "#", "conv", "rd", "x.y'", "_1",
-                     "1/0", "3/00", "1/01", "0/0", "2/3", "٣/٠", "inf", "9" * 4001,
+                     "1/0", "3/00", "1/01", "0/0", "2/3", "٣/٠", "1/٠", "1/٠0", "1/0١", "inf",
+                     "9" * 4001,
                      "1/" + "7" * 4001, "5" * 4000 + "/" + "5" * 4000, "\u00a0", "\u2028"]))
 
 
@@ -41,5 +42,7 @@ def test_the_pieces_cover_each_outcome():
     for text, message in [("x\r\n$", "<t>:2: unexpected character '$'"),
                           ("é", "<t>:1: unexpected character 'é'"),
                           ("1 ٣/2 3/00", "<t>:1: zero denominator in '3/00'"),
+                          ("1 ٣/2\n٣/٠", "<t>:2: zero denominator in '٣/٠'"),
+                          ("1/٠0", "<t>:1: zero denominator in '1/٠0'"),
                           ("\n" + "9" * 4001, "<t>:2: numeral of more than 4000 digits")]:
         assert _tokens(TokenStream, text) == _tokens(TokenStreamReference, text) == message

@@ -4,9 +4,9 @@ from math import lcm
 from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from quantalg import (BOUNDED, Bary, DistVal, EXTENDED, Exc, ExcLeaf, FinMetricSpace,
+from quantalg import (BOUNDED, Bary, DistVal, EXTENDED, Exc, ExcLeaf, FinMetricSpace, discrete,
                       FuncVal, Guard, PairVal, RATIONAL_LINE, Reader, Semi,
                       SetVal, StateLeaf, Sum, VarLeaf, Writer, apply_operation, bind,
                       canon_key, denote,
@@ -140,19 +140,23 @@ def test_sem_dist_coproduct_rule_and_modes():
 
 def test_empty_set_against_a_nonempty_set_in_both_orders():
     # every point of the nonempty side has no nearest point: one INF
-    # candidate, whichever side is empty
+    # candidate, whichever side is empty; the pair graph folds the slot to
+    # INF at the build, so no strategy is asked
     from types import SimpleNamespace
 
     from quantalg.semantics import PairGraph
+    from quantalg.spaces import hausdorff_candidates
 
     empty, full = SetVal(()), make_set([VarLeaf("x"), VarLeaf("y")])
+    assert hausdorff_candidates([], 2) == [INF, INF]
+    assert hausdorff_candidates([[], []], 0) == [INF, INF]
     for mode in (EXTENDED, BOUNDED):
         for pair in ((empty, full), (full, empty)):
             seen = []
             graph = PairGraph([pair], XY, mode)
             first = SimpleNamespace(pick=lambda k, c: seen.append(c) or c[0])
             assert graph.evaluate(strategy=first) == [INF]
-            assert seen == [[INF, INF]]
+            assert seen == [] and graph.ops == {}
             assert sem_dist(*pair, XY, mode) == INF
 
 
@@ -521,3 +525,86 @@ def test_a_value_builds_its_key_when_first_read():
     assert canon_key(outer) == canon_key_reference(outer) == slot.__get__(outer)
     with pytest.raises(AttributeError, match="has no attribute 'weight'"):
         outer.weight
+
+
+# Value pairs for the fold of INF slots: distributions, sets and functions
+# over leaves that mix variables, exception points and guards over either,
+# the second side often with the first's mass on each kind of leaf (so that
+# an extended-mode coupling can avoid the INF cells), often not.
+_KIND_LEAVES = {"var": st.sampled_from("xy").map(VarLeaf),
+                "raise": st.sampled_from("ef").map(ExcLeaf)}
+_KIND_LEAVES.update({f"next {k}": s.map(lambda v: Guard("next", C12, v))
+                     for k, s in _KIND_LEAVES.items()})
+_KINDS = st.sampled_from(sorted(_KIND_LEAVES))
+
+
+@st.composite
+def _kind_pair(draw, make, weighted):
+    kinds = draw(st.lists(st.tuples(_KINDS, st.integers(1, 3)), min_size=weighted,
+                          max_size=4))
+    if draw(st.booleans()):  # the same mass on each kind, split anew over its leaves
+        other = [(k, n) for k, w in kinds for n in ([w] if w == 1 or draw(st.booleans())
+                                                    else [1, w - 1])]
+    else:
+        other = draw(st.lists(st.tuples(_KINDS, st.integers(1, 3)), min_size=weighted,
+                              max_size=4))
+    return tuple(make([(draw(_KIND_LEAVES[k]), n) for k, n in side]) for side in (kinds, other))
+
+
+def _dist_of(pairs):
+    return make_dist(pairs, sum(n for _, n in pairs))
+
+
+_FOLD_PAIRS = st.one_of(
+    _kind_pair(_dist_of, 1), _kind_pair(lambda ps: make_set(v for v, _ in ps), 0),
+    st.tuples(_KINDS, _KINDS).flatmap(lambda ks: st.tuples(*map(_KIND_LEAVES.get, ks))))
+_FOLD_PAIRS = st.one_of(_FOLD_PAIRS, st.lists(_FOLD_PAIRS, min_size=2, max_size=2).map(
+    lambda ps: tuple(FuncVal((("i", ps[0][k]), ("j", ps[1][k]))) for k in (0, 1))))
+
+
+_EF = FinMetricSpace(["e", "f"], {("e", "f"): ext("1/2")})
+
+
+@settings(max_examples=300, deadline=None)
+@given(_FOLD_PAIRS, st.sampled_from(["XY", "discrete"]), st.booleans(),
+       st.sampled_from([BOUNDED, EXTENDED]))
+@example(tuple(_dist_of([(VarLeaf("x"), 1), (ExcLeaf(e), 1)]) for e in "ef"), "XY", False,
+         EXTENDED)
+@example(tuple(_dist_of([(VarLeaf("x"), 1), (ExcLeaf("e"), n)]) for n in (1, 2)), "XY", True,
+         EXTENDED)
+@example((_dist_of([(VarLeaf("x"), 1), (ExcLeaf("e"), 1)]),
+          _dist_of([(VarLeaf("y"), 1), (ExcLeaf("f"), 1)])), "XY", True, EXTENDED)
+@example(tuple(FuncVal((("i", leaf), ("j", Guard("next", C12, VarLeaf(p)))))
+               for leaf, p in ((ExcLeaf("e"), "x"), (VarLeaf("x"), "y"))), "XY", False, EXTENDED)
+@example((_dist_of([(SetVal(()), 1)]), _dist_of([(SetVal(()), 1), (make_set([VarLeaf("x")]), 1)])),
+         "XY", False, BOUNDED)
+def test_infinite_slots_fold_when_the_graph_is_built(pair, space, ef, mode):
+    # the answer is the recursive reference's; an INF answer keeps no op and
+    # is decided by transports over {0, INF} grounds alone; every kept op is
+    # finite and read from the root through kept ops.  Exception points are
+    # INF apart, or 1/2 (ef).  The examples: transports with an INF cell in
+    # every row and column, finite and not (with per-kind masses that do
+    # and do not match), a guard op read only by an INF function slot, and
+    # a bounded point mass over an INF cell
+    space = XY if space == "XY" else discrete(["x", "y"])
+    grounds = []
+
+    def solve(a, b, W, cost, start=None):
+        grounds.append({c for row in cost for c in row})
+        return solve_scaled(a, b, W, cost, start)
+
+    exc_space = _EF if ef else None
+    with mock.patch.object(semantics, "solve_scaled", solve):
+        graph = PairGraph([pair], space, mode, exc_space)
+        got = graph.evaluate()[0]
+    assert got == sem_dist_reference(*pair, space, mode, exc_space)
+    if got.is_inf:
+        assert graph.ops == {} and all(g <= {ZERO, INF} for g in grounds)
+    assert not any(graph.evaluated[k].is_inf for k in graph.ops)
+    read, todo = set(), list(graph.roots)
+    while todo:
+        k = todo.pop()
+        if k in graph.ops and k not in read:
+            read.add(k)
+            todo.extend(semantics._READS[graph.ops[k][0]](graph.ops[k]))
+    assert read == set(graph.ops)

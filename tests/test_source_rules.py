@@ -55,17 +55,18 @@ def test_only_the_cli_reader_reads_files():
 def test_the_hot_path_names_no_fraction():
     # Psi's evaluation on the pair vector, policy reading and policy solving
     # block by block, and the transport under them, cold or warm, run on
-    # ints, and so do denotation, interning, the pair graph's build, the
-    # tokenizer and the coalgebra reader: a Fraction is built only at the
+    # ints, and so do denotation, interning, the pair graph's build with its
+    # fold of INF slots, the transport's least-cost start, the tokenizer and
+    # the coalgebra reader: a Fraction is built only at the
     # edges (a distribution's `items` and key, printing)
     hot = {"semantics.py": ["SemValue.__new__", "make_dist", "_apply_here", "_apply", "_eta",
-                            "PairGraph._slot", "PairGraph._node", "PairGraph.evaluate",
-                            "PairGraph.policy"],
+                            "PairGraph._slot", "PairGraph._node", "PairGraph._infinite",
+                            "PairGraph.evaluate", "PairGraph.policy"],
            "lexing.py": ["TokenStream.__init__"],
            "bisim.py": ["solve_affine", "_blocks", "_eliminate", "psi_step", "_parse_rows",
                         "_solve_policy", "PseudoMetric.index", "MaxStrategy.pick"],
-           "transport.py": ["min_cost_transport", "solve_scaled", "_tree", "_entering",
-                            "_pivot"]}
+           "transport.py": ["min_cost_transport", "solve_scaled", "_least_cost", "_tree",
+                            "_entering", "_pivot"]}
     found = []
     for name, functions in hot.items():
         tree = ast.parse((Path(quantalg.__file__).parent / name).read_text(), name)

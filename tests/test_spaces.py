@@ -198,7 +198,7 @@ def _masses(rng, k, uniform):
 def test_transport_simplex_against_networkx_on_integer_scaled_instances():
     # Exact oracle up to 16 x 16: scale masses and costs to integers, make the
     # finite cells arcs of a bipartite network, and solve it with networkx's
-    # network simplex.  Uniform masses make the northwest corner degenerate.
+    # network simplex.  Uniform masses make the least-cost start degenerate.
     nx = pytest.importorskip("networkx")
     rng = random.Random(16)
     sizes = [(16, 16), (16, 1), (1, 16)]
@@ -236,6 +236,31 @@ def test_transport_simplex_against_networkx_on_integer_scaled_instances():
             infeasible += 1
         assert got == want, (m, n, supplies, demands, cost)
     assert 0 < infeasible < len(sizes)
+
+
+@given(st.data())
+def test_the_least_cost_start_is_a_spanning_tree_basis(data):
+    # on costs with many ties and big-M cells, and on uniform (degenerate)
+    # masses: m + n - 1 cells, whose flows meet every row's and column's
+    # mass and whose graph reaches all m + n rows and columns
+    from quantalg.transport import _least_cost, _tree
+
+    m, n = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 8))
+    if data.draw(st.booleans()):
+        a, b = [n] * m, [m] * n
+    else:
+        a = [n * k for k in data.draw(st.lists(st.integers(1, 6), min_size=m, max_size=m))]
+        cuts = sorted(data.draw(st.sets(st.integers(1, max(sum(a) - 1, 1)), min_size=n - 1,
+                                        max_size=n - 1)))
+        b = [y - x for x, y in zip([0] + cuts, cuts + [sum(a)])]
+    flat = data.draw(st.lists(st.sampled_from([0, 1, 2, 3, 10**6]), min_size=m * n,
+                              max_size=m * n))
+    basis = _least_cost(list(a), list(b), flat)
+    assert len(basis) == m + n - 1 and min(basis.values()) >= 0
+    assert [sum(f for (i, _), f in basis.items() if i == r) for r in range(m)] == a
+    assert [sum(f for (_, j), f in basis.items() if j == c) for c in range(n)] == b
+    walk, parent, _ = _tree(basis, m, n)
+    assert len(walk) == m + n - 1 and min(parent) >= 0
 
 
 def _random_transport(rng, m, n, forbid):
