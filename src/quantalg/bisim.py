@@ -42,11 +42,13 @@ class Coalgebra:
 
     Representation: `plan` is the theory's layer plan and `step` maps each
     state to its one-step value, a `SemValue` of that plan in which every
-    guard holds a `StateLeaf` naming the successor state.  The discount
-    factor `c` is the contractive operator's.  The text format's kinds are
-    four such plans; its `bot` is `ExcLeaf("*")` and its `leaf(x)` is
-    `VarLeaf(x)`.  `pairs` lists the state pairs (u, v), u before v, in the
-    order of a `PseudoMetric`'s `values` and of Psi's unknowns.
+    guard holds a `StateLeaf` naming the successor state, which
+    `successors` lists per state in item order, read off by one
+    `map_guards` walk; a guard holding anything else is a DomainError.  The
+    discount factor `c` is the contractive operator's.  The text format's
+    kinds are four such plans; its `bot` is `ExcLeaf("*")` and its `leaf(x)`
+    is `VarLeaf(x)`.  `pairs` lists the state pairs (u, v), u before v, in
+    the order of a `PseudoMetric`'s `values` and of Psi's unknowns.
     """
 
     def __init__(self, plan: LayerPlan, states: Sequence[str],
@@ -63,6 +65,17 @@ class Coalgebra:
         if set(step) != set(self.states):
             raise DomainError("every state needs exactly one one-step value")
         self.step = dict(step)
+
+        def successor(leaf: SemValue) -> SemValue:
+            if not isinstance(leaf, StateLeaf) or leaf.name not in self.step:
+                raise DomainError(f"transition to unknown state {getattr(leaf, 'name', leaf)!r}")
+            out.append(leaf.name)
+            return leaf
+
+        self.successors: Dict[str, List[str]] = {}
+        for s in self.states:
+            out = self.successors[s] = []
+            map_guards(self.step[s], successor)
         self.space = space
         self.name = name
         self.pairs = _pairs(self.states)
@@ -174,7 +187,7 @@ def solve_bisim(C: Coalgebra, mode: str = BOUNDED) -> Tuple[PseudoMetric, Certif
     Hausdorff distance to the empty set.  Kleene from 0 gives the least
     fixed point, so two states that only loop are at 0, not at INF.
     """
-    cyclic = _cyclic(C)
+    cyclic = any(len(b) > 1 or b[0] in C.successors[b[0]] for b in _blocks(C.successors))
     d = PseudoMetric(C.states)
     for k in count(1):
         d_next = psi_step(C, d, mode)
@@ -184,27 +197,6 @@ def solve_bisim(C: Coalgebra, mode: str = BOUNDED) -> Tuple[PseudoMetric, Certif
             d, evaluations = _policy_iteration(C, d_next, mode)
             return d, Certificate(k + evaluations, C.c, mode)
         d = d_next
-
-
-def _cyclic(C: Coalgebra) -> bool:
-    """Whether some state reaches itself."""
-    succ: Dict[str, List[str]] = {}
-    for s in C.states:
-        succ[s] = out = []
-        todo = [C.step[s]]
-        while todo:  # the guards of s's one-step value hold its successors
-            v = todo.pop()
-            if isinstance(v, Guard) and v.inner.name in C.step:  # Psi rejects others
-                out.append(v.inner.name)
-            elif isinstance(v, DistVal):
-                todo.extend(v.support)
-            elif isinstance(v, FuncVal):
-                todo.extend(x for _, x in v.items)
-            elif isinstance(v, SetVal):
-                todo.extend(v.items)
-            elif isinstance(v, PairVal):
-                todo.append(v.inner)
-    return any(len(b) > 1 or b[0] in succ[b[0]] for b in _blocks(succ))
 
 
 class MaxStrategy:
@@ -561,7 +553,6 @@ def _parse_rows(ts: TokenStream, plan: LayerPlan, space, name: str) -> Coalgebra
     inputs = plan.layers[0][1] if plan.layers[0][0] == "func" else None
     layers = plan.layers[1:] if inputs else plan.layers
     rows: dict = {}  # state, or (state, input) -> value
-    targets: Dict[str, Guard] = {}  # states named as successors, in order, as guards
 
     def cell(layers) -> SemValue:  # reads the current row's `key`
         if not layers:
@@ -576,10 +567,7 @@ def _parse_rows(ts: TokenStream, plan: LayerPlan, space, name: str) -> Coalgebra
                 if space is not None and point not in space.points:
                     raise DomainError(f"leaf point {point!r} outside the space")
                 return VarLeaf(point)
-            state = ts.expect_ident().text
-            if state not in targets:
-                targets[state] = Guard(guard.name, guard.c, StateLeaf(state))
-            return targets[state]
+            return Guard(guard.name, guard.c, StateLeaf(ts.expect_ident().text))
         if layers[0][0] == "dist":
             def weighted():  # (cell, n, d) for the weight n/d
                 n, d = ts.expect_ratio()
@@ -623,9 +611,6 @@ def _parse_rows(ts: TokenStream, plan: LayerPlan, space, name: str) -> Coalgebra
             if key not in rows:
                 raise DomainError(f"missing transition row for {key!r}")
         rows = {s: FuncVal(tuple((i, rows[(s, i)]) for i in inputs)) for s in states}
-    bad = next((s for s in targets if s not in rows), None)
-    if bad is not None:
-        raise DomainError(f"transition to unknown state {bad!r}")
     return Coalgebra(plan, states, rows, space, name)
 
 

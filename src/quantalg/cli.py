@@ -3,7 +3,7 @@
 Verbs: dist, normalize, bisim, unfold, check-model.  All numeric output is
 exact rational text (p/q or inf); the distance verbs' --decimal opts into
 rounded rendering.  A verb has only the options its handler reads.
-Exit codes: 0 success, 1 domain errors, 2 parse errors.
+Exit codes: 0 success, 1 domain errors or too deep nesting, 2 parse errors.
 """
 
 from __future__ import annotations
@@ -41,6 +41,9 @@ def main(argv=None) -> int:
         return 2
     except QuantAlgError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except RecursionError:  # the parsers and the pair graph recurse on nesting
+        print("error: input nested too deeply", file=sys.stderr)
         return 1
     finally:
         if limit:

@@ -55,7 +55,7 @@ class Transport:
     the row and column potentials u, v as big-M cost pairs.  The flows and
     potentials are kept as the solver's scaled ints and become rationals
     when first read: `basis` maps each basic cell to W times its flow, and
-    `tree` is its basis tree (None if every cell is basic).  A solve started
+    `tree` is its basis tree (`_tree`), for every shape.  A solve started
     from this one shares both until it pivots, so neither ever changes."""
 
     def __init__(self, value: ExtValue, basis: Dict[Cell, int], tree, pot: List[int],
@@ -127,21 +127,16 @@ def solve_scaled(a: List[int], b: List[int], W: int, cost: Sequence[Sequence[Ext
     costs = [flat[i:i + n] for i in range(0, m * n, n)]
     if start is None:
         basis = _least_cost(list(a), list(b), flat)
-        tree = None if m == 1 or n == 1 else _tree(basis, m, n)
+        tree = _tree(basis, m, n)
     else:
         basis, tree = start.basis, start.tree
-    if tree is None:
-        # Every cell is basic, so the start is the only feasible flow, and
-        # the costs are potentials (with 0 on the other side).
-        pot = [0] + costs[0] if m == 1 else [row[0] for row in costs] + [0]
-    else:
+    pot, entering = _entering(costs, tree, m)
+    if entering is not None:
+        basis = dict(basis)  # the start's basis stays as it was
+    while entering is not None:
+        _pivot(basis, tree, entering, m)
+        tree = _tree(basis, m, n)
         pot, entering = _entering(costs, tree, m)
-        if entering is not None:
-            basis = dict(basis)  # the start's basis stays as it was
-        while entering is not None:
-            _pivot(basis, tree, entering, m)
-            tree = _tree(basis, m, n)
-            pot, entering = _entering(costs, tree, m)
     # the basis' cost, as its dual objective: u_i + v_j = c_ij on its cells
     total = sum(map(mul, a, pot)) + sum(map(mul, b, pot[m:]))
     value = INF if total >= M else ExtValue(total, W * K)

@@ -1,6 +1,7 @@
 import math
 import random
 import signal
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -118,6 +119,69 @@ def test_unfold_trivial_cases():
     C, root = unfold_term(parse_term("next(x)", MP), MP)
     assert root == "s0" and C.step == system(
         "mp P { c = 1/2; state s0: 1 -> s1; state s1: 1 -> leaf(x); }").step
+
+
+def _named_successors(T: Table) -> dict:
+    """Each state of a table -> the states its rows name, one per cell, as a
+    Counter: a cell is a target, or a (target, output or reward) pair."""
+    found = {s: Counter() for s in T.states}
+    for key, row in T.rows.items():
+        cells = [row] if T.kind == "mealy" else [x for x, _ in row.items]
+        for x in cells:
+            target = x[0] if isinstance(x[0], tuple) else x
+            if target[0] == "st":
+                found[key if T.kind == "mp" else key[0]][target[1]] += 1
+    return found
+
+
+def test_successors_are_the_states_each_row_names():
+    # one entry per guard, for every kind, cyclic or not; a union tags them
+    rng = random.Random(29)
+    space = random_space(rng, ["x", "y"], max_den=4)
+    for kind in ("mp", "lmp", "mdp", "mealy"):
+        for _ in range(5):
+            for T in (random_cyclic_table(rng, kind, BOUNDED, space, n=rng.randint(2, 5)),
+                      random_acyclic_table(rng, kind, space, n=rng.randint(2, 5))):
+                C = table_coalgebra(T, space)
+                assert {s: Counter(C.successors[s]) for s in C.states} == _named_successors(T)
+                U = disjoint_union(C, C)
+                assert U.successors == {f"{tag}.{s}": [f"{tag}.{t}" for t in C.successors[s]]
+                                        for tag in "ab" for s in C.states}
+    C = system("mp P { c = 1/2; state u: 1/4 -> v, 1/4 -> bot, 1/2 -> u; state v: 1 -> v; }")
+    assert C.successors == {"u": ["u", "v"], "v": ["v"]}  # in the value's item order
+    C, _ = unfold_term(parse_term("next(conv(1/2, next(raise(*)), next(next(raise(*)))))", MP), MP)
+    assert C.successors == {"s0": ["s1"], "s1": ["s2", "s3"], "s2": [], "s3": ["s2"]}
+
+
+def test_the_constructor_rejects_a_guard_off_the_state_set():
+    # built through the API, as parsed text is: a dangling target fails when
+    # the system is built, not inside Psi
+    from quantalg import Coalgebra, ExcLeaf, Guard, StateLeaf, VarLeaf, make_dist
+
+    plan = layer_plan(MP)
+
+    def step(leaf=None):  # 1/2 -> leaf, 1/2 -> bot; or 1 -> bot
+        if leaf is None:
+            return make_dist([(ExcLeaf("*"), 1)], 1)
+        return make_dist([(Guard("next", C12, leaf), 1), (ExcLeaf("*"), 1)], 2)
+
+    assert Coalgebra(plan, ["u"], {"u": step(StateLeaf("u"))}).successors == {"u": ["u"]}
+    for leaf, shown in [(StateLeaf("zz"), "'zz'"), (VarLeaf("x"), "'x'"),
+                        (ExcLeaf("*"), "ExcLeaf('*',)")]:
+        with pytest.raises(DomainError) as err:
+            Coalgebra(plan, ["u"], {"u": step(leaf)})
+        assert str(err.value) == f"transition to unknown state {shown}"
+    with pytest.raises(DomainError) as err:
+        parse_coalgebras("mp P { c = 1/2; state u: 1/2 -> u, 1/2 -> zz; }", source="P.coalg")
+    assert str(err.value) == "P.coalg: system P: transition to unknown state 'zz'"
+    for states, steps, message in [
+            (["u", "u"], {"u": step(StateLeaf("u"))}, "states must be nonempty and distinct"),
+            ([], {}, "states must be nonempty and distinct"),
+            (["u"], {"u": step(), "v": step()}, "every state needs exactly one one-step value"),
+            (["u", "v"], {"u": step()}, "every state needs exactly one one-step value")]:
+        with pytest.raises(DomainError) as err:
+            Coalgebra(plan, states, steps)
+        assert str(err.value) == message
 
 
 def test_unfold_requires_guard():

@@ -884,3 +884,41 @@ def test_a_deep_narrow_pair_answers_with_its_closed_form(capsys):
     t, s = ("next(" * k + "raise(*)" + ")" * k for k in (n, n + 2))
     assert main(["dist", "--theory", MP_THEORY, "--mode", "bounded", "--inline", t, s]) == 0
     assert capsys.readouterr().out.strip() == f"1/{2 ** n}"
+
+
+# a system the reader or the Coalgebra constructor rejects: (text, exit code,
+# stderr after the file's path); a domain error names its system
+@pytest.mark.parametrize("text, code, err", [
+    ("mealy M { c = 1/2; inputs: i; monoid: N; state p on i -> (p, 1); }",
+     2, ":1: unknown monoid 'N'"),
+    ("mealy M { c = 1/2; inputs: i; state p on i -> (bot, 1); }",
+     1, ": system M: transitions of this kind cannot use bot"),
+    ("mp P { c = 1/2; state u: 1 -> leaf(r); }",
+     1, ": system P: leaf point 'r' outside the space"),
+    ("lmp L { c = 1/2; actions: a, b; state u on a: 1 -> u; }",
+     1, ": system L: missing transition row for ('u', 'b')"),
+    ("mp P { c = 1/2; state u: 1/2 -> u, 1/2 -> zz; }",
+     1, ": system P: transition to unknown state 'zz'"),
+    ("mdp D { c = 1/2; actions: a; state u on a: 1 -> (zz, 1); }",
+     1, ": system D: transition to unknown state 'zz'"),
+])
+def test_a_rejected_system_exits_with_its_message(text, code, err, files, capsys):
+    coalg = files / "C.coalg"
+    coalg.write_text(text)
+    assert main(["bisim", "--space", str(files / "S.space"), str(coalg)]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{'parse error' if code == 2 else 'error'}: {coalg}{err}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["dist", "--theory", MP_THEORY, "--inline",
+     "next(" * 300 + "raise(*)" + ")" * 300, "next(" * 302 + "raise(*)" + ")" * 302],
+    ["normalize", "--theory", MP_THEORY, "--inline", "next(" * 1000 + "raise(*)" + ")" * 1000],
+    ["normalize", "--theory", "sum(" * 1000 + "bary, exc{1})" + ", bary)" * 999,
+     "--inline", "x"],
+], ids=["dist next^300", "normalize next^1000", "theory sum^1000"])
+def test_input_nested_past_the_recursion_limit_exits_1_with_one_line(argv, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: input nested too deeply\n"

@@ -102,3 +102,14 @@ def test_premised_axiom_instances_are_built_in_one_constructor():
             else:
                 found.append(f"{path.name}:{node.lineno}: AxiomInstance with premises")
     assert found == [] and in_constructor == 1, (found, in_constructor)
+
+
+def test_source_parses_as_python_3_10():
+    # pyproject requires Python >= 3.10: no syntax of a later version
+    found = []
+    for path in sorted(Path(quantalg.__file__).parent.rglob("*.py")):
+        try:
+            ast.parse(path.read_text(), str(path), feature_version=(3, 10))
+        except SyntaxError as exc:
+            found.append(f"{path.name}:{exc.lineno}: {exc.msg}")
+    assert found == []

@@ -384,6 +384,28 @@ def test_a_transport_started_from_another_optimum_is_the_cold_optimum(case):
     assert check_transport(supplies, demands, second, warm).value == cold.value
 
 
+@pytest.mark.parametrize("m, n", [(1, 1), (1, 5), (5, 1)])
+def test_one_row_and_one_column_transports_solve_cold_and_warm(m, n):
+    # one line of cells: the least-cost start is the only feasible flow and
+    # already a spanning tree, so no cell enters, cold or warm, and the tree's
+    # potentials (u_0 = 0) certify the enumerated optimum under any costs
+    rng = random.Random(10 * m + n)
+    for _ in range(30):
+        supplies, demands = _masses(rng, m, rng.random() < 0.3), _masses(rng, n, False)
+        a, b, W = scale_masses(supplies, demands)
+        plan = None
+        for _ in range(3):
+            cost = [[INF if rng.random() < 0.3 else ext(Fraction(rng.randint(0, 12), 3))
+                     for _ in range(n)] for _ in range(m)]
+            cold = min_cost_transport(supplies, demands, cost)
+            plan = solve_scaled(a, b, W, cost, plan)
+            want = enumerate_transport(supplies, demands, cost)
+            for got in (cold, plan):
+                assert check_transport(supplies, demands, cost, got).value == want
+                assert len(got.basis) == m + n - 1 and len(got.tree[0]) == m + n - 1
+            assert plan.basis == cold.basis
+
+
 @st.composite
 def _masses_and_cost_chain(draw):
     """Masses as `_meeting_masses` draws them and a chain of three to five
