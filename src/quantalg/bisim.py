@@ -216,13 +216,12 @@ class MaxStrategy:
         self.improving = True
         self.beaten = False
 
-    def pick(self, node: int, candidates: list) -> ExtValue:
-        k = self.choice.get(node)
+    def pick(self, node: int, candidates: list):
+        k, top = self.choice.get(node), max(candidates)
         if k is None or self.improving:
-            best = max(range(len(candidates)), key=candidates.__getitem__)  # the first largest
-            if k is None or candidates[k] < candidates[best]:
-                k = self.choice[node] = best
-        elif not self.beaten and max(candidates) > candidates[k]:
+            if k is None or candidates[k] < top:
+                k = self.choice[node] = candidates.index(top)  # the first largest
+        elif not self.beaten and top > candidates[k]:
             self.beaten = True
         return candidates[k]
 

@@ -4,7 +4,8 @@ All distances and equation indices in the engine are values of this type, a
 reduced pair of ints (n, d): n/d with d > 0, or infinity as (1, 0).
 Arithmetic is exact on the ints (only the constructor and `rational` meet
 `Fraction`); infinity is absorbing for addition and positive scaling, and
-0 * inf is a hard error instead of a convention.
+0 * inf is a hard error instead of a convention.  Kernels that run on ints
+over a common scale hold infinity as `INT_INF`.
 """
 
 from __future__ import annotations
@@ -138,6 +139,37 @@ def _coerce(x) -> ExtValue:
 INF = ExtValue(None)
 ZERO = ExtValue(0)
 ONE = ExtValue(1)
+
+
+class _IntInf:
+    """Infinity among ints: above every int, absorbing for + and for * by
+    an int > 0.  It compares equal only to itself (object identity), so a
+    list of ints tests membership of it at C speed."""
+
+    __slots__ = ()
+
+    def __gt__(self, other) -> bool:
+        return other is not self
+
+    def __ge__(self, other) -> bool:
+        return True
+
+    def __lt__(self, other) -> bool:
+        return False
+
+    def __le__(self, other) -> bool:
+        return other is self
+
+    def __add__(self, other) -> "_IntInf":
+        return self
+
+    __radd__ = __mul__ = __rmul__ = __add__
+
+    def __repr__(self) -> str:
+        return "INT_INF"
+
+
+INT_INF = _IntInf()
 
 
 def ext(value: Union[Rationalish, ExtValue, None]) -> ExtValue:

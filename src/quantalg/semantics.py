@@ -24,14 +24,14 @@ realises each distance, as a row of ints.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, product, repeat, starmap
+from itertools import product, repeat, starmap
 from math import gcd, lcm
-from operator import attrgetter, itemgetter
+from operator import attrgetter, is_, itemgetter, mul
 from typing import Callable, Dict, List, Optional, Tuple
 from weakref import ref as weak_ref
 
 from .errors import DomainError
-from .extvalue import INF, ONE, ZERO, ExtValue, ext_max
+from .extvalue import INF, INT_INF, ONE, ExtValue
 from .spaces import FinMetricSpace, hausdorff_candidates
 from .terms import FAMILIES, Term, Var
 from .theories import LayerPlan, TheoryExpr, layer_plan
@@ -206,18 +206,26 @@ def make_set(values) -> SetVal:
 
 def map_guards(v: SemValue, f: Callable[[SemValue], SemValue]) -> SemValue:
     """v with each guard's inner value w replaced by f(w), rebuilt
-    canonically; f meets the guards in v's item order."""
-    if isinstance(v, DistVal):
-        return make_dist(((map_guards(x, f), n) for x, n in zip(v.support, v.weights)), v.W)
-    if isinstance(v, SetVal):
-        return make_set(map_guards(x, f) for x in v.items)
-    if isinstance(v, FuncVal):
-        return FuncVal(tuple((i, map_guards(x, f)) for i, x in v.items))
-    if isinstance(v, PairVal):
-        return PairVal(v.alpha, map_guards(v.inner, f))
-    if isinstance(v, Guard):
-        return Guard(v.name, v.c, f(v.inner))
-    return v
+    canonically; f meets the guards in v's item order.  A value in which f
+    changed nothing is v itself, not rebuilt."""
+    kind = type(v)
+    if kind is Guard:
+        w = f(v.inner)
+        return v if w is v.inner else Guard(v.name, v.c, w)
+    if kind is PairVal:
+        w = map_guards(v.inner, f)
+        return v if w is v.inner else PairVal(v.alpha, w)
+    if kind not in (DistVal, SetVal, FuncVal):
+        return v
+    old = v.support if kind is DistVal else [x for _, x in v.items] if kind is FuncVal else v.items
+    new = [map_guards(x, f) for x in old]
+    if all(map(is_, new, old)):
+        return v
+    if kind is DistVal:
+        return make_dist(zip(new, v.weights), v.W)
+    if kind is SetVal:
+        return make_set(new)
+    return FuncVal(tuple(zip((i for i, _ in v.items), new)))
 
 
 # ---------------------------------------------------------------------------
@@ -362,9 +370,8 @@ def sem_dist(v: SemValue, w: SemValue, space: Optional[FinMetricSpace] = None,
 _STATE, _GUARD, _PAIR, _FUNC, _KANT, _HAUS, _MEAN = range(7)
 
 # The slots an op of each kind reads
-_READS = {_STATE: lambda op: (), _GUARD: lambda op: (op[2],), _PAIR: lambda op: (op[3],),
-          _FUNC: itemgetter(2), _MEAN: itemgetter(3), _KANT: lambda op: chain.from_iterable(op[5]),
-          _HAUS: lambda op: chain.from_iterable(op[2])}
+_READS = {_STATE: lambda op: (), _GUARD: lambda op: (op[2],), _PAIR: lambda op: (op[2],),
+          _FUNC: itemgetter(2), _MEAN: itemgetter(2), _KANT: itemgetter(2), _HAUS: itemgetter(2)}
 
 
 class PairGraph:
@@ -377,19 +384,40 @@ class PairGraph:
     distance, c times a guard's inner distance, a monoid distance plus the
     inner distance, the largest over a function's inputs, Kantorovich over
     a cost matrix, its one coupling's cost if a distribution is a point
-    mass, or Hausdorff over its row slots (a column is read off the rows,
-    as mirrored pairs share a slot) and column count.  A state pair's op
-    holds its number `state_index(u, v)`, given at the build, a Kantorovich
-    op its masses (int weights over the lcm W of the W's) and W, and a point
-    mass's op the other side's weights and W.  Values are compared, and the
-    slots keyed, by identity.  Each Kantorovich slot keeps its last optimal
-    `Transport` in `plans`, and the next evaluation's transport starts from
-    its basis tree: the masses are the same, so it is still feasible.  An op
-    that is INF whatever its op slots give is folded to the constant INF as
-    it is built (`_infinite`), and then the ops that no root reads through
-    op slots are dropped.  Under a strategy an INF candidate is the first
-    largest, and `policy`'s finite rows read only finite cells, so neither
-    reads a folded slot."""
+    mass, or Hausdorff over its cells (a column is read off the rows, as
+    mirrored pairs share a slot).  Values are compared, and the slots
+    keyed, by identity.
+
+    Every slot k has a static int scale `den[k]`, fixed as it is built, and
+    an evaluation handed state distances whose finite denominators have the
+    lcm S holds slot k's value as an int x standing for x / (den[k] * S)
+    (INT_INF for INF), so it does only int products, sums, comparisons and
+    transports.  A constant n/d has den d; a state pair 1; a guard of
+    factor p/q den[j] * q over its inner slot j; a pair the lcm of den[j]
+    and its monoid distance's denominator; an op over cells (a function, a
+    Hausdorff, a Kantorovich or a point-mass slot) W * K, with K the lcm of
+    its cells' dens and W the lcm of its masses' denominators (1 for
+    functions and sets).  The ops, with each child's multiplier to the
+    op's scale:
+
+    - (_STATE, k, i): the state pair `state_index(u, v)` = i;
+    - (_GUARD, k, j, p, q): x_j * p;
+    - (_PAIR, k, j, m, a, alpha): x_j * m + a * S, alpha the monoid distance;
+    - (kind, k, cells, mults, K, W, *data) for the other four: each cell
+      j read at scale K as x_j * its mult (mults None if every one is 1),
+      and, for a distribution or a set layer in bounded mode, capped at
+      K * S (at 1); a Hausdorff op's data is its column count, a
+      Kantorovich op's its masses as ints over W, a point mass's the other
+      side's weights over W.
+
+    Each Kantorovich slot keeps its last optimal `Transport` in `plans`,
+    and the next evaluation's transport starts from its basis tree: the
+    masses are the same, so it is still feasible.  An op that is INF
+    whatever its op slots give is folded to the constant INF as it is built
+    (`_infinite`), and then the ops that no root reads through op slots are
+    dropped.  Under a strategy an INF candidate is the first largest, and
+    `policy`'s finite rows read only finite cells, so neither reads a
+    folded slot."""
 
     def __init__(self, pairs, space: Optional[FinMetricSpace] = None,
                  mode: str = EXTENDED, exc_space: Optional[FinMetricSpace] = None,
@@ -401,10 +429,11 @@ class PairGraph:
         # leaves of different kinds are `top` apart (the coproduct rule), and
         # ground distances are truncated at it: at 1 in bounded mode
         self.top = ONE if mode == BOUNDED else INF
-        self.values: List[Optional[ExtValue]] = [ZERO]  # constants; None for an op's slot
+        self.den: List[int] = [1]  # every slot's scale
+        self._nums: list = [0]  # a constant's numerator over its den; 0 for an op's slot
         self.ops: Dict[int, tuple] = {}  # an op slot's op, children first
-        self.evaluated: List[ExtValue] = []  # every slot's value at the last evaluation
         self.plans: Dict[int, Transport] = {}  # a Kantorovich slot's last optimum
+        self._val, self._scale, self._evaluated = [], 1, []  # the last evaluation (`evaluated`)
         self._forms: Dict[int, tuple] = {}  # choice-free slots' rows (see `policy`)
         self._slots: Dict[Tuple[SemValue, SemValue], int] = {}
         self._inf, self._folded = set(), False  # the slots of INF constants; whether one folded
@@ -416,6 +445,7 @@ class PairGraph:
                     live.update(_READS[ops[k][0]](ops[k]))
                 else:
                     del ops[k]
+                    self.plans.pop(k, None)
         del self._slots, self._inf
 
     def _slot(self, a: SemValue, b: SemValue) -> int:
@@ -423,41 +453,52 @@ class PairGraph:
             return 0
         k = self._slots.get((a, b))
         if k is None:
-            node, k = self._node(a, b), len(self.values)
+            node, k = self._node(a, b), len(self.den)
             if type(node) is tuple:
-                kind, op = node[0], (node[0], k) + node[1:]
-                # check only ops that read an INF constant, hold sets or an INF monoid distance
-                if (self._inf or kind == _HAUS or kind == _PAIR and node[1].is_inf) \
-                        and self._infinite(op):
+                den, op = node[0], (node[1], k) + node[2:]
+                # check only ops that read an INF constant or hold sets
+                if (self._inf or op[0] == _HAUS) and self._infinite(op):
                     node, self._folded = INF, True
                 else:
-                    self.ops[k], node = op, None
-            if node is not None and node.is_inf:
-                self._inf.add(k)
-            self.values.append(node)
+                    self.ops[k], node, num = op, None, 0
+            if node is not None:  # a constant n/d: n over den d
+                num, den = node.ratio
+                if not den:
+                    num, den = INT_INF, 1
+                    self._inf.add(k)
+            self._nums.append(num)
+            self.den.append(den)
             self._slots[(a, b)] = self._slots[(b, a)] = k
         return k
 
     def _infinite(self, op) -> bool:
         """Whether op is INF whatever its op slots give: `evaluate`'s rules on
-        the INF constants it reads (a Kantorovich slot is INF when no coupling
-        avoids its INF cells: its transport over the {0, INF} ground is INF)."""
-        kind, inf, top, reads = op[0], self._inf, self.top, _READS[op[0]](op)
-        if kind == _PAIR and op[2].is_inf or kind == _HAUS and not (op[2] and op[3]):
-            return True  # an infinite monoid distance, or one empty set (two are one value)
-        if kind in (_GUARD, _PAIR, _FUNC) or kind == _MEAN and top.is_inf:
+        the INF constants it reads.  A Kantorovich slot is INF when no
+        coupling avoids its INF cells: its transport over the {0, INT_INF}
+        ground is infinite; when one does, that transport is feasible for
+        the slot's masses and starts its first solve."""
+        kind, inf, reads = op[0], self._inf, _READS[op[0]](op)
+        if kind == _HAUS and not reads:
+            return True  # one empty set (two are one value)
+        if kind in (_GUARD, _PAIR, _FUNC) or kind == _MEAN and self.top.is_inf:
             return not inf.isdisjoint(reads)
-        if kind in (_STATE, _MEAN) or not top.is_inf or inf.isdisjoint(reads):
+        if kind in (_STATE, _MEAN) or not self.top.is_inf or inf.isdisjoint(reads):
             return False  # a truncated ground, or no INF cell
-        rows = op[5] if kind == _KANT else op[2]
+        n = op[6] if kind == _HAUS else len(op[7])
+        rows = [reads[i:i + n] for i in range(0, len(reads), n)]
         if any(map(inf.issuperset, rows)) or any(map(inf.issuperset, zip(*rows))):
             return True  # an all-INF row or column: a point with only INF cells
-        return kind == _KANT and solve_scaled(op[2], op[3], op[4], [
-            [INF if k in inf else ZERO for k in r] for r in rows]).value.is_inf
+        if kind == _HAUS:
+            return False
+        plan = solve_scaled(op[6], op[7], op[5], 1, [INT_INF if j in inf else 0 for j in reads])
+        if plan.total is INT_INF:
+            return True
+        self.plans[op[1]] = plan
+        return False
 
     def _node(self, a: SemValue, b: SemValue):
-        """The distance of a and b as a constant, or as an op (kind, *data)
-        on the slots of their children."""
+        """The distance of a and b as a constant, or as an op (den, kind,
+        *data) on the slots of their children, den its slot's scale."""
         kind = type(a)
         if kind is not type(b):
             leaves = (VarLeaf, ExcLeaf, Guard, StateLeaf)
@@ -468,28 +509,41 @@ class PairGraph:
         if kind is Guard:
             if a.name != b.name:
                 return self.top
-            return _GUARD, self._slot(a.inner, b.inner), a.c
+            j = self._slot(a.inner, b.inner)
+            p, q = a.c.as_integer_ratio()
+            return self.den[j] * q, _GUARD, j, p, q
         if kind is StateLeaf:
             if self.state_index is None:
                 raise DomainError(f"states {a.name}, {b.name} need a state metric")
-            return _STATE, self.state_index(a.name, b.name)
+            return 1, _STATE, self.state_index(a.name, b.name)
         if kind is DistVal:  # a point mass has one coupling: the ground's mean under the other side
             if len(b.support) == 1:
-                return _MEAN, a.weights, list(map(self._slot, a.support, repeat(b.support[0]))), a.W
+                cells = list(map(self._slot, a.support, repeat(b.support[0])))
+                return self._op(_MEAN, cells, a.W, a.weights)
             if len(a.support) == 1:
-                return _MEAN, b.weights, list(map(self._slot, repeat(a.support[0]), b.support)), b.W
-            W, n = lcm(a.W, b.W), len(b.support)  # the masses over it, as scale_masses scales them
-            slots = list(starmap(self._slot, product(a.support, b.support)))  # no frame per level
-            return (_KANT, [k * (W // a.W) for k in a.weights], [k * (W // b.W) for k in b.weights],
-                    W, [slots[i:i + n] for i in range(0, len(slots), n)])
+                cells = list(map(self._slot, repeat(a.support[0]), b.support))
+                return self._op(_MEAN, cells, b.W, b.weights)
+            W = lcm(a.W, b.W)  # the masses over it, as scale_masses scales them
+            cells = list(starmap(self._slot, product(a.support, b.support)))  # no frame per level
+            return self._op(_KANT, cells, W, [k * (W // a.W) for k in a.weights],
+                            [k * (W // b.W) for k in b.weights])
         if kind is SetVal:
-            return _HAUS, [[self._slot(x, y) for y in b.items] for x in a.items], len(b.items)
+            return self._op(_HAUS, [self._slot(x, y) for x in a.items for y in b.items], 1,
+                            len(b.items))
         if kind is FuncVal:
             if [i for i, _ in a.items] != [i for i, _ in b.items]:
                 raise DomainError("function values over different input sets")
-            return _FUNC, [self._slot(x, y) for (_, x), (_, y) in zip(a.items, b.items)]
+            cells = [self._slot(x, y) for (_, x), (_, y) in zip(a.items, b.items)]
+            return self._op(_FUNC, cells, 1)
         if kind is PairVal:
-            return _PAIR, self._alpha_dist(a.alpha, b.alpha), self._slot(a.inner, b.inner)
+            alpha = self._alpha_dist(a.alpha, b.alpha)
+            j = self._slot(a.inner, b.inner)
+            n, d = alpha.ratio
+            if not d:  # an infinite monoid distance: the pair is INF, and j may be unread
+                self._folded = True
+                return INF
+            den = lcm(self.den[j], d)
+            return den, _PAIR, j, den // self.den[j], n * (den // d), alpha
         if kind is VarLeaf:
             if self.space is None:
                 raise DomainError(f"variables {a.name}, {b.name} need a ground space")
@@ -497,6 +551,16 @@ class PairGraph:
         if self.exc_space is None:
             return self.top  # distinct exception labels, no metric given
         return self.exc_space.d(a.label, b.label).truncated(self.top)
+
+    def _op(self, kind: int, cells: List[int], W: int, *data):
+        """An op over cells, read at K, the lcm of their scales, with its
+        slot's scale W * K: (W * K, kind, cells, their multipliers to K, or
+        None if all are 1, K, W, *data)."""
+        den = self.den
+        dens = [den[j] for j in cells]
+        K = lcm(*dens)
+        mults = None if dens.count(K) == len(dens) else [K // d for d in dens]
+        return W * K, kind, cells, mults, K, W, *data
 
     def _alpha_dist(self, x, y) -> ExtValue:
         if isinstance(x, Fraction) and isinstance(y, Fraction):  # |x - y| on ints
@@ -511,57 +575,73 @@ class PairGraph:
         """The roots' distances, with `states[k]` between the states of pair k
         (uncapped).  A maximising node (function or set values) is the first
         largest of its candidates, or `strategy.pick(slot, candidates)` under
-        a strategy.  The graph keeps every slot's value in `evaluated` and
-        each Kantorovich slot's optimal transport in `plans` (see `policy`)."""
-        top, val, plans = self.top, list(self.values), self.plans
-
-        def ground(slots):  # the ground of a distribution or set layer
-            return [[val[k].truncated(top) for k in row] for row in slots]
-
+        a strategy, the candidates as ints over the node's scale.  The graph
+        keeps every slot's value (`evaluated`) and each Kantorovich slot's
+        optimal transport in `plans` (see `policy`)."""
+        ratios = [x.ratio for x in states or ()]
+        S = lcm(*(d for _, d in ratios if d))
+        xs = [n * (S // d) if d else INT_INF for n, d in ratios]
+        val = [x * S for x in self._nums] if S > 1 else list(self._nums)
+        bounded, plans = not self.top.is_inf, self.plans
         for op in self.ops.values():
             kind = op[0]
-            if kind == _GUARD:
-                out = val[op[2]].scaled(op[3])
+            if kind == _PAIR:
+                out = val[op[2]] * op[3] + op[4] * S
+            elif kind == _GUARD:
+                out = val[op[2]] * op[3]
             elif kind == _STATE:
-                out = states[op[2]]
-            elif kind == _PAIR:
-                out = op[2] + val[op[3]]
-            elif kind == _KANT:
-                plan = plans[op[1]] = solve_scaled(op[2], op[3], op[4], ground(op[5]),
-                                                   plans.get(op[1]))
-                out = plan.value
-            elif kind == _MEAN:  # sum weight * ground / W; an infinite ground's d 0 makes K 0
-                cells = [val[k].truncated(top).ratio for k in op[3]]
-                K = lcm(*(d for _, d in cells))
-                out = ExtValue(sum(w * n * (K // d) for w, (n, d) in zip(op[2], cells)),
-                               op[4] * K) if K else INF
+                out = xs[op[2]]
             else:
-                candidates = [val[k] for k in op[2]] if kind == _FUNC \
-                    else hausdorff_candidates(ground(op[2]), op[3])
-                out = ext_max(*candidates) if strategy is None \
-                    else strategy.pick(op[1], candidates)
+                cells = [val[j] for j in op[2]]
+                if op[3] is not None:
+                    cells = list(map(mul, cells, op[3]))
+                if bounded and kind != _FUNC:  # a distribution or set layer's ground
+                    cap = op[4] * S
+                    cells = [x if x <= cap else cap for x in cells]
+                if kind == _KANT:
+                    plan = plans[op[1]] = solve_scaled(op[6], op[7], op[5], op[4] * S, cells,
+                                                       plans.get(op[1]))
+                    out = plan.total
+                elif kind == _MEAN:  # sum weight * ground over W * K * S
+                    out = sum(map(mul, op[6], cells))
+                else:
+                    if kind == _HAUS:
+                        n = op[6]
+                        cells = hausdorff_candidates(
+                            [cells[i:i + n] for i in range(0, len(cells), n)], n)
+                    out = max(cells) if strategy is None else strategy.pick(op[1], cells)
             val[op[1]] = out
-        self.evaluated = val
-        return [val[k] for k in self.roots]
+        self._val, self._scale, self._evaluated = val, S, None
+        den = self.den
+        return [INF if val[k] is INT_INF else ExtValue(val[k], den[k] * S) for k in self.roots]
+
+    @property
+    def evaluated(self) -> List[ExtValue]:
+        """Every slot's value at the last evaluation, built when first read."""
+        if self._evaluated is None:
+            S = self._scale
+            self._evaluated = [INF if x is INT_INF else ExtValue(x, d * S)
+                               for x, d in zip(self._val, self.den)]
+        return self._evaluated
 
     def policy(self, strategy) -> list:
         """Each root's distance at the graph's last evaluation, which was under
         the strategy, as an integer row (D, b, {k: c}), the affine form
         (b + sum c * states[k])/D, None if it is infinite, read off that
-        evaluation's slot values and transports (`evaluated`, `plans`) and
-        the strategy's choices: the chosen candidate, a Hausdorff
-        candidate's first nearest point, a coupling's integer flows (a
-        transport's basic ones, or a mean's weights; the row divided by its
-        gcd), and 1 for a capped cell.
+        evaluation's slot values and transports and the strategy's choices:
+        the chosen candidate, a Hausdorff candidate's first nearest point, a
+        coupling's integer flows (a transport's basic ones, or a mean's
+        weights; the row divided by its gcd), and 1 for a capped cell.
         The rows of choice-free slots (constants, state pairs, and guard and
         pair ops over such slots) are kept across calls in `_forms`, the
         others' for one call; rows are shared, so no reader changes one."""
-        val, choice, plans, top, fixed = (self.evaluated, strategy.choice, self.plans,
-                                          self.top, self._forms)
+        val, den, S, choice, plans, fixed = (self._val, self.den, self._scale, strategy.choice,
+                                             self.plans, self._forms)
+        bounded = not self.top.is_inf
         memo: Dict[int, tuple] = {}
 
         def ground(k):  # a cell's row as a distribution or set layer sees it
-            return (1, 1, {}) if val[k] > top else form(k)
+            return (1, 1, {}) if bounded and val[k] > den[k] * S else form(k)
 
         def form(k):  # k's value is finite, and so are those of the slots it reads
             row = fixed.get(k) or memo.get(k)
@@ -569,30 +649,31 @@ class PairGraph:
                 return row
             op, keep = self.ops.get(k), memo
             if op is None:
-                n, d = val[k].ratio
-                row, keep = (d, n, {}), fixed
+                row, keep = (den[k], self._nums[k], {}), fixed
             elif op[0] == _STATE:
                 row, keep = (1, 0, {op[2]: 1}), fixed
             elif op[0] == _GUARD:
                 D, b, coef = form(op[2])
-                n, d = op[3].numerator, op[3].denominator
+                n, d = op[3], op[4]
                 row = D * d, b * n, {j: w * n for j, w in coef.items()}
                 keep = fixed if op[2] in fixed else memo
             elif op[0] == _PAIR:  # b/D + n/d over the lcm of D and d
-                D, b, coef = form(op[3])
-                n, d = op[2].ratio
+                D, b, coef = form(op[2])
+                n, d = op[5].ratio
                 s = d // gcd(D, d)
                 row = D * s, b * s + n * (D * s // d), {j: w * s for j, w in coef.items()}
-                keep = fixed if op[3] in fixed else memo
+                keep = fixed if op[2] in fixed else memo
             elif op[0] == _FUNC:
                 row = form(op[2][choice[k]])
             elif op[0] == _HAUS:  # a candidate's cells: a row, or a column after the rows
-                i, rows = choice[k], op[2]
-                cells = rows[i] if i < len(rows) else [r[i - len(rows)] for r in rows]
-                row = ground(min(cells, key=lambda j: val[j].truncated(top)))
+                i, cells, mults, n = choice[k], op[2], op[3] or [1] * len(op[2]), op[6]
+                rows, cap = len(cells) // n, op[4] * S if bounded else INT_INF
+                at = range(i * n, i * n + n) if i < rows else range(i - rows, len(cells), n)
+                row = ground(cells[min(at, key=lambda p: min(val[cells[p]] * mults[p], cap))])
             else:  # a coupling's cells: a point mass's one, or a transport's basic flows
-                cells = [(f, ground(j)) for f, j in (zip(op[2], op[3]) if op[0] == _MEAN else (
-                    (f, op[5][i][j]) for (i, j), f in plans[k].basis.items() if f))]
+                n = len(op[7]) if op[0] == _KANT else 0
+                cells = [(f, ground(j)) for f, j in (zip(op[6], op[2]) if op[0] == _MEAN else (
+                    (f, op[2][i * n + j]) for (i, j), f in plans[k].basis.items() if f))]
                 L = lcm(*(D for _, (D, _, _) in cells))
                 b, coef = 0, {}
                 for f, (D, fb, fcoef) in cells:
@@ -600,12 +681,12 @@ class PairGraph:
                     b += s * fb
                     for u, w in fcoef.items():
                         coef[u] = coef.get(u, 0) + s * w
-                g = gcd(L * op[4], b, *coef.values())
-                row = L * op[4] // g, b // g, {u: w // g for u, w in coef.items()}
+                g = gcd(L * op[5], b, *coef.values())
+                row = L * op[5] // g, b // g, {u: w // g for u, w in coef.items()}
             keep[k] = row
             return row
 
-        forms = [None if val[k].is_inf else form(k) for k in self.roots]
+        forms = [None if val[k] is INT_INF else form(k) for k in self.roots]
         del form  # it calls itself: free it and its memo now, not at a collection
         return forms
 

@@ -5,7 +5,11 @@ Kantorovich distance on finitely supported distributions.
 Products, function spaces, subsets and distributions over a space are not
 built here: they are carriers inside the free models (see
 `modelcheck.free_model`), whose distances `semantics.PairGraph` computes from
-the same two pieces: `hausdorff_candidates` and `transport.solve_scaled`."""
+the same two pieces, `hausdorff_candidates` and `transport.solve_scaled`, on
+ints: each of its slots has a static int scale, and it hands a node's
+candidates and a transport's costs over as ints at that scale.  The kernels
+here take ExtValues: `kantorovich_general` hands its costs to
+`transport.min_cost_transport`, which scales them once."""
 
 from __future__ import annotations
 

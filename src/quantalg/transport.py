@@ -1,16 +1,20 @@
 """Exact transportation problem solver over rationals, run on integers.
 
-The masses are scaled to ints by W, the lcm of their denominators, and the
-finite costs by K, the lcm of theirs.  A forbidden cell (infinite ground
-distance) costs M = (S + 2(m+n)) * top + 1, S the scaled supply total and
-top the largest finite scaled cost, so an int m*M + q stands for the big-M
-pair (m, q), compared lexicographically, exactly: a potential (u_i + v_j =
-c_ij on basic cells, u_0 = 0) alternates the costs of a tree path of at
-most m + n - 1 cells, so its q lies within (m+n)/2 * top of 0 and, as
-M > 2(m+n) * top, decodes to one pair (`u`, `v`); a reduced cost's q lies
-within (m+n+1) * top < M of 0, so its sign is its pair's; and a coupling
-costs big*M + q with 0 <= q <= S * top < M, so the optimum is infinite
-exactly when its total reaches M.
+The masses are scaled to ints by W, the lcm of their denominators
+(`scale_masses`), and the solver takes the costs as ints over a scale K,
+with INT_INF on a forbidden cell (infinite ground distance).
+`min_cost_transport`, the entry for ExtValue costs, scales them once by the
+lcm of their finite denominators (`scale_costs`); a Kantorovich slot of
+`semantics.PairGraph` hands over its cells as the ints it already holds,
+at its own scale.  A forbidden cell costs M = (S + 2(m+n)) * top + 1, S
+the scaled supply total and top the largest finite scaled cost, so an int
+m*M + q stands for the big-M pair (m, q), compared lexicographically,
+exactly: a potential (u_i + v_j = c_ij on basic cells, u_0 = 0) alternates
+the costs of a tree path of at most m + n - 1 cells, so its q lies within
+(m+n)/2 * top of 0 and, as M > 2(m+n) * top, decodes to one pair (`u`,
+`v`); a reduced cost's q lies within (m+n+1) * top < M of 0, so its sign
+is its pair's; and a coupling costs big*M + q with 0 <= q <= S * top < M,
+so the optimum is infinite exactly when its total reaches M.
 
 The solver is the primal transportation simplex on a spanning tree basis
 (a dict from basic cells to flows), started from the least-cost (matrix
@@ -18,20 +22,22 @@ minimum) basis, which fills the cheapest cells first and the forbidden ones
 last, or from a `Transport` the caller kept: an optimum of the same masses
 under other costs is still feasible, so a caller that re-solves fixed
 masses under new costs (a Kantorovich slot of `semantics.PairGraph`)
-scales them once (`scale_masses`) and starts each solve from the last
-optimum (`solve_scaled`).  A `Transport` keeps its basis tree as a walk from row 0,
+scales them once and starts each solve from the last optimum
+(`solve_scaled`).  A `Transport` keeps its basis tree as a walk from row 0,
 parents first: a solve sets the potentials in one pass over it, reads the
 entering cell off them and its cycle off the parents, and walks the tree
 again only after a pivot.  Bland's rule on both the entering and the
 leaving cell prevents cycling.  Positive scalings keep the sign of every
 reduced cost and the order of the flows, so every pivot is the one the
-simplex takes on the rationals themselves.
+simplex takes on the rationals themselves, whatever the scale K.
 
-Only the returned `Transport` holds rationals: the value total/(W*K), and,
-converted when first read, the flows f/W and the potentials (m, q/K).  The
-potentials are a dual certificate (u_i + v_j <= c_ij on every cell, with
-equality on basic cells, so the dual objective equals the primal one), and
-the flows are the coupling behind a Kantorovich value.
+A `Transport` holds the solver's ints: the optimal total over W*K
+(INT_INF if infinite), which a pair graph reads as it is, and the basis
+and potentials.  Rationals are built only when first read: the value
+total/(W*K), the flows f/W and the potentials (m, q/K).  The potentials
+are a dual certificate (u_i + v_j <= c_ij on every cell, with equality on
+basic cells, so the dual objective equals the primal one), and the flows
+are the coupling behind a Kantorovich value.
 """
 
 from __future__ import annotations
@@ -43,7 +49,7 @@ from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import DomainError
-from .extvalue import INF, ExtValue
+from .extvalue import INF, INT_INF, ExtValue
 
 Cost = Tuple[Fraction, Fraction]
 Cell = Tuple[int, int]
@@ -52,16 +58,21 @@ Cell = Tuple[int, int]
 class Transport:
     """An optimal transport: its value (INF if every feasible flow uses a
     forbidden cell), the basic cells' flows (zero on degenerate ones), and
-    the row and column potentials u, v as big-M cost pairs.  The flows and
-    potentials are kept as the solver's scaled ints and become rationals
-    when first read: `basis` maps each basic cell to W times its flow, and
-    `tree` is its basis tree (`_tree`), for every shape.  A solve started
-    from this one shares both until it pivots, so neither ever changes."""
+    the row and column potentials u, v as big-M cost pairs.  They are kept
+    as the solver's scaled ints and become rationals when first read:
+    `total` is the optimum's cost over W*K (INT_INF if it is infinite),
+    `basis` maps each basic cell to W times its flow, and `tree` is its
+    basis tree (`_tree`), for every shape.  A solve started from this one
+    shares both until it pivots, so neither ever changes."""
 
-    def __init__(self, value: ExtValue, basis: Dict[Cell, int], tree, pot: List[int],
+    def __init__(self, total, basis: Dict[Cell, int], tree, pot: List[int],
                  W: int, K: int, M: int, m: int):
-        self.value, self.basis, self.tree, self.W = value, basis, tree, W
+        self.total, self.basis, self.tree, self.W = total, basis, tree, W
         self._pot, self._K, self._M, self._m = pot, K, M, m
+
+    @functools.cached_property
+    def value(self) -> ExtValue:
+        return INF if self.total is INT_INF else ExtValue(self.total, self.W * self._K)
 
     @functools.cached_property
     def flows(self) -> Dict[Cell, Fraction]:
@@ -99,6 +110,14 @@ def scale_masses(supplies: Sequence[Fraction], demands: Sequence[Fraction]
     return mass[:m], mass[m:], W
 
 
+def scale_costs(cost: Sequence[Sequence[ExtValue]]) -> Tuple[int, List]:
+    """A cost matrix as ints over K, the lcm of its finite cells'
+    denominators: (K, the cells row-major, INT_INF for a forbidden one)."""
+    flat = [c.ratio for row in cost for c in row]
+    K = math.lcm(*{d for _, d in flat if d})
+    return K, [x * (K // d) if d else INT_INF for x, d in flat]
+
+
 def min_cost_transport(
     supplies: Sequence[Fraction],
     demands: Sequence[Fraction],
@@ -109,24 +128,27 @@ def min_cost_transport(
 
     supplies and demands must be positive and have equal totals.
     """
-    return solve_scaled(*scale_masses(supplies, demands), cost)
+    return solve_scaled(*scale_masses(supplies, demands), *scale_costs(cost))
 
 
-def solve_scaled(a: List[int], b: List[int], W: int, cost: Sequence[Sequence[ExtValue]],
+def solve_scaled(a: List[int], b: List[int], W: int, K: int, cost: List,
                  start: Optional[Transport] = None) -> Transport:
-    """`min_cost_transport` on masses already scaled by `scale_masses`,
-    started from the basis of `start` (an earlier solve of these masses,
-    under any costs: it is primal feasible), or from the least-cost start."""
+    """`min_cost_transport` on masses scaled by `scale_masses` and costs
+    scaled to ints over K as `scale_costs` scales them (row-major, INT_INF
+    on a forbidden cell), started from the basis of `start` (an earlier
+    solve of these masses, under any costs: it is primal feasible), or from
+    the least-cost start."""
     m, n = len(a), len(b)
-    flat = [c.ratio for row in cost for c in row]
-    K = math.lcm(*{d for _, d in flat if d})
-    flat = [x * (K // d) if d else -1 for x, d in flat]
-    M = (sum(a) + 2 * (m + n)) * max(0, max(flat)) + 1
-    if -1 in flat:
-        flat = [M if c < 0 else c for c in flat]
-    costs = [flat[i:i + n] for i in range(0, m * n, n)]
+    top = max(cost)
+    forbidden = top is INT_INF
+    if forbidden:
+        top = max((c for c in cost if c is not INT_INF), default=0)
+    M = (sum(a) + 2 * (m + n)) * top + 1
+    if forbidden:
+        cost = [M if c is INT_INF else c for c in cost]
+    costs = [cost[i:i + n] for i in range(0, m * n, n)]
     if start is None:
-        basis = _least_cost(list(a), list(b), flat)
+        basis = _least_cost(list(a), list(b), cost)
         tree = _tree(basis, m, n)
     else:
         basis, tree = start.basis, start.tree
@@ -139,8 +161,7 @@ def solve_scaled(a: List[int], b: List[int], W: int, cost: Sequence[Sequence[Ext
         pot, entering = _entering(costs, tree, m)
     # the basis' cost, as its dual objective: u_i + v_j = c_ij on its cells
     total = sum(map(mul, a, pot)) + sum(map(mul, b, pot[m:]))
-    value = INF if total >= M else ExtValue(total, W * K)
-    return Transport(value, basis, tree, pot, W, K, M, m)
+    return Transport(INT_INF if total >= M else total, basis, tree, pot, W, K, M, m)
 
 
 def _least_cost(a: List[int], b: List[int], flat: List[int]) -> Dict[Cell, int]:

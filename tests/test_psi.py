@@ -11,12 +11,14 @@ from quantalg import (BOUNDED, EXTENDED, Coalgebra, FinMetricSpace, Guard, PairV
                       layer_plan, make_set, parse_coalgebras, parse_theory, psi_step,
                       solve_bisim)
 from quantalg import bisim, semantics
-from quantalg.extvalue import ZERO
+from quantalg.extvalue import INF, INT_INF, ZERO, ExtValue, ext_sum
 from quantalg.semantics import FuncVal, PairGraph
 from quantalg.bisim import MaxStrategy, _solve_policy
+from quantalg.spaces import hausdorff_candidates
+from quantalg.transport import min_cost_transport
 
-from helpers import (BOT, FinDist, Table, dense_recipe_table, leaf, random_cyclic_table,
-                     random_space, st, table_coalgebra)
+from helpers import (BOT, MAX_MONOID, FinDist, Table, dense_recipe_table, leaf,
+                     random_cyclic_table, random_space, st, table_coalgebra)
 from oracles import check_transport, form, psi_kernel_reference, psi_reference
 
 INF_MONOID = TableMonoid(
@@ -112,10 +114,13 @@ def _policy_and_reference(C, d, mode, mine, theirs):
             [(k, form(want.d(*k))) for k in C.pairs])
 
 
-def _cold(C):
-    """C with a fresh pair graph, whose transports start cold, as the
-    reference's do; its slots are numbered as C's are."""
-    return Coalgebra(C.plan, C.states, C.step, C.space, C.name)
+def _cold(C, mode):
+    """C with a fresh pair graph in `mode`, whose transports start cold, as
+    the reference's do (the bases its fold checks left are dropped); its
+    slots are numbered as C's are."""
+    fresh = Coalgebra(C.plan, C.states, C.step, C.space, C.name)
+    fresh.pair_graph(mode).plans.clear()
+    return fresh
 
 
 def _check_warm_policy(C, d, mode, strategy, got):
@@ -134,8 +139,9 @@ def _check_warm_policy(C, d, mode, strategy, got):
         assert at_d == got.values[k].rational, (C.plan, mode, k)
     val = graph.evaluated
     for slot, plan in graph.plans.items():
-        _, _, a, b, W, cells = graph.ops[slot]
-        cost = [[val[j].truncated(graph.top) for j in row] for row in cells]
+        cells, _, _, W, a, b = graph.ops[slot][2:]
+        cost = [[val[j].truncated(graph.top) for j in cells[i:i + len(b)]]
+                for i in range(0, len(cells), len(b))]
         check_transport([Fraction(x, W) for x in a], [Fraction(x, W) for x in b], cost, plan)
     return rows
 
@@ -164,7 +170,7 @@ def test_policy_forms_match_the_recursive_reference():
         d = psi_step(C, PseudoMetric(C.states), mode)
         mine, theirs, warm = MaxStrategy(), MaxStrategy(), MaxStrategy()
         for rnd in range(4):
-            got, rows, forms, want = _policy_and_reference(_cold(C), d, mode, mine, theirs)
+            got, rows, forms, want = _policy_and_reference(_cold(C, mode), d, mode, mine, theirs)
             assert forms == want, (C.plan, mode, rnd)
             affine += sum(f is not None and bool(f[1]) for _, f in forms)
             assert psi_step(C, d, mode, warm) == got
@@ -198,7 +204,7 @@ def test_dirac_rows_keep_their_forms_tight(seed, kind, mode):
         d = psi_step(C, d, mode)
     mine, theirs, warm = MaxStrategy(), MaxStrategy(), MaxStrategy()
     for rnd in range(3):
-        got, rows, forms, want = _policy_and_reference(_cold(C), d, mode, mine, theirs)
+        got, rows, forms, want = _policy_and_reference(_cold(C, mode), d, mode, mine, theirs)
         assert forms == want, (C.plan, mode, rnd)
         assert psi_step(C, d, mode, warm) == got
         _check_warm_policy(C, d, mode, warm, got)
@@ -321,3 +327,96 @@ def test_a_row_over_a_choice_is_read_again_at_every_policy():
         graph.evaluate(states, strategy)
         rows.append(graph.policy(strategy)[0])
     assert rows == [(6, 1, {0: 3}), (6, 1, {1: 3})]  # 1/6 + d/2
+
+
+def _ext_evaluation(graph, states, choice):
+    """Every slot's value at `states` by the ExtValue rules the graph's ops
+    stand for, each transport solved cold by `min_cost_transport` (the
+    constants are the graph's own), and the choices and `beaten` flag of a
+    max-scan over ExtValue candidates under MaxStrategy's rule from the
+    choices `choice`, or from none (`improving` says how they are held)."""
+    choice, improving = dict(choice[0]), choice[1]
+    top, beaten = graph.top, False
+    val = [INF if x is INT_INF else ExtValue(x, d) for x, d in zip(graph._nums, graph.den)]
+    for k, op in graph.ops.items():
+        kind = op[0]
+        if kind == semantics._STATE:
+            out = states[op[2]]
+        elif kind == semantics._GUARD:
+            out = val[op[2]].scaled(Fraction(op[3], op[4]))
+        elif kind == semantics._PAIR:
+            out = op[5] + val[op[2]]
+        else:
+            cells, W = op[2], op[5]
+            ground = [val[j].truncated(top) for j in cells]
+            if kind == semantics._KANT:
+                n = len(op[7])
+                out = min_cost_transport([Fraction(x, W) for x in op[6]],
+                                         [Fraction(x, W) for x in op[7]],
+                                         [ground[i:i + n] for i in range(0, len(cells), n)]).value
+            elif kind == semantics._MEAN:
+                out = ext_sum(c.scaled(Fraction(w, W)) for w, c in zip(op[6], ground))
+            else:
+                n = op[6] if kind == semantics._HAUS else 0
+                candidates = [val[j] for j in cells] if kind == semantics._FUNC else \
+                    hausdorff_candidates([ground[i:i + n] for i in range(0, len(cells), n)], n)
+                best = 0
+                for i, c in enumerate(candidates):
+                    if c > candidates[best]:
+                        best = i
+                held = choice.get(k)
+                if held is None or improving and candidates[held] < candidates[best]:
+                    held = choice[k] = best
+                beaten = beaten or candidates[best] > candidates[held]
+                out = candidates[held]
+        val[k] = out
+    return val, choice, beaten
+
+
+def _random_metric(rng, C, mode):
+    """Uncapped state distances over assorted denominators, INF among them
+    in extended mode."""
+    return PseudoMetric(C.states, values=[
+        INF if mode == EXTENDED and rng.random() < 0.2
+        else ext(Fraction(rng.randint(0, 12), rng.choice([1, 2, 3, 7, 10, 24])))
+        for _ in C.pairs])
+
+
+@settings(max_examples=80, deadline=None)
+@given(hst.integers(0, 2 ** 32 - 1),
+       hst.sampled_from(["mp", "lmp", "mdp", "mealy", "monoid", "set"]),
+       hst.sampled_from([BOUNDED, EXTENDED]))
+def test_the_int_scale_evaluates_as_exact_rationals(seed, kind, mode):
+    # the pair graph runs on ints over per-slot scales: at random state
+    # distances (INF ones in extended mode, and a space with INF leaf
+    # distances, so that slots fold and fold checks seed transports), its
+    # roots equal the per-kind reference, plain and under a fresh strategy;
+    # under a strategy improving and held in turn, every slot of `evaluated`
+    # and every choice equal an ExtValue evaluation of the same ops with
+    # cold transports, every policy row is tight at d and every coupling
+    # optimal
+    rng = random.Random(seed)
+    space = random_space(rng, ["x", "y", "z"], max_den=4, inf_prob=0.3)
+    c = Fraction(rng.choice([1, 2, 9]), 10)
+    if kind == "set":
+        T, C = None, _set_system(rng, c)
+    else:
+        monoid = rng.choice([INF_MONOID, MAX_MONOID]) if kind == "monoid" else RATIONAL_LINE
+        T = random_cyclic_table(rng, "mealy" if kind == "monoid" else kind, mode, space,
+                                monoid, n=rng.randint(2, 4), c=c)
+        C = table_coalgebra(T, space)
+    graph, strategy = C.pair_graph(mode), MaxStrategy()
+    for rnd in range(4):
+        d = _random_metric(rng, C, mode)
+        want = psi_reference(T, d, mode, space) if T else psi_kernel_reference(C, d, mode)
+        assert psi_step(C, d, mode) == want, (kind, mode)
+        assert graph.evaluated == _ext_evaluation(graph, d.values, ({}, True))[0]
+        strategy.improving, strategy.beaten = rnd % 2 == 0, False
+        ref, choice, beaten = _ext_evaluation(graph, d.values,
+                                              (strategy.choice, strategy.improving))
+        got = psi_step(C, d, mode, strategy)
+        if rnd == 0:
+            assert got == want
+        assert graph.evaluated == ref and strategy.choice == choice
+        assert strategy.beaten == beaten
+        _check_warm_policy(C, d, mode, strategy, got)

@@ -61,12 +61,13 @@ def test_the_hot_path_names_no_fraction():
     # edges (a distribution's `items` and key, printing)
     hot = {"semantics.py": ["SemValue.__new__", "make_dist", "_apply_here", "_apply", "_eta",
                             "PairGraph._slot", "PairGraph._node", "PairGraph._infinite",
-                            "PairGraph.evaluate", "PairGraph.policy"],
+                            "PairGraph._op", "PairGraph.evaluate", "PairGraph.evaluated",
+                            "PairGraph.policy"],
            "lexing.py": ["TokenStream.__init__"],
            "bisim.py": ["solve_affine", "_blocks", "_eliminate", "psi_step", "_parse_rows",
                         "_solve_policy", "PseudoMetric.index", "MaxStrategy.pick"],
-           "transport.py": ["min_cost_transport", "solve_scaled", "_least_cost", "_tree",
-                            "_entering", "_pivot"]}
+           "transport.py": ["scale_costs", "min_cost_transport", "solve_scaled", "_least_cost",
+                            "_tree", "_entering", "_pivot"]}
     found = []
     for name, functions in hot.items():
         tree = ast.parse((Path(quantalg.__file__).parent / name).read_text(), name)
@@ -77,6 +78,27 @@ def test_the_hot_path_names_no_fraction():
             for n in (n for stmt in node.body for n in ast.walk(stmt)):
                 if getattr(n, "id", None) == "Fraction" or getattr(n, "attr", None) == "Fraction":
                     found.append(f"{name}:{n.lineno}: Fraction in {qualname}")
+    assert found == []
+
+
+def test_the_pair_graph_evaluates_on_ints():
+    # an evaluation builds ExtValues for its roots alone: the op loop of
+    # `PairGraph.evaluate` runs on ints at the slots' scales, and so do the
+    # transports it starts, which take their costs as ints
+    path = Path(quantalg.__file__).parent
+    semantics = ast.parse((path / "semantics.py").read_text())
+    graph = next(n for n in semantics.body if getattr(n, "name", None) == "PairGraph")
+    evaluate = next(n for n in graph.body if getattr(n, "name", None) == "evaluate")
+    (loop,) = [n for n in evaluate.body if isinstance(n, ast.For)]
+    transport = ast.parse((path / "transport.py").read_text())
+    hot = [("PairGraph.evaluate's op loop", loop)] + [
+        (n.name, n) for n in transport.body if getattr(n, "name", None)
+        in ("solve_scaled", "_least_cost", "_tree", "_entering", "_pivot")]
+    assert len(hot) == 6
+    banned = {"ExtValue", "ext_max", "scaled", "truncated", "ratio", "INF"}
+    found = [f"{where}:{n.lineno}: {getattr(n, 'id', None) or n.attr}"
+             for where, node in hot for n in ast.walk(node)
+             if getattr(n, "id", None) in banned or getattr(n, "attr", None) in banned]
     assert found == []
 
 

@@ -10,7 +10,7 @@ from quantalg import (FinMetricSpace, discrete, hausdorff_general,
                       kantorovich_general, parse_spaces, spaces)
 from quantalg.errors import DomainError
 from quantalg.extvalue import INF, ZERO, ext
-from quantalg.transport import min_cost_transport, scale_masses, solve_scaled
+from quantalg.transport import min_cost_transport, scale_costs, scale_masses, solve_scaled
 
 from helpers import FinDist, random_dist, random_space
 from oracles import check_transport, enumerate_transport
@@ -376,9 +376,9 @@ def test_a_transport_started_from_another_optimum_is_the_cold_optimum(case):
     # dual certificate, and leaves the start's basis and tree as they were
     supplies, demands, first, second = case
     a, b, W = scale_masses(supplies, demands)
-    start = solve_scaled(a, b, W, first)
+    start = solve_scaled(a, b, W, *scale_costs(first))
     kept = copy.deepcopy((start.basis, start.tree))
-    warm = solve_scaled(a, b, W, second, start)
+    warm = solve_scaled(a, b, W, *scale_costs(second), start)
     assert (start.basis, start.tree) == kept
     cold = min_cost_transport(supplies, demands, second)
     assert check_transport(supplies, demands, second, warm).value == cold.value
@@ -398,7 +398,7 @@ def test_one_row_and_one_column_transports_solve_cold_and_warm(m, n):
             cost = [[INF if rng.random() < 0.3 else ext(Fraction(rng.randint(0, 12), 3))
                      for _ in range(n)] for _ in range(m)]
             cold = min_cost_transport(supplies, demands, cost)
-            plan = solve_scaled(a, b, W, cost, plan)
+            plan = solve_scaled(a, b, W, *scale_costs(cost), plan)
             want = enumerate_transport(supplies, demands, cost)
             for got in (cold, plan):
                 assert check_transport(supplies, demands, cost, got).value == want
@@ -434,7 +434,7 @@ def test_a_chain_of_warm_transports_keeps_the_cold_optimum(case):
     a, b, W = scale_masses(supplies, demands)
     plan = None
     for cost in chain:
-        plan = solve_scaled(a, b, W, cost, plan)
+        plan = solve_scaled(a, b, W, *scale_costs(cost), plan)
         cold = min_cost_transport(supplies, demands, cost)
         assert check_transport(supplies, demands, cost, plan).value == cold.value
 
