@@ -533,11 +533,11 @@ def parse_coalgebras(text: str, monoids: Optional[Dict[str, Monoid]] = None,
         labels, monoid = (), RATIONAL_LINE
         if label:
             ts.expect(label, ":")
-            labels = ts.expect_list(lambda: ts.expect_ident().text)
+            labels = ts.expect_list(ts.expect_ident)
             ts.expect(";")
         if names_monoid and ts.accept("monoid"):
             ts.expect(":")
-            ref = ts.expect_ident().text
+            ref = ts.expect_ident()
             if not monoids or ref not in monoids:
                 raise ts.error(f"unknown monoid {ref!r}")
             monoid = monoids[ref]
@@ -566,7 +566,7 @@ def _parse_rows(ts: TokenStream, plan: LayerPlan, space, name: str) -> Coalgebra
                 if space is not None and point not in space.points:
                     raise DomainError(f"leaf point {point!r} outside the space")
                 return VarLeaf(point)
-            return Guard(guard.name, guard.c, StateLeaf(ts.expect_ident().text))
+            return Guard(guard.name, guard.c, StateLeaf(ts.expect_ident()))
         if layers[0][0] == "dist":
             def weighted():  # (cell, n, d) for the weight n/d
                 n, d = ts.expect_ratio()
@@ -591,15 +591,15 @@ def _parse_rows(ts: TokenStream, plan: LayerPlan, space, name: str) -> Coalgebra
 
     while not ts.at("}"):
         ts.expect("state")
-        tok = ts.expect_ident()
-        key = tok.text
+        i = ts.i
+        key = ts.expect_ident()
         if inputs:
             ts.expect("on")
-            key = (key, ts.expect_ident().text)
+            key = (key, ts.expect_ident())
             if key[1] not in inputs:
                 raise DomainError(f"transition row for unknown key {key!r}")
         if key in rows:
-            raise ts.error(f"duplicate row for {key!r}", tok)
+            raise ts.error(f"duplicate row for {key!r}", i)
         ts.expect(":" if layers[0][0] == "dist" else "->")
         rows[key] = cell(layers)
         ts.expect(";")

@@ -120,46 +120,43 @@ def check_nonexpansive(alg: FiniteAlgebra, op: OpSym, origin: str = "") -> Check
     """Exhaustively check d(f(a), f(b)) <= c * max_i d(a_i, b_i), where c is
     the contraction factor of a `next` operation and 1 otherwise.  Distances
     are the carrier's scaled ints, so the test is got * den(c) > spread *
-    num(c); an infinite spread bounds nothing."""
+    num(c); an infinite spread bounds nothing.  The test is symmetric in a and
+    b, and no a fails against itself, so only pairs with b after a are tested:
+    the first failure is that of the loop over all ordered pairs, whose
+    counts up to it (or in all) are computed, not tallied."""
     factor = op.param[1] if op.kind == "next" else Fraction(1)
     num, den = factor.numerator, factor.denominator
     sc = alg.carrier.scaled
     D, index = sc.D, sc.index
     entry = CheckEntry("nonexpansive", f"nonexpansive {op}", origin, True)
+    table = alg.interp.get(op, {})
     vecs = list(itertools.product(alg.carrier.points, repeat=op.arity))
-    images = [alg.lookup(op, vec) for vec in vecs]
-    defined = [pos for pos, fb in enumerate(images) if fb is not None]
+    defined = [pos for pos, vec in enumerate(vecs) if vec in table]
+    k, undefined = len(defined), len(vecs) - len(defined)
     # the defined images, and the column of each argument, as point indices
-    fbs = [index[images[pos]] for pos in defined]
+    fbs = [index[table[vecs[pos]]] for pos in defined]
     cols = list(zip(*([index[x] for x in vecs[pos]] for pos in defined)))
-    for avec, fa in zip(vecs, images):
-        if fa is None:
-            entry.skipped += 1
-            continue
-        rows = [D[index[x]] for x in avec]
-        gots = list(map(den.__mul__, map(D[index[fa]].__getitem__, fbs)))
-        # b can fail only where got * den beats every argument's distance * num
-        ranks = range(len(defined))
-        for row, col in zip(rows, cols):
-            ranks = [r for r in ranks if gots[r] > row[col[r]] * num]
-        for rank in ranks:
-            spread = max((row[col[rank]] for row, col in zip(rows, cols)), default=0)
-            if spread < sc.inf and gots[rank] > spread * num:
-                break
-        else:
-            entry.checked += len(defined)
-            entry.skipped += len(vecs) - len(defined)
-            continue
-        # the b's met before the failing one: rank defined, the rest not
-        bvec, fb = vecs[defined[rank]], images[defined[rank]]
-        entry.checked += rank + 1
-        entry.skipped += defined[rank] - rank
-        spread = ext_max(*map(alg.carrier.d, avec, bvec))
-        entry.passed = False
-        entry.counterexample = Counterexample(
-            {"args": avec, "args'": bvec},
-            f"d({fa},{fb}) = {alg.carrier.d(fa, fb)} > {spread.scaled(factor)}")
-        return entry
+    for ra in range(k):
+        from_fa = D[fbs[ra]]
+        # b fails where got * den beats every argument's distance * num, none infinite
+        ranks = range(ra + 1, k)
+        for col in cols:
+            row = D[col[ra]]
+            ranks = [r for r in ranks if from_fa[fbs[r]] * den > row[col[r]] * num
+                     and row[col[r]] < sc.inf]
+        if ranks:
+            # the counts of the loop over ordered pairs, up to (a, b) (an undefined a once)
+            ia, ib = defined[ra], defined[ranks[0]]
+            avec, bvec = vecs[ia], vecs[ib]
+            entry.checked = ra * k + ranks[0] + 1
+            entry.skipped = (ia - ra) + ra * undefined + (ib - ranks[0])
+            spread = ext_max(*map(alg.carrier.d, avec, bvec))
+            entry.passed = False
+            entry.counterexample = Counterexample(
+                {"args": avec, "args'": bvec}, f"d({table[avec]},{table[bvec]}) = "
+                f"{alg.carrier.d(table[avec], table[bvec])} > {spread.scaled(factor)}")
+            return entry
+    entry.checked, entry.skipped = k * k, undefined + k * undefined
     return entry
 
 
@@ -457,7 +454,7 @@ def parse_algebras(text: str, spaces: Dict[str, FinMetricSpace],
 
     def algebra(kind: str, name: str) -> FiniteAlgebra:
         ts.expect("carrier", ":")
-        ref = ts.expect_ident().text
+        ref = ts.expect_ident()
         if ref not in spaces:
             raise ts.error(f"unknown space {ref!r}")
         carrier = spaces[ref]
@@ -492,26 +489,27 @@ def parse_algebras(text: str, spaces: Dict[str, FinMetricSpace],
 
 def _parse_opspec(ts: TokenStream) -> OpSym:
     """A family's word, then its parameter in parentheses if it has one."""
-    tok = ts.expect_ident()
-    kind = KIND_OF_WORD.get(tok.text)
+    i = ts.i
+    word = ts.expect_ident()
+    kind = KIND_OF_WORD.get(word)
     if kind is None:
-        raise ts.error(f"unknown operation {tok.text!r}", tok)
+        raise ts.error(f"unknown operation {word!r}", i)
     if not (FAMILIES[kind].param or kind in ("read", "next")):
         return OpSym(kind)
     ts.expect("(")
     if kind == "read":
         n = ts.expect_rational()
         if n.denominator != 1 or n < 1:
-            raise ts.error(f"rd arity {n} is not a positive integer", tok)
+            raise ts.error(f"rd arity {n} is not a positive integer", i)
         op = read(int(n))
     elif kind == "next":
-        opname = ts.expect_ident().text
+        opname = ts.expect_ident()
         ts.expect(",")
         c = ts.expect_rational()
         if not 0 < c < 1:
-            raise ts.error(f"contraction factor {c} outside (0,1)", tok)
+            raise ts.error(f"contraction factor {c} outside (0,1)", i)
         op = next_op(opname, c)
     else:
-        op = parse_parameter(ts, tok)
+        op = parse_parameter(ts, i)
     ts.expect(")")
     return op

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Tuple, Union
 
 from .errors import DomainError
-from .lexing import Token, TokenStream
+from .lexing import TokenStream
 
 MonoidElement = Union[Fraction, str]
 
@@ -178,39 +178,47 @@ def parse_term(text: str, theory=None, source: str = "<term>") -> Term:
 
 def _parse_term(ts: TokenStream, contracts: Mapping[str, OpSym], ops: dict) -> Term:
     # One frame per nesting level: a helper frame would lower the depth at which
-    # a nested term exhausts the recursion limit.  `ops`: each op read, by spelling.
-    tok = ts.next()
-    kind = KIND_OF_WORD.get(tok.text)
+    # a nested term exhausts the recursion limit.  The term starts at token i
+    # and is read through the cursor; `ops`: each op read, by spelling.
+    texts, i = ts.texts, ts.i
+    word, op = texts[i], None
+    ts.i = i + 1
+    kind = KIND_OF_WORD.get(word)
     if kind is None:
-        if tok.kind != "ident":
-            raise ts.error(f"expected a term, found {tok.text or 'end of input'!r}", tok)
-        if tok.text in contracts and ts.accept("("):
-            a = _parse_term(ts, contracts, ops)
-            ts.expect(")")
-            return App(contracts[tok.text], (a,))
-        return Var(tok.text)
-    if kind == "empty":
+        if ts.kinds[word] != "ident":
+            raise ts.expected("a term", i)
+        if word not in contracts or texts[i + 1] != "(":
+            return Var(word)
+        kind, op = "next", contracts[word]  # a contractive operator by its name
+    elif kind == "empty":
         return App(empty_op(), ())
     family = FAMILIES[kind]
-    ts.expect("(")
-    spelling = (tok.text, ts.peek().text) if family.param else None
-    op = ops.get(spelling)
-    if op is not None:
-        ts.next()  # the parameter, whose spelling was read before
-    elif spelling:
-        op = ops[spelling] = parse_parameter(ts, tok)
-    args = [] if family.param else [_parse_term(ts, contracts, ops)]
-    while len(args) != family.arity:
-        if family.arity is not None:
-            ts.expect(",")
-        elif not ts.accept(","):
-            break
+    if texts[i + 1] != "(":
+        raise ts.expected("'('", i + 1)
+    ts.i = i + 2
+    args = []
+    if family.param:
+        op = ops.get((word, texts[i + 2]))
+        if op is None:
+            op = ops[(word, texts[i + 2])] = parse_parameter(ts, i)
+        else:
+            ts.i = i + 3  # the parameter, whose spelling was read before
+    else:
         args.append(_parse_term(ts, contracts, ops))
-    ts.expect(")")
-    if kind == "next":
+    while len(args) != family.arity:
+        if texts[ts.i] != ",":
+            if family.arity is None:
+                break
+            raise ts.expected("','", ts.i)
+        ts.i += 1
+        args.append(_parse_term(ts, contracts, ops))
+    if texts[ts.i] != ")":
+        raise ts.expected("')'", ts.i)
+    ts.i += 1
+    if op is None and kind == "next":
         if "next" not in contracts and len(contracts) > 1:
             raise DomainError(
-                f"{ts.source}:{ts.line(tok)}: next is ambiguous among the contractive "
+                f"{ts.source}:{ts.line(i)}: next is ambiguous among the contractive "
                 f"operators {', '.join(contracts)}; write one by its name")
         op = contracts["next"] if "next" in contracts else next_op()
     elif op is None:
@@ -218,15 +226,16 @@ def _parse_term(ts: TokenStream, contracts: Mapping[str, OpSym], ops: dict) -> T
     return App(op, tuple(args))
 
 
-def parse_parameter(ts: TokenStream, tok: Token) -> OpSym:
-    """The operation of the family `tok` names (conv, raise or wr), reading
-    its parameter: a conv weight, which must lie in [0,1], an exception
-    label, or a monoid element."""
-    if tok.text == "conv":  # n/d lies in [0,1] when n <= d: the numeral has no sign
+def parse_parameter(ts: TokenStream, i: int) -> OpSym:
+    """The operation of the family token i names (conv, raise or wr), reading
+    its parameter at the cursor: a conv weight, which must lie in [0,1], an
+    exception label, or a monoid element."""
+    word = ts.texts[i]
+    if word == "conv":  # n/d lies in [0,1] when n <= d: the numeral has no sign
         n, d = ts.expect_ratio()
         if n > d:
-            raise ts.error(f"conv weight {Fraction(n, d)} outside [0,1]", tok)
+            raise ts.error(f"conv weight {Fraction(n, d)} outside [0,1]", i)
         return conv(Fraction(n, d))
-    if tok.text == "raise":
+    if word == "raise":
         return raise_(ts.expect_label("exception label"))
     return write(ts.expect_element())

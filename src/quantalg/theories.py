@@ -568,8 +568,8 @@ def parse_theory(text: str, spaces: Optional[Dict[str, FinMetricSpace]] = None,
 
 
 def _parse_theory(ts: TokenStream, spaces, monoids) -> TheoryExpr:
-    tok = ts.expect_ident()
-    name = tok.text
+    i = ts.i
+    name = ts.expect_ident()
     if name == "bary":
         return Bary()
     if name == "semi":
@@ -585,21 +585,21 @@ def _parse_theory(ts: TokenStream, spaces, monoids) -> TheoryExpr:
         return Exc(discrete(labels))
     if name == "reader":
         ts.expect("{")
-        inputs = ts.expect_list(lambda: ts.expect_ident().text)
+        inputs = ts.expect_list(ts.expect_ident)
         ts.expect("}")
         return Reader(tuple(inputs))
     if name == "writer":
         ts.expect("{")
-        ref = ts.expect_ident().text
+        ref = ts.expect_ident()
         ts.expect("}")
         if ref == "q":
             return Writer(RATIONAL_LINE)
         if ref in monoids:
             return Writer(monoids[ref])
-        raise ts.error(f"unknown monoid {ref!r}", tok)
+        raise ts.error(f"unknown monoid {ref!r}", i)
     if name == "contr":
         ts.expect("{")
-        opname = ts.expect_ident().text
+        opname = ts.expect_ident()
         ts.expect(",")
         c = ts.expect_rational()
         ts.expect("}")
@@ -611,7 +611,7 @@ def _parse_theory(ts: TokenStream, spaces, monoids) -> TheoryExpr:
         right = _parse_theory(ts, spaces, monoids)
         ts.expect(")")
         return Sum(left, right) if name == "sum" else Tensor(left, right)
-    raise ts.error(f"unknown theory atom {name!r}", tok)
+    raise ts.error(f"unknown theory atom {name!r}", i)
 
 
 def parse_monoids(text: str, source: str = "<monoid>") -> Dict[str, Monoid]:
@@ -620,22 +620,22 @@ def parse_monoids(text: str, source: str = "<monoid>") -> Dict[str, Monoid]:
 
     def monoid(kind: str, name: str) -> Monoid:
         ts.expect("elements", ":")
-        elements = ts.expect_list(lambda: ts.expect_ident().text)
+        elements = ts.expect_list(ts.expect_ident)
         ts.expect(";")
         ts.expect("unit", "=")
-        unit = ts.expect_ident().text
+        unit = ts.expect_ident()
         ts.expect(";")
         table: Dict[Tuple[str, str], str] = {}
         dist: Dict[Tuple[str, str], ExtValue] = {}
         while not ts.at("}"):
-            what = ts.expect_ident().text
+            what = ts.expect_ident()
             ts.expect("(")
-            a = ts.expect_ident().text
+            a = ts.expect_ident()
             ts.expect(",")
-            b = ts.expect_ident().text
+            b = ts.expect_ident()
             ts.expect(")", "=")
             if what == "mult":
-                table[(a, b)] = ts.expect_ident().text
+                table[(a, b)] = ts.expect_ident()
             elif what == "d":
                 dist[(a, b)] = ts.expect_ext()
             else:

@@ -36,7 +36,7 @@ from typing import Optional
 
 from quantalg.errors import DomainError
 from quantalg.extvalue import ExtValue, INF, ZERO, _coerce, ext_max, ext_sum
-from quantalg.lexing import MAX_DIGITS, Token, TokenStream
+from quantalg.lexing import MAX_DIGITS, TokenStream
 from quantalg.modelcheck import CheckEntry, Counterexample
 from quantalg.terms import Var
 
@@ -564,25 +564,30 @@ _TOKEN_RE = re.compile(
 
 class TokenStreamReference(TokenStream):
     """A TokenStream whose tokens come from one `re.finditer` pass, a match
-    object per token, with the same checks in the same order, made on every
-    token: a zero denominator is one whose digits all have the value 0, in
-    any script."""
+    object per token that gives its kind, text and offset, with the same
+    checks in the same order, made on every token: a zero denominator is
+    one whose digits all have the value 0, in any script.  `triples` lists
+    each token's (kind, text, offset)."""
 
     def __init__(self, text: str, source: str = "<input>"):
         self.source = source
         self.text = text
-        new = tuple.__new__
-        self.tokens = [new(Token, (m.lastgroup, m[m.lastindex], m.start(m.lastindex)))
-                       for m in _TOKEN_RE.finditer(text)]
-        if len(self.tokens) > 1 and self.tokens[-2].kind == "eof":
-            del self.tokens[-1]  # finditer's empty match at the end, after trailing blanks
-        for tok in self.tokens:
-            if tok.kind == "bad":
-                raise self.error(f"unexpected character {tok.text!r}", tok)
-            if tok.kind == "num":
-                if len(tok.text) > MAX_DIGITS and max(map(len, tok.text.split("/"))) > MAX_DIGITS:
-                    raise self.error(f"numeral of more than {MAX_DIGITS} digits", tok)
-                _, slash, den = tok.text.partition("/")
-                if slash and all(unicodedata.digit(c) == 0 for c in den):
-                    raise self.error(f"zero denominator in {tok.text!r}", tok)
+        self.triples = [(m.lastgroup, m[m.lastindex], m.start(m.lastindex))
+                        for m in _TOKEN_RE.finditer(text)]
+        if len(self.triples) > 1 and self.triples[-2][0] == "eof":
+            del self.triples[-1]  # finditer's empty match at the end, after trailing blanks
+        self.texts = [tok for _, tok, _ in self.triples]
+        self.kinds = {tok: kind for kind, tok, _ in self.triples}
         self.i = 0
+        for k, (kind, tok, _) in enumerate(self.triples):
+            if kind == "bad":
+                raise self.error(f"unexpected character {tok!r}", k)
+            if kind == "num":
+                if len(tok) > MAX_DIGITS and max(map(len, tok.split("/"))) > MAX_DIGITS:
+                    raise self.error(f"numeral of more than {MAX_DIGITS} digits", k)
+                _, slash, den = tok.partition("/")
+                if slash and all(unicodedata.digit(c) == 0 for c in den):
+                    raise self.error(f"zero denominator in {tok!r}", k)
+
+    def offset(self, k: int) -> int:
+        return self.triples[k][2]

@@ -922,3 +922,13 @@ def test_input_nested_past_the_recursion_limit_exits_1_with_one_line(argv, capsy
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == "error: input nested too deeply\n"
+
+
+def test_a_term_nested_220_deep_is_answered(capsys):
+    # a depth some way under the recursion limit is answered: a reader that
+    # spent more than one frame per nesting level would reject it
+    n = 220
+    assert main(["dist", "--theory", MP_THEORY, "--mode", "bounded", "--inline",
+                 "next(" * n + "raise(*)" + ")" * n,
+                 "next(" * (n + 2) + "raise(*)" + ")" * (n + 2)]) == 0
+    assert capsys.readouterr() == (f"1/{2 ** n}\n", "")

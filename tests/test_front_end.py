@@ -1,11 +1,21 @@
 """The shared front end of the six text formats: the tokenizer's error lines,
 and random edits of one ordinary file per format, which each parser must
-either read or reject with a QuantAlgError."""
+either read or reject with a QuantAlgError, and a golden corpus of such
+edits with the outcome each one had when the corpus was written.
+
+`python tests/test_front_end.py` rewrites the corpus from the readers on
+the path (`tests/data/reader_corpus.json`)."""
+
+import dataclasses
+import json
+import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quantalg import (ParseError, parse_algebras, parse_coalgebras, parse_monoids,
+from quantalg import (Coalgebra, FiniteAlgebra, FinMetricSpace, ParseError, TableMonoid,
+                      format_coalgebra, parse_algebras, parse_coalgebras, parse_monoids,
                       parse_spaces, parse_term, parse_theory)
 from quantalg.cli import main
 from quantalg.errors import QuantAlgError
@@ -58,11 +68,11 @@ FORMATS = {
 
 # What an edit inserts: single characters, odd ones included, and words of
 # the formats.
-PIECES = st.one_of(
-    st.sampled_from(list("(){},;:=-*/#\n 0123456789pqrxyzaijs_.'$é\t")),
-    st.sampled_from(["->", "inf", "bot", "leaf", "state", "on", "space", "monoid", "algebra",
-                     "mp", "lmp", "mealy", "mdp", "op", "next", "rd", "wr", "conv", "raise",
-                     "union", "empty", "exc{", "1/0", "0", "2/3", "d(p,p) = 1;"]))
+CHARS = list("(){},;:=-*/#\n 0123456789pqrxyzaijs_.'$é\t")
+WORDS = ["->", "inf", "bot", "leaf", "state", "on", "space", "monoid", "algebra", "mp", "lmp",
+         "mealy", "mdp", "op", "next", "rd", "wr", "conv", "raise", "union", "empty", "exc{",
+         "1/0", "0", "2/3", "d(p,p) = 1;"]
+PIECES = st.one_of(st.sampled_from(CHARS), st.sampled_from(WORDS))
 
 
 @st.composite
@@ -89,6 +99,56 @@ def test_an_edited_file_is_read_or_rejected_with_a_quantalg_error(fmt, data):
         parse(data.draw(edited(text)))
     except QuantAlgError:
         pass
+
+
+# The golden corpus: seeded edits of each ordinary file, made as `edited`
+# makes them, with the outcome the readers gave each one.
+CORPUS = Path(__file__).parent / "data" / "reader_corpus.json"
+
+
+def corpus_edits(per_format=50, seed=0):
+    """Each format's ordinary file, then `per_format - 1` edits of it."""
+    rng = random.Random(seed)
+    for fmt in sorted(FORMATS):
+        for k in range(per_format):
+            text = FORMATS[fmt][0]
+            for _ in range(rng.randint(1, 4) if k else 0):
+                at, cut = rng.randint(0, len(text)), rng.randint(0, 3)
+                text = text[:at] + rng.choice(rng.choice(([""], CHARS, WORDS))) + text[at + cut:]
+            yield fmt, text
+
+
+def render(x) -> str:
+    """A reader's result as canonical text: its fields, recursively."""
+    if isinstance(x, FinMetricSpace):
+        return "space" + render((x.points, [[x.d(p, q) for q in x.points] for p in x.points]))
+    if isinstance(x, TableMonoid):
+        return "monoid" + render((x.space, x.unit, x.table))
+    if isinstance(x, FiniteAlgebra):
+        return "algebra" + render((x.carrier, x.interp))
+    if isinstance(x, Coalgebra):
+        return format_coalgebra(x, "M")
+    if dataclasses.is_dataclass(x):
+        return type(x).__name__ + render([getattr(x, f.name) for f in dataclasses.fields(x)])
+    if isinstance(x, dict):
+        return "{" + ", ".join(f"{render(k)}: {render(v)}" for k, v in x.items()) + "}"
+    if isinstance(x, (tuple, list)):
+        return "(" + ", ".join(map(render, x)) + ")"
+    return repr(x) if isinstance(x, str) else str(x)
+
+
+def outcome(fmt: str, text: str) -> str:
+    """`ok` and the result's rendering, or the error's class and message."""
+    try:
+        return "ok " + render(FORMATS[fmt][1](text))
+    except QuantAlgError as exc:
+        return f"{type(exc).__name__} {exc}"
+
+
+def test_the_readers_give_each_corpus_edit_its_recorded_outcome():
+    corpus = json.loads(CORPUS.read_text(encoding="utf-8"))
+    assert len(corpus) == 300 and len({fmt for fmt, _, _ in corpus}) == len(FORMATS)
+    assert [outcome(fmt, text) for fmt, text, _ in corpus] == [want for _, _, want in corpus]
 
 
 @pytest.mark.parametrize("text, message", [
@@ -121,9 +181,10 @@ def test_whitespace_and_comments_end_in_one_eof_token():
             assert str(e.value) == "<input>:1: unexpected character '$'"
             continue
         ts = TokenStream(text)
-        assert [t.text for t in ts.tokens] == tokens + [""]
-        eof = ts.tokens[-1]
-        assert (eof.kind, eof.pos, ts.line(eof)) == ("eof", len(text), text.count("\n") + 1)
+        assert ts.texts == tokens + [""]
+        eof = len(ts.texts) - 1
+        assert (ts.kinds[ts.texts[eof]], ts.offset(eof), ts.line(eof)) == (
+            "eof", len(text), text.count("\n") + 1)
 
 
 def test_a_numeral_part_may_have_4000_digits():
@@ -133,7 +194,8 @@ def test_a_numeral_part_may_have_4000_digits():
 
 def test_a_token_line_is_counted_from_its_offset():
     ts = TokenStream("a\n# b\n\n  c d")
-    assert [(t.text, ts.line(t)) for t in ts.tokens] == [("a", 1), ("c", 4), ("d", 4), ("", 4)]
+    assert [(tok, ts.line(k)) for k, tok in enumerate(ts.texts)] == [
+        ("a", 1), ("c", 4), ("d", 4), ("", 4)]
 
 
 _MP_THEORY = "sum(sum(bary, exc{1}), contr{next, 1/2})"
@@ -173,3 +235,10 @@ def test_a_malformed_operation_is_a_parse_error_at_its_line(kind, text, message,
     assert main(argv) == 2
     err = capsys.readouterr().err.replace(str(tmp_path) + "/", "")
     assert err == f"parse error: {message}\n"
+
+
+if __name__ == "__main__":
+    CORPUS.parent.mkdir(exist_ok=True)
+    rows = (json.dumps([fmt, text, outcome(fmt, text)], ensure_ascii=False)
+            for fmt, text in corpus_edits())
+    CORPUS.write_text("[\n" + ",\n".join(rows) + "\n]\n", encoding="utf-8")

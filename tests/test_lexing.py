@@ -20,10 +20,15 @@ PIECES = st.one_of(
                      "1/" + "7" * 4001, "5" * 4000 + "/" + "5" * 4000, "\u00a0", "\u2028"]))
 
 
+def _triples(ts):
+    """The (kind, text, offset) of each token of the stream `ts`."""
+    return [(ts.kinds[tok], tok, ts.offset(k)) for k, tok in enumerate(ts.texts)]
+
+
 def _tokens(stream, text):
-    """The (kind, text, pos) of each token, or the first error's message."""
+    """The (kind, text, offset) of each token, or the first error's message."""
     try:
-        return [tuple(t) for t in stream(text, "<t>").tokens]
+        return _triples(stream(text, "<t>"))
     except ParseError as exc:
         return str(exc)
 
@@ -37,8 +42,9 @@ def test_the_tokens_are_those_of_one_finditer_pass(text):
 def test_the_pieces_cover_each_outcome():
     # every token kind, and each of the three errors, from the pieces alone
     ts = TokenStream("conv(x -> 1/2, ٣) # é\r\n")
-    assert {t.kind for t in ts.tokens} == {"ident", "punct", "arrow", "num", "eof"}
-    assert ts.tokens[-3] == ("num", "٣", 15) and ts.tokens[-1] == ("eof", "", 23)
+    triples = _triples(ts)
+    assert {kind for kind, _, _ in triples} == {"ident", "punct", "arrow", "num", "eof"}
+    assert triples[-3] == ("num", "٣", 15) and triples[-1] == ("eof", "", 23)
     for text, message in [("x\r\n$", "<t>:2: unexpected character '$'"),
                           ("é", "<t>:1: unexpected character 'é'"),
                           ("1 ٣/2 3/00", "<t>:1: zero denominator in '3/00'"),

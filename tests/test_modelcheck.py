@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as hst
 
 from quantalg import (INF, AxiomInstance, Bary, BOUNDED, Contract, Exc, ExtValue,
                       FinMetricSpace, FiniteAlgebra, FuncVal, ONE_POINT, ParamPool,
@@ -13,9 +14,9 @@ from quantalg import (INF, AxiomInstance, Bary, BOUNDED, Contract, Exc, ExtValue
                       layer_plan, make_set, markov_process_theory, parse_algebras,
                       parse_spaces, powerset_model, reader_model,
                       sem_dist_with_plan, writer_model)
-from quantalg.terms import Var, conv, empty_op, next_op, read, union_op, write
+from quantalg.terms import Var, conv, empty_op, next_op, raise_, read, union_op, write
 
-from helpers import random_term
+from helpers import random_space, random_term
 from oracles import (check_equation_reference, check_nonexpansive_reference,
                      check_theory_reference)
 
@@ -499,6 +500,26 @@ def test_each_subterm_table_is_read_once_per_value_of_its_variables():
     # rd(x0_0, x1_1), then rd(rd(x0_0, x0_1), rd(x1_0, x1_1)): the outer
     # read over four variables, each inner one over two
     assert _table_reads(reader, diag) == n ** 2 + (n ** 4 + 2 * n ** 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(hst.integers(0, 2 ** 32 - 1), hst.integers(1, 4), hst.integers(0, 3))
+def test_nonexpansive_over_unordered_pairs_is_the_ordered_loop(seed, n, arity):
+    # a random partial table on a random carrier (some points infinitely far
+    # apart), its images mostly the first argument so that some tables pass:
+    # verdict, counts and counterexample are those of the loop over every
+    # ordered pair of argument vectors
+    rng = random.Random(seed)
+    X = random_space(rng, [f"p{i}" for i in range(n)], max_den=4, inf_prob=0.5)
+    op = rng.choice([[raise_("e")],
+                     [next_op("f", C12), next_op("g", Fraction(9, 10)), write(Fraction(0))],
+                     [conv(C12), union_op()], [read(3)]][arity])
+    density, noise = rng.random(), rng.random() / 2
+    table = {vec: vec[0] if vec and rng.random() >= noise else rng.choice(X.points)
+             for vec in itertools.product(X.points, repeat=arity) if rng.random() < density}
+    alg = FiniteAlgebra(X, {op: table})
+    assert _verdict(check_nonexpansive(alg, op)) == _verdict(
+        check_nonexpansive_reference(alg, op))
 
 
 def test_nonexpansive_counterexample_counts_only_the_pairs_met_before_it():

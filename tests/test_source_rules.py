@@ -56,14 +56,17 @@ def test_the_hot_path_names_no_fraction():
     # Psi's evaluation on the pair vector, policy reading and policy solving
     # block by block, and the transport under them, cold or warm, run on
     # ints, and so do denotation, interning, the pair graph's build with its
-    # fold of INF slots, the transport's least-cost start, the tokenizer and
-    # the coalgebra reader: a Fraction is built only at the
-    # edges (a distribution's `items` and key, printing)
+    # fold of INF slots, the transport's least-cost start, the tokenizer,
+    # the term, space and coalgebra readers and the rationals they read: a
+    # Fraction is built only at the edges (a distribution's `items` and key,
+    # a conv weight or monoid element, printing)
     hot = {"semantics.py": ["SemValue.__new__", "make_dist", "_apply_here", "_apply", "_eta",
                             "PairGraph._slot", "PairGraph._node", "PairGraph._infinite",
                             "PairGraph._op", "PairGraph.evaluate", "PairGraph.evaluated",
                             "PairGraph.policy"],
-           "lexing.py": ["TokenStream.__init__"],
+           "lexing.py": ["TokenStream.__init__", "TokenStream.expect_ext"],
+           "terms.py": ["_parse_term"],
+           "spaces.py": ["parse_spaces"],
            "bisim.py": ["solve_affine", "_blocks", "_eliminate", "psi_step", "_parse_rows",
                         "_solve_policy", "PseudoMetric.index", "MaxStrategy.pick"],
            "transport.py": ["scale_costs", "min_cost_transport", "solve_scaled", "_least_cost",
@@ -78,6 +81,18 @@ def test_the_hot_path_names_no_fraction():
             for n in (n for stmt in node.body for n in ast.walk(stmt)):
                 if getattr(n, "id", None) == "Fraction" or getattr(n, "attr", None) == "Fraction":
                     found.append(f"{name}:{n.lineno}: Fraction in {qualname}")
+    assert found == []
+
+
+def test_the_tokenizer_builds_no_object_per_token():
+    # a token is its text in one list and an index into it: lexing.py
+    # declares no tuple class to hold a token and builds no tuple per token
+    tree = ast.parse((Path(quantalg.__file__).parent / "lexing.py").read_text())
+    found = [f"lexing.py:{n.lineno}: {getattr(n, 'id', None) or n.attr}" for n in ast.walk(tree)
+             if getattr(n, "id", None) in ("NamedTuple", "namedtuple")
+             or getattr(n, "attr", None) in ("NamedTuple", "namedtuple")
+             or (getattr(n, "attr", None) == "__new__"
+                 and getattr(n.value, "id", None) == "tuple")]
     assert found == []
 
 
